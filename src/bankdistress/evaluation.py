@@ -153,7 +153,9 @@ def pick_threshold(scores, mu):
     """Threshold maximizing relative usefulness on a validation set.
 
     Candidates are the distinct observed scores plus {0, 1}; ties break
-    toward the smallest threshold (the more sensitive rule).
+    toward the smallest threshold (the more sensitive rule). A later
+    candidate wins only by more than 1e-12, so thresholds that tie in exact
+    arithmetic but differ by rounding still count as tied.
     """
     if not scores:
         raise ValueError("usefulness undefined: no validation observations")
@@ -164,7 +166,7 @@ def pick_threshold(scores, mu):
     best_tau, best_ur = None, None
     for tau in candidates:
         report = usefulness_report(scores, mu, tau)
-        if best_ur is None or report.relative_usefulness > best_ur:
+        if best_ur is None or report.relative_usefulness > best_ur + 1e-12:
             best_tau, best_ur = tau, report.relative_usefulness
     return best_tau
 

@@ -104,17 +104,17 @@ def fold_scoped_vectors(sentences, pvdm_overrides, train_banks, seed, min_count=
     model = pvdm.init_model(vocab, train_sents, cfg)
     model, _ = pvdm.train(model, train_sents)
     vectors = {}
+    held_out = []
     for i, sent in enumerate(sentences):
         row = model.sentence_index.get(sent.sentence_id)
         if row is not None:
             vectors[sent.sentence_id] = model.paragraph[row]
-            continue
-        try:
-            inferred = pvdm.infer_vector(model, sent.tokens, seed=seed + i,
-                                         sentence_id=sent.sentence_id)
-            vectors[sent.sentence_id] = inferred.values
-        except ValueError:
-            vectors[sent.sentence_id] = np.zeros(cfg.vector_dim)
+        else:
+            held_out.append((i, sent))
+    inferred = pvdm.infer_vectors(model, [s.tokens for _, s in held_out],
+                                  [seed + i for i, _ in held_out])
+    for (_, sent), vec in zip(held_out, inferred):
+        vectors[sent.sentence_id] = np.zeros(cfg.vector_dim) if vec is None else vec
     return vectors
 
 

@@ -279,21 +279,72 @@ def paragraph_vector(model, sentence_id):
     return SemanticVector(values=model.paragraph[row].copy(), sentence_id=sentence_id)
 
 
+def infer_vectors(model, token_seqs, seeds, steps=20, lr=0.025):
+    """Fit fresh paragraph vectors for many sentences against frozen word matrices.
+
+    Returns one vector per sentence, or None for a sentence shorter than
+    window_n + 2 tokens. Each sentence runs ``steps`` sweeps of SGD over its
+    positions, with the step math of ``step_gradients`` (no clipping), and
+    draws its start vector and noise words from its own
+    ``default_rng(seed)`` in the order a one-sentence loop would, so the
+    result does not depend on the batch. The word matrices never change, so
+    every (sentence, position) context sum is computed once; the sentences'
+    updates at one position run as a few array operations over all of them.
+    """
+    cfg = model.config
+    n, k, dim = cfg.window_n, cfg.negative_samples, cfg.vector_dim
+    if len(token_seqs) != len(seeds):
+        raise ValueError("need one seed per sentence")
+    out = [None] * len(token_seqs)
+    counts = [len(valid_positions(tokens, n)) for tokens in token_seqs]
+    # Longest first, so the sentences active at position p form a prefix.
+    order = sorted((i for i, c in enumerate(counts) if c > 0), key=lambda i: -counts[i])
+    if not order:
+        return out
+    rngs = [np.random.default_rng(seeds[i]) for i in order]
+    half = 0.5 / dim
+    vecs = np.array([rng.uniform(-half, half, size=dim) for rng in rngs])
+    n_pos = [counts[i] for i in order]
+    # active[p]: number of sentences with more than p positions
+    active = np.count_nonzero(np.array(n_pos)[:, None] > np.arange(n_pos[0]), axis=0)
+
+    ctxsum = np.zeros((len(order), n_pos[0], dim))
+    targets = np.zeros((len(order), n_pos[0]), dtype=np.int64)
+    for s, i in enumerate(order):
+        idx = _token_indices(model, token_seqs[i])
+        starts = np.arange(n_pos[s])
+        ctxsum[s, : n_pos[s]] = model.word_in[idx[starts[:, None] + np.arange(n)]].sum(axis=1)
+        targets[s, : n_pos[s]] = idx[starts + n]
+
+    cdf = model.noise_cdf()
+    draws = np.zeros((len(order), n_pos[0], k))
+    u_buf = np.empty((len(order), k + 1, dim))
+    for _ in range(steps):
+        for s, rng in enumerate(rngs):
+            rng.random(out=draws[s, : n_pos[s]])
+        noise = np.searchsorted(cdf, draws, side="right")
+        out_idx = np.concatenate((targets[:, :, None], noise), axis=2)
+        for p, a in enumerate(active):
+            vec = vecs[:a]
+            h = (ctxsum[:a, p] + vec) / (n + 1)
+            # One reused buffer: mode="raise" would copy through a temporary. Every
+            # index is a vocabulary row, bar a draw past the cdf's rounded end.
+            u = np.take(model.word_out, out_idx[:a, p], axis=0, out=u_buf[:a], mode="clip")
+            sig = _sigmoid(np.matmul(u, h[:, :, None])[:, :, 0])
+            sig[:, 0] -= 1.0
+            grad_h = np.matmul(sig[:, None, :], u)[:, 0, :]
+            vec -= lr * (grad_h / (n + 1))
+    for s, i in enumerate(order):
+        out[i] = vecs[s]
+    return out
+
+
 def infer_vector(model, tokens, steps=20, lr=0.025, seed=0, sentence_id=""):
     """Fit a fresh paragraph vector against frozen word matrices."""
-    cfg = model.config
-    if len(tokens) < cfg.window_n + 2:
-        raise ValueError("no trainable context: need at least %d tokens" % (cfg.window_n + 2))
-    rng = np.random.default_rng(seed)
-    half = 0.5 / cfg.vector_dim
-    vec = rng.uniform(-half, half, size=cfg.vector_dim)
-    for _ in range(steps):
-        for pos in valid_positions(tokens, cfg.window_n):
-            noise_idx = draw_noise(model, rng)
-            _, _, grad_par, _ = step_gradients(
-                model, tuple(tokens), pos, noise_idx, paragraph_vec=vec
-            )
-            vec -= lr * grad_par
+    min_tokens = model.config.window_n + 2
+    if len(tokens) < min_tokens:
+        raise ValueError("no trainable context: need at least %d tokens" % min_tokens)
+    (vec,) = infer_vectors(model, [tokens], [seed], steps=steps, lr=lr)
     return SemanticVector(values=vec, sentence_id=sentence_id)
 
 

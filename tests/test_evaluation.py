@@ -3,7 +3,7 @@
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bankdistress.evaluation import (
@@ -157,6 +157,8 @@ def test_pick_threshold_errors():
     ),
     mu=st.floats(min_value=0.05, max_value=0.95),
 )
+# tau 0.0 and 1.0 tie exactly here; rounding once made 1.0 win
+@example(data=[(0.0, 0), (0.0, 1), (0.0, 1)], mu=1 / 3)
 def test_pick_threshold_is_argmax(data, mu):
     labels = {lab for _, lab in data}
     scores = [ms("b%d" % i, (2010, i % 12 + 1), s, lab) for i, (s, lab) in enumerate(data)]

@@ -159,6 +159,38 @@ def test_fold_scoped_vectors_do_not_leak():
             np.testing.assert_array_equal(first[s.sentence_id], second[s.sentence_id])
 
 
+def test_fold_scoped_vectors_infer_held_out_and_fall_back_to_zero():
+    from bankdistress import pvdm
+    from bankdistress.corpus import build_vocabulary
+    from test_pvdm import reference_infer_vector
+
+    table, _ = toy_table(n_banks=6, n_months=4)
+    sentences = toy_sentences(table)
+    short = next(i for i, s in enumerate(sentences) if s.bank_id == "b05")
+    sentences[short] = type(sentences[short])(
+        sentence_id=sentences[short].sentence_id, bank_id="b05",
+        published_at=sentences[short].published_at, tokens=("w01", "w02", "w03"))
+    overrides = {"vector_dim": 6, "window_n": 2, "epochs": 1, "min_count": 1}
+    train_banks = {"b00", "b01", "b02", "b03"}
+    vectors = experiment.fold_scoped_vectors(sentences, overrides, train_banks,
+                                             seed=3, min_count=1)
+
+    train_sents = [s for s in sentences if s.bank_id in train_banks]
+    cfg = pvdm.PvdmConfig(vector_dim=6, window_n=2, epochs=1, seed=3)
+    model = pvdm.init_model(build_vocabulary(train_sents, min_count=1), train_sents, cfg)
+    model, _ = pvdm.train(model, train_sents)
+    for i, s in enumerate(sentences):
+        if s.bank_id in train_banks:
+            row = model.sentence_index[s.sentence_id]
+            np.testing.assert_array_equal(vectors[s.sentence_id], model.paragraph[row])
+        elif i == short:
+            np.testing.assert_array_equal(vectors[s.sentence_id], np.zeros(6))
+        else:
+            np.testing.assert_allclose(vectors[s.sentence_id],
+                                       reference_infer_vector(model, s.tokens, seed=3 + i),
+                                       rtol=0, atol=1e-12)
+
+
 def test_run_once_train_folds_embedding_scope():
     table, events = toy_table(n_banks=6)
     sentences = toy_sentences(table)

@@ -12,7 +12,9 @@ from bankdistress.corpus import Sentence, build_vocabulary
 from bankdistress.pvdm import (
     PvdmConfig,
     cosine,
+    draw_noise,
     infer_vector,
+    infer_vectors,
     init_model,
     load_model,
     paragraph_vector,
@@ -270,6 +272,68 @@ def test_infer_vector_recovers_training_sentence():
     other = paragraph_vector(model, "s1")
     assert cosine(inferred, own) > 0.5
     assert cosine(inferred, own) > cosine(inferred, other)
+
+
+def reference_infer_vector(model, tokens, steps=20, lr=0.025, seed=0):
+    """One sentence at a time through step_gradients: the oracle for infer_vectors."""
+    cfg = model.config
+    if len(tokens) < cfg.window_n + 2:
+        return None
+    rng = np.random.default_rng(seed)
+    half = 0.5 / cfg.vector_dim
+    vec = rng.uniform(-half, half, size=cfg.vector_dim)
+    for _ in range(steps):
+        for pos in valid_positions(tokens, cfg.window_n):
+            noise_idx = draw_noise(model, rng)
+            _, _, grad_par, _ = step_gradients(
+                model, tuple(tokens), pos, noise_idx, paragraph_vec=vec
+            )
+            vec -= lr * grad_par
+    return vec
+
+
+def assert_matches_reference(model, token_seqs, seeds, got, steps=20, lr=0.025):
+    assert len(got) == len(token_seqs)
+    for tokens, seed, vec in zip(token_seqs, seeds, got):
+        want = reference_infer_vector(model, tokens, steps=steps, lr=lr, seed=seed)
+        if want is None:
+            assert vec is None
+        else:
+            np.testing.assert_allclose(vec, want, rtol=0, atol=1e-12)
+
+
+def test_infer_vectors_match_per_sentence_reference():
+    model, _ = randomized_model(window=3)
+    n = model.config.window_n
+    batch = [
+        ("w01", "w02", "w03", "w04", "w05", "w06", "w07", "w08", "w09", "w10"),
+        ("w03",) * (n + 1),                                 # one token short: None
+        ("w05", "w06", "w07", "w08", "w09"),                # exactly window_n + 2
+        ("w02", "zzz", "w02", "yyy", "w02", "w04", "zzz"),  # unknown and repeated words
+        ("w11", "w11", "w11", "w12", "w13", "w11", "w11", "w14"),
+        (),
+        ("w15", "w16", "w17", "w18", "w19", "w00", "w01", "w02", "w03", "w04",
+         "w05", "w06", "w07"),
+    ]
+    seeds = [11, 12, 13, 14, 15, 16, 17]
+    got = infer_vectors(model, batch, seeds, steps=7, lr=0.05)
+    assert [v is None for v in got] == [False, True, False, False, False, True, False]
+    assert_matches_reference(model, batch, seeds, got, steps=7, lr=0.05)
+
+    # a batch of one, and the empty batch
+    one = infer_vectors(model, batch[3:4], seeds[3:4], steps=7, lr=0.05)
+    assert_matches_reference(model, batch[3:4], seeds[3:4], one, steps=7, lr=0.05)
+    assert infer_vectors(model, [], []) == []
+    with pytest.raises(ValueError, match="one seed per sentence"):
+        infer_vectors(model, batch, seeds[:2])
+
+
+def test_infer_vector_wraps_infer_vectors():
+    model, sents = randomized_model()
+    tokens = sents[2].tokens
+    vec = infer_vector(model, tokens, steps=5, seed=9, sentence_id="q")
+    assert vec.sentence_id == "q"
+    np.testing.assert_array_equal(vec.values, infer_vectors(model, [tokens], [9], steps=5)[0])
 
 
 def test_infer_vector_needs_trainable_context():
