@@ -150,8 +150,7 @@ def _cmd_experiment(args):
     from dataclasses import replace
     for arm in arms:
         cfg = replace(config, arm=arm)
-        mean, std, results = experiment.run_repeated(table, events, cfg, jobs=args.jobs,
-                                                     sentences=sentences)
+        mean, std, results = experiment.run_repeated(table, events, cfg, sentences=sentences)
         results_by_arm[arm] = results
         print("%s: mean test U_r %.4f (std %.4f, %d runs)" % (arm, mean, std, cfg.runs))
     experiment.write_runs_csv(results_by_arm, os.path.join(args.out, "runs.csv"))
@@ -190,7 +189,7 @@ def _cmd_sweep(args):
             return table
 
     result = experiment.sweep(builder, events, config, args.parameter, grid,
-                              runs=args.runs if args.runs else 10, jobs=args.jobs,
+                              runs=args.runs if args.runs else 10,
                               sentences=_scoped_sentences(args, config))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep_%s.csv" % args.parameter)
@@ -262,7 +261,6 @@ def build_parser():
         p.add_argument("--mu", type=float, default=0.9)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", help="JSON experiment config file")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--embedding-scope", choices=("full", "train_folds"),
                        help="retrain embeddings per run on training folds only")
         p.add_argument("--sentences",

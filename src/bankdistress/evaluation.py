@@ -5,6 +5,8 @@ import json
 from dataclasses import dataclass
 from datetime import date
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class MonthScore:
@@ -13,6 +15,31 @@ class MonthScore:
     score: float  # mean distress probability over the bank's sentences
     n_sentences: int
     label: int
+
+
+@dataclass(frozen=True)
+class MonthlyScores:
+    """Scores and 0/1 labels of a set of bank-months, as parallel arrays."""
+
+    score: np.ndarray
+    label: np.ndarray
+
+    def __len__(self):
+        return len(self.score)
+
+
+@dataclass(frozen=True)
+class MonthGrouping:
+    """The (bank, month) groups of a fixed set of samples.
+
+    Built once per run for a fold's samples: keys and labels stay fixed while
+    the scores change every epoch.
+    """
+
+    keys: list          # distinct (bank_id, month), sorted
+    codes: np.ndarray   # per sample: index of its key
+    counts: np.ndarray  # per key: number of samples
+    labels: np.ndarray  # per key: month_label, 0/1
 
 
 @dataclass(frozen=True)
@@ -66,44 +93,48 @@ def month_label(bank_id, month, events):
     return 0
 
 
-def aggregate_monthly(predictions, events):
-    """Mean sentence-level distress probability per (bank, month)."""
-    groups = {}
-    for pred in predictions:
-        groups.setdefault((pred.bank_id, pred.month), []).append(pred.p_distress)
-    out = []
-    for (bank_id, month) in sorted(groups):
-        scores = groups[(bank_id, month)]
-        out.append(
-            MonthScore(
-                bank_id=bank_id,
-                month=month,
-                score=sum(scores) / len(scores),
-                n_sentences=len(scores),
-                label=month_label(bank_id, month, events),
-            )
-        )
-    return out
+def group_months(bank_ids, months, events):
+    """Group samples by (bank, month) and label each group once."""
+    keys = sorted(set(zip(bank_ids, months)))
+    index = {key: i for i, key in enumerate(keys)}
+    codes = np.array([index[key] for key in zip(bank_ids, months)], dtype=np.intp)
+    return MonthGrouping(
+        keys=keys,
+        codes=codes,
+        counts=np.bincount(codes, minlength=len(keys)),
+        labels=np.array([month_label(b, m, events) for b, m in keys], dtype=np.int64),
+    )
+
+
+def aggregate_monthly(p_distress, grouping):
+    """Mean sentence-level distress probability per (bank, month).
+
+    ``bincount`` adds each group's probabilities in sample order, as a
+    sequential ``sum`` does.
+    """
+    totals = np.bincount(grouping.codes, weights=p_distress, minlength=len(grouping.keys))
+    return MonthlyScores(score=totals / grouping.counts, label=grouping.labels)
+
+
+def _columns(scores):
+    """(score, label) arrays of a MonthlyScores or of MonthScore rows."""
+    if isinstance(scores, MonthlyScores):
+        return scores.score, scores.label
+    return (np.array([ms.score for ms in scores], dtype=float),
+            np.array([ms.label for ms in scores], dtype=np.int64))
 
 
 def confusion(scores, threshold):
     """Confusion counts of the rule `signal iff score >= threshold`."""
-    if not scores:
+    score, label = _columns(scores)
+    if not len(score):
         raise ValueError("cannot build a confusion matrix from no observations")
-    tp = fp = tn = fn = 0
-    for ms in scores:
-        signaled = ms.score >= threshold
-        if ms.label == 1:
-            if signaled:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if signaled:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionRates(tp=tp, fp=fp, tn=tn, fn=fn)
+    signaled = score >= threshold
+    positive = label == 1
+    tp = int(np.count_nonzero(signaled & positive))
+    fp = int(np.count_nonzero(signaled)) - tp
+    fn = int(np.count_nonzero(positive)) - tp
+    return ConfusionRates(tp=tp, fp=fp, tn=len(score) - tp - fp - fn, fn=fn)
 
 
 def baseline_loss(prior, mu):
@@ -149,25 +180,49 @@ def usefulness_report(scores, mu, threshold):
     )
 
 
+def usefulness_curve(scores, mu):
+    """Relative usefulness of every candidate threshold.
+
+    Candidates are the distinct observed scores plus {0, 1}, ascending. The
+    confusion counts of all candidates come from one sort and binary search
+    per class; U_r then goes through the same loss functions as
+    ``usefulness_report``, elementwise, so each value is bit-identical to
+    that report's.
+    """
+    score, label = _columns(scores)
+    if not len(score):
+        raise ValueError("usefulness undefined: no validation observations")
+    positive = np.sort(score[label == 1])
+    negative = np.sort(score[label != 1])
+    if not len(positive) or not len(negative):
+        raise ValueError("usefulness undefined: validation set contains a single class")
+    # np.unique would import numpy.ma on first use, for ~1 MB of memory
+    candidates = np.sort(np.concatenate((score, (0.0, 1.0))))
+    distinct = np.empty(len(candidates), dtype=bool)
+    distinct[0] = True
+    np.not_equal(candidates[1:], candidates[:-1], out=distinct[1:])
+    candidates = candidates[distinct]
+    tp = len(positive) - np.searchsorted(positive, candidates, side="left")
+    fp = len(negative) - np.searchsorted(negative, candidates, side="left")
+    conf = ConfusionRates(tp=tp, fp=fp, tn=len(negative) - fp, fn=len(positive) - tp)
+    l_b = baseline_loss(len(positive) / len(score), mu)
+    _, u_r = relative_usefulness(l_b, model_loss(conf, mu))
+    return candidates, u_r
+
+
 def pick_threshold(scores, mu):
     """Threshold maximizing relative usefulness on a validation set.
 
-    Candidates are the distinct observed scores plus {0, 1}; ties break
-    toward the smallest threshold (the more sensitive rule). A later
-    candidate wins only by more than 1e-12, so thresholds that tie in exact
-    arithmetic but differ by rounding still count as tied.
+    Candidates are those of ``usefulness_curve``; ties break toward the
+    smallest threshold (the more sensitive rule). A later candidate wins only
+    by more than 1e-12, so thresholds that tie in exact arithmetic but differ
+    by rounding still count as tied.
     """
-    if not scores:
-        raise ValueError("usefulness undefined: no validation observations")
-    labels = {ms.label for ms in scores}
-    if labels != {0, 1}:
-        raise ValueError("usefulness undefined: validation set contains a single class")
-    candidates = sorted({ms.score for ms in scores} | {0.0, 1.0})
+    candidates, u_r = usefulness_curve(scores, mu)
     best_tau, best_ur = None, None
-    for tau in candidates:
-        report = usefulness_report(scores, mu, tau)
-        if best_ur is None or report.relative_usefulness > best_ur + 1e-12:
-            best_tau, best_ur = tau, report.relative_usefulness
+    for tau, ur in zip(candidates.tolist(), u_r.tolist()):
+        if best_ur is None or ur > best_ur + 1e-12:
+            best_tau, best_ur = tau, ur
     return best_tau
 
 

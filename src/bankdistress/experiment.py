@@ -2,7 +2,6 @@
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -65,13 +64,6 @@ class SweepResult:
     mean_ur: list
     std_ur: list
     runs_per_point: int
-
-
-@dataclass
-class _Meta:
-    sentence_id: str
-    bank_id: str
-    month: tuple
 
 
 def derive_run_seed(master_seed, run_index):
@@ -159,12 +151,13 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
     fused = np.concatenate([semantic, numeric_z], axis=1)
     inputs = project_arm(fused, config.arm, semantic_dim=semantic_dim)
 
-    metas = [
-        _Meta(sentence_id=s, bank_id=b, month=m)
-        for s, b, m in zip(table.sentence_ids, table.bank_ids, table.months)
-    ]
-    val_metas = [m for m, keep in zip(metas, val_mask) if keep]
-    test_metas = [m for m, keep in zip(metas, test_mask) if keep]
+    def month_groups(mask):
+        rows = np.flatnonzero(mask)
+        return evaluation.group_months([table.bank_ids[i] for i in rows],
+                                       [table.months[i] for i in rows], events)
+
+    val_groups = month_groups(val_mask)
+    test_groups = month_groups(test_mask)
 
     mlp_overrides = dict(config.mlp)
     mlp_overrides["input_dim"] = _arm_input_dim(config.arm, semantic_dim)
@@ -174,8 +167,7 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
     x_val = inputs[val_mask]
 
     def val_usefulness(m):
-        preds = neural.predict(m, val_metas, x_val)
-        scores = evaluation.aggregate_monthly(preds, events)
+        scores = evaluation.aggregate_monthly(neural.predict(m, x_val), val_groups)
         tau = evaluation.pick_threshold(scores, config.mu)
         return evaluation.usefulness_report(scores, config.mu, tau).relative_usefulness
 
@@ -183,13 +175,12 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
         model, inputs[train_mask], table.labels[train_mask], eval_hook=val_usefulness
     )
 
-    val_preds = neural.predict(best, val_metas, x_val)
-    val_scores = evaluation.aggregate_monthly(val_preds, events)
+    val_scores = evaluation.aggregate_monthly(neural.predict(best, x_val), val_groups)
     tau = evaluation.pick_threshold(val_scores, config.mu)
     val_report = evaluation.usefulness_report(val_scores, config.mu, tau)
 
-    test_preds = neural.predict(best, test_metas, inputs[test_mask])
-    test_scores = evaluation.aggregate_monthly(test_preds, events)
+    test_scores = evaluation.aggregate_monthly(neural.predict(best, inputs[test_mask]),
+                                               test_groups)
     test_report = evaluation.usefulness_report(test_scores, config.mu, tau)
 
     return RunResult(
@@ -202,19 +193,13 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
     )
 
 
-def run_repeated(table, events, config, jobs=1, sentences=None):
+def run_repeated(table, events, config, sentences=None):
     """config.runs independent repetitions with seeds derived from master_seed."""
-    seeds = [derive_run_seed(config.master_seed, i) for i in range(config.runs)]
-
-    def one(i):
-        return run_once(table, events, config, seeds[i], run_index=i,
-                        sentences=sentences)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, range(config.runs)))
-    else:
-        results = [one(i) for i in range(config.runs)]
+    results = [
+        run_once(table, events, config, derive_run_seed(config.master_seed, i),
+                 run_index=i, sentences=sentences)
+        for i in range(config.runs)
+    ]
     urs = np.array([r.test.relative_usefulness for r in results])
     return float(urs.mean()), float(urs.std()), results
 
@@ -244,8 +229,7 @@ def _apply_sweep_value(config, parameter, value):
     return replace(config, mlp=mlp, pvdm=pvdm)
 
 
-def sweep(table_builder, events, base_config, parameter, grid, runs=10, jobs=1,
-          sentences=None):
+def sweep(table_builder, events, base_config, parameter, grid, runs=10, sentences=None):
     """Mean/std relative usefulness across a one-parameter grid.
 
     ``table_builder(pvdm_overrides) -> SampleTable`` rebuilds the dataset;
@@ -264,7 +248,7 @@ def sweep(table_builder, events, base_config, parameter, grid, runs=10, jobs=1,
             if cached_table is None:
                 cached_table = table_builder(cfg.pvdm)
             table = cached_table
-        mean, std, _ = run_repeated(table, events, cfg, jobs=jobs, sentences=sentences)
+        mean, std, _ = run_repeated(table, events, cfg, sentences=sentences)
         means.append(mean)
         stds.append(std)
     return SweepResult(

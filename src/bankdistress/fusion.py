@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -29,6 +30,8 @@ ARMS = ("text_only", "numeric_only", "combined")
 
 EVENT_KINDS = ("bankruptcy_default", "state_aid", "distressed_merger")
 
+QUARTER_PATTERN = re.compile(r"\d{4}Q[1-4]")  # e.g. 2010Q3, as write_indicators writes it
+
 
 @dataclass(frozen=True)
 class QuarterlyIndicators:
@@ -38,6 +41,8 @@ class QuarterlyIndicators:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.quarter not in (1, 2, 3, 4):
+            raise ValueError("quarter must be 1..4, got %r" % (self.quarter,))
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (NUMERIC_DIM,):
             raise ValueError("expected %d indicator values, got %s" % (NUMERIC_DIM, vals.shape))
@@ -260,20 +265,28 @@ def build_sample_table(sentences, vectors_by_id, indicators, events):
 
 
 def read_indicators(path):
+    """Read an indicator CSV; a malformed row raises ValueError naming path:line."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            q = row["quarter"]
-            year, quarter = int(q[:4]), int(q[5])
-            out.append(
-                QuarterlyIndicators(
-                    bank_id=row["bank_id"],
-                    year=year,
-                    quarter=quarter,
-                    values=np.array([float(row[name]) for name in INDICATOR_NAMES]),
+            try:
+                q = row.get("quarter") or ""
+                if not QUARTER_PATTERN.fullmatch(q):
+                    raise ValueError("quarter %r is not of the form 2010Q1..2010Q4" % q)
+                cells = [row.get(name) for name in INDICATOR_NAMES]
+                if None in cells:
+                    raise ValueError("row has fewer than %d indicator columns" % NUMERIC_DIM)
+                out.append(
+                    QuarterlyIndicators(
+                        bank_id=row["bank_id"],
+                        year=int(q[:4]),
+                        quarter=int(q[5]),
+                        values=np.array([float(c) for c in cells]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError("%s:%d: %s" % (path, reader.line_num, exc)) from None
     return out
 
 

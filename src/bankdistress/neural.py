@@ -47,14 +47,6 @@ class MlpModel:
     config: MlpConfig
 
 
-@dataclass(frozen=True)
-class Prediction:
-    sentence_id: str
-    bank_id: str
-    month: tuple
-    p_distress: float
-
-
 def init_model(config):
     """Seeded uniform init scaled by 1/sqrt(fan_in); zero biases and velocities."""
     rng = np.random.default_rng(config.seed)
@@ -222,27 +214,9 @@ def train(model, x_train, y_train, eval_hook=None):
     return model, curve
 
 
-def predict(model, samples, inputs):
-    """Infer-mode predictions carrying (sentence, bank, month) keys through.
-
-    ``samples`` is a sequence with sentence_id/bank_id/month attributes,
-    ``inputs`` the matching matrix of classifier inputs.
-    """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if len(samples) != inputs.shape[0]:
-        raise ValueError("samples and inputs differ in length")
-    if inputs.shape[0] == 0:
-        return []
-    probs = forward(model, inputs, mode="infer")
-    return [
-        Prediction(
-            sentence_id=s.sentence_id,
-            bank_id=s.bank_id,
-            month=s.month,
-            p_distress=float(p[1]),
-        )
-        for s, p in zip(samples, probs)
-    ]
+def predict(model, inputs):
+    """Infer-mode distress probability (class 1) of each input row."""
+    return forward(model, inputs, mode="infer")[:, 1]
 
 
 def save_checkpoint(model, path):

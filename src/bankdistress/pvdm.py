@@ -48,8 +48,17 @@ class PvdmModel:
     _noise_cdf: np.ndarray = field(default=None, repr=False)
 
     def noise_cdf(self):
+        """Cumulative noise distribution, reaching exactly 1.0 at the last word
+        with noise mass.
+
+        A cumsum can round to just below 1.0; a uniform draw at or above its
+        end would then index one past the vocabulary. Pinning the end changes
+        no draw below it.
+        """
         if self._noise_cdf is None:
-            self._noise_cdf = np.cumsum(self.vocab.noise_probs)
+            probs = self.vocab.noise_probs
+            self._noise_cdf = np.cumsum(probs)
+            self._noise_cdf[np.flatnonzero(probs)[-1]:] = 1.0
         return self._noise_cdf
 
 
@@ -328,7 +337,7 @@ def infer_vectors(model, token_seqs, seeds, steps=20, lr=0.025):
             vec = vecs[:a]
             h = (ctxsum[:a, p] + vec) / (n + 1)
             # One reused buffer: mode="raise" would copy through a temporary. Every
-            # index is a vocabulary row, bar a draw past the cdf's rounded end.
+            # index is a vocabulary row, as the cdf ends at 1.0.
             u = np.take(model.word_out, out_idx[:a, p], axis=0, out=u_buf[:a], mode="clip")
             sig = _sigmoid(np.matmul(u, h[:, :, None])[:, :, 0])
             sig[:, 0] -= 1.0

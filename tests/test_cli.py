@@ -158,6 +158,24 @@ def test_exit_codes(pipeline, capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("quarter", ["2010Q7", "2010-3", "2010Q"])
+def test_fuse_rejects_malformed_quarter(pipeline, capsys, tmp_path, quarter):
+    with open(os.path.join(pipeline["data"], "indicators.csv"), encoding="utf-8") as fh:
+        header, first, *rest = fh.read().splitlines()
+    bank, _, values = first.split(",", 2)
+    bad = tmp_path / "indicators.csv"
+    bad.write_text("\n".join([header, rest[0], ",".join([bank, quarter, values])] + rest[1:])
+                   + "\n", encoding="utf-8")
+    rc = cli.main(["fuse", "--sentences", pipeline["sentences"],
+                   "--vectors", pipeline["vectors"], "--indicators", str(bad),
+                   "--events", os.path.join(pipeline["data"], "events.csv"),
+                   "--out", str(tmp_path / "fused.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: %s:3: quarter %r" % (bad, quarter))
+    assert "Traceback" not in err
+
+
 def test_embedding_scope_train_folds(pipeline, capsys, tmp_path):
     events = os.path.join(pipeline["data"], "events.csv")
     # the per-run retraining mode needs the raw sentences

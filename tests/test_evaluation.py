@@ -2,6 +2,7 @@
 
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,17 +13,18 @@ from bankdistress.evaluation import (
     aggregate_monthly,
     baseline_loss,
     confusion,
+    group_months,
     model_loss,
     month_label,
     pick_threshold,
     relative_usefulness,
     report_to_dict,
+    usefulness_curve,
     usefulness_report,
     write_month_scores,
     write_report,
 )
 from bankdistress.fusion import DistressEvent
-from bankdistress.neural import Prediction
 
 
 def ms(bank, month, score, label):
@@ -44,18 +46,41 @@ def test_month_label_window_intersection():
 
 
 def test_aggregate_monthly_means_and_sorting():
-    preds = [
-        Prediction("s1", "b", (2010, 1), 0.2),
-        Prediction("s2", "a", (2010, 1), 0.4),
-        Prediction("s3", "a", (2010, 1), 0.8),
-        Prediction("s4", "a", (2010, 2), 0.5),
-    ]
-    out = aggregate_monthly(preds, events=[])
-    assert [(o.bank_id, o.month, o.n_sentences) for o in out] == [
-        ("a", (2010, 1), 2), ("a", (2010, 2), 1), ("b", (2010, 1), 1),
-    ]
-    assert abs(out[0].score - 0.6) < 1e-12
-    assert all(o.label == 0 for o in out)
+    groups = group_months(["b", "a", "a", "a"],
+                          [(2010, 1), (2010, 1), (2010, 1), (2010, 2)], events=[])
+    assert groups.keys == [("a", (2010, 1)), ("a", (2010, 2)), ("b", (2010, 1))]
+    assert groups.codes.tolist() == [2, 0, 0, 1]
+    assert groups.counts.tolist() == [2, 1, 1]
+    out = aggregate_monthly(np.array([0.2, 0.4, 0.8, 0.5]), groups)
+    assert len(out) == 3
+    assert out.score.tolist() == [(0.4 + 0.8) / 2, 0.5, 0.2]
+    assert out.label.tolist() == [0, 0, 0]
+
+
+EVENTS = [DistressEvent("a", date(2010, 2, 20), date(2010, 3, 5), "state_aid"),
+          DistressEvent("c", date(2010, 4, 30), date(2010, 4, 30), "bankruptcy_default"),
+          DistressEvent("a", date(2010, 6, 1), date(2010, 6, 30), "distressed_merger")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=st.lists(
+    st.tuples(st.sampled_from("abc"), st.integers(min_value=1, max_value=6),
+              st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
+    max_size=40,
+))
+def test_group_months_labels_and_sequential_means(samples):
+    bank_ids = [b for b, _, _ in samples]
+    months = [(2010, m) for _, m, _ in samples]
+    groups = group_months(bank_ids, months, EVENTS)
+    out = aggregate_monthly(np.array([p for _, _, p in samples], dtype=float), groups)
+    assert groups.keys == sorted(set(zip(bank_ids, months)))
+    assert len(out) == len(groups.keys)
+    for i, key in enumerate(groups.keys):
+        assert out.label[i] == month_label(key[0], key[1], EVENTS)
+        members = [p for b, m, p in samples if (b, (2010, m)) == key]
+        assert groups.counts[i] == len(members)
+        # exactly the sequential mean, also for several sentences per bank-month
+        assert out.score[i] == sum(members) / len(members)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +171,62 @@ def test_pick_threshold_errors():
         pick_threshold([], 0.9)
     with pytest.raises(ValueError, match="single class"):
         pick_threshold([ms("a", (2010, 1), 0.5, 0)], 0.9)
+    # the same errors for monthly scores aggregated from a grouping
+    empty = aggregate_monthly(np.zeros(0), group_months([], [], EVENTS))
+    with pytest.raises(ValueError, match="no validation"):
+        pick_threshold(empty, 0.9)
+    with pytest.raises(ValueError, match="no observations"):
+        usefulness_report(empty, 0.9, 0.5)
+    tranquil = aggregate_monthly(np.array([0.5, 0.7]),
+                                 group_months(["a", "b"], [(2010, 1), (2010, 1)], EVENTS))
+    with pytest.raises(ValueError, match="single class"):
+        pick_threshold(tranquil, 0.9)
+
+
+def reference_pick_threshold(scores, mu):
+    """Oracle for the sort-based search: one full report per candidate.
+
+    Returns the chosen threshold and its relative usefulness.
+    """
+    if not scores:
+        raise ValueError("usefulness undefined: no validation observations")
+    if {s.label for s in scores} != {0, 1}:
+        raise ValueError("usefulness undefined: validation set contains a single class")
+    best_tau, best_ur = None, None
+    for tau in sorted({s.score for s in scores} | {0.0, 1.0}):
+        ur = usefulness_report(scores, mu, tau).relative_usefulness
+        if best_ur is None or ur > best_ur + 1e-12:
+            best_tau, best_ur = tau, ur
+    return best_tau, best_ur
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.sampled_from((5, 20)),
+    data=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=1)),
+        min_size=1, max_size=40,
+    ),
+    mu=st.floats(min_value=0.05, max_value=0.95),
+)
+@example(steps=5, data=[(0, 0), (0, 1), (0, 1)], mu=1 / 3)
+def test_pick_threshold_matches_reference(steps, data, mu):
+    # scores on a coarse grid k/steps, so ties between bank-months are common
+    scores = [ms("b%d" % i, (2010, 1), min(k, steps) / steps, lab)
+              for i, (k, lab) in enumerate(data)]
+    try:
+        ref_tau, ref_ur = reference_pick_threshold(scores, mu)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            pick_threshold(scores, mu)
+        return
+    assert pick_threshold(scores, mu) == ref_tau
+    assert usefulness_report(scores, mu, ref_tau).relative_usefulness == ref_ur
+    candidates, curve = usefulness_curve(scores, mu)
+    assert candidates.tolist() == sorted({s.score for s in scores} | {0.0, 1.0})
+    # bit-identical to a full report at every candidate, not just close
+    assert curve.tolist() == [usefulness_report(scores, mu, tau).relative_usefulness
+                              for tau in candidates.tolist()]
 
 
 @settings(max_examples=60, deadline=None)

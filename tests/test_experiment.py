@@ -226,17 +226,6 @@ def test_run_repeated_statistics_and_prefix():
     assert [r.test for r in prefix] == [r.test for r in results[:2]]
 
 
-def test_run_repeated_jobs_match_serial():
-    table, events = toy_table()
-    _, _, serial = run_repeated(table, events, quick_config(runs=3))
-    _, _, parallel = run_repeated(table, events, quick_config(runs=3), jobs=3)
-    assert [r.test for r in serial] == [r.test for r in parallel]
-
-
-# ---------------------------------------------------------------------------
-# Sweeps
-
-
 def test_apply_sweep_value():
     cfg = quick_config()
     assert experiment._apply_sweep_value(cfg, "hidden_width", 20).mlp["hidden_layers"] == (20,)

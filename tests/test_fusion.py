@@ -62,6 +62,9 @@ def test_indicator_record_validation():
         QuarterlyIndicators("a", 2010, 1, np.zeros(5))
     with pytest.raises(ValueError):
         QuarterlyIndicators("a", 2010, 1, np.full(NUMERIC_DIM, np.nan))
+    for bad_quarter in (0, 5, 7):
+        with pytest.raises(ValueError, match="quarter"):
+            QuarterlyIndicators("a", 2010, bad_quarter, np.zeros(NUMERIC_DIM))
 
 
 def test_event_validation():
@@ -250,6 +253,31 @@ def test_indicator_csv_round_trip(tmp_path):
     assert [(r.bank_id, r.year, r.quarter) for r in loaded] == [("a", 2010, 1), ("b", 2011, 4)]
     for got, want in zip(loaded, recs):
         np.testing.assert_array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("quarter", ["2010Q7", "2010Q0", "2010-3", "2010Q", "10Q1", "2010Q12", ""])
+def test_read_indicators_rejects_malformed_quarter(tmp_path, quarter):
+    path = str(tmp_path / "indicators.csv")
+    write_indicators([make_indicators("a", 2010, 1), make_indicators("b", 2010, 2)], path)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("b,2010Q2,", "b,%s," % quarter))
+    with pytest.raises(ValueError, match=r"indicators\.csv:3: quarter"):
+        read_indicators(path)
+
+
+def test_read_indicators_rejects_short_and_non_numeric_rows(tmp_path):
+    path = str(tmp_path / "indicators.csv")
+    write_indicators([make_indicators("a", 2010, 1)], path)
+    with open(path, encoding="utf-8") as fh:
+        header, row = fh.read().splitlines()
+    for bad_row, message in ((row.rsplit(",", 1)[0], "fewer than 12"),
+                             (row.rsplit(",", 1)[0] + ",abc", "abc")):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header + "\n" + bad_row + "\n")
+        with pytest.raises(ValueError, match=r"indicators\.csv:2: .*%s" % message):
+            read_indicators(path)
 
 
 def test_event_csv_round_trip(tmp_path):

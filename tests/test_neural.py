@@ -262,25 +262,16 @@ def test_train_rejects_empty():
 # Prediction and persistence
 
 
-class FakeSample:
-    def __init__(self, sid, bank, month):
-        self.sentence_id = sid
-        self.bank_id = bank
-        self.month = month
-
-
-def test_predict_carries_keys():
+def test_predict_returns_distress_probability():
     model = toy_model()
-    x, _ = toy_batch(n=2)
-    samples = [FakeSample("s1", "a", (2010, 1)), FakeSample("s2", "b", (2010, 2))]
-    preds = predict(model, samples, x)
-    assert [(p.sentence_id, p.bank_id, p.month) for p in preds] == [
-        ("s1", "a", (2010, 1)), ("s2", "b", (2010, 2)),
-    ]
-    assert all(0.0 <= p.p_distress <= 1.0 for p in preds)
-    assert predict(model, [], np.zeros((0, 6))) == []
+    x, _ = toy_batch(n=3)
+    p = predict(model, x)
+    assert p.shape == (3,)
+    assert p.tolist() == forward(model, x)[:, 1].tolist()
+    assert np.all((0.0 <= p) & (p <= 1.0))
+    assert predict(model, np.zeros((0, 6))).shape == (0,)
     with pytest.raises(ValueError):
-        predict(model, samples, x[:1])
+        predict(model, x[:, :5])
 
 
 def test_checkpoint_round_trip(tmp_path):

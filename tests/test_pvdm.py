@@ -187,6 +187,20 @@ def test_valid_positions():
     assert list(valid_positions(("a",) * 10, 5)) == [0, 1, 2, 3]
 
 
+def test_noise_cdf_ends_at_one():
+    # ten equal weights: the plain cumsum ends at 0.9999999999999999, and <unk>
+    # (never seen) comes last with no mass
+    sents = [make_sentence("s0", ["w%d" % i for i in range(10)])]
+    vocab = build_vocabulary(sents, min_count=1)
+    plain = np.cumsum(vocab.noise_probs)
+    assert plain[-1] < 1.0 and vocab.noise_probs[-1] == 0.0
+    cdf = init_model(vocab, sents, PvdmConfig(vector_dim=4, window_n=2)).noise_cdf()
+    np.testing.assert_array_equal(cdf[:9], plain[:9])
+    assert cdf[9:].tolist() == [1.0, 1.0]
+    # the highest uniform draw gives the last word with mass, not an index past the end
+    assert np.searchsorted(cdf, np.nextafter(1.0, 0.0), side="right") == 9
+
+
 # ---------------------------------------------------------------------------
 # Training
 
