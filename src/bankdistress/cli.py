@@ -4,7 +4,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import fields, replace
 
 from . import corpus, evaluation, experiment, fusion, neural, pvdm, synth
 
@@ -23,6 +23,13 @@ def _load_experiment_config(args):
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError("%s: expected a JSON object" % args.config)
+        known = [f.name for f in fields(experiment.ExperimentConfig)]
+        for key in base:
+            if key not in known:
+                raise ValueError("%s: unknown config key %r (expected one of %s)"
+                                 % (args.config, key, ", ".join(known)))
     if getattr(args, "arm", None) and args.arm != "all":
         base["arm"] = args.arm
     if getattr(args, "runs", None) is not None:
@@ -33,9 +40,6 @@ def _load_experiment_config(args):
         base["master_seed"] = args.seed
     if getattr(args, "embedding_scope", None):
         base["embedding_scope"] = args.embedding_scope
-    base.setdefault("mlp", {})
-    if "hidden_layers" in base["mlp"]:
-        base["mlp"]["hidden_layers"] = tuple(base["mlp"]["hidden_layers"])
     return experiment.ExperimentConfig(**base)
 
 
@@ -80,20 +84,20 @@ def _cmd_ingest(args):
 
 def _cmd_embed(args):
     sentences = corpus.read_sentences(args.sentences)
-    vocab = corpus.build_vocabulary(sentences, min_count=args.min_count)
     cfg = pvdm.PvdmConfig(
         vector_dim=args.dim,
         window_n=args.window,
         epochs=args.epochs,
         seed=args.seed,
+        min_count=args.min_count,
     )
-    model = pvdm.init_model(vocab, sentences, cfg)
-    model, losses = pvdm.train(model, sentences)
+    model, losses = experiment.embed_sentences(sentences, cfg)
     pvdm.save_model(model, args.out)
     if args.vectors:
         pvdm.export_vectors(model, args.vectors)
     tail = (" final epoch loss %.4f" % losses[-1]) if losses else ""
-    print("wrote %s: |V|=%d, %d sentences%s" % (args.out, len(vocab), len(sentences), tail))
+    print("wrote %s: |V|=%d, %d sentences%s"
+          % (args.out, len(model.vocab), len(sentences), tail))
     return 0
 
 
@@ -147,7 +151,6 @@ def _cmd_experiment(args):
     sentences = _scoped_sentences(args, config)
     os.makedirs(args.out, exist_ok=True)
     results_by_arm = {}
-    from dataclasses import replace
     for arm in arms:
         cfg = replace(config, arm=arm)
         mean, std, results = experiment.run_repeated(table, events, cfg, sentences=sentences)
@@ -172,13 +175,9 @@ def _cmd_sweep(args):
             )
         sentences = corpus.read_sentences(args.sentences)
         indicators = fusion.read_indicators(args.indicators)
-        vocab = corpus.build_vocabulary(sentences, min_count=config.pvdm.get("min_count", 5))
 
         def builder(pvdm_overrides):
-            overrides = {k: v for k, v in pvdm_overrides.items() if k != "min_count"}
-            cfg = pvdm.PvdmConfig(**overrides)
-            model = pvdm.init_model(vocab, sentences, cfg)
-            model, _ = pvdm.train(model, sentences)
+            model, _ = experiment.embed_sentences(sentences, pvdm.PvdmConfig(**pvdm_overrides))
             vectors = {
                 sid: model.paragraph[row] for sid, row in model.sentence_index.items()
             }

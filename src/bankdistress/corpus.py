@@ -220,23 +220,38 @@ def build_vocabulary(sentences, min_count=5, noise_power=0.75):
     )
 
 
-def read_articles(path):
-    """Read a JSON-lines article file."""
-    articles = []
+def read_jsonl(path, parse):
+    """``parse(row)`` of every non-blank line of a JSON-lines file, in order.
+
+    A line that is not a JSON object, or whose object ``parse`` rejects
+    (a missing key, a value of the wrong type or form), raises ValueError
+    naming path:line.
+    """
+    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            articles.append(
-                Article(
-                    article_id=row["article_id"],
-                    published_at=datetime.fromisoformat(row["published_at"]),
-                    body=row["body"],
-                )
-            )
-    return articles
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError("expected a JSON object, got %s" % type(row).__name__)
+                out.append(parse(row))
+            except KeyError as exc:
+                raise ValueError("%s:%d: missing key %s" % (path, line_no, exc)) from None
+            except (ValueError, TypeError, AttributeError) as exc:
+                raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
+    return out
+
+
+def read_articles(path):
+    """Read a JSON-lines article file."""
+    return read_jsonl(path, lambda row: Article(
+        article_id=row["article_id"],
+        published_at=datetime.fromisoformat(row["published_at"]),
+        body=row["body"],
+    ))
 
 
 def write_sentences(sentences, path):
@@ -257,19 +272,9 @@ def write_sentences(sentences, path):
 
 
 def read_sentences(path):
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            out.append(
-                Sentence(
-                    sentence_id=row["sentence_id"],
-                    bank_id=row["bank_id"],
-                    published_at=datetime.fromisoformat(row["published_at"]),
-                    tokens=tuple(row["tokens"]),
-                )
-            )
-    return out
+    return read_jsonl(path, lambda row: Sentence(
+        sentence_id=row["sentence_id"],
+        bank_id=row["bank_id"],
+        published_at=datetime.fromisoformat(row["published_at"]),
+        tokens=tuple(row["tokens"]),
+    ))

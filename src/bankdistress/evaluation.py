@@ -1,7 +1,6 @@
 """Monthly aggregation and the usefulness evaluation framework."""
 
 import calendar
-import json
 from dataclasses import dataclass
 from datetime import date
 
@@ -243,18 +242,3 @@ def report_to_dict(report):
         },
     }
 
-
-def write_report(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_month_scores(scores, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("bank_id,month,score,n_sentences,label\n")
-        for ms in scores:
-            fh.write(
-                "%s,%04d-%02d,%r,%d,%d\n"
-                % (ms.bank_id, ms.month[0], ms.month[1], ms.score, ms.n_sentences, ms.label)
-            )

@@ -1,8 +1,7 @@
 """Repeated-run protocol: grouped folds, per-run normalization, arms, sweeps."""
 
 import json
-import os
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -10,7 +9,6 @@ from . import evaluation, neural, pvdm
 from .corpus import build_vocabulary
 from .fusion import (
     ARMS,
-    NUMERIC_DIM,
     apply_normalization,
     assign_folds,
     fit_normalization,
@@ -24,6 +22,20 @@ TEST_FOLD = 4
 SWEEPABLE = ("hidden_width", "hidden_layer_count", "lr", "l1", "dropout_p",
              "window_n", "vector_dim")
 
+# MlpConfig fields a config may set; input_dim and seed are set by each run.
+MLP_KEYS = tuple(f.name for f in fields(neural.MlpConfig)
+                 if f.name not in ("input_dim", "seed"))
+PVDM_KEYS = tuple(f.name for f in fields(pvdm.PvdmConfig))
+
+
+def _check_keys(section, overrides, allowed):
+    if not isinstance(overrides, dict):
+        raise ValueError("%s must be a JSON object of overrides" % section)
+    for key in overrides:
+        if key not in allowed:
+            raise ValueError("unknown %s key %r (expected one of %s)"
+                             % (section, key, ", ".join(allowed)))
+
 
 @dataclass
 class ExperimentConfig:
@@ -31,8 +43,8 @@ class ExperimentConfig:
     runs: int = 50
     folds: int = 5
     mu: float = 0.9
-    mlp: dict = field(default_factory=dict)      # MlpConfig overrides
-    pvdm: dict = field(default_factory=dict)     # PvdmConfig overrides
+    mlp: dict = field(default_factory=dict)      # MlpConfig overrides (MLP_KEYS)
+    pvdm: dict = field(default_factory=dict)     # PvdmConfig overrides (PVDM_KEYS)
     embedding_scope: str = "full"                # "full" or "train_folds"
     master_seed: int = 0
 
@@ -41,10 +53,14 @@ class ExperimentConfig:
             raise ValueError("unknown arm %r" % self.arm)
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
+        n_folds = len(TRAIN_FOLDS) + 2
+        if self.folds != n_folds:
+            raise ValueError("folds must be %d: %d train, 1 validation and 1 test fold"
+                             % (n_folds, len(TRAIN_FOLDS)))
         if self.embedding_scope not in ("full", "train_folds"):
             raise ValueError("embedding_scope must be 'full' or 'train_folds'")
+        _check_keys("mlp", self.mlp, MLP_KEYS)
+        _check_keys("pvdm", self.pvdm, PVDM_KEYS)
 
 
 @dataclass
@@ -71,30 +87,29 @@ def derive_run_seed(master_seed, run_index):
     return int(np.random.SeedSequence((master_seed, run_index)).generate_state(1)[0])
 
 
-def _arm_input_dim(arm, semantic_dim):
-    if arm == "text_only":
-        return semantic_dim
-    if arm == "numeric_only":
-        return NUMERIC_DIM
-    return semantic_dim + NUMERIC_DIM
+def embed_sentences(sentences, pvdm_config):
+    """Train paragraph vectors for ``sentences``: vocabulary, init, then SGD.
+
+    Returns (model, per-epoch mean losses).
+    """
+    vocab = build_vocabulary(sentences, min_count=pvdm_config.min_count)
+    return pvdm.train(pvdm.init_model(vocab, sentences, pvdm_config), sentences)
 
 
-def fold_scoped_vectors(sentences, pvdm_overrides, train_banks, seed, min_count=5):
+def fold_scoped_vectors(sentences, pvdm_overrides, train_banks, seed):
     """Paragraph vectors trained on the training banks' sentences only.
 
     Held-out sentences get vectors inferred against the frozen word matrices,
     so no text outside the training folds shapes the embedding space.
-    Sentences too short to infer fall back to zero vectors.
+    Sentences too short to infer fall back to zero vectors. ``seed`` is the
+    PV-DM seed unless the overrides set one, and the base of the inference
+    seeds.
     """
     train_sents = [s for s in sentences if s.bank_id in train_banks]
     if not train_sents:
         raise ValueError("no sentences from training-fold banks")
-    overrides = {k: v for k, v in pvdm_overrides.items() if k != "min_count"}
-    overrides.setdefault("seed", seed)
-    cfg = pvdm.PvdmConfig(**overrides)
-    vocab = build_vocabulary(train_sents, min_count=min_count)
-    model = pvdm.init_model(vocab, train_sents, cfg)
-    model, _ = pvdm.train(model, train_sents)
+    cfg = pvdm.PvdmConfig(**dict({"seed": seed}, **pvdm_overrides))
+    model, _ = embed_sentences(train_sents, cfg)
     vectors = {}
     held_out = []
     for i, sent in enumerate(sentences):
@@ -134,22 +149,18 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
         raise ValueError("a fold role received no samples")
 
     semantic = table.semantic
-    semantic_dim = table.semantic_dim
     if config.embedding_scope == "train_folds":
         if sentences is None:
             raise ValueError("embedding_scope 'train_folds' needs the raw sentences")
         train_banks = {b for b, role in role_of.items() if role == "train"}
         vectors = fold_scoped_vectors(
-            sentences, config.pvdm, train_banks, derive_run_seed(run_seed, 2),
-            min_count=config.pvdm.get("min_count", 5),
-        )
+            sentences, config.pvdm, train_banks, derive_run_seed(run_seed, 2))
         semantic = np.vstack([vectors[sid] for sid in table.sentence_ids])
-        semantic_dim = semantic.shape[1]
 
     stats = fit_normalization(table.numeric_raw[train_mask], source_folds=TRAIN_FOLDS)
     numeric_z = apply_normalization(stats, table.numeric_raw)
     fused = np.concatenate([semantic, numeric_z], axis=1)
-    inputs = project_arm(fused, config.arm, semantic_dim=semantic_dim)
+    inputs = project_arm(fused, config.arm, semantic_dim=semantic.shape[1])
 
     def month_groups(mask):
         rows = np.flatnonzero(mask)
@@ -160,7 +171,7 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
     test_groups = month_groups(test_mask)
 
     mlp_overrides = dict(config.mlp)
-    mlp_overrides["input_dim"] = _arm_input_dim(config.arm, semantic_dim)
+    mlp_overrides["input_dim"] = inputs.shape[1]
     mlp_overrides["seed"] = derive_run_seed(run_seed, 1)
     model = neural.init_model(neural.MlpConfig(**mlp_overrides))
 
@@ -301,9 +312,3 @@ def write_sweep_csv(result, path):
         for value, mean, std in zip(result.grid, result.mean_ur, result.std_ur):
             fh.write("%s,%s,%r,%r,%d\n"
                      % (result.parameter, value, mean, std, result.runs_per_point))
-
-
-def results_dir(base, name):
-    path = os.path.join(base, name)
-    os.makedirs(path, exist_ok=True)
-    return path

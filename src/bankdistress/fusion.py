@@ -3,12 +3,13 @@
 import csv
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
-SEMANTIC_DIM = 600
+from .corpus import read_jsonl
+
 NUMERIC_DIM = 12
 
 INDICATOR_NAMES = (
@@ -29,6 +30,7 @@ INDICATOR_NAMES = (
 ARMS = ("text_only", "numeric_only", "combined")
 
 EVENT_KINDS = ("bankruptcy_default", "state_aid", "distressed_merger")
+EVENT_COLUMNS = ("bank_id", "start_date", "end_date", "kind")
 
 QUARTER_PATTERN = re.compile(r"\d{4}Q[1-4]")  # e.g. 2010Q3, as write_indicators writes it
 
@@ -63,15 +65,6 @@ class DistressEvent:
             raise ValueError("event window ends before it starts")
         if self.kind not in EVENT_KINDS:
             raise ValueError("unknown event kind %r" % self.kind)
-
-
-@dataclass(frozen=True)
-class FusedSample:
-    sentence_id: str
-    bank_id: str
-    month: tuple  # (year, 1..12)
-    input: np.ndarray  # 600 semantic + 12 normalized numeric
-    label: int
 
 
 @dataclass
@@ -170,23 +163,6 @@ def apply_normalization(stats, values):
     return z
 
 
-def fuse(sentence, semantic, normalized_numeric, label_value):
-    """Concatenate semantic and numeric parts into one classifier input."""
-    sem = np.asarray(semantic, dtype=float)
-    num = np.asarray(normalized_numeric, dtype=float)
-    if sem.shape != (SEMANTIC_DIM,):
-        raise ValueError("semantic part must have %d entries, got %s" % (SEMANTIC_DIM, sem.shape))
-    if num.shape != (NUMERIC_DIM,):
-        raise ValueError("numeric part must have %d entries, got %s" % (NUMERIC_DIM, num.shape))
-    return FusedSample(
-        sentence_id=sentence.sentence_id,
-        bank_id=sentence.bank_id,
-        month=month_of(sentence.published_at),
-        input=np.concatenate([sem, num]),
-        label=int(label_value),
-    )
-
-
 def assign_folds(bank_ids, k=5, seed=0):
     """Seeded shuffle of banks, round-robin into k folds (sizes differ by <=1)."""
     banks = sorted(set(bank_ids))
@@ -198,7 +174,7 @@ def assign_folds(bank_ids, k=5, seed=0):
     return FoldAssignment(k=k, fold_of={b: i % k for i, b in enumerate(order)})
 
 
-def project_arm(input_vec, arm, semantic_dim=SEMANTIC_DIM):
+def project_arm(input_vec, arm, semantic_dim):
     """Slice a fused input down to the requested experiment arm."""
     vec = np.asarray(input_vec, dtype=float)
     if arm == "combined":
@@ -220,7 +196,10 @@ class SampleTable:
     semantic: np.ndarray     # N x semantic_dim
     numeric_raw: np.ndarray  # N x 12
     labels: np.ndarray       # N, in {0, 1}
-    semantic_dim: int = field(default=SEMANTIC_DIM)
+
+    @property
+    def semantic_dim(self):
+        return self.semantic.shape[1]
 
     def __len__(self):
         return len(self.sentence_ids)
@@ -245,16 +224,14 @@ def build_sample_table(sentences, vectors_by_id, indicators, events):
         labels.append(label(sent, events))
     if not sids:
         raise ValueError("no aligned samples")
-    sem = np.vstack(sem)
     return (
         SampleTable(
             sentence_ids=sids,
             bank_ids=bids,
             months=months,
-            semantic=sem,
+            semantic=np.vstack(sem),
             numeric_raw=np.vstack(num),
             labels=np.array(labels, dtype=np.int64),
-            semantic_dim=sem.shape[1],
         ),
         report,
     )
@@ -264,30 +241,38 @@ def build_sample_table(sentences, vectors_by_id, indicators, events):
 # File formats
 
 
-def read_indicators(path):
-    """Read an indicator CSV; a malformed row raises ValueError naming path:line."""
+def _read_csv(path, parse):
+    """``parse(row)`` of every row of a CSV file with a header line; a row
+    that ``parse`` rejects with ValueError raises ValueError naming path:line."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             try:
-                q = row.get("quarter") or ""
-                if not QUARTER_PATTERN.fullmatch(q):
-                    raise ValueError("quarter %r is not of the form 2010Q1..2010Q4" % q)
-                cells = [row.get(name) for name in INDICATOR_NAMES]
-                if None in cells:
-                    raise ValueError("row has fewer than %d indicator columns" % NUMERIC_DIM)
-                out.append(
-                    QuarterlyIndicators(
-                        bank_id=row["bank_id"],
-                        year=int(q[:4]),
-                        quarter=int(q[5]),
-                        values=np.array([float(c) for c in cells]),
-                    )
-                )
+                out.append(parse(row))
             except ValueError as exc:
                 raise ValueError("%s:%d: %s" % (path, reader.line_num, exc)) from None
     return out
+
+
+def _parse_indicators(row):
+    q = row.get("quarter") or ""
+    if not QUARTER_PATTERN.fullmatch(q):
+        raise ValueError("quarter %r is not of the form 2010Q1..2010Q4" % q)
+    cells = [row.get(name) for name in INDICATOR_NAMES]
+    if None in cells:
+        raise ValueError("row has fewer than %d indicator columns" % NUMERIC_DIM)
+    return QuarterlyIndicators(
+        bank_id=row["bank_id"],
+        year=int(q[:4]),
+        quarter=int(q[5]),
+        values=np.array([float(c) for c in cells]),
+    )
+
+
+def read_indicators(path):
+    """Read an indicator CSV; a malformed row raises ValueError naming path:line."""
+    return _read_csv(path, _parse_indicators)
 
 
 def write_indicators(indicators, path):
@@ -301,25 +286,24 @@ def write_indicators(indicators, path):
             )
 
 
+def _parse_event(row):
+    cells = [row.get(name) for name in EVENT_COLUMNS]
+    if None in cells:
+        raise ValueError("row has fewer than %d columns" % len(EVENT_COLUMNS))
+    bank_id, start, end, kind = cells
+    return DistressEvent(bank_id=bank_id, start_date=date.fromisoformat(start),
+                         end_date=date.fromisoformat(end), kind=kind)
+
+
 def read_events(path):
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                DistressEvent(
-                    bank_id=row["bank_id"],
-                    start_date=date.fromisoformat(row["start_date"]),
-                    end_date=date.fromisoformat(row["end_date"]),
-                    kind=row["kind"],
-                )
-            )
-    return out
+    """Read an events CSV; a malformed row raises ValueError naming path:line."""
+    return _read_csv(path, _parse_event)
 
 
 def write_events(events, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["bank_id", "start_date", "end_date", "kind"])
+        writer.writerow(EVENT_COLUMNS)
         for ev in events:
             writer.writerow([ev.bank_id, ev.start_date.isoformat(), ev.end_date.isoformat(), ev.kind])
 
@@ -352,33 +336,25 @@ def write_sample_table(table, path):
     return stats
 
 
+def _parse_sample(row):
+    year, month = row["month"].split("-")
+    return (row["sentence_id"], row["bank_id"], (int(year), int(month)),
+            np.array(row["input"][: -NUMERIC_DIM], dtype=float),
+            np.array(row["numeric_raw"], dtype=float), int(row["label"]))
+
+
 def read_sample_table(path):
-    sids, bids, months, sem, num, labels = [], [], [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            sids.append(row["sentence_id"])
-            bids.append(row["bank_id"])
-            year, month = row["month"].split("-")
-            months.append((int(year), int(month)))
-            num_raw = np.array(row["numeric_raw"], dtype=float)
-            sem.append(np.array(row["input"][: -NUMERIC_DIM], dtype=float))
-            num.append(num_raw)
-            labels.append(int(row["label"]))
-    if not sids:
+    rows = read_jsonl(path, _parse_sample)
+    if not rows:
         raise ValueError("empty fused dataset %s" % path)
-    sem = np.vstack(sem)
+    sids, bids, months, sem, num, labels = zip(*rows)
     return SampleTable(
-        sentence_ids=sids,
-        bank_ids=bids,
-        months=months,
-        semantic=sem,
+        sentence_ids=list(sids),
+        bank_ids=list(bids),
+        months=list(months),
+        semantic=np.vstack(sem),
         numeric_raw=np.vstack(num),
         labels=np.array(labels, dtype=np.int64),
-        semantic_dim=sem.shape[1],
     )
 
 

@@ -1,12 +1,9 @@
 """Feed-forward softmax classifier trained with Nesterov accelerated gradient."""
 
 import copy
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
-
-CHECKPOINT_FORMAT = "mlp-v1"
 
 
 @dataclass
@@ -218,44 +215,3 @@ def predict(model, inputs):
     """Infer-mode distress probability (class 1) of each input row."""
     return forward(model, inputs, mode="infer")[:, 1]
 
-
-def save_checkpoint(model, path):
-    arrays = {"header": np.frombuffer(
-        json.dumps(
-            {"format": CHECKPOINT_FORMAT, "config": asdict(model.config),
-             "n_layers": len(model.weights)},
-            sort_keys=True,
-        ).encode("utf-8"),
-        dtype=np.uint8,
-    )}
-    for i in range(len(model.weights)):
-        arrays["w%d" % i] = model.weights[i]
-        arrays["b%d" % i] = model.biases[i]
-        arrays["vw%d" % i] = model.vel_w[i]
-        arrays["vb%d" % i] = model.vel_b[i]
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path):
-    with np.load(path, allow_pickle=False) as data:
-        header = json.loads(bytes(data["header"].tobytes()).decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError("unsupported checkpoint format: %r" % header.get("format"))
-        cfg_dict = dict(header["config"])
-        cfg_dict["hidden_layers"] = tuple(cfg_dict["hidden_layers"])
-        cfg = MlpConfig(**cfg_dict)
-        n = header["n_layers"]
-        return MlpModel(
-            weights=[data["w%d" % i].copy() for i in range(n)],
-            biases=[data["b%d" % i].copy() for i in range(n)],
-            vel_w=[data["vw%d" % i].copy() for i in range(n)],
-            vel_b=[data["vb%d" % i].copy() for i in range(n)],
-            config=cfg,
-        )
-
-
-def write_curve(curve, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_usefulness\n")
-        for epoch, train_loss, val_score in curve:
-            fh.write("%d,%r,%r\n" % (epoch, train_loss, val_score))

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, read_jsonl
 
 MODEL_FORMAT = "pvdm-v1"
 
@@ -19,6 +19,7 @@ class PvdmConfig:
     lr_initial: float = 0.025
     lr_final: float = 1e-4
     seed: int = 0
+    min_count: int = 5  # rarer tokens pool into <unk> (build_vocabulary)
 
     def __post_init__(self):
         if self.vector_dim < 1:
@@ -29,12 +30,6 @@ class PvdmConfig:
             raise ValueError("negative_samples must be >= 1")
         if not self.lr_final < self.lr_initial:
             raise ValueError("lr_final must be below lr_initial")
-
-
-@dataclass(frozen=True)
-class SemanticVector:
-    values: np.ndarray
-    sentence_id: str
 
 
 @dataclass
@@ -106,12 +101,6 @@ def _context_target(model, tokens, position):
     return idx[position : position + n], idx[position + n]
 
 
-def draw_noise(model, rng):
-    """Negative-sample word indices from the vocabulary noise distribution."""
-    u = rng.random(model.config.negative_samples)
-    return np.searchsorted(model.noise_cdf(), u, side="right")
-
-
 def _step_terms(model, paragraph_vec, ctx_idx, target_idx, noise_idx):
     n = model.config.window_n
     h = (model.word_in[ctx_idx].sum(axis=0) + paragraph_vec) / (n + 1)
@@ -169,26 +158,13 @@ def step_gradients(model, tokens, position, noise_idx, paragraph_row=None, parag
     return loss, grad_in, shared, grad_out
 
 
-def train_step(model, sentence, position, lr, rng):
-    """One SGD step on (sentence, position); updates the model in place."""
-    row = model.sentence_index[sentence.sentence_id]
-    noise_idx = draw_noise(model, rng)
-    loss, grad_in, grad_par, grad_out = step_gradients(
-        model, sentence.tokens, position, noise_idx, paragraph_row=row
-    )
-    for w, g in grad_out.items():
-        model.word_out[w] -= lr * g
-    for w, g in grad_in.items():
-        model.word_in[w] -= lr * g
-    model.paragraph[row] -= lr * grad_par
-    return loss
-
-
 def _epoch_kernel(word_in, word_out, paragraph, ctx, targets, par_rows, order,
                   noise, lr_initial, lr_span, step0, denom):
     """One epoch of sequential SGD steps over precomputed index arrays.
 
-    Same math as train_step, specialized for the hot loop.
+    The step math of ``step_gradients``, except that each output row is
+    updated as soon as its term is done, as in word2vec: a word drawn twice
+    in one step sees its first update.
     """
     n = ctx.shape[1]
     k = noise.shape[1]
@@ -280,14 +256,6 @@ def train(model, sentences):
     return model, epoch_losses
 
 
-def paragraph_vector(model, sentence_id):
-    """Copy of the stored paragraph vector for a training sentence."""
-    if sentence_id not in model.sentence_index:
-        raise KeyError("unknown sentence_id %r" % sentence_id)
-    row = model.sentence_index[sentence_id]
-    return SemanticVector(values=model.paragraph[row].copy(), sentence_id=sentence_id)
-
-
 def infer_vectors(model, token_seqs, seeds, steps=20, lr=0.025):
     """Fit fresh paragraph vectors for many sentences against frozen word matrices.
 
@@ -348,26 +316,13 @@ def infer_vectors(model, token_seqs, seeds, steps=20, lr=0.025):
     return out
 
 
-def infer_vector(model, tokens, steps=20, lr=0.025, seed=0, sentence_id=""):
-    """Fit a fresh paragraph vector against frozen word matrices."""
+def infer_vector(model, tokens, steps=20, lr=0.025, seed=0):
+    """Fit a fresh paragraph vector for one sentence against frozen word matrices."""
     min_tokens = model.config.window_n + 2
     if len(tokens) < min_tokens:
         raise ValueError("no trainable context: need at least %d tokens" % min_tokens)
     (vec,) = infer_vectors(model, [tokens], [seed], steps=steps, lr=lr)
-    return SemanticVector(values=vec, sentence_id=sentence_id)
-
-
-def cosine(a, b):
-    """Cosine similarity between two semantic vectors."""
-    va = np.asarray(a.values if isinstance(a, SemanticVector) else a, dtype=float)
-    vb = np.asarray(b.values if isinstance(b, SemanticVector) else b, dtype=float)
-    if va.shape != vb.shape:
-        raise ValueError("dimension mismatch: %s vs %s" % (va.shape, vb.shape))
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine undefined for a zero vector")
-    return float(va @ vb / (na * nb))
+    return vec
 
 
 def save_model(model, path):
@@ -434,12 +389,5 @@ def export_vectors(model, path):
 
 def read_vectors(path):
     """Load an export back into a sentence_id -> vector map."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            out[row["sentence_id"]] = np.array(row["values"], dtype=float)
-    return out
+    return dict(read_jsonl(
+        path, lambda row: (row["sentence_id"], np.array(row["values"], dtype=float))))

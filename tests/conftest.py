@@ -43,6 +43,6 @@ def toy_table(n_banks=10, n_months=24, per_month=2, sem_dim=8, seed=0):
     table = SampleTable(
         sentence_ids=sids, bank_ids=bids, months=months_col,
         semantic=np.vstack(sem), numeric_raw=np.vstack(num),
-        labels=np.array(labels, dtype=np.int64), semantic_dim=sem_dim,
+        labels=np.array(labels, dtype=np.int64),
     )
     return table, events

@@ -45,9 +45,7 @@ def embed_dataset(dataset, pvdm_kwargs):
     sentences = []
     for article in dataset.articles:
         sentences.extend(corpus.extract_sentences(article, dataset.registry))
-    vocab = corpus.build_vocabulary(sentences, min_count=5)
-    model = pvdm.init_model(vocab, sentences, pvdm.PvdmConfig(**pvdm_kwargs))
-    model, _ = pvdm.train(model, sentences)
+    model, _ = experiment.embed_sentences(sentences, pvdm.PvdmConfig(**pvdm_kwargs))
     vectors = {sid: model.paragraph[row] for sid, row in model.sentence_index.items()}
     table, _ = fusion.build_sample_table(sentences, vectors, dataset.indicators,
                                          dataset.events)

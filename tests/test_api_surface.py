@@ -1,0 +1,110 @@
+"""Every public function and class of the package has a caller in the package.
+
+A public top-level name that nothing in ``src/bankdistress`` refers to is
+dead weight, unless it is a test oracle or the benchmark wraps it; those
+stay on ALLOWED with their reason.
+"""
+
+import ast
+import glob
+import os
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "bankdistress")
+
+ALLOWED = {
+    "evaluation.MonthScore": "acceptance criterion 2 scores MonthScore rows",
+    "neural.loss": "finite-difference oracle of neural.gradients (criterion 3)",
+    "pvdm.step_loss": "finite-difference oracle of step_gradients (criteria 3 and 5)",
+    "pvdm.step_gradients": "step-math oracle of pvdm.train and pvdm.infer_vectors "
+                           "(criterion 3, reference_train, reference_infer_vector)",
+    "pvdm.infer_vector": "wrapped by perfbench/tracing.py as pvdm.infer",
+    "pvdm.load_model": "the reader of the model file `bankdistress embed` writes; "
+                       "no command reads that file yet",
+}
+
+
+def parse_modules(src):
+    modules = {}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            modules[os.path.basename(path)[:-3]] = ast.parse(fh.read(), filename=path)
+    return modules
+
+
+def _binds(function, name):
+    """Whether ``function`` has a parameter or a local variable called ``name``."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.arg) and node.arg == name:
+            return True
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Store):
+            return True
+    return False
+
+
+def _used_in_own_module(tree, name, definition):
+    """A load of ``name`` outside its definition and outside any function
+    that shadows it with a local of the same name."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is definition:
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)) and _binds(node, name):
+            continue
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _used_from(tree, module, name):
+    """``module.name`` or ``from .module import name`` in another module."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                and isinstance(node.value, ast.Name) and node.value.id == module):
+            return True
+        if (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+                and any(alias.name == name for alias in node.names)):
+            return True
+    return False
+
+
+def public_orphans(src=SRC):
+    modules = parse_modules(src)
+    orphans = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            used = _used_in_own_module(tree, node.name, node) or any(
+                _used_from(other, module, node.name)
+                for name, other in modules.items() if name != module)
+            if not used:
+                orphans.append("%s.%s" % (module, node.name))
+    return sorted(orphans)
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    orphans = public_orphans()
+    unexplained = [name for name in orphans if name not in ALLOWED]
+    assert not unexplained, "public names nothing in src/ uses: %s" % unexplained
+    # an entry that gained a caller no longer needs its exemption
+    assert sorted(ALLOWED) == orphans
+
+
+def test_orphan_check_sees_unused_and_shadowed_names(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def only_recursive(n):\n    return only_recursive(n - 1)\n\n\n"
+        "def shadowed():\n    return 2\n\n\n"
+        "def caller(shadowed):\n    return used() + shadowed\n\n\n"
+        "class Imported:\n    pass\n\n\n"
+        "def by_attribute():\n    pass\n",
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from . import a\nfrom .a import Imported\n\n\n"
+        "def _private():\n    return a.by_attribute, Imported\n",
+        encoding="utf-8")
+    assert public_orphans(str(tmp_path)) == ["a.caller", "a.only_recursive", "a.shadowed"]

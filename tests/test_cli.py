@@ -210,3 +210,76 @@ def test_mu_flag_propagates(pipeline):
     report = json.load(open(out, encoding="utf-8"))
     assert report["mu"] == 0.8
     assert report["test"]["mu"] == 0.8
+
+
+def assert_one_error_line(capsys, rc, *fragments):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+@pytest.mark.parametrize("config,scope,fragment", [
+    ({"run": 2}, None, "unknown config key 'run'"),
+    ({"mlp": {"epoch": 2}}, None, "unknown mlp key 'epoch'"),
+    ({"pvdm": {"dimm": 4}}, "train_folds", "unknown pvdm key 'dimm'"),
+    ([1, 2], None, "expected a JSON object"),
+], ids=["top-level", "mlp", "pvdm", "not-an-object"])
+def test_experiment_rejects_unknown_config_keys(pipeline, capsys, tmp_path, config, scope,
+                                                fragment):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["experiment", "--fused", pipeline["fused"],
+            "--events", os.path.join(pipeline["data"], "events.csv"),
+            "--config", str(cfg_path), "--runs", "1", "--out", str(tmp_path / "out")]
+    if scope:
+        argv += ["--embedding-scope", scope, "--sentences", pipeline["sentences"]]
+    assert_one_error_line(capsys, cli.main(argv), fragment)
+
+
+def replace_line(src, dst, line_no, text):
+    """Copy ``src`` to ``dst`` with 1-based line ``line_no`` replaced by ``text``."""
+    with open(src, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[line_no - 1] = text
+    dst.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(dst)
+
+
+@pytest.mark.parametrize("reader,text,fragment", [
+    ("events", "bank00,2011-01-01", "row has fewer than 4 columns"),
+    ("events", "bank00,2011-13-01,2011-12-31,state_aid", "month must be in 1..12"),
+    ("vectors", "[1.0, 2.0]", "expected a JSON object, got list"),
+    ("sentences", '["a", "b"]', "expected a JSON object, got list"),
+    ("sentences", '{"sentence_id": "x"}', "missing key 'bank_id'"),
+    ("articles", '"just a string"', "expected a JSON object, got str"),
+    ("fused", '{"sentence_id": "x"}', "missing key 'month'"),
+    ("fused", '{"month": 7}', "'int' object has no attribute"),
+], ids=["events-short-row", "events-bad-date", "vectors-array", "sentences-array",
+        "sentences-missing-key", "articles-string", "fused-missing-key", "fused-bad-type"])
+def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, text, fragment):
+    data = pipeline["data"]
+    inputs = {
+        "events": os.path.join(data, "events.csv"),
+        "vectors": pipeline["vectors"],
+        "sentences": pipeline["sentences"],
+        "articles": os.path.join(data, "articles.jsonl"),
+        "fused": pipeline["fused"],
+    }
+    inputs[reader] = bad = replace_line(inputs[reader], tmp_path / reader, 2, text)
+    out = str(tmp_path / "out.jsonl")
+    if reader == "articles":
+        argv = ["ingest", "--articles", bad,
+                "--registry", os.path.join(data, "registry.json"), "--out", out]
+    elif reader == "fused":
+        argv = ["experiment", "--fused", bad, "--events", inputs["events"], "--runs", "1",
+                "--out", str(tmp_path / "results")]
+    elif reader == "sentences":
+        argv = ["embed", "--sentences", bad, "--out", str(tmp_path / "model.npz"),
+                "--dim", "4", "--window", "2", "--epochs", "1"]
+    else:
+        argv = ["fuse", "--sentences", inputs["sentences"], "--vectors", inputs["vectors"],
+                "--indicators", os.path.join(data, "indicators.csv"),
+                "--events", inputs["events"], "--out", out]
+    assert_one_error_line(capsys, cli.main(argv), "error: %s:2: " % bad, fragment)

@@ -21,8 +21,6 @@ from bankdistress.evaluation import (
     report_to_dict,
     usefulness_curve,
     usefulness_report,
-    write_month_scores,
-    write_report,
 )
 from bankdistress.fusion import DistressEvent
 
@@ -257,19 +255,3 @@ def test_pick_threshold_is_argmax(data, mu):
             assert tau <= cand
             break
 
-
-# ---------------------------------------------------------------------------
-# Output files
-
-
-def test_write_report_and_scores(tmp_path):
-    scores = [ms("a", (2010, 1), 0.9, 1), ms("b", (2010, 1), 0.1, 0)]
-    report = usefulness_report(scores, 0.9, 0.5)
-    rpath = tmp_path / "report.json"
-    write_report(report, str(rpath))
-    assert '"relative_usefulness"' in rpath.read_text(encoding="utf-8")
-    spath = tmp_path / "scores.csv"
-    write_month_scores(scores, str(spath))
-    lines = spath.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "bank_id,month,score,n_sentences,label"
-    assert lines[1].startswith("a,2010-01,")

@@ -38,8 +38,27 @@ def test_config_validation():
         ExperimentConfig(arm="both")
     with pytest.raises(ValueError):
         ExperimentConfig(runs=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(folds=1)
+    # fold roles are fixed (3 train, 1 validation, 1 test), so is the count
+    for folds in (1, 4, 6):
+        with pytest.raises(ValueError, match="folds must be 5"):
+            ExperimentConfig(folds=folds)
+    assert ExperimentConfig(folds=5).folds == 5
+
+
+def test_config_rejects_unknown_override_keys():
+    with pytest.raises(ValueError, match="unknown mlp key 'epoch'"):
+        ExperimentConfig(mlp={"epoch": 2})
+    with pytest.raises(ValueError, match="unknown pvdm key 'dimm'"):
+        ExperimentConfig(pvdm={"dimm": 4})
+    # input_dim and the seed are set by each run; setting them would do nothing
+    for key in ("input_dim", "seed"):
+        with pytest.raises(ValueError, match="unknown mlp key %r" % key):
+            ExperimentConfig(mlp={key: 1})
+    with pytest.raises(ValueError, match="pvdm must be a JSON object"):
+        ExperimentConfig(pvdm=[4])
+    cfg = ExperimentConfig(mlp={"epochs": 2, "hidden_layers": [4]},
+                           pvdm={"vector_dim": 4, "min_count": 1, "seed": 3})
+    assert cfg.pvdm["min_count"] == 1
 
 
 def test_derive_run_seed_properties():
@@ -87,14 +106,14 @@ def test_run_once_arm_isolation():
     jumbled = SampleTable(
         sentence_ids=table.sentence_ids, bank_ids=table.bank_ids, months=table.months,
         semantic=table.semantic, numeric_raw=table.numeric_raw * -3.0 + 5.0,
-        labels=table.labels, semantic_dim=table.semantic_dim,
+        labels=table.labels,
     )
     assert run_once(jumbled, events, cfg_text, run_seed=9).test == base_text.test
 
     jumbled2 = SampleTable(
         sentence_ids=table.sentence_ids, bank_ids=table.bank_ids, months=table.months,
         semantic=table.semantic * -3.0 + 5.0, numeric_raw=table.numeric_raw,
-        labels=table.labels, semantic_dim=table.semantic_dim,
+        labels=table.labels,
     )
     assert run_once(jumbled2, events, cfg_num, run_seed=9).test == base_num.test
 
@@ -135,13 +154,31 @@ def toy_sentences(table, seed=1):
     return out
 
 
+def test_embed_sentences_is_vocabulary_init_train():
+    from bankdistress import pvdm
+    from bankdistress.corpus import build_vocabulary
+
+    table, _ = toy_table(n_banks=3, n_months=2)
+    sentences = toy_sentences(table)
+    for min_count in (1, 5, 8):  # 15 words over 96 tokens, each seen 3 to 11 times
+        cfg = pvdm.PvdmConfig(vector_dim=4, window_n=2, epochs=2, seed=5,
+                              min_count=min_count)
+        model, losses = experiment.embed_sentences(sentences, cfg)
+        vocab = build_vocabulary(sentences, min_count=min_count)
+        want, want_losses = pvdm.train(pvdm.init_model(vocab, sentences, cfg), sentences)
+        assert model.vocab.index_to_token == vocab.index_to_token
+        assert losses == want_losses and len(losses) == 2
+        np.testing.assert_array_equal(model.paragraph, want.paragraph)
+    assert len(model.vocab) < len(build_vocabulary(sentences, min_count=1))
+
+
 def test_fold_scoped_vectors_do_not_leak():
     table, _ = toy_table(n_banks=6)
     sentences = toy_sentences(table)
     pvdm_overrides = {"vector_dim": 6, "window_n": 2, "epochs": 1, "min_count": 1}
     train_banks = {"b00", "b01", "b02", "b03"}
     first = experiment.fold_scoped_vectors(sentences, pvdm_overrides, train_banks,
-                                           seed=3, min_count=1)
+                                           seed=3)
     assert set(first) == set(table.sentence_ids)
     assert all(v.shape == (6,) for v in first.values())
 
@@ -153,7 +190,7 @@ def test_fold_scoped_vectors_do_not_leak():
         for s in sentences
     ]
     second = experiment.fold_scoped_vectors(altered, pvdm_overrides, train_banks,
-                                            seed=3, min_count=1)
+                                            seed=3)
     for s in sentences:
         if s.bank_id in train_banks:
             np.testing.assert_array_equal(first[s.sentence_id], second[s.sentence_id])
@@ -173,7 +210,7 @@ def test_fold_scoped_vectors_infer_held_out_and_fall_back_to_zero():
     overrides = {"vector_dim": 6, "window_n": 2, "epochs": 1, "min_count": 1}
     train_banks = {"b00", "b01", "b02", "b03"}
     vectors = experiment.fold_scoped_vectors(sentences, overrides, train_banks,
-                                             seed=3, min_count=1)
+                                             seed=3)
 
     train_sents = [s for s in sentences if s.bank_id in train_banks]
     cfg = pvdm.PvdmConfig(vector_dim=6, window_n=2, epochs=1, seed=3)

@@ -5,7 +5,6 @@ from datetime import date, datetime, timezone
 import numpy as np
 import pytest
 
-from bankdistress import fusion
 from bankdistress.corpus import Sentence
 from bankdistress.fusion import (
     NUMERIC_DIM,
@@ -16,7 +15,6 @@ from bankdistress.fusion import (
     assign_folds,
     build_sample_table,
     fit_normalization,
-    fuse,
     label,
     month_of,
     project_arm,
@@ -129,27 +127,7 @@ def test_apply_normalization_zscore_and_degenerate():
 
 
 # ---------------------------------------------------------------------------
-# Fusion and arms
-
-
-def test_fuse_concatenates():
-    sent = make_sentence("s1", "a", ts(2012, 11))
-    sem = np.linspace(0.0, 1.0, fusion.SEMANTIC_DIM)
-    num = np.arange(NUMERIC_DIM, dtype=float)
-    sample = fuse(sent, sem, num, 1)
-    assert sample.input.shape == (fusion.SEMANTIC_DIM + NUMERIC_DIM,)
-    np.testing.assert_allclose(sample.input[: fusion.SEMANTIC_DIM], sem)
-    np.testing.assert_allclose(sample.input[fusion.SEMANTIC_DIM:], num)
-    assert sample.month == (2012, 11)
-    assert sample.label == 1
-
-
-def test_fuse_dimension_errors():
-    sent = make_sentence("s1", "a", ts(2012, 11))
-    with pytest.raises(ValueError):
-        fuse(sent, np.zeros(10), np.zeros(NUMERIC_DIM), 0)
-    with pytest.raises(ValueError):
-        fuse(sent, np.zeros(fusion.SEMANTIC_DIM), np.zeros(3), 0)
+# Arms
 
 
 def test_project_arm():
@@ -160,7 +138,7 @@ def test_project_arm():
     batch = np.arange(20.0).reshape(2, 10)
     assert project_arm(batch, "numeric_only", semantic_dim=6).shape == (2, 4)
     with pytest.raises(ValueError):
-        project_arm(vec, "both")
+        project_arm(vec, "both", semantic_dim=6)
 
 
 # ---------------------------------------------------------------------------

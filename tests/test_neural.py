@@ -9,13 +9,10 @@ from bankdistress.neural import (
     forward,
     gradients,
     init_model,
-    load_checkpoint,
     loss,
     nesterov_step,
     predict,
-    save_checkpoint,
     train,
-    write_curve,
 )
 
 
@@ -273,30 +270,3 @@ def test_predict_returns_distress_probability():
     with pytest.raises(ValueError):
         predict(model, x[:, :5])
 
-
-def test_checkpoint_round_trip(tmp_path):
-    x, y = toy_batch()
-    model = toy_model(hidden=(4, 3))
-    nesterov_step(model, x, y, lr=0.01)  # non-zero velocities
-    path = str(tmp_path / "model.npz")
-    save_checkpoint(model, path)
-    loaded = load_checkpoint(path)
-    assert loaded.config == model.config
-    for name in ("weights", "biases", "vel_w", "vel_b"):
-        for a, b in zip(getattr(loaded, name), getattr(model, name)):
-            np.testing.assert_array_equal(a, b)
-
-
-def test_checkpoint_rejects_unknown_format(tmp_path):
-    path = str(tmp_path / "bad.npz")
-    np.savez(path, header=np.frombuffer(b'{"format": "zzz"}', dtype=np.uint8))
-    with pytest.raises(ValueError, match="format"):
-        load_checkpoint(path)
-
-
-def test_write_curve(tmp_path):
-    path = tmp_path / "curve.csv"
-    write_curve([(0, 0.5, float("nan")), (1, 0.4, 0.2)], str(path))
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "epoch,train_loss,val_usefulness"
-    assert len(lines) == 3

@@ -11,18 +11,14 @@ from bankdistress import corpus, pvdm
 from bankdistress.corpus import Sentence, build_vocabulary
 from bankdistress.pvdm import (
     PvdmConfig,
-    cosine,
-    draw_noise,
     infer_vector,
     infer_vectors,
     init_model,
     load_model,
-    paragraph_vector,
     save_model,
     step_gradients,
     step_loss,
     train,
-    train_step,
     valid_positions,
 )
 
@@ -205,13 +201,75 @@ def test_noise_cdf_ends_at_one():
 # Training
 
 
-def test_train_step_updates_in_place():
-    model, sents = randomized_model()
-    before = model.paragraph[0].copy()
-    rng = np.random.default_rng(0)
-    loss = train_step(model, sents[0], 0, lr=0.05, rng=rng)
-    assert loss > 0.0
-    assert not np.array_equal(model.paragraph[0], before)
+NO_NOISE = np.zeros(0, dtype=np.int64)
+
+
+def reference_step(model, tokens, position, row, noise_idx, lr):
+    """One SGD step through step_gradients, output term by output term.
+
+    train updates each output row as soon as its term is done, so a word
+    drawn twice in one step, or a noise word equal to the target, sees its
+    first update. A noise word's term is the difference of two
+    step_gradients calls at the same state: with that word as the only
+    noise word, and with none. Context and paragraph rows move once, by the
+    summed step.
+    """
+    loss, _, shared, grad_out = step_gradients(model, tokens, position, NO_NOISE,
+                                               paragraph_row=row)
+    for w, g in grad_out.items():
+        model.word_out[w] -= lr * g
+    for w in noise_idx:
+        with_w = step_gradients(model, tokens, position, [w], paragraph_row=row)
+        without = step_gradients(model, tokens, position, NO_NOISE, paragraph_row=row)
+        loss += with_w[0] - without[0]
+        shared = shared + (with_w[2] - without[2])
+        model.word_out[w] -= lr * (with_w[3][w] - without[3].get(int(w), 0.0))
+    for token in tokens[position : position + model.config.window_n]:
+        model.word_in[model.vocab.lookup(token)] -= lr * shared
+    model.paragraph[row] -= lr * shared
+    return loss
+
+
+def reference_train(model, sentences):
+    """train's schedule, one reference_step at a time: the oracle for train.
+
+    Pairs in sentence then position order; ``default_rng([seed, 1])`` makes
+    one shuffle and one (pairs, k) noise draw per epoch; the learning rate
+    falls linearly over all steps.
+    """
+    cfg = model.config
+    pairs = [(s, pos) for s in sentences for pos in valid_positions(s.tokens, cfg.window_n)]
+    rng = np.random.default_rng([cfg.seed, 1])
+    denom = float(max(1, cfg.epochs * len(pairs) - 1))
+    order = np.arange(len(pairs))
+    losses = []
+    for epoch in range(cfg.epochs):
+        rng.shuffle(order)
+        u = rng.random((len(pairs), cfg.negative_samples))
+        noise = np.searchsorted(model.noise_cdf(), u, side="right")
+        total = 0.0
+        for j, i in enumerate(order):
+            step = epoch * len(pairs) + j
+            lr = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (step / denom)
+            sent, pos = pairs[i]
+            row = model.sentence_index[sent.sentence_id]
+            total += reference_step(model, sent.tokens, pos, row, noise[j], lr)
+        losses.append(total / len(pairs))
+    return model, losses
+
+
+def test_train_matches_reference_train():
+    # six words, window 3 and three noise draws: many steps repeat a context
+    # word, draw a noise word twice or draw the target as noise; many do not
+    sents, vocab = toy_corpus(n_sentences=12, n_words=6, length=7, seed=3)
+    sents.append(make_sentence("short", ("w01", "w02")))  # no position
+    cfg = PvdmConfig(vector_dim=5, window_n=3, negative_samples=3, epochs=3,
+                     lr_initial=0.2, seed=2)
+    got, got_losses = train(init_model(vocab, sents, cfg), sents)
+    want, want_losses = reference_train(init_model(vocab, sents, cfg), sents)
+    for name in ("word_in", "word_out", "paragraph"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_losses, want_losses, rtol=0, atol=1e-12)
 
 
 def test_train_deterministic_and_loss_decreases():
@@ -262,7 +320,7 @@ def test_train_rejects_unknown_sentence():
 
 
 # ---------------------------------------------------------------------------
-# Inference and similarity
+# Inference
 
 
 def trained_two_topic_model():
@@ -281,11 +339,14 @@ def trained_two_topic_model():
 
 def test_infer_vector_recovers_training_sentence():
     model, sents = trained_two_topic_model()
-    inferred = infer_vector(model, sents[0].tokens, steps=40, seed=5, sentence_id="q")
-    own = paragraph_vector(model, "s0")
-    other = paragraph_vector(model, "s1")
-    assert cosine(inferred, own) > 0.5
-    assert cosine(inferred, own) > cosine(inferred, other)
+    inferred = infer_vector(model, sents[0].tokens, steps=40, seed=5)
+
+    def cosine(sentence_id):
+        own = model.paragraph[model.sentence_index[sentence_id]]
+        return inferred @ own / (np.linalg.norm(inferred) * np.linalg.norm(own))
+
+    assert cosine("s0") > 0.5
+    assert cosine("s0") > cosine("s1")
 
 
 def reference_infer_vector(model, tokens, steps=20, lr=0.025, seed=0):
@@ -298,7 +359,8 @@ def reference_infer_vector(model, tokens, steps=20, lr=0.025, seed=0):
     vec = rng.uniform(-half, half, size=cfg.vector_dim)
     for _ in range(steps):
         for pos in valid_positions(tokens, cfg.window_n):
-            noise_idx = draw_noise(model, rng)
+            u = rng.random(cfg.negative_samples)
+            noise_idx = np.searchsorted(model.noise_cdf(), u, side="right")
             _, _, grad_par, _ = step_gradients(
                 model, tuple(tokens), pos, noise_idx, paragraph_vec=vec
             )
@@ -345,9 +407,8 @@ def test_infer_vectors_match_per_sentence_reference():
 def test_infer_vector_wraps_infer_vectors():
     model, sents = randomized_model()
     tokens = sents[2].tokens
-    vec = infer_vector(model, tokens, steps=5, seed=9, sentence_id="q")
-    assert vec.sentence_id == "q"
-    np.testing.assert_array_equal(vec.values, infer_vectors(model, [tokens], [9], steps=5)[0])
+    vec = infer_vector(model, tokens, steps=5, seed=9)
+    np.testing.assert_array_equal(vec, infer_vectors(model, [tokens], [9], steps=5)[0])
 
 
 def test_infer_vector_needs_trainable_context():
@@ -355,26 +416,6 @@ def test_infer_vector_needs_trainable_context():
     model = init_model(vocab, sents, PvdmConfig(vector_dim=8, window_n=5))
     with pytest.raises(ValueError, match="no trainable context"):
         infer_vector(model, ("w01",) * 6)
-
-
-def test_paragraph_vector_unknown_id():
-    sents, vocab = toy_corpus()
-    model = init_model(vocab, sents, PvdmConfig(vector_dim=8, window_n=2))
-    with pytest.raises(KeyError):
-        paragraph_vector(model, "nope")
-    vec = paragraph_vector(model, "s0")
-    vec.values[:] = 99.0  # a copy, not a view
-    assert not np.any(model.paragraph[0] == 99.0)
-
-
-def test_cosine_properties_and_errors():
-    a = np.array([1.0, 0.0])
-    assert abs(cosine(a, np.array([2.0, 0.0])) - 1.0) < 1e-12
-    assert abs(cosine(a, np.array([0.0, 3.0]))) < 1e-12
-    with pytest.raises(ValueError):
-        cosine(a, np.zeros(2))
-    with pytest.raises(ValueError):
-        cosine(a, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
