@@ -1,5 +1,6 @@
 """News corpus handling: bank registries, sentence extraction and vocabulary."""
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -29,8 +30,13 @@ class BankEntity:
         """Compiled case-insensitive pattern matching any spelling variant.
 
         The canonical name is always included so exact mentions can never
-        be missed, regardless of the configured variants.
+        be missed, regardless of the configured variants. The pattern is
+        compiled on the first call and kept by the entity.
         """
+        return self._matcher
+
+    @functools.cached_property
+    def _matcher(self):
         alts = list(self.name_patterns) + [re.escape(self.canonical_name)]
         joined = "|".join("(?:%s)" % a for a in alts)
         return re.compile(r"\b(?:%s)\b" % joined, re.IGNORECASE)
@@ -77,11 +83,50 @@ class Vocabulary:
         return idx
 
 
+def _string_list(value, what):
+    """``value`` as a tuple, if it is a JSON list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError("%s must be a list of strings, got %r" % (what, value))
+    return tuple(value)
+
+
+def _registry_entity(row):
+    if not isinstance(row, dict):
+        raise RegistryError("expected a JSON object, got %s" % type(row).__name__)
+    for key in ("bank_id", "canonical_name", "country"):
+        if not isinstance(row[key], str):
+            raise RegistryError("%s must be a string, got %r" % (key, row[key]))
+    bank_id = row["bank_id"]
+    patterns = _string_list(row["name_patterns"], "name_patterns")
+    if not patterns:
+        raise RegistryError("bank %r has no name_patterns" % bank_id)
+    for pat in patterns:
+        try:
+            re.compile(pat, re.IGNORECASE)
+        except re.error as exc:
+            raise RegistryError(
+                "bank %r: pattern %r does not compile: %s" % (bank_id, pat, exc)
+            ) from exc
+    entity = BankEntity(
+        bank_id=bank_id,
+        canonical_name=row["canonical_name"],
+        country=row["country"],
+        name_patterns=patterns,
+    )
+    try:
+        entity.matcher()  # fail fast if the combined alternation is invalid
+    except re.error as exc:
+        raise RegistryError("bank %r: patterns do not combine: %s" % (bank_id, exc)) from exc
+    return entity
+
+
 def compile_registry(registry_file):
     """Load and validate a bank registry JSON file.
 
-    Returns entities in file order. Raises RegistryError on duplicate ids,
-    non-compiling patterns or malformed JSON.
+    Returns entities in file order, each with its matcher compiled. Raises
+    RegistryError on malformed JSON, and naming the file and the 1-based row
+    on a row that is not an object, lacks a key, holds a value of the wrong
+    type, repeats a bank_id or has a pattern that does not compile.
     """
     with open(registry_file, "r", encoding="utf-8") as fh:
         raw = fh.read()
@@ -96,28 +141,17 @@ def compile_registry(registry_file):
 
     entities = []
     seen = set()
-    for row in rows:
-        bank_id = row["bank_id"]
-        if bank_id in seen:
-            raise RegistryError("duplicate bank_id %r in registry" % bank_id)
-        seen.add(bank_id)
-        patterns = tuple(row["name_patterns"])
-        if not patterns:
-            raise RegistryError("bank %r has no name_patterns" % bank_id)
-        for pat in patterns:
-            try:
-                re.compile(pat, re.IGNORECASE)
-            except re.error as exc:
-                raise RegistryError(
-                    "bank %r: pattern %r does not compile: %s" % (bank_id, pat, exc)
-                ) from exc
-        entity = BankEntity(
-            bank_id=bank_id,
-            canonical_name=row["canonical_name"],
-            country=row["country"],
-            name_patterns=patterns,
-        )
-        entity.matcher()  # fail fast if the combined alternation is invalid
+    for row_no, row in enumerate(rows, 1):
+        try:
+            entity = _registry_entity(row)
+            if entity.bank_id in seen:
+                raise RegistryError("duplicate bank_id %r in registry" % entity.bank_id)
+        except KeyError as exc:
+            raise RegistryError(
+                "%s: row %d: missing key %s" % (registry_file, row_no, exc)) from None
+        except ValueError as exc:
+            raise RegistryError("%s: row %d: %s" % (registry_file, row_no, exc)) from None
+        seen.add(entity.bank_id)
         entities.append(entity)
     return entities
 
@@ -276,5 +310,5 @@ def read_sentences(path):
         sentence_id=row["sentence_id"],
         bank_id=row["bank_id"],
         published_at=datetime.fromisoformat(row["published_at"]),
-        tokens=tuple(row["tokens"]),
+        tokens=_string_list(row["tokens"], "tokens"),
     ))

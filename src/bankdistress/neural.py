@@ -63,29 +63,40 @@ def init_model(config):
 
 
 def _softmax(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=-1, keepdims=True)
+    """Row-wise softmax, computed in place in ``logits``."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def _forward_cached(weights, biases, config, x, mode, rng):
-    """Forward pass keeping activations and dropout masks for backprop."""
+    """Forward pass keeping activations and dropout masks for backprop.
+
+    Every layer's output is a fresh matmul result that the bias add, ReLU,
+    dropout scaling and softmax then update in place; ``x`` is never written.
+    """
     h = x
     activations = [h]
     masks = []
     n_hidden = len(weights) - 1
     for layer in range(n_hidden):
-        h = np.maximum(h @ weights[layer] + biases[layer], 0.0)
+        h = h @ weights[layer]
+        h += biases[layer]
+        np.maximum(h, 0.0, out=h)
         if mode == "train" and config.dropout_p > 0.0:
-            keep = 1.0 - config.dropout_p
-            mask = (rng.random(h.shape) >= config.dropout_p) / keep
-            h = h * mask
+            # (u >= p) / keep, written into the uniform draws themselves
+            mask = rng.random(h.shape)
+            np.greater_equal(mask, config.dropout_p, out=mask)
+            mask /= 1.0 - config.dropout_p
+            h *= mask
         else:
             mask = None
         masks.append(mask)
         activations.append(h)
-    probs = _softmax(h @ weights[-1] + biases[-1])
-    return probs, activations, masks
+    probs = h @ weights[-1]
+    probs += biases[-1]
+    return _softmax(probs), activations, masks
 
 
 def forward(model, x, mode="infer", rng=None):
@@ -123,7 +134,8 @@ def gradients(model, x, y, rng=None, weights=None, biases=None):
     """Backprop gradients of the regularized loss.
 
     The L1 subgradient uses sign(w) with sign(0) = 0 and never touches
-    biases. Returns (loss value, weight grads, bias grads).
+    biases. Returns (loss value, weight grads, bias grads); the gradient
+    arrays are fresh, so a caller may update them in place.
     """
     weights = model.weights if weights is None else weights
     biases = model.biases if biases is None else biases
@@ -136,37 +148,61 @@ def gradients(model, x, y, rng=None, weights=None, biases=None):
     mode = "train" if cfg.dropout_p > 0.0 else "infer"
     probs, activations, masks = _forward_cached(weights, biases, cfg, x, mode, rng)
 
-    nll = -np.log(np.clip(probs[np.arange(n), y], 1e-300, None)).mean()
-    value = nll + cfg.l1 * sum(np.abs(w).sum() for w in weights)
+    rows = np.arange(n)
+    picked = probs[rows, y]
+    np.maximum(picked, 1e-300, out=picked)
+    np.log(picked, out=picked)
+    nll = -(np.add.reduce(picked) / n)
+    # |w| per layer; the same buffers later hold l1 * sign(w)
+    scratch = [np.abs(w) for w in weights]
+    value = nll + cfg.l1 * sum(a.sum() for a in scratch)
 
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
+    delta = probs
+    delta[rows, y] -= 1.0
     delta /= n
 
     grads_w = [None] * len(weights)
     grads_b = [None] * len(biases)
     for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta + cfg.l1 * np.sign(weights[layer])
+        grad = activations[layer].T @ delta
+        penalty = np.sign(weights[layer], out=scratch[layer])
+        penalty *= cfg.l1
+        grad += penalty
+        grads_w[layer] = grad
         grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
             delta = delta @ weights[layer].T
             if masks[layer - 1] is not None:
-                delta = delta * masks[layer - 1]
-            delta[activations[layer] <= 0.0] = 0.0
+                delta *= masks[layer - 1]
+            np.putmask(delta, activations[layer] <= 0.0, 0.0)
     return value, grads_w, grads_b
 
 
-def nesterov_step(model, x, y, lr, rng=None):
-    """One Nesterov update: gradient at the lookahead point, then velocity step."""
+def _lookahead_buffers(model):
+    return ([np.empty_like(w) for w in model.weights],
+            [np.empty_like(b) for b in model.biases])
+
+
+def nesterov_step(model, x, y, lr, rng=None, ahead=None):
+    """One Nesterov update: gradient at the lookahead point, then velocity step.
+
+    ``ahead`` is a (weights, biases) pair of arrays shaped like the model's
+    that receive the lookahead point w + momentum * v; ``train`` passes the
+    same pair to every step. Velocities and parameters are updated in place.
+    """
     gamma = model.config.momentum
-    ahead_w = [w + gamma * v for w, v in zip(model.weights, model.vel_w)]
-    ahead_b = [b + gamma * v for b, v in zip(model.biases, model.vel_b)]
+    params = model.weights + model.biases
+    velocities = model.vel_w + model.vel_b
+    ahead_w, ahead_b = _lookahead_buffers(model) if ahead is None else ahead
+    for point, p, v in zip(ahead_w + ahead_b, params, velocities):
+        np.multiply(v, gamma, out=point)
+        point += p
     value, grads_w, grads_b = gradients(model, x, y, rng=rng, weights=ahead_w, biases=ahead_b)
-    for i in range(len(model.weights)):
-        model.vel_w[i] = gamma * model.vel_w[i] - lr * grads_w[i]
-        model.vel_b[i] = gamma * model.vel_b[i] - lr * grads_b[i]
-        model.weights[i] = model.weights[i] + model.vel_w[i]
-        model.biases[i] = model.biases[i] + model.vel_b[i]
+    for p, v, g in zip(params, velocities, grads_w + grads_b):
+        v *= gamma
+        g *= lr
+        v -= g
+        p += v
     return value
 
 
@@ -185,6 +221,11 @@ def train(model, x_train, y_train, eval_hook=None):
     cfg = model.config
     rng = np.random.default_rng([cfg.seed, 2])
     order = np.arange(len(x_train))
+    # Each minibatch is gathered into the front of these buffers.
+    size = min(cfg.batch_size, len(x_train))
+    batch_x = np.empty((size,) + x_train.shape[1:])
+    batch_y = np.empty(size, dtype=np.int64)
+    ahead = _lookahead_buffers(model)
     curve = []
     best_score = None
     best_params = None
@@ -193,7 +234,9 @@ def train(model, x_train, y_train, eval_hook=None):
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            losses.append(nesterov_step(model, x_train[batch], y_train[batch], cfg.lr, rng=rng))
+            x = np.take(x_train, batch, axis=0, out=batch_x[: len(batch)], mode="clip")
+            y = np.take(y_train, batch, out=batch_y[: len(batch)], mode="clip")
+            losses.append(nesterov_step(model, x, y, cfg.lr, rng=rng, ahead=ahead))
         score = float("nan")
         if eval_hook is not None:
             score = eval_hook(model)

@@ -253,11 +253,15 @@ def replace_line(src, dst, line_no, text):
     ("vectors", "[1.0, 2.0]", "expected a JSON object, got list"),
     ("sentences", '["a", "b"]', "expected a JSON object, got list"),
     ("sentences", '{"sentence_id": "x"}', "missing key 'bank_id'"),
+    ("sentences", '{"sentence_id": "x", "bank_id": "bank00", '
+                  '"published_at": "2011-01-01T00:00:00", "tokens": "bank fell"}',
+     "tokens must be a list of strings"),
     ("articles", '"just a string"', "expected a JSON object, got str"),
     ("fused", '{"sentence_id": "x"}', "missing key 'month'"),
     ("fused", '{"month": 7}', "'int' object has no attribute"),
 ], ids=["events-short-row", "events-bad-date", "vectors-array", "sentences-array",
-        "sentences-missing-key", "articles-string", "fused-missing-key", "fused-bad-type"])
+        "sentences-missing-key", "sentences-string-tokens", "articles-string",
+        "fused-missing-key", "fused-bad-type"])
 def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, text, fragment):
     data = pipeline["data"]
     inputs = {
@@ -283,3 +287,20 @@ def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, t
                 "--indicators", os.path.join(data, "indicators.csv"),
                 "--events", inputs["events"], "--out", out]
     assert_one_error_line(capsys, cli.main(argv), "error: %s:2: " % bad, fragment)
+
+
+@pytest.mark.parametrize("row_no,bad_row,fragment", [
+    (1, [1], "expected a JSON object, got list"),
+    (2, {"canonical_name": "Nobank", "country": "DE", "name_patterns": ["Nobank"]},
+     "missing key 'bank_id'"),
+], ids=["row-not-an-object", "row-missing-bank-id"])
+def test_ingest_rejects_malformed_registry(pipeline, capsys, tmp_path, row_no, bad_row,
+                                           fragment):
+    with open(os.path.join(pipeline["data"], "registry.json"), encoding="utf-8") as fh:
+        rows = json.load(fh)
+    rows.insert(row_no - 1, bad_row)
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps(rows), encoding="utf-8")
+    rc = cli.main(["ingest", "--articles", os.path.join(pipeline["data"], "articles.jsonl"),
+                   "--registry", str(registry), "--out", str(tmp_path / "sentences.jsonl")])
+    assert_one_error_line(capsys, rc, "error: %s: row %d: %s" % (registry, row_no, fragment))

@@ -1,6 +1,7 @@
 """Registry, sentence splitting, tokenization and vocabulary tests."""
 
 import json
+import re
 from datetime import datetime, timezone
 
 import numpy as np
@@ -174,6 +175,25 @@ def test_vocabulary_rejects_empty_stream():
 # Registry file handling
 
 
+def test_matchers_compile_once_per_entity(monkeypatch):
+    registry = [
+        BankEntity("a", "Nordia Bank", "DE", ("Nordia",)),
+        BankEntity("b", "Helvek Bank", "FR", ("HVK",)),
+    ]
+    first = [e.matcher() for e in registry]
+    compiled = []
+    real_compile = re.compile
+    monkeypatch.setattr(re, "compile", lambda *a, **k: compiled.append(a) or real_compile(*a, **k))
+    for i in range(3):
+        article = Article("art%d" % i, TS, "Nordia fell. HVK rose. Nobody else.")
+        assert [s.bank_id for s in extract_sentences(article, registry)] == ["a", "b"]
+    assert compiled == []
+    assert [e.matcher() for e in registry] == first
+    # the cached pattern takes no part in equality or hashing
+    twin = BankEntity("a", "Nordia Bank", "DE", ("Nordia",))
+    assert twin == registry[0] and hash(twin) == hash(registry[0])
+
+
 def write_registry(path, rows):
     path.write_text(json.dumps(rows), encoding="utf-8")
     return str(path)
@@ -216,6 +236,32 @@ def test_compile_registry_bad_pattern(tmp_path):
     )
     with pytest.raises(RegistryError, match="does not compile"):
         compile_registry(path)
+
+
+VALID_ROW = {"bank_id": "a", "canonical_name": "Alpha Bank", "country": "DE",
+             "name_patterns": ["Alpha"]}
+
+
+@pytest.mark.parametrize("bad_row,fragment", [
+    ([1], "expected a JSON object, got list"),
+    ("Beta", "expected a JSON object, got str"),
+    ({"canonical_name": "Beta", "country": "FR", "name_patterns": ["Beta"]},
+     "missing key 'bank_id'"),
+    (dict(VALID_ROW, bank_id=7), "bank_id must be a string"),
+    (dict(VALID_ROW, bank_id="b", name_patterns="Beta"),
+     "name_patterns must be a list of strings"),
+    (dict(VALID_ROW, bank_id="b", name_patterns=["Beta", 2]),
+     "name_patterns must be a list of strings"),
+    (dict(VALID_ROW, bank_id="b", name_patterns=["a", "(?i)b"]), "patterns do not combine"),
+    (dict(VALID_ROW, name_patterns=["Alias"]), "duplicate bank_id 'a'"),
+], ids=["list", "string", "missing-key", "int-id", "string-patterns", "int-pattern",
+        "uncombinable", "duplicate"])
+def test_compile_registry_names_file_and_row(tmp_path, bad_row, fragment):
+    path = write_registry(tmp_path / "reg.json", [VALID_ROW, bad_row])
+    with pytest.raises(RegistryError) as info:
+        compile_registry(path)
+    assert str(info.value).startswith("%s: row 2: " % path)
+    assert fragment in str(info.value)
 
 
 def test_compile_registry_malformed_json_reports_line(tmp_path):
@@ -269,3 +315,15 @@ def test_article_and_sentence_round_trip(tmp_path):
     spath = tmp_path / "sentences.jsonl"
     corpus.write_sentences(sents, str(spath))
     assert corpus.read_sentences(str(spath)) == sents
+
+
+@pytest.mark.parametrize("tokens", ["bank fell", ["bank", 3], {"bank": 1}, None])
+def test_read_sentences_rejects_tokens_that_are_not_a_list_of_strings(tmp_path, tokens):
+    path = tmp_path / "sentences.jsonl"
+    good = {"sentence_id": "a:0:x", "bank_id": "x", "published_at": TS.isoformat(),
+            "tokens": ["bank", "fell"]}
+    lines = [json.dumps(good), json.dumps(dict(good, tokens=tokens))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = "^%s:2: tokens must be a list of strings" % re.escape(str(path))
+    with pytest.raises(ValueError, match=expected):
+        corpus.read_sentences(str(path))

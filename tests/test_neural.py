@@ -1,5 +1,8 @@
 """Classifier tests: forward math, gradients, Nesterov updates, training."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
 
@@ -247,6 +250,146 @@ def test_train_snapshots_best_hook_score():
     assert [c[2] for c in curve] == [0.1, 0.8, 0.3, 0.2, 0.1]
     for got, want in zip(best.weights, snapshots[1]):  # epoch with score 0.8
         np.testing.assert_array_equal(got, want)
+
+
+# The training step as it was before it worked in place: the oracle that
+# ``train`` must reproduce bit for bit.
+
+
+def reference_forward_cached(weights, biases, config, x, mode, rng):
+    h = x
+    activations = [h]
+    masks = []
+    for layer in range(len(weights) - 1):
+        h = np.maximum(h @ weights[layer] + biases[layer], 0.0)
+        if mode == "train" and config.dropout_p > 0.0:
+            keep = 1.0 - config.dropout_p
+            mask = (rng.random(h.shape) >= config.dropout_p) / keep
+            h = h * mask
+        else:
+            mask = None
+        masks.append(mask)
+        activations.append(h)
+    logits = h @ weights[-1] + biases[-1]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=-1, keepdims=True), activations, masks
+
+
+def reference_gradients(model, x, y, rng, weights, biases):
+    cfg = model.config
+    n = x.shape[0]
+    mode = "train" if cfg.dropout_p > 0.0 else "infer"
+    probs, activations, masks = reference_forward_cached(weights, biases, cfg, x, mode, rng)
+    nll = -np.log(np.clip(probs[np.arange(n), y], 1e-300, None)).mean()
+    value = nll + cfg.l1 * sum(np.abs(w).sum() for w in weights)
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(biases)
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = activations[layer].T @ delta + cfg.l1 * np.sign(weights[layer])
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = delta @ weights[layer].T
+            if masks[layer - 1] is not None:
+                delta = delta * masks[layer - 1]
+            delta[activations[layer] <= 0.0] = 0.0
+    return value, grads_w, grads_b
+
+
+def reference_nesterov_step(model, x, y, lr, rng):
+    gamma = model.config.momentum
+    ahead_w = [w + gamma * v for w, v in zip(model.weights, model.vel_w)]
+    ahead_b = [b + gamma * v for b, v in zip(model.biases, model.vel_b)]
+    value, grads_w, grads_b = reference_gradients(model, x, y, rng, ahead_w, ahead_b)
+    for i in range(len(model.weights)):
+        model.vel_w[i] = gamma * model.vel_w[i] - lr * grads_w[i]
+        model.vel_b[i] = gamma * model.vel_b[i] - lr * grads_b[i]
+        model.weights[i] = model.weights[i] + model.vel_w[i]
+        model.biases[i] = model.biases[i] + model.vel_b[i]
+    return value
+
+
+def reference_train(model, x_train, y_train, eval_hook=None):
+    cfg = model.config
+    rng = np.random.default_rng([cfg.seed, 2])
+    order = np.arange(len(x_train))
+    curve = []
+    best_score = None
+    best_params = None
+    for epoch in range(cfg.epochs):
+        rng.shuffle(order)
+        losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            losses.append(reference_nesterov_step(model, x_train[batch], y_train[batch],
+                                                  cfg.lr, rng))
+        score = float("nan")
+        if eval_hook is not None:
+            score = eval_hook(model)
+            if best_score is None or score > best_score:
+                best_score = score
+                best_params = ([w.copy() for w in model.weights],
+                               [b.copy() for b in model.biases])
+        curve.append((epoch, float(np.mean(losses)), score))
+    if best_params is not None:
+        best = copy.deepcopy(model)
+        best.weights, best.biases = best_params
+        return best, curve
+    return model, curve
+
+
+@pytest.mark.parametrize("hidden,dropout,l1,n,batch_size,hooked", [
+    ((50,), 0.5, 1e-5, 70, 16, True),     # short last batch (70 = 4 * 16 + 6)
+    ((50,), 0.0, 1e-3, 64, 16, True),
+    ((20, 10), 0.5, 1e-3, 45, 8, True),
+    ((20, 10), 0.0, 0.0, 45, 8, False),
+    ((), 0.0, 1e-3, 30, 64, True),        # one batch larger than the data
+    ((), 0.0, 0.0, 30, 7, False),
+    ((8,), 0.5, 0.0, 30, 100, False),
+], ids=["50-dropout-short-batch", "50-l1", "20x10-dropout", "20x10-plain",
+        "linear-big-batch", "linear-plain", "8-dropout-big-batch"])
+def test_train_matches_reference_train(hidden, dropout, l1, n, batch_size, hooked):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(n, 9))
+    y = rng.integers(0, 2, size=n)
+    cfg = MlpConfig(input_dim=9, hidden_layers=hidden, dropout_p=dropout, l1=l1, lr=0.02,
+                    epochs=6, batch_size=batch_size, seed=4)
+    # scores that rise and fall, so the best epoch is neither the first nor the last
+    scores = [0.1, 0.5, 0.7, 0.2, 0.6, 0.3]
+    results = []
+    for fit in (train, reference_train):
+        model = init_model(cfg)
+        hook = (lambda m, it=iter(scores): next(it)) if hooked else None
+        best, curve = fit(model, x, y, eval_hook=hook)
+        results.append((model, best, curve))
+    (model, best, curve), (ref_model, ref_best, ref_curve) = results
+    for got, want in ((model, ref_model), (best, ref_best)):
+        for name in ("weights", "biases", "vel_w", "vel_b"):
+            for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
+                assert np.array_equal(a, b), name
+    if hooked:
+        assert curve == ref_curve
+        assert best is not model
+    else:
+        assert [c[:2] for c in curve] == [c[:2] for c in ref_curve]
+        assert all(math.isnan(c[2]) for c in curve)
+        assert best is model
+
+
+def test_gradients_return_fresh_arrays():
+    model = toy_model(dropout=0.5, hidden=(4, 3))
+    x, y = toy_batch()
+    _, gw1, gb1 = gradients(model, x, y, rng=np.random.default_rng(0))
+    _, gw2, gb2 = gradients(model, x, y, rng=np.random.default_rng(0))
+    arrays = gw1 + gb1 + gw2 + gb2 + model.weights + model.biases + [x]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+    for a, b in zip(gw1 + gb1, gw2 + gb2):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_train_rejects_empty():
