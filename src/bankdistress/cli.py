@@ -156,16 +156,30 @@ def _cmd_experiment(args):
         mean, std, results = experiment.run_repeated(table, events, cfg, sentences=sentences)
         results_by_arm[arm] = results
         print("%s: mean test U_r %.4f (std %.4f, %d runs)" % (arm, mean, std, cfg.runs))
+        redraws = sum(r.redraws for r in results)
+        if redraws:
+            print("%s: %d fold redraws replaced draws with a single-class validation "
+                  "or test fold" % (arm, redraws))
     experiment.write_runs_csv(results_by_arm, os.path.join(args.out, "runs.csv"))
     experiment.write_summary_json(results_by_arm, config, os.path.join(args.out, "summary.json"))
     return 0
+
+
+def _grid_values(text):
+    values = []
+    for v in text.split(","):
+        try:
+            values.append(float(v) if "." in v or "e" in v else int(v))
+        except ValueError:
+            raise CliError("--grid: %r is not a number" % v) from None
+    return values
 
 
 def _cmd_sweep(args):
     table = fusion.read_sample_table(args.fused)
     events = fusion.read_events(args.events)
     config = _load_experiment_config(args)
-    grid = [float(v) if "." in v or "e" in v else int(v) for v in args.grid.split(",")]
+    grid = _grid_values(args.grid)
 
     if args.parameter in ("window_n", "vector_dim"):
         if not (args.sentences and args.indicators):
@@ -201,13 +215,19 @@ def _cmd_sweep(args):
 
 def _cmd_report(args):
     path = os.path.join(args.results, "summary.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
-    print("mu=%s runs config=%s" % (summary["config"]["mu"], summary["config"]["runs"]))
-    for arm in sorted(summary["arms"]):
-        entry = summary["arms"][arm]
-        print("%-14s mean U_r %+.4f  std %.4f  (%d runs)"
-              % (arm, entry["mean_test_ur"], entry["std_test_ur"], entry["runs"]))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            summary = json.load(fh)
+        lines = ["mu=%s runs config=%s" % (summary["config"]["mu"], summary["config"]["runs"])]
+        for arm in sorted(summary["arms"]):
+            entry = summary["arms"][arm]
+            lines.append("%-14s mean U_r %+.4f  std %.4f  (%d runs)"
+                         % (arm, entry["mean_test_ur"], entry["std_test_ur"], entry["runs"]))
+    except KeyError as exc:
+        raise CliError("%s: missing key %s" % (path, exc)) from None
+    except (TypeError, ValueError) as exc:
+        raise CliError("%s: %s" % (path, exc)) from None
+    print("\n".join(lines))
     return 0
 
 

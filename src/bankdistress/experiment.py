@@ -18,6 +18,7 @@ from .fusion import (
 TRAIN_FOLDS = (0, 1, 2)
 VALIDATION_FOLD = 3
 TEST_FOLD = 4
+MAX_FOLD_REDRAWS = 100
 
 SWEEPABLE = ("hidden_width", "hidden_layer_count", "lr", "l1", "dropout_p",
              "window_n", "vector_dim")
@@ -71,6 +72,7 @@ class RunResult:
     threshold: float
     validation: evaluation.UsefulnessReport
     test: evaluation.UsefulnessReport
+    redraws: int = 0                             # degenerate fold draws replaced
 
 
 @dataclass
@@ -128,25 +130,48 @@ def fold_scoped_vectors(sentences, pvdm_overrides, train_banks, seed):
 def run_once(table, events, config, run_seed, run_index=0, sentences=None):
     """One full protocol run: fold draw, normalization, training, test report.
 
+    A fold draw whose validation or test fold holds month labels of one class
+    only leaves the usefulness measure undefined; the run then redraws the
+    folds with seeds derived from ``run_seed``, at most MAX_FOLD_REDRAWS
+    times, and records the count in ``RunResult.redraws``. A draw that
+    already holds both classes is kept as it is.
+
     With ``embedding_scope == "train_folds"`` the raw ``sentences`` must be
     supplied; the run then retrains its own embedding on training-fold banks
     instead of using the table's precomputed semantic vectors.
     """
-    folds = assign_folds(table.bank_ids, k=config.folds, seed=run_seed)
-    role_of = {}
-    for bank, f in folds.fold_of.items():
-        if f in TRAIN_FOLDS:
-            role_of[bank] = "train"
-        elif f == VALIDATION_FOLD:
-            role_of[bank] = "validation"
-        else:
-            role_of[bank] = "test"
-    roles = np.array([role_of[b] for b in table.bank_ids])
-    train_mask = roles == "train"
-    val_mask = roles == "validation"
-    test_mask = roles == "test"
-    if not (train_mask.any() and val_mask.any() and test_mask.any()):
-        raise ValueError("a fold role received no samples")
+    def month_groups(mask):
+        rows = np.flatnonzero(mask)
+        return evaluation.group_months([table.bank_ids[i] for i in rows],
+                                       [table.months[i] for i in rows], events)
+
+    for redraws in range(MAX_FOLD_REDRAWS + 1):
+        # Redraw r uses key r + 2 of the run seed: keys 1 and 2 seed the MLP
+        # and the per-run embedding.
+        seed = run_seed if redraws == 0 else derive_run_seed(run_seed, redraws + 2)
+        folds = assign_folds(table.bank_ids, k=config.folds, seed=seed)
+        role_of = {}
+        for bank, f in folds.fold_of.items():
+            if f in TRAIN_FOLDS:
+                role_of[bank] = "train"
+            elif f == VALIDATION_FOLD:
+                role_of[bank] = "validation"
+            else:
+                role_of[bank] = "test"
+        roles = np.array([role_of[b] for b in table.bank_ids])
+        train_mask = roles == "train"
+        val_mask = roles == "validation"
+        test_mask = roles == "test"
+        if not (train_mask.any() and val_mask.any() and test_mask.any()):
+            raise ValueError("a fold role received no samples")
+        val_groups = month_groups(val_mask)
+        test_groups = month_groups(test_mask)
+        if all(g.labels.min() != g.labels.max() for g in (val_groups, test_groups)):
+            break
+    else:
+        raise ValueError(
+            "%d fold draws all left the validation or the test fold with month "
+            "labels of one class (too few distressed banks?)" % (MAX_FOLD_REDRAWS + 1))
 
     semantic = table.semantic
     if config.embedding_scope == "train_folds":
@@ -161,14 +186,6 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
     numeric_z = apply_normalization(stats, table.numeric_raw)
     fused = np.concatenate([semantic, numeric_z], axis=1)
     inputs = project_arm(fused, config.arm, semantic_dim=semantic.shape[1])
-
-    def month_groups(mask):
-        rows = np.flatnonzero(mask)
-        return evaluation.group_months([table.bank_ids[i] for i in rows],
-                                       [table.months[i] for i in rows], events)
-
-    val_groups = month_groups(val_mask)
-    test_groups = month_groups(test_mask)
 
     mlp_overrides = dict(config.mlp)
     mlp_overrides["input_dim"] = inputs.shape[1]
@@ -201,6 +218,7 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
         threshold=tau,
         validation=val_report,
         test=test_report,
+        redraws=redraws,
     )
 
 

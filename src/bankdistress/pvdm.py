@@ -90,6 +90,18 @@ def _token_indices(model, tokens):
     return np.array([model.vocab.lookup(t) for t in tokens], dtype=np.int64)
 
 
+def _windows(model, tokens):
+    """(contexts, targets): vocabulary indices of every valid position.
+
+    Row p of the (positions, window_n) context array holds the words at
+    p .. p + window_n - 1; the target is the word after them.
+    """
+    n = model.config.window_n
+    idx = _token_indices(model, tokens)
+    starts = np.arange(len(valid_positions(tokens, n)))
+    return idx[starts[:, None] + np.arange(n)], idx[starts + n]
+
+
 def _context_target(model, tokens, position):
     n = model.config.window_n
     if position < 0 or position + n >= len(tokens):
@@ -158,50 +170,21 @@ def step_gradients(model, tokens, position, noise_idx, paragraph_row=None, parag
     return loss, grad_in, shared, grad_out
 
 
-def _epoch_kernel(word_in, word_out, paragraph, ctx, targets, par_rows, order,
-                  noise, lr_initial, lr_span, step0, denom):
-    """One epoch of sequential SGD steps over precomputed index arrays.
+def _output_step(u, h):
+    """Negative-sampling terms of a batch of steps at one state.
 
-    The step math of ``step_gradients``, except that each output row is
-    updated as soon as its term is done, as in word2vec: a word drawn twice
-    in one step sees its first update.
+    ``u`` stacks each step's output rows, target first then the noise words
+    (batch, 1 + k, dim); ``h`` is each step's hidden vector (batch, dim).
+    Returns the scores u . h, the coefficients dL/d(u . h) (sigma - 1 for the
+    target, sigma for each noise word) and dL/dh. The scores, not sigma, are
+    returned so that a caller can take the loss as logaddexp(0, -+score),
+    which stays finite when sigma rounds to 0 or 1.
     """
-    n = ctx.shape[1]
-    k = noise.shape[1]
-    inv = 1.0 / (n + 1)
-    total = 0.0
-    for j in range(order.shape[0]):
-        i = order[j]
-        lr = lr_initial + lr_span * ((step0 + j) / denom)
-        row = par_rows[i]
-        c = ctx[i]
-        h = (word_in[c].sum(axis=0) + paragraph[row]) * inv
-        grad_h = np.zeros_like(h)
-        for t in range(k + 1):
-            w = targets[i] if t == 0 else noise[j, t - 1]
-            sig = 1.0 / (1.0 + np.exp(-(word_out[w] @ h)))
-            sig = min(max(sig, 1e-12), 1.0 - 1e-12)
-            if t == 0:
-                total += -np.log(sig)
-                coef = sig - 1.0
-            else:
-                total += -np.log(1.0 - sig)
-                coef = sig
-            grad_h += coef * word_out[w]
-            word_out[w] -= (lr * coef) * h
-        shared = (lr * inv) * grad_h
-        for t in range(n):
-            word_in[c[t]] -= shared
-        paragraph[row] -= shared
-    return total
-
-
-try:
-    import numba as _numba
-
-    _epoch_kernel_jit = _numba.njit(cache=True, fastmath=False)(_epoch_kernel)
-except ImportError:  # pragma: no cover - numba is an optional speedup
-    _epoch_kernel_jit = None
+    scores = np.matmul(u, h[:, :, None])[:, :, 0]
+    coef = _sigmoid(scores)
+    coef[:, 0] -= 1.0
+    grad_h = np.matmul(coef[:, None, :], u)[:, 0, :]
+    return scores, coef, grad_h
 
 
 def valid_positions(tokens, window_n):
@@ -212,47 +195,57 @@ def valid_positions(tokens, window_n):
 def train(model, sentences):
     """Train in place over every (sentence, position) pair, epoch by epoch.
 
-    The learning rate decays linearly from lr_initial to lr_final over the
-    whole run. Returns (model, per-epoch mean losses).
+    Each step is the ``step_gradients`` update at the step's starting state:
+    all of its gradients are taken first, then each output, context and
+    paragraph row moves, and a row that appears twice in the step moves by
+    both of its terms. The learning rate decays linearly from lr_initial to
+    lr_final over the whole run. Returns (model, per-epoch mean losses).
     """
     cfg = model.config
-    n = cfg.window_n
-    ctx_rows, target_ids, par_rows = [], [], []
+    n, k = cfg.window_n, cfg.negative_samples
+    ctx, targets, par_rows = [], [], []
     for sent in sentences:
         if sent.sentence_id not in model.sentence_index:
             raise ValueError("sentence %r unknown to the model" % sent.sentence_id)
-        idx = _token_indices(model, sent.tokens)
-        row = model.sentence_index[sent.sentence_id]
-        for pos in valid_positions(sent.tokens, n):
-            ctx_rows.append(idx[pos : pos + n])
-            target_ids.append(idx[pos + n])
-            par_rows.append(row)
-    if cfg.epochs == 0 or not ctx_rows:
+        c, t = _windows(model, sent.tokens)
+        ctx.append(c)
+        targets.append(t)
+        par_rows.append(np.full(len(t), model.sentence_index[sent.sentence_id]))
+    n_pairs = sum(len(t) for t in targets)
+    if cfg.epochs == 0 or n_pairs == 0:
         return model, []
+    ctx = np.concatenate(ctx)
+    targets = np.concatenate(targets)
+    par_rows = np.concatenate(par_rows)
 
-    ctx = np.vstack(ctx_rows)
-    targets = np.array(target_ids, dtype=np.int64)
-    par_rows = np.array(par_rows, dtype=np.int64)
-    n_pairs = len(targets)
-
+    word_in, word_out, paragraph = model.word_in, model.word_out, model.paragraph
     rng = np.random.default_rng([cfg.seed, 1])
     cdf = model.noise_cdf()
-    total_steps = cfg.epochs * n_pairs
-    k = cfg.negative_samples
-    denom = float(max(1, total_steps - 1))
+    denom = float(max(1, cfg.epochs * n_pairs - 1))
     lr_span = cfg.lr_final - cfg.lr_initial
-    epoch_losses = []
+    # loss of one step: logaddexp(0, -score) for the target, (0, +score) for noise
+    sign = np.ones(k + 1)
+    sign[0] = -1.0
+    scores = np.empty((n_pairs, k + 1))
     order = np.arange(n_pairs)
-    kernel = _epoch_kernel_jit if _epoch_kernel_jit is not None else _epoch_kernel
+    epoch_losses = []
     for epoch in range(cfg.epochs):
         rng.shuffle(order)
         noise = np.searchsorted(cdf, rng.random((n_pairs, k)), side="right")
-        total = kernel(
-            model.word_in, model.word_out, model.paragraph,
-            ctx, targets, par_rows, order, noise,
-            cfg.lr_initial, lr_span, epoch * n_pairs, denom,
-        )
-        epoch_losses.append(total / n_pairs)
+        out_idx = np.concatenate((targets[order, None], noise), axis=1)
+        for j, i in enumerate(order.tolist()):
+            lr = cfg.lr_initial + lr_span * ((epoch * n_pairs + j) / denom)
+            c, row, out = ctx[i], par_rows[i], out_idx[j]
+            h = (word_in[c].sum(axis=0) + paragraph[row]) / (n + 1)
+            step_scores, coef, grad_h = _output_step(word_out[out][None], h[None])
+            scores[j] = step_scores[0]
+            for w, a in zip(out.tolist(), (lr * coef[0]).tolist()):
+                word_out[w] -= a * h
+            shared = (lr / (n + 1)) * grad_h[0]
+            for w in c.tolist():
+                word_in[w] -= shared
+            paragraph[row] -= shared
+        epoch_losses.append(float(np.logaddexp(0.0, sign * scores).sum()) / n_pairs)
     return model, epoch_losses
 
 
@@ -288,10 +281,9 @@ def infer_vectors(model, token_seqs, seeds, steps=20, lr=0.025):
     ctxsum = np.zeros((len(order), n_pos[0], dim))
     targets = np.zeros((len(order), n_pos[0]), dtype=np.int64)
     for s, i in enumerate(order):
-        idx = _token_indices(model, token_seqs[i])
-        starts = np.arange(n_pos[s])
-        ctxsum[s, : n_pos[s]] = model.word_in[idx[starts[:, None] + np.arange(n)]].sum(axis=1)
-        targets[s, : n_pos[s]] = idx[starts + n]
+        ctx, tgt = _windows(model, token_seqs[i])
+        ctxsum[s, : n_pos[s]] = model.word_in[ctx].sum(axis=1)
+        targets[s, : n_pos[s]] = tgt
 
     cdf = model.noise_cdf()
     draws = np.zeros((len(order), n_pos[0], k))
@@ -307,9 +299,7 @@ def infer_vectors(model, token_seqs, seeds, steps=20, lr=0.025):
             # One reused buffer: mode="raise" would copy through a temporary. Every
             # index is a vocabulary row, as the cdf ends at 1.0.
             u = np.take(model.word_out, out_idx[:a, p], axis=0, out=u_buf[:a], mode="clip")
-            sig = _sigmoid(np.matmul(u, h[:, :, None])[:, :, 0])
-            sig[:, 0] -= 1.0
-            grad_h = np.matmul(sig[:, None, :], u)[:, 0, :]
+            _, _, grad_h = _output_step(u, h)
             vec -= lr * (grad_h / (n + 1))
     for s, i in enumerate(order):
         out[i] = vecs[s]

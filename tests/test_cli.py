@@ -304,3 +304,25 @@ def test_ingest_rejects_malformed_registry(pipeline, capsys, tmp_path, row_no, b
     rc = cli.main(["ingest", "--articles", os.path.join(pipeline["data"], "articles.jsonl"),
                    "--registry", str(registry), "--out", str(tmp_path / "sentences.jsonl")])
     assert_one_error_line(capsys, rc, "error: %s: row %d: %s" % (registry, row_no, fragment))
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ('{"arms": {}}', "missing key 'config'"),
+    ('{"config": {"mu": 0.9, "runs": 2}, "arms": {"combined": {"runs": 2}}}',
+     "missing key 'mean_test_ur'"),
+    ('{"config": {"mu": 0.9', "Expecting"),
+    ('[1, 2]', "list indices"),
+], ids=["no-config", "no-arm-mean", "malformed-json", "not-an-object"])
+def test_report_names_the_summary_file(capsys, tmp_path, text, fragment):
+    (tmp_path / "summary.json").write_text(text, encoding="utf-8")
+    rc = cli.main(["report", "--results", str(tmp_path)])
+    assert_one_error_line(capsys, rc, "error: %s: " % (tmp_path / "summary.json"), fragment)
+
+
+@pytest.mark.parametrize("grid,bad", [("a,b", "'a'"), ("0.1,1e-x", "'1e-x'"), ("", "''")])
+def test_sweep_rejects_a_grid_value_that_is_not_a_number(pipeline, capsys, grid, bad):
+    rc = cli.main(["sweep", "--fused", pipeline["fused"],
+                   "--events", os.path.join(pipeline["data"], "events.csv"),
+                   "--parameter", "l1", "--grid", grid,
+                   "--out", os.path.join(pipeline["dir"], "x")])
+    assert_one_error_line(capsys, rc, "error: --grid: %s is not a number" % bad)

@@ -6,6 +6,7 @@ import pytest
 import bankdistress.experiment as experiment_module
 from bankdistress import experiment
 from bankdistress.experiment import (
+    MAX_FOLD_REDRAWS,
     TEST_FOLD,
     TRAIN_FOLDS,
     VALIDATION_FOLD,
@@ -18,7 +19,7 @@ from bankdistress.experiment import (
     write_summary_json,
     write_sweep_csv,
 )
-from bankdistress.fusion import SampleTable
+from bankdistress.fusion import SampleTable, assign_folds
 from conftest import toy_table
 
 
@@ -337,3 +338,31 @@ def test_write_sweep_csv(tmp_path):
     lines = open(path, encoding="utf-8").read().splitlines()
     assert lines[0] == "parameter,value,mean_ur,std_ur,runs"
     assert lines[1] == "lr,0.1,0.5,0.05,3"
+
+
+def test_run_once_redraws_single_class_folds():
+    # three distressed banks of ten: most draws leave the validation or the
+    # test fold (two banks each) without a distressed month
+    table, events = toy_table()
+    distressed = {"b00", "b01", "b02"}
+    events = [e for e in events if e.bank_id in distressed]
+    cfg = quick_config()
+
+    def degenerate(seed):
+        fold_of = assign_folds(table.bank_ids, k=5, seed=seed).fold_of
+        return any(not distressed & {b for b, f in fold_of.items() if f == role}
+                   for role in (VALIDATION_FOLD, TEST_FOLD))
+
+    results = [run_once(table, events, cfg, run_seed=s) for s in range(6)]
+    assert {r.redraws == 0 for r in results} == {True, False}
+    for seed, result in enumerate(results):
+        draws = [seed] + [derive_run_seed(seed, r + 2) for r in range(1, result.redraws + 1)]
+        assert [degenerate(s) for s in draws] == [True] * result.redraws + [False]
+        # the kept draw, unchanged when the first draw was already valid
+        assert result.fold_of == assign_folds(table.bank_ids, k=5, seed=draws[-1]).fold_of
+        assert 0.0 < result.validation.prior < 1.0 and 0.0 < result.test.prior < 1.0
+
+    # one distressed bank can never reach both folds: the capped redraws end in one error
+    lone = [e for e in events if e.bank_id == "b00"]
+    with pytest.raises(ValueError, match="%d fold draws" % (MAX_FOLD_REDRAWS + 1)):
+        run_once(table, lone, cfg, run_seed=0)
