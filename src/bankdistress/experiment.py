@@ -62,6 +62,10 @@ class ExperimentConfig:
             raise ValueError("embedding_scope must be 'full' or 'train_folds'")
         _check_keys("mlp", self.mlp, MLP_KEYS)
         _check_keys("pvdm", self.pvdm, PVDM_KEYS)
+        try:
+            pvdm.PvdmConfig(**self.pvdm)
+        except ValueError as exc:
+            raise ValueError("pvdm: %s" % exc) from None
 
 
 @dataclass

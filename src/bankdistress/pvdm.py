@@ -20,6 +20,7 @@ class PvdmConfig:
     lr_final: float = 1e-4
     seed: int = 0
     min_count: int = 5  # rarer tokens pool into <unk> (build_vocabulary)
+    batch_pairs: int = 32  # (context, target) pairs per SGD update (train)
 
     def __post_init__(self):
         if self.vector_dim < 1:
@@ -28,6 +29,11 @@ class PvdmConfig:
             raise ValueError("window_n must be >= 1")
         if self.negative_samples < 1:
             raise ValueError("negative_samples must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        size = self.batch_pairs
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ValueError("batch_pairs must be an integer >= 1, got %r" % (size,))
         if not self.lr_final < self.lr_initial:
             raise ValueError("lr_final must be below lr_initial")
 
@@ -58,7 +64,10 @@ class PvdmModel:
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    # exp(-x) overflows to inf for x < -709, where 1 / (1 + inf) is the right 0.0
+    with np.errstate(over="ignore"):
+        e = np.exp(-x)
+    return 1.0 / (1.0 + e)
 
 
 def init_model(vocab, sentences, config):
@@ -192,14 +201,29 @@ def valid_positions(tokens, window_n):
     return range(max(0, len(tokens) - window_n - 1))
 
 
+def _scatter_rows(mat, idx, cols, coef, vecs):
+    """``mat[idx[i]] -= coef[i] * vecs[cols[i]]`` for every i, as one product.
+
+    ``vecs`` holds one row per pair of a batch; terms that land on the same
+    row of ``mat`` add up. The coefficients go into a (unique rows, batch)
+    matrix, so each touched row moves once, by that matrix times ``vecs``.
+    """
+    uniq, inv = np.unique(idx, return_inverse=True)
+    c = np.zeros((len(uniq), len(vecs)))
+    np.add.at(c, (inv, cols), coef)
+    mat[uniq] -= c @ vecs
+
+
 def train(model, sentences):
     """Train in place over every (sentence, position) pair, epoch by epoch.
 
-    Each step is the ``step_gradients`` update at the step's starting state:
-    all of its gradients are taken first, then each output, context and
-    paragraph row moves, and a row that appears twice in the step moves by
-    both of its terms. The learning rate decays linearly from lr_initial to
-    lr_final over the whole run. Returns (model, per-epoch mean losses).
+    Each epoch shuffles the pairs and runs them in batches of
+    ``config.batch_pairs``. Every pair of a batch takes its
+    ``step_gradients`` terms at the batch's starting state; then each output,
+    context and paragraph row moves once, by the sum of all of its terms in
+    the batch. With one pair per batch this is plain per-pair SGD. The
+    learning rate decays linearly from lr_initial to lr_final over the
+    run's batches. Returns (model, per-epoch mean losses).
     """
     cfg = model.config
     n, k = cfg.window_n, cfg.negative_samples
@@ -221,8 +245,14 @@ def train(model, sentences):
     word_in, word_out, paragraph = model.word_in, model.word_out, model.paragraph
     rng = np.random.default_rng([cfg.seed, 1])
     cdf = model.noise_cdf()
-    denom = float(max(1, cfg.epochs * n_pairs - 1))
+    size = min(cfg.batch_pairs, n_pairs)
+    n_batches = -(-n_pairs // size)
+    denom = float(max(1, cfg.epochs * n_batches - 1))
     lr_span = cfg.lr_final - cfg.lr_initial
+    # batch column of each flattened context and output row
+    pair_col = np.arange(size)
+    ctx_col = np.repeat(pair_col, n)
+    out_col = np.repeat(pair_col, k + 1)
     # loss of one step: logaddexp(0, -score) for the target, (0, +score) for noise
     sign = np.ones(k + 1)
     sign[0] = -1.0
@@ -233,18 +263,17 @@ def train(model, sentences):
         rng.shuffle(order)
         noise = np.searchsorted(cdf, rng.random((n_pairs, k)), side="right")
         out_idx = np.concatenate((targets[order, None], noise), axis=1)
-        for j, i in enumerate(order.tolist()):
-            lr = cfg.lr_initial + lr_span * ((epoch * n_pairs + j) / denom)
-            c, row, out = ctx[i], par_rows[i], out_idx[j]
-            h = (word_in[c].sum(axis=0) + paragraph[row]) / (n + 1)
-            step_scores, coef, grad_h = _output_step(word_out[out][None], h[None])
-            scores[j] = step_scores[0]
-            for w, a in zip(out.tolist(), (lr * coef[0]).tolist()):
-                word_out[w] -= a * h
-            shared = (lr / (n + 1)) * grad_h[0]
-            for w in c.tolist():
-                word_in[w] -= shared
-            paragraph[row] -= shared
+        for b in range(n_batches):
+            lo, hi = b * size, min(n_pairs, (b + 1) * size)
+            lr = cfg.lr_initial + lr_span * ((epoch * n_batches + b) / denom)
+            pick = order[lo:hi]
+            c, rows, out = ctx[pick], par_rows[pick], out_idx[lo:hi]
+            h = (word_in[c].sum(axis=1) + paragraph[rows]) / (n + 1)
+            scores[lo:hi], coef, grad_h = _output_step(word_out[out], h)
+            shared = (lr / (n + 1)) * grad_h
+            _scatter_rows(word_out, out.ravel(), out_col[: out.size], lr * coef.ravel(), h)
+            _scatter_rows(word_in, c.ravel(), ctx_col[: c.size], 1.0, shared)
+            _scatter_rows(paragraph, rows, pair_col[: rows.size], 1.0, shared)
         epoch_losses.append(float(np.logaddexp(0.0, sign * scores).sum()) / n_pairs)
     return model, epoch_losses
 

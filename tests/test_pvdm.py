@@ -1,6 +1,8 @@
 """Paragraph-vector model tests: gradients, training, persistence."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -84,6 +86,13 @@ def test_config_validation():
         PvdmConfig(negative_samples=0)
     with pytest.raises(ValueError):
         PvdmConfig(lr_initial=1e-4, lr_final=1e-3)
+    with pytest.raises(ValueError, match="epochs must be >= 0"):
+        PvdmConfig(epochs=-2)
+    assert PvdmConfig(epochs=0).epochs == 0
+    for bad in (0, -1, True, 2.0, "4", None):
+        with pytest.raises(ValueError, match="batch_pairs must be an integer >= 1"):
+            PvdmConfig(batch_pairs=bad)
+    assert PvdmConfig(batch_pairs=1).batch_pairs == 1
 
 
 # ---------------------------------------------------------------------------
@@ -200,55 +209,77 @@ def test_noise_cdf_ends_at_one():
 # Training
 
 
-def reference_step(model, tokens, position, row, noise_idx, lr):
-    """One SGD step: every step_gradients term applied at lr from one state."""
-    loss, grad_in, grad_par, grad_out = step_gradients(model, tokens, position, noise_idx,
-                                                       paragraph_row=row)
-    for w, g in grad_in.items():
-        model.word_in[w] -= lr * g
-    model.paragraph[row] -= lr * grad_par
-    for w, g in grad_out.items():
-        model.word_out[w] -= lr * g
-    return loss
-
-
 def reference_train(model, sentences):
-    """train's schedule, one reference_step at a time: the oracle for train.
+    """train's schedule straight from step_gradients: the oracle for train.
 
     Pairs in sentence then position order; ``default_rng([seed, 1])`` makes
-    one shuffle and one (pairs, k) noise draw per epoch; the learning rate
-    falls linearly over all steps.
+    one shuffle and one (pairs, k) noise draw per epoch. Each batch of
+    ``batch_pairs`` shuffled pairs takes every pair's gradients from a copy
+    of the batch's starting state and applies them all at the batch's
+    learning rate, which falls linearly over all batches of the run.
+
+    Also returns the parameter groups in which some row took two or more
+    terms within one batch, so a test can check that it exercised them.
     """
     cfg = model.config
     pairs = [(s, pos) for s in sentences for pos in valid_positions(s.tokens, cfg.window_n)]
+    size = cfg.batch_pairs
+    n_batches = math.ceil(len(pairs) / size)
     rng = np.random.default_rng([cfg.seed, 1])
-    denom = float(max(1, cfg.epochs * len(pairs) - 1))
+    denom = float(max(1, cfg.epochs * n_batches - 1))
     order = np.arange(len(pairs))
-    losses = []
+    losses, repeated = [], set()
     for epoch in range(cfg.epochs):
         rng.shuffle(order)
         u = rng.random((len(pairs), cfg.negative_samples))
         noise = np.searchsorted(model.noise_cdf(), u, side="right")
         total = 0.0
-        for j, i in enumerate(order):
-            step = epoch * len(pairs) + j
-            lr = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * (step / denom)
-            sent, pos = pairs[i]
-            row = model.sentence_index[sent.sentence_id]
-            total += reference_step(model, sent.tokens, pos, row, noise[j], lr)
+        for b in range(n_batches):
+            lr = cfg.lr_initial + (cfg.lr_final - cfg.lr_initial) * ((epoch * n_batches + b) / denom)
+            start = replace(model, word_in=model.word_in.copy(),
+                            word_out=model.word_out.copy(), paragraph=model.paragraph.copy())
+            terms = {"word_in": Counter(), "word_out": Counter(), "paragraph": Counter()}
+            for j in range(b * size, min(len(pairs), (b + 1) * size)):
+                sent, pos = pairs[order[j]]
+                row = model.sentence_index[sent.sentence_id]
+                loss, grad_in, grad_par, grad_out = step_gradients(
+                    start, sent.tokens, pos, noise[j], paragraph_row=row)
+                total += loss
+                for w, g in grad_in.items():
+                    model.word_in[w] -= lr * g
+                model.paragraph[row] -= lr * grad_par
+                for w, g in grad_out.items():
+                    model.word_out[w] -= lr * g
+                terms["word_in"].update(model.vocab.lookup(t)
+                                        for t in sent.tokens[pos:pos + cfg.window_n])
+                terms["word_out"].update([model.vocab.lookup(sent.tokens[pos + cfg.window_n])]
+                                         + noise[j].tolist())
+                terms["paragraph"][row] += 1
+            repeated.update(g for g, count in terms.items() if max(count.values()) > 1)
         losses.append(total / len(pairs))
-    return model, losses
+    return model, losses, repeated
 
 
-def test_train_matches_reference_train():
+@pytest.mark.parametrize("batch_pairs,repeated", [
+    (1, {"word_in", "word_out"}),
+    (3, {"word_in", "word_out", "paragraph"}),
+    (7, {"word_in", "word_out", "paragraph"}),
+    (50, {"word_in", "word_out", "paragraph"}),
+], ids=["one-pair", "3", "7-short-last-batch", "more-than-all-pairs"])
+def test_train_matches_reference_train(batch_pairs, repeated):
     # six words, window 3 and three noise draws: many steps repeat a context
-    # word, draw a noise word twice or draw the target as noise; many do not
+    # word, draw a noise word twice or draw the target as noise, and a batch
+    # of three or more often holds two pairs of one sentence (its paragraph
+    # row) or shares a context or noise word between pairs
     sents, vocab = toy_corpus(n_sentences=12, n_words=6, length=7, seed=3)
     sents.append(make_sentence("short", ("w01", "w02")))  # no position
     cfg = PvdmConfig(vector_dim=5, window_n=3, negative_samples=3, epochs=3,
-                     lr_initial=0.2, seed=2)
+                     lr_initial=0.2, seed=2, batch_pairs=batch_pairs)
+    n_pairs = sum(len(valid_positions(s.tokens, cfg.window_n)) for s in sents)
+    assert n_pairs == 36  # 36 = 5 * 7 + 1: the last batch of seven holds one pair
     got, got_losses = train(init_model(vocab, sents, cfg), sents)
-    want, want_losses = reference_train(init_model(vocab, sents, cfg), sents)
+    want, want_losses, want_repeated = reference_train(init_model(vocab, sents, cfg), sents)
+    assert want_repeated == repeated
     for name in ("word_in", "word_out", "paragraph"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
     np.testing.assert_allclose(got_losses, want_losses, rtol=0, atol=1e-12)
@@ -265,7 +296,6 @@ def test_train_deterministic_and_loss_decreases():
     assert losses1[-1] < losses1[0]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
 def test_train_stays_finite_when_sigma_saturates():
     # |u . h| > 40: sigma rounds to exactly 0 or 1, where -log(sigma) would be inf
     sents, vocab = toy_corpus(n_sentences=12, n_words=6, length=7, seed=3)
@@ -406,7 +436,8 @@ def test_infer_vector_needs_trainable_context():
 
 def test_save_load_round_trip_bit_exact(tmp_path):
     sents, vocab = toy_corpus(n_sentences=20, seed=9)
-    cfg = PvdmConfig(vector_dim=10, window_n=2, epochs=2, lr_initial=0.05, seed=1)
+    cfg = PvdmConfig(vector_dim=10, window_n=2, epochs=2, lr_initial=0.05, seed=1,
+                     batch_pairs=5)
     model, _ = train(init_model(vocab, sents, cfg), sents)
     path = str(tmp_path / "model.npz")
     save_model(model, path)
@@ -419,6 +450,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert loaded.vocab.token_to_index == model.vocab.token_to_index
     assert loaded.vocab.counts == model.vocab.counts
     assert loaded.config == model.config
+    assert loaded.config.batch_pairs == 5
 
 
 def test_load_rejects_unknown_format(tmp_path):
