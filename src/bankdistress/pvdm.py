@@ -8,6 +8,7 @@ import numpy as np
 from .corpus import Vocabulary, read_jsonl
 
 MODEL_FORMAT = "pvdm-v1"
+BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
 
 
 @dataclass
@@ -20,7 +21,6 @@ class PvdmConfig:
     lr_final: float = 1e-4
     seed: int = 0
     min_count: int = 5  # rarer tokens pool into <unk> (build_vocabulary)
-    batch_pairs: int = 32  # (context, target) pairs per SGD update (train)
 
     def __post_init__(self):
         if self.vector_dim < 1:
@@ -31,9 +31,6 @@ class PvdmConfig:
             raise ValueError("negative_samples must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        size = self.batch_pairs
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise ValueError("batch_pairs must be an integer >= 1, got %r" % (size,))
         if not self.lr_final < self.lr_initial:
             raise ValueError("lr_final must be below lr_initial")
 
@@ -201,24 +198,36 @@ def valid_positions(tokens, window_n):
     return range(max(0, len(tokens) - window_n - 1))
 
 
-def _scatter_rows(mat, idx, cols, coef, vecs):
-    """``mat[idx[i]] -= coef[i] * vecs[cols[i]]`` for every i, as one product.
+def _row_scatter(mat):
+    """``scatter(idx, cols, coef, vecs)``: ``mat[idx[i]] -= coef[i] * vecs[cols[i]]``
+    for every i, as one product.
 
     ``vecs`` holds one row per pair of a batch; terms that land on the same
-    row of ``mat`` add up. The coefficients go into a (unique rows, batch)
+    row of ``mat`` add up. The coefficients go into a (touched rows, batch)
     matrix, so each touched row moves once, by that matrix times ``vecs``.
+    The touched rows are found by marking them in a per-row flag array,
+    which costs less than sorting the indices.
     """
-    uniq, inv = np.unique(idx, return_inverse=True)
-    c = np.zeros((len(uniq), len(vecs)))
-    np.add.at(c, (inv, cols), coef)
-    mat[uniq] -= c @ vecs
+    touched = np.zeros(len(mat), dtype=bool)
+    slot = np.zeros(len(mat), dtype=np.intp)
+
+    def scatter(idx, cols, coef, vecs):
+        touched[idx] = True
+        rows = np.flatnonzero(touched)
+        touched[rows] = False
+        slot[rows] = np.arange(len(rows))
+        c = np.zeros((len(rows), len(vecs)))
+        np.add.at(c, (slot[idx], cols), coef)
+        mat[rows] -= c @ vecs
+
+    return scatter
 
 
 def train(model, sentences):
     """Train in place over every (sentence, position) pair, epoch by epoch.
 
     Each epoch shuffles the pairs and runs them in batches of
-    ``config.batch_pairs``. Every pair of a batch takes its
+    ``BATCH_PAIRS``. Every pair of a batch takes its
     ``step_gradients`` terms at the batch's starting state; then each output,
     context and paragraph row moves once, by the sum of all of its terms in
     the batch. With one pair per batch this is plain per-pair SGD. The
@@ -245,10 +254,11 @@ def train(model, sentences):
     word_in, word_out, paragraph = model.word_in, model.word_out, model.paragraph
     rng = np.random.default_rng([cfg.seed, 1])
     cdf = model.noise_cdf()
-    size = min(cfg.batch_pairs, n_pairs)
+    size = min(BATCH_PAIRS, n_pairs)
     n_batches = -(-n_pairs // size)
     denom = float(max(1, cfg.epochs * n_batches - 1))
     lr_span = cfg.lr_final - cfg.lr_initial
+    scatter_out, scatter_in, scatter_par = map(_row_scatter, (word_out, word_in, paragraph))
     # batch column of each flattened context and output row
     pair_col = np.arange(size)
     ctx_col = np.repeat(pair_col, n)
@@ -271,9 +281,9 @@ def train(model, sentences):
             h = (word_in[c].sum(axis=1) + paragraph[rows]) / (n + 1)
             scores[lo:hi], coef, grad_h = _output_step(word_out[out], h)
             shared = (lr / (n + 1)) * grad_h
-            _scatter_rows(word_out, out.ravel(), out_col[: out.size], lr * coef.ravel(), h)
-            _scatter_rows(word_in, c.ravel(), ctx_col[: c.size], 1.0, shared)
-            _scatter_rows(paragraph, rows, pair_col[: rows.size], 1.0, shared)
+            scatter_out(out.ravel(), out_col[: out.size], lr * coef.ravel(), h)
+            scatter_in(c.ravel(), ctx_col[: c.size], 1.0, shared)
+            scatter_par(rows, pair_col[: rows.size], 1.0, shared)
         epoch_losses.append(float(np.logaddexp(0.0, sign * scores).sum()) / n_pairs)
     return model, epoch_losses
 

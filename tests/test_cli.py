@@ -246,16 +246,6 @@ def test_embed_rejects_negative_epochs(pipeline, capsys, tmp_path):
     assert not out.exists()
 
 
-def test_experiment_rejects_a_batch_size_below_one(pipeline, capsys, tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"pvdm": {"batch_pairs": 0}}), encoding="utf-8")
-    rc = cli.main(["experiment", "--fused", pipeline["fused"],
-                   "--events", os.path.join(pipeline["data"], "events.csv"),
-                   "--config", str(cfg_path), "--runs", "1", "--out", str(tmp_path / "out")])
-    assert_one_error_line(capsys, rc, "pvdm: batch_pairs must be an integer >= 1, got 0")
-    assert not (tmp_path / "out").exists()
-
-
 def replace_line(src, dst, line_no, text):
     """Copy ``src`` to ``dst`` with 1-based line ``line_no`` replaced by ``text``."""
     with open(src, encoding="utf-8") as fh:

@@ -58,8 +58,6 @@ def test_config_rejects_unknown_override_keys():
     with pytest.raises(ValueError, match="pvdm must be a JSON object"):
         ExperimentConfig(pvdm=[4])
     # override values are checked as a PvdmConfig would check them
-    with pytest.raises(ValueError, match="pvdm: batch_pairs must be an integer >= 1"):
-        ExperimentConfig(pvdm={"batch_pairs": 0})
     with pytest.raises(ValueError, match="pvdm: epochs must be >= 0"):
         ExperimentConfig(pvdm={"epochs": -1})
     cfg = ExperimentConfig(mlp={"epochs": 2, "hidden_layers": [4]},

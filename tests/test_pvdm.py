@@ -89,10 +89,6 @@ def test_config_validation():
     with pytest.raises(ValueError, match="epochs must be >= 0"):
         PvdmConfig(epochs=-2)
     assert PvdmConfig(epochs=0).epochs == 0
-    for bad in (0, -1, True, 2.0, "4", None):
-        with pytest.raises(ValueError, match="batch_pairs must be an integer >= 1"):
-            PvdmConfig(batch_pairs=bad)
-    assert PvdmConfig(batch_pairs=1).batch_pairs == 1
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +205,7 @@ def test_noise_cdf_ends_at_one():
 # Training
 
 
-def reference_train(model, sentences):
+def reference_train(model, sentences, batch_pairs):
     """train's schedule straight from step_gradients: the oracle for train.
 
     Pairs in sentence then position order; ``default_rng([seed, 1])`` makes
@@ -223,7 +219,7 @@ def reference_train(model, sentences):
     """
     cfg = model.config
     pairs = [(s, pos) for s in sentences for pos in valid_positions(s.tokens, cfg.window_n)]
-    size = cfg.batch_pairs
+    size = batch_pairs
     n_batches = math.ceil(len(pairs) / size)
     rng = np.random.default_rng([cfg.seed, 1])
     denom = float(max(1, cfg.epochs * n_batches - 1))
@@ -266,7 +262,7 @@ def reference_train(model, sentences):
     (7, {"word_in", "word_out", "paragraph"}),
     (50, {"word_in", "word_out", "paragraph"}),
 ], ids=["one-pair", "3", "7-short-last-batch", "more-than-all-pairs"])
-def test_train_matches_reference_train(batch_pairs, repeated):
+def test_train_matches_reference_train(monkeypatch, batch_pairs, repeated):
     # six words, window 3 and three noise draws: many steps repeat a context
     # word, draw a noise word twice or draw the target as noise, and a batch
     # of three or more often holds two pairs of one sentence (its paragraph
@@ -274,11 +270,13 @@ def test_train_matches_reference_train(batch_pairs, repeated):
     sents, vocab = toy_corpus(n_sentences=12, n_words=6, length=7, seed=3)
     sents.append(make_sentence("short", ("w01", "w02")))  # no position
     cfg = PvdmConfig(vector_dim=5, window_n=3, negative_samples=3, epochs=3,
-                     lr_initial=0.2, seed=2, batch_pairs=batch_pairs)
+                     lr_initial=0.2, seed=2)
+    monkeypatch.setattr(pvdm, "BATCH_PAIRS", batch_pairs)
     n_pairs = sum(len(valid_positions(s.tokens, cfg.window_n)) for s in sents)
     assert n_pairs == 36  # 36 = 5 * 7 + 1: the last batch of seven holds one pair
     got, got_losses = train(init_model(vocab, sents, cfg), sents)
-    want, want_losses, want_repeated = reference_train(init_model(vocab, sents, cfg), sents)
+    want, want_losses, want_repeated = reference_train(init_model(vocab, sents, cfg), sents,
+                                                       batch_pairs)
     assert want_repeated == repeated
     for name in ("word_in", "word_out", "paragraph"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0, atol=1e-12)
@@ -436,8 +434,7 @@ def test_infer_vector_needs_trainable_context():
 
 def test_save_load_round_trip_bit_exact(tmp_path):
     sents, vocab = toy_corpus(n_sentences=20, seed=9)
-    cfg = PvdmConfig(vector_dim=10, window_n=2, epochs=2, lr_initial=0.05, seed=1,
-                     batch_pairs=5)
+    cfg = PvdmConfig(vector_dim=10, window_n=2, epochs=2, lr_initial=0.05, seed=1)
     model, _ = train(init_model(vocab, sents, cfg), sents)
     path = str(tmp_path / "model.npz")
     save_model(model, path)
@@ -450,7 +447,6 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert loaded.vocab.token_to_index == model.vocab.token_to_index
     assert loaded.vocab.counts == model.vocab.counts
     assert loaded.config == model.config
-    assert loaded.config.batch_pairs == 5
 
 
 def test_load_rejects_unknown_format(tmp_path):
