@@ -160,6 +160,10 @@ def _cmd_experiment(args):
         if redraws:
             print("%s: %d fold redraws replaced draws with a single-class validation "
                   "or test fold" % (arm, redraws))
+        zero_vectors = sum(r.zero_vectors for r in results)
+        if zero_vectors:
+            print("%s: %d held-out sentences too short to infer took zero vectors"
+                  % (arm, zero_vectors))
     experiment.write_runs_csv(results_by_arm, os.path.join(args.out, "runs.csv"))
     experiment.write_summary_json(results_by_arm, config, os.path.join(args.out, "summary.json"))
     return 0

@@ -62,10 +62,13 @@ class ExperimentConfig:
             raise ValueError("embedding_scope must be 'full' or 'train_folds'")
         _check_keys("mlp", self.mlp, MLP_KEYS)
         _check_keys("pvdm", self.pvdm, PVDM_KEYS)
-        try:
-            pvdm.PvdmConfig(**self.pvdm)
-        except ValueError as exc:
-            raise ValueError("pvdm: %s" % exc) from None
+        # each run sets input_dim; any valid width checks the other fields
+        for section, make, overrides in (("mlp", neural.MlpConfig, dict(self.mlp, input_dim=1)),
+                                         ("pvdm", pvdm.PvdmConfig, self.pvdm)):
+            try:
+                make(**overrides)
+            except ValueError as exc:
+                raise ValueError("%s: %s" % (section, exc)) from None
 
 
 @dataclass
@@ -77,6 +80,7 @@ class RunResult:
     validation: evaluation.UsefulnessReport
     test: evaluation.UsefulnessReport
     redraws: int = 0                             # degenerate fold draws replaced
+    zero_vectors: int = 0                        # held-out sentences too short to infer
 
 
 @dataclass
@@ -109,7 +113,7 @@ def fold_scoped_vectors(sentences, pvdm_overrides, train_banks, seed):
     so no text outside the training folds shapes the embedding space.
     Sentences too short to infer fall back to zero vectors. ``seed`` is the
     PV-DM seed unless the overrides set one, and the base of the inference
-    seeds.
+    seeds. Returns (sentence_id -> vector, number of zero-vector fallbacks).
     """
     train_sents = [s for s in sentences if s.bank_id in train_banks]
     if not train_sents:
@@ -128,7 +132,7 @@ def fold_scoped_vectors(sentences, pvdm_overrides, train_banks, seed):
                                   [seed + i for i, _ in held_out])
     for (_, sent), vec in zip(held_out, inferred):
         vectors[sent.sentence_id] = np.zeros(cfg.vector_dim) if vec is None else vec
-    return vectors
+    return vectors, sum(vec is None for vec in inferred)
 
 
 def run_once(table, events, config, run_seed, run_index=0, sentences=None):
@@ -178,11 +182,12 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
             "labels of one class (too few distressed banks?)" % (MAX_FOLD_REDRAWS + 1))
 
     semantic = table.semantic
+    zero_vectors = 0
     if config.embedding_scope == "train_folds":
         if sentences is None:
             raise ValueError("embedding_scope 'train_folds' needs the raw sentences")
         train_banks = {b for b, role in role_of.items() if role == "train"}
-        vectors = fold_scoped_vectors(
+        vectors, zero_vectors = fold_scoped_vectors(
             sentences, config.pvdm, train_banks, derive_run_seed(run_seed, 2))
         semantic = np.vstack([vectors[sid] for sid in table.sentence_ids])
 
@@ -223,6 +228,7 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
         validation=val_report,
         test=test_report,
         redraws=redraws,
+        zero_vectors=zero_vectors,
     )
 
 

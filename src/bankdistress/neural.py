@@ -23,10 +23,10 @@ class MlpConfig:
         self.hidden_layers = tuple(self.hidden_layers)
         if self.input_dim < 1 or self.output_dim < 1 or any(h < 1 for h in self.hidden_layers):
             raise ValueError("layer widths must be positive")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.l1 < 0:
-            raise ValueError("l1 penalty must be non-negative")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("learning rate must be finite and positive")
+        if not (np.isfinite(self.l1) and self.l1 >= 0):
+            raise ValueError("l1 penalty must be finite and non-negative")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if not 0.0 <= self.dropout_p < 1.0:

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import dataclass, field, asdict
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -31,8 +32,10 @@ class PvdmConfig:
             raise ValueError("negative_samples must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not self.lr_final < self.lr_initial:
-            raise ValueError("lr_final must be below lr_initial")
+        if not (np.isfinite(self.lr_initial) and np.isfinite(self.lr_final)):
+            raise ValueError("lr_initial and lr_final must be finite")
+        if not 0 <= self.lr_final < self.lr_initial:
+            raise ValueError("lr_final must be >= 0 and below lr_initial")
 
 
 @dataclass
@@ -61,10 +64,9 @@ class PvdmModel:
 
 
 def _sigmoid(x):
-    # exp(-x) overflows to inf for x < -709, where 1 / (1 + inf) is the right 0.0
-    with np.errstate(over="ignore"):
-        e = np.exp(-x)
-    return 1.0 / (1.0 + e)
+    # exp(-x) overflows to inf for x < -709, where 1 / (1 + inf) is the right
+    # 0.0; callers enter np.errstate(over="ignore") once around their steps
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def init_model(vocab, sentences, config):
@@ -92,20 +94,33 @@ def init_model(vocab, sentences, config):
     )
 
 
-def _token_indices(model, tokens):
-    return np.array([model.vocab.lookup(t) for t in tokens], dtype=np.int64)
+def _window_rows(model, token_seqs):
+    """(contexts, targets, counts) over every valid position of every sentence.
 
-
-def _windows(model, tokens):
-    """(contexts, targets): vocabulary indices of every valid position.
-
-    Row p of the (positions, window_n) context array holds the words at
-    p .. p + window_n - 1; the target is the word after them.
+    Rows run sentence by sentence, then position by position: one row per
+    ``valid_positions`` offset p, whose context holds the vocabulary indices
+    of the words at p .. p + window_n - 1 and whose target is the word after
+    them. ``counts[s]`` is the number of rows of sentence s.
     """
     n = model.config.window_n
-    idx = _token_indices(model, tokens)
-    starts = np.arange(len(valid_positions(tokens, n)))
-    return idx[starts[:, None] + np.arange(n)], idx[starts + n]
+    to_index = model.vocab.token_to_index
+    lengths = np.fromiter(map(len, token_seqs), dtype=np.intp, count=len(token_seqs))
+    counts = np.fromiter((len(valid_positions(tokens, n)) for tokens in token_seqs),
+                         dtype=np.intp, count=len(token_seqs))
+    tokens = chain.from_iterable(token_seqs)
+    idx = np.fromiter(map(to_index.get, tokens, repeat(to_index[Vocabulary.UNK])),
+                      dtype=np.intp, count=int(lengths.sum()))
+    # a row's first word: its sentence's offset in idx plus the row's position
+    shift = (np.cumsum(lengths) - lengths) - (np.cumsum(counts) - counts)
+    first = np.arange(counts.sum())
+    first += np.repeat(shift, counts)
+    # One column at a time, with no (rows, window_n) index temporary: freeing
+    # one before train's loop moved glibc's heap thresholds so that a fresh
+    # process's first dim-600 embedding took 70k page faults instead of 2k.
+    ctx = np.empty((len(first), n), dtype=np.intp)
+    for j in range(n):
+        ctx[:, j] = idx[j:][first]
+    return ctx, idx[n:][first], counts
 
 
 def _context_target(model, tokens, position):
@@ -115,7 +130,7 @@ def _context_target(model, tokens, position):
             "position %d leaves no target in a %d-token sentence (window %d)"
             % (position, len(tokens), n)
         )
-    idx = _token_indices(model, tokens)
+    idx = np.array([model.vocab.lookup(t) for t in tokens], dtype=np.int64)
     return idx[position : position + n], idx[position + n]
 
 
@@ -124,7 +139,8 @@ def _step_terms(model, paragraph_vec, ctx_idx, target_idx, noise_idx):
     h = (model.word_in[ctx_idx].sum(axis=0) + paragraph_vec) / (n + 1)
     out_idx = np.concatenate(([target_idx], noise_idx))
     dots = model.word_out[out_idx] @ h
-    sig = _sigmoid(dots)
+    with np.errstate(over="ignore"):
+        sig = _sigmoid(dots)
     # -log sigma(u_t . h) - sum_k log sigma(-u_k . h)
     loss = -np.log(sig[0]) - np.log(1.0 - sig[1:]).sum()
     return h, out_idx, sig, loss
@@ -236,20 +252,15 @@ def train(model, sentences):
     """
     cfg = model.config
     n, k = cfg.window_n, cfg.negative_samples
-    ctx, targets, par_rows = [], [], []
-    for sent in sentences:
-        if sent.sentence_id not in model.sentence_index:
-            raise ValueError("sentence %r unknown to the model" % sent.sentence_id)
-        c, t = _windows(model, sent.tokens)
-        ctx.append(c)
-        targets.append(t)
-        par_rows.append(np.full(len(t), model.sentence_index[sent.sentence_id]))
-    n_pairs = sum(len(t) for t in targets)
+    sentence_rows = [model.sentence_index.get(sent.sentence_id) for sent in sentences]
+    if None in sentence_rows:
+        raise ValueError("sentence %r unknown to the model"
+                         % sentences[sentence_rows.index(None)].sentence_id)
+    ctx, targets, counts = _window_rows(model, [sent.tokens for sent in sentences])
+    n_pairs = len(targets)
     if cfg.epochs == 0 or n_pairs == 0:
         return model, []
-    ctx = np.concatenate(ctx)
-    targets = np.concatenate(targets)
-    par_rows = np.concatenate(par_rows)
+    par_rows = np.repeat(np.array(sentence_rows, dtype=np.intp), counts)
 
     word_in, word_out, paragraph = model.word_in, model.word_out, model.paragraph
     rng = np.random.default_rng([cfg.seed, 1])
@@ -269,22 +280,23 @@ def train(model, sentences):
     scores = np.empty((n_pairs, k + 1))
     order = np.arange(n_pairs)
     epoch_losses = []
-    for epoch in range(cfg.epochs):
-        rng.shuffle(order)
-        noise = np.searchsorted(cdf, rng.random((n_pairs, k)), side="right")
-        out_idx = np.concatenate((targets[order, None], noise), axis=1)
-        for b in range(n_batches):
-            lo, hi = b * size, min(n_pairs, (b + 1) * size)
-            lr = cfg.lr_initial + lr_span * ((epoch * n_batches + b) / denom)
-            pick = order[lo:hi]
-            c, rows, out = ctx[pick], par_rows[pick], out_idx[lo:hi]
-            h = (word_in[c].sum(axis=1) + paragraph[rows]) / (n + 1)
-            scores[lo:hi], coef, grad_h = _output_step(word_out[out], h)
-            shared = (lr / (n + 1)) * grad_h
-            scatter_out(out.ravel(), out_col[: out.size], lr * coef.ravel(), h)
-            scatter_in(c.ravel(), ctx_col[: c.size], 1.0, shared)
-            scatter_par(rows, pair_col[: rows.size], 1.0, shared)
-        epoch_losses.append(float(np.logaddexp(0.0, sign * scores).sum()) / n_pairs)
+    with np.errstate(over="ignore"):
+        for epoch in range(cfg.epochs):
+            rng.shuffle(order)
+            noise = np.searchsorted(cdf, rng.random((n_pairs, k)), side="right")
+            out_idx = np.concatenate((targets[order, None], noise), axis=1)
+            for b in range(n_batches):
+                lo, hi = b * size, min(n_pairs, (b + 1) * size)
+                lr = cfg.lr_initial + lr_span * ((epoch * n_batches + b) / denom)
+                pick = order[lo:hi]
+                c, rows, out = ctx[pick], par_rows[pick], out_idx[lo:hi]
+                h = (word_in[c].sum(axis=1) + paragraph[rows]) / (n + 1)
+                scores[lo:hi], coef, grad_h = _output_step(word_out[out], h)
+                shared = (lr / (n + 1)) * grad_h
+                scatter_out(out.ravel(), out_col[: out.size], lr * coef.ravel(), h)
+                scatter_in(c.ravel(), ctx_col[: c.size], 1.0, shared)
+                scatter_par(rows, pair_col[: rows.size], 1.0, shared)
+            epoch_losses.append(float(np.logaddexp(0.0, sign * scores).sum()) / n_pairs)
     return model, epoch_losses
 
 
@@ -294,8 +306,8 @@ def infer_vectors(model, token_seqs, seeds, steps=20, lr=0.025):
     Returns one vector per sentence, or None for a sentence shorter than
     window_n + 2 tokens. Each sentence runs ``steps`` sweeps of SGD over its
     positions, with the step math of ``step_gradients`` (no clipping), and
-    draws its start vector and noise words from its own
-    ``default_rng(seed)`` in the order a one-sentence loop would, so the
+    draws its start vector and then all its sweeps' noise words from its own
+    ``default_rng(seed)``, the stream a one-sentence loop would take, so the
     result does not depend on the batch. The word matrices never change, so
     every (sentence, position) context sum is computed once; the sentences'
     updates at one position run as a few array operations over all of them.
@@ -305,41 +317,61 @@ def infer_vectors(model, token_seqs, seeds, steps=20, lr=0.025):
     if len(token_seqs) != len(seeds):
         raise ValueError("need one seed per sentence")
     out = [None] * len(token_seqs)
-    counts = [len(valid_positions(tokens, n)) for tokens in token_seqs]
-    # Longest first, so the sentences active at position p form a prefix.
-    order = sorted((i for i, c in enumerate(counts) if c > 0), key=lambda i: -counts[i])
+    ctx, targets, counts = _window_rows(model, token_seqs)
+    # Longest first, so the sentences active at position p form a prefix. A
+    # Python sort: numpy's stable sort would page in code nothing else runs.
+    n_rows = counts.tolist()
+    order = sorted((i for i, c in enumerate(n_rows) if c), key=lambda i: -n_rows[i])
     if not order:
         return out
-    rngs = [np.random.default_rng(seeds[i]) for i in order]
-    half = 0.5 / dim
-    vecs = np.array([rng.uniform(-half, half, size=dim) for rng in rngs])
-    n_pos = [counts[i] for i in order]
+    n_pos = counts[order]
     # active[p]: number of sentences with more than p positions
-    active = np.count_nonzero(np.array(n_pos)[:, None] > np.arange(n_pos[0]), axis=0)
+    active = np.count_nonzero(n_pos[:, None] > np.arange(n_pos[0]), axis=0)
+    # Position-major rows: position p is the block of rows block[p] ..
+    # block[p] + active[p] - 1, one per active sentence in ``order``.
+    block = np.cumsum(active) - active
+    pos = np.repeat(np.arange(len(active)), active)
+    rank = np.arange(len(pos)) - block[pos]
+    rows = (np.cumsum(counts) - counts)[order][rank] + pos
+    ctx, targets = ctx[rows], targets[rows]
 
-    ctxsum = np.zeros((len(order), n_pos[0], dim))
-    targets = np.zeros((len(order), n_pos[0]), dtype=np.int64)
-    for s, i in enumerate(order):
-        ctx, tgt = _windows(model, token_seqs[i])
-        ctxsum[s, : n_pos[s]] = model.word_in[ctx].sum(axis=1)
-        targets[s, : n_pos[s]] = tgt
+    # One context column at a time, in the order sum(axis=1) adds them. At
+    # dim 1 that sum runs along the window, pairwise from eight terms on, so
+    # it is taken as it is; its (rows, n, 1) operand is no larger than ctx.
+    if dim == 1:
+        ctxsum = model.word_in[ctx].sum(axis=1)
+    else:
+        ctxsum = model.word_in[ctx[:, 0]]
+        for j in range(1, n):
+            ctxsum += model.word_in[ctx[:, j]]
 
+    # Every sweep's noise words, rows position-major as above: steps x rows x k
+    # entries, so in the smallest integer type that holds a vocabulary index.
     cdf = model.noise_cdf()
-    draws = np.zeros((len(order), n_pos[0], k))
+    noise = np.empty((steps, len(rows), k), dtype=np.min_scalar_type(len(cdf) - 1))
+    vecs = np.empty((len(order), dim))
+    half = 0.5 / dim
+    for s, (i, c) in enumerate(zip(order, n_pos.tolist())):
+        rng = np.random.default_rng(seeds[i])
+        vecs[s] = rng.uniform(-half, half, size=dim)
+        noise[:, block[:c] + s] = np.searchsorted(cdf, rng.random((steps, c, k)), side="right")
+
+    out_idx = np.empty((len(rows), k + 1), dtype=np.intp)
+    out_idx[:, 0] = targets
     u_buf = np.empty((len(order), k + 1, dim))
-    for _ in range(steps):
-        for s, rng in enumerate(rngs):
-            rng.random(out=draws[s, : n_pos[s]])
-        noise = np.searchsorted(cdf, draws, side="right")
-        out_idx = np.concatenate((targets[:, :, None], noise), axis=2)
-        for p, a in enumerate(active):
-            vec = vecs[:a]
-            h = (ctxsum[:a, p] + vec) / (n + 1)
-            # One reused buffer: mode="raise" would copy through a temporary. Every
-            # index is a vocabulary row, as the cdf ends at 1.0.
-            u = np.take(model.word_out, out_idx[:a, p], axis=0, out=u_buf[:a], mode="clip")
-            _, _, grad_h = _output_step(u, h)
-            vec -= lr * (grad_h / (n + 1))
+    blocks = list(zip(block.tolist(), active.tolist()))
+    with np.errstate(over="ignore"):
+        for sweep in noise:
+            out_idx[:, 1:] = sweep
+            for lo, a in blocks:
+                vec = vecs[:a]
+                h = (ctxsum[lo : lo + a] + vec) / (n + 1)
+                # One reused buffer: mode="raise" would copy through a temporary.
+                # Every index is a vocabulary row, as the cdf ends at 1.0.
+                u = np.take(model.word_out, out_idx[lo : lo + a], axis=0, out=u_buf[:a],
+                            mode="clip")
+                _, _, grad_h = _output_step(u, h)
+                vec -= lr * (grad_h / (n + 1))
     for s, i in enumerate(order):
         out[i] = vecs[s]
     return out

@@ -238,6 +238,47 @@ def test_experiment_rejects_unknown_config_keys(pipeline, capsys, tmp_path, conf
     assert_one_error_line(capsys, cli.main(argv), fragment)
 
 
+@pytest.mark.parametrize("config,fragment", [
+    ({"mlp": {"lr": float("nan")}}, "mlp: learning rate must be finite and positive"),
+    ({"mlp": {"l1": float("inf")}}, "mlp: l1 penalty must be finite and non-negative"),
+    ({"pvdm": {"lr_final": -1}}, "pvdm: lr_final must be >= 0"),
+    ({"pvdm": {"lr_initial": float("inf")}}, "pvdm: lr_initial and lr_final must be finite"),
+], ids=["mlp-lr-nan", "mlp-l1-inf", "pvdm-lr-final-negative", "pvdm-lr-initial-inf"])
+def test_experiment_rejects_non_finite_and_negative_rates(pipeline, capsys, tmp_path, config,
+                                                          fragment):
+    # json writes NaN and Infinity, which json.load reads back as floats
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["experiment", "--fused", pipeline["fused"],
+            "--events", os.path.join(pipeline["data"], "events.csv"),
+            "--config", str(cfg_path), "--runs", "1", "--out", str(out)]
+    assert_one_error_line(capsys, cli.main(argv), fragment)
+    assert not out.exists()
+
+
+def test_experiment_prints_zero_vector_fallbacks(pipeline, capsys, tmp_path):
+    # a window longer than every sentence: nothing trains and no held-out
+    # sentence can be inferred, so each takes a zero vector
+    longest = max(len(s.tokens) for s in corpus.read_sentences(pipeline["sentences"]))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "mlp": {"epochs": 1, "hidden_layers": [4]},
+        "pvdm": {"vector_dim": 4, "window_n": longest, "epochs": 1, "min_count": 1}}),
+        encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["experiment", "--fused", pipeline["fused"],
+                   "--events", os.path.join(pipeline["data"], "events.csv"),
+                   "--config", str(cfg_path), "--runs", "1", "--seed", "2",
+                   "--embedding-scope", "train_folds", "--sentences", pipeline["sentences"],
+                   "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert "held-out sentences too short to infer took zero vectors" in printed, printed
+    assert "zero" not in (out / "runs.csv").read_text(encoding="utf-8")
+    assert "zero" not in (out / "summary.json").read_text(encoding="utf-8")
+
+
 def test_embed_rejects_negative_epochs(pipeline, capsys, tmp_path):
     out = tmp_path / "model.npz"
     rc = cli.main(["embed", "--sentences", pipeline["sentences"], "--out", str(out),

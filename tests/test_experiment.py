@@ -1,5 +1,7 @@
 """Experiment protocol tests: seeds, folds, arm isolation, sweeps, outputs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -181,8 +183,8 @@ def test_fold_scoped_vectors_do_not_leak():
     sentences = toy_sentences(table)
     pvdm_overrides = {"vector_dim": 6, "window_n": 2, "epochs": 1, "min_count": 1}
     train_banks = {"b00", "b01", "b02", "b03"}
-    first = experiment.fold_scoped_vectors(sentences, pvdm_overrides, train_banks,
-                                           seed=3)
+    first, _ = experiment.fold_scoped_vectors(sentences, pvdm_overrides, train_banks,
+                                              seed=3)
     assert set(first) == set(table.sentence_ids)
     assert all(v.shape == (6,) for v in first.values())
 
@@ -193,8 +195,8 @@ def test_fold_scoped_vectors_do_not_leak():
                 published_at=s.published_at, tokens=("w00",) * 8)
         for s in sentences
     ]
-    second = experiment.fold_scoped_vectors(altered, pvdm_overrides, train_banks,
-                                            seed=3)
+    second, _ = experiment.fold_scoped_vectors(altered, pvdm_overrides, train_banks,
+                                               seed=3)
     for s in sentences:
         if s.bank_id in train_banks:
             np.testing.assert_array_equal(first[s.sentence_id], second[s.sentence_id])
@@ -213,8 +215,9 @@ def test_fold_scoped_vectors_infer_held_out_and_fall_back_to_zero():
         published_at=sentences[short].published_at, tokens=("w01", "w02", "w03"))
     overrides = {"vector_dim": 6, "window_n": 2, "epochs": 1, "min_count": 1}
     train_banks = {"b00", "b01", "b02", "b03"}
-    vectors = experiment.fold_scoped_vectors(sentences, overrides, train_banks,
-                                             seed=3)
+    vectors, zero_vectors = experiment.fold_scoped_vectors(sentences, overrides, train_banks,
+                                                           seed=3)
+    assert zero_vectors == 1
 
     train_sents = [s for s in sentences if s.bank_id in train_banks]
     cfg = pvdm.PvdmConfig(vector_dim=6, window_n=2, epochs=1, seed=3)
@@ -243,6 +246,19 @@ def test_run_once_train_folds_embedding_scope():
     a = run_once(table, events, cfg, run_seed=17, sentences=sentences)
     b = run_once(table, events, cfg, run_seed=17, sentences=sentences)
     assert a.test == b.test
+    assert a.zero_vectors == 0
+
+    # every sentence of bank b05 too short to infer: each falls back to a zero
+    # vector when b05 is held out, and none does when it trains
+    short = [s if s.bank_id != "b05" else replace(s, tokens=s.tokens[:3]) for s in sentences]
+    n_short = sum(s.bank_id == "b05" for s in sentences)
+    seen = set()
+    for seed in (17, 20, 22, 23):
+        r = run_once(table, events, cfg, run_seed=seed, sentences=short)
+        held_out = r.fold_of["b05"] not in TRAIN_FOLDS
+        assert r.zero_vectors == (n_short if held_out else 0)
+        seen.add(held_out)
+    assert seen == {True, False}
     with pytest.raises(ValueError, match="raw sentences"):
         run_once(table, events, cfg, run_seed=17)
     with pytest.raises(ValueError, match="embedding_scope"):

@@ -53,6 +53,19 @@ def test_config_validation():
         MlpConfig(input_dim=4, batch_size=0)
 
 
+@pytest.mark.parametrize("field,value,fragment", [
+    ("lr", float("nan"), "learning rate"),
+    ("lr", float("inf"), "learning rate"),
+    ("lr", -0.1, "learning rate"),
+    ("l1", float("nan"), "l1 penalty"),
+    ("l1", float("inf"), "l1 penalty"),
+])
+def test_config_rejects_non_finite_and_negative_rates(field, value, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        MlpConfig(input_dim=4, **{field: value})
+    assert MlpConfig(input_dim=4, l1=0.0).l1 == 0.0
+
+
 def test_init_shapes_bounds_determinism():
     model = toy_model(hidden=(4, 3))
     shapes = [w.shape for w in model.weights]

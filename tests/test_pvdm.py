@@ -91,6 +91,20 @@ def test_config_validation():
     assert PvdmConfig(epochs=0).epochs == 0
 
 
+@pytest.mark.parametrize("rates,fragment", [
+    ({"lr_initial": float("inf")}, "must be finite"),
+    ({"lr_initial": float("nan")}, "must be finite"),
+    ({"lr_final": float("nan")}, "must be finite"),
+    ({"lr_initial": float("inf"), "lr_final": float("inf")}, "must be finite"),
+    ({"lr_final": -1.0}, "lr_final must be >= 0"),
+    ({"lr_initial": 0.0, "lr_final": 0.0}, "below lr_initial"),
+])
+def test_config_rejects_non_finite_and_negative_rates(rates, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        PvdmConfig(**rates)
+    assert PvdmConfig(lr_final=0.0).lr_final == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Loss and gradients
 
@@ -178,6 +192,28 @@ def test_position_bounds():
         step_loss(model, tokens, len(tokens) - 3, np.array([1]), paragraph_row=0)
     with pytest.raises(IndexError):
         step_loss(model, tokens, -1, np.array([1]), paragraph_row=0)
+
+
+def test_window_rows_match_context_target():
+    model, _ = randomized_model(window=3)
+    n = model.config.window_n
+    seqs = [
+        (),
+        ("w03",) * (n + 1),                                 # one token short
+        ("w05", "w06", "w07", "w08", "w09"),                # exactly window_n + 2
+        ("w02", "zzz", "w02", "yyy", "w02", "w04", "zzz"),  # unknown and repeated words
+        ("w11", "w11", "w11", "w12", "w13", "w11", "w11", "w14"),
+        ("w01",),
+    ]
+    ctx, targets, counts = pvdm._window_rows(model, seqs)
+    assert counts.tolist() == [len(valid_positions(t, n)) for t in seqs] == [0, 0, 1, 3, 4, 0]
+    want = [pvdm._context_target(model, t, p) for t in seqs for p in valid_positions(t, n)]
+    assert ctx.shape == (len(want), n) and targets.shape == (len(want),)
+    for c, t, (want_c, want_t) in zip(ctx, targets, want):
+        np.testing.assert_array_equal(c, want_c)
+        assert t == want_t
+    ctx, targets, counts = pvdm._window_rows(model, [])
+    assert ctx.shape == (0, n) and targets.shape == (0,) and counts.shape == (0,)
 
 
 def test_valid_positions():
@@ -311,6 +347,23 @@ def test_train_stays_finite_when_sigma_saturates():
         assert np.isfinite(getattr(model, name)).all()
 
 
+def test_train_and_infer_restore_the_error_state():
+    # saturated scores overflow exp(-x); the calls ignore that inside and
+    # leave the caller's own setting (here: raise) as they found it
+    sents, vocab = toy_corpus(n_sentences=12, n_words=6, length=7, seed=3)
+    cfg = PvdmConfig(vector_dim=5, window_n=3, negative_samples=3, epochs=2, seed=2)
+    model = init_model(vocab, sents, cfg)
+    model.word_out[:] = np.random.default_rng(0).choice((-1.0, 1.0), size=model.word_out.shape) * 1e4
+    model.word_in[:] = model.paragraph[:] = 1.0
+    with np.errstate(over="raise"):
+        before = np.geterr()
+        model, _ = train(model, sents)
+        assert np.geterr() == before
+        (vec,) = infer_vectors(model, [sents[0].tokens], [1], steps=3)
+        assert np.geterr() == before
+    assert np.isfinite(vec).all()
+
+
 def test_train_skips_short_sentences():
     sents, vocab = toy_corpus(n_sentences=5, length=10, seed=1)
     short = make_sentence("short", ("w01", "w02"))
@@ -412,6 +465,27 @@ def test_infer_vectors_match_per_sentence_reference():
     assert infer_vectors(model, [], []) == []
     with pytest.raises(ValueError, match="one seed per sentence"):
         infer_vectors(model, batch, seeds[:2])
+
+
+@pytest.mark.parametrize("dim,window", [(8, 3), (1, 9)], ids=["dim8", "dim1-window9"])
+def test_infer_vectors_batch_equals_each_sentence_alone(dim, window):
+    # mixed lengths: the batch runs position-major over the longest-first
+    # sentences, and each sentence draws all its sweeps' noise in one call
+    model, _ = randomized_model(dim=dim, window=window, n_words=20)
+    rng = np.random.default_rng(4)
+    words = ["w%02d" % i for i in range(20)] + ["zzz"]
+    batch = [tuple(rng.choice(words, size=size)) for size in (0, 25, window + 2, 3, 14, 25,
+                                                               window + 1, 19, window + 3)]
+    seeds = list(range(30, 30 + len(batch)))
+    got = infer_vectors(model, batch, seeds, steps=4, lr=0.05)
+    assert sum(v is None for v in got) == 3
+    for tokens, seed, vec in zip(batch, seeds, got):
+        (alone,) = infer_vectors(model, [tokens], [seed], steps=4, lr=0.05)
+        if alone is None:
+            assert vec is None
+        else:
+            np.testing.assert_array_equal(vec, alone)
+    assert_matches_reference(model, batch, seeds, got, steps=4, lr=0.05)
 
 
 def test_infer_vector_wraps_infer_vectors():
