@@ -335,15 +335,10 @@ def infer_vectors(model, token_seqs, seeds, steps=20, lr=0.025):
     rows = (np.cumsum(counts) - counts)[order][rank] + pos
     ctx, targets = ctx[rows], targets[rows]
 
-    # One context column at a time, in the order sum(axis=1) adds them. At
-    # dim 1 that sum runs along the window, pairwise from eight terms on, so
-    # it is taken as it is; its (rows, n, 1) operand is no larger than ctx.
-    if dim == 1:
-        ctxsum = model.word_in[ctx].sum(axis=1)
-    else:
-        ctxsum = model.word_in[ctx[:, 0]]
-        for j in range(1, n):
-            ctxsum += model.word_in[ctx[:, j]]
+    # One context column at a time, in the order sum(axis=1) adds them.
+    ctxsum = model.word_in[ctx[:, 0]]
+    for j in range(1, n):
+        ctxsum += model.word_in[ctx[:, j]]
 
     # Every sweep's noise words, rows position-major as above: steps x rows x k
     # entries, so in the smallest integer type that holds a vocabulary index.
