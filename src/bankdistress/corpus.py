@@ -2,6 +2,7 @@
 
 import functools
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -277,6 +278,34 @@ def read_jsonl(path, parse):
             except (ValueError, TypeError, AttributeError) as exc:
                 raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
     return out
+
+
+def finite_vector(values, name, widths=None):
+    """``values``, a JSON list of numbers, as a float array.
+
+    Anything else raises ValueError naming ``name``: a value that is not a
+    list, an entry that is not an int or a float (a bool, string, null or
+    list), or an entry that is NaN or infinite. With a dict ``widths`` (one
+    per file), the first vector called ``name`` sets the length of every
+    later one.
+    """
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise ValueError("%s must be a list of numbers" % name)
+    vec = np.array(values, dtype=float)
+    if not np.isfinite(vec).all():
+        raise ValueError("%s holds a NaN or infinite entry" % name)
+    if widths is not None:
+        width = widths.setdefault(name, len(vec))
+        if len(vec) != width:
+            raise ValueError("%s has %d entries where the first row has %d"
+                             % (name, len(vec), width))
+    return vec
+
+
+def require_int(name, value):
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
 def read_articles(path):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 import numpy as np
 
 from . import evaluation, neural, pvdm
-from .corpus import build_vocabulary
+from .corpus import build_vocabulary, require_int
 from .fusion import (
     ARMS,
     apply_normalization,
@@ -50,6 +50,8 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("runs", "folds", "master_seed"):
+            require_int(name, getattr(self, name))
         if self.arm not in ARMS:
             raise ValueError("unknown arm %r" % self.arm)
         if self.runs < 1:

@@ -8,7 +8,7 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import read_jsonl
+from .corpus import finite_vector, read_jsonl
 
 NUMERIC_DIM = 12
 
@@ -336,15 +336,27 @@ def write_sample_table(table, path):
     return stats
 
 
-def _parse_sample(row):
+def _parse_sample(row, widths):
     year, month = row["month"].split("-")
+    label = row["label"]
+    if type(label) is not int or label not in (0, 1):
+        raise ValueError("label must be the integer 0 or 1, got %r" % (label,))
+    inputs = finite_vector(row["input"], "input", widths)
+    if len(inputs) <= NUMERIC_DIM:
+        raise ValueError("input has %d entries, fewer than the %d indicators plus a "
+                         "semantic vector" % (len(inputs), NUMERIC_DIM))
+    numeric_raw = finite_vector(row["numeric_raw"], "numeric_raw")
+    if len(numeric_raw) != NUMERIC_DIM:
+        raise ValueError("numeric_raw has %d entries, expected %d"
+                         % (len(numeric_raw), NUMERIC_DIM))
     return (row["sentence_id"], row["bank_id"], (int(year), int(month)),
-            np.array(row["input"][: -NUMERIC_DIM], dtype=float),
-            np.array(row["numeric_raw"], dtype=float), int(row["label"]))
+            inputs[:-NUMERIC_DIM], numeric_raw, label)
 
 
 def read_sample_table(path):
-    rows = read_jsonl(path, _parse_sample)
+    """Read a fused dataset; a malformed row raises ValueError naming path:line."""
+    widths = {}
+    rows = read_jsonl(path, lambda row: _parse_sample(row, widths))
     if not rows:
         raise ValueError("empty fused dataset %s" % path)
     sids, bids, months, sem, num, labels = zip(*rows)

@@ -1,9 +1,11 @@
 """Feed-forward softmax classifier trained with Nesterov accelerated gradient."""
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .corpus import require_int
 
 
 @dataclass
@@ -20,7 +22,14 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("input_dim", "output_dim", "epochs", "batch_size", "seed"):
+            require_int(name, getattr(self, name))
+        if not isinstance(self.hidden_layers, (list, tuple)):
+            raise ValueError("hidden_layers must be a list of layer widths, got %r"
+                             % (self.hidden_layers,))
         self.hidden_layers = tuple(self.hidden_layers)
+        for width in self.hidden_layers:
+            require_int("hidden_layers entry", width)
         if self.input_dim < 1 or self.output_dim < 1 or any(h < 1 for h in self.hidden_layers):
             raise ValueError("layer widths must be positive")
         if not (np.isfinite(self.lr) and self.lr > 0):
@@ -35,31 +44,96 @@ class MlpConfig:
             raise ValueError("epochs/batch_size out of range")
 
 
+def _layer_dims(config):
+    return (config.input_dim,) + config.hidden_layers + (config.output_dim,)
+
+
+def _layer_views(flat, config):
+    """Per-layer (weights, biases) views of a flat buffer that holds every
+    weight matrix in layer order, then every bias vector."""
+    dims = _layer_dims(config)
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+        start += fan_in * fan_out
+    for fan_out in dims[1:]:
+        biases.append(flat[start : start + fan_out])
+        start += fan_out
+    return weights, biases
+
+
+def _buffer_sizes(config):
+    """(weight entries, all entries) of the flat parameter layout."""
+    dims = _layer_dims(config)
+    n_weights = sum(a * b for a, b in zip(dims[:-1], dims[1:]))
+    return n_weights, n_weights + sum(dims[1:])
+
+
 @dataclass
 class MlpModel:
-    weights: list
-    biases: list
-    vel_w: list
-    vel_b: list
+    """Classifier parameters and Nesterov velocities in two flat buffers.
+
+    ``params`` holds every weight matrix in layer order, then every bias;
+    ``velocity`` has the same layout. ``weights``, ``biases``, ``vel_w`` and
+    ``vel_b`` are per-layer views into them, so writing into a list entry
+    writes the buffer; an array assigned over an entry is no longer part of
+    the model's parameters.
+    """
+
     config: MlpConfig
+    params: np.ndarray
+    velocity: np.ndarray
+    weights: list = field(init=False)
+    biases: list = field(init=False)
+    vel_w: list = field(init=False)
+    vel_b: list = field(init=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = _layer_views(self.params, self.config)
+        self.vel_w, self.vel_b = _layer_views(self.velocity, self.config)
+
+    def __deepcopy__(self, memo):
+        # A plain deepcopy would copy each view on its own, off the buffer.
+        # The copy holds what the lists hold, in buffers of its own.
+        new = MlpModel(copy.deepcopy(self.config, memo), np.empty_like(self.params),
+                       np.empty_like(self.velocity))
+        for name in ("weights", "biases", "vel_w", "vel_b"):
+            for dst, src in zip(getattr(new, name), getattr(self, name), strict=True):
+                dst[...] = src
+        return new
 
 
 def init_model(config):
     """Seeded uniform init scaled by 1/sqrt(fan_in); zero biases and velocities."""
     rng = np.random.default_rng(config.seed)
-    dims = (config.input_dim,) + config.hidden_layers + (config.output_dim,)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(
-        weights=weights,
-        biases=biases,
-        vel_w=[np.zeros_like(w) for w in weights],
-        vel_b=[np.zeros_like(b) for b in biases],
-        config=config,
-    )
+    _, size = _buffer_sizes(config)
+    model = MlpModel(config, np.zeros(size), np.zeros(size))
+    for w in model.weights:
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return model
+
+
+class _Workspace:
+    """Buffers one ``train`` call reuses at every step.
+
+    ``ahead`` (the lookahead point) and ``grad`` share the model's flat
+    layout, with per-layer views and a view of each one's weight region;
+    ``scratch`` spans a weight region and takes l1 * sign(w). ``rows``
+    indexes minibatch rows. ``masks`` holds the current minibatch's dropout
+    masks, one per hidden layer, or None to draw them from the step's rng.
+    """
+
+    def __init__(self, config, batch_rows):
+        n_weights, size = _buffer_sizes(config)
+        self.ahead, self.grad = np.empty(size), np.empty(size)
+        self.ahead_w, self.ahead_b = _layer_views(self.ahead, config)
+        self.grad_w, self.grad_b = _layer_views(self.grad, config)
+        self.ahead_region = self.ahead[:n_weights]
+        self.grad_region = self.grad[:n_weights]
+        self.scratch = np.empty(n_weights)
+        self.rows = np.arange(batch_rows)
+        self.masks = None
 
 
 def _softmax(logits):
@@ -70,11 +144,20 @@ def _softmax(logits):
     return logits
 
 
-def _forward_cached(weights, biases, config, x, mode, rng):
+def _keep_scaled(u, p):
+    """Inverted-dropout mask (u >= p) / (1 - p), written into the uniforms ``u``."""
+    np.greater_equal(u, p, out=u)
+    u /= 1.0 - p
+    return u
+
+
+def _forward_cached(weights, biases, config, x, mode, rng, drawn=None):
     """Forward pass keeping activations and dropout masks for backprop.
 
     Every layer's output is a fresh matmul result that the bias add, ReLU,
     dropout scaling and softmax then update in place; ``x`` is never written.
+    In train mode the dropout masks come from ``drawn`` (one per hidden
+    layer) if given, else from ``rng``.
     """
     h = x
     activations = [h]
@@ -85,10 +168,10 @@ def _forward_cached(weights, biases, config, x, mode, rng):
         h += biases[layer]
         np.maximum(h, 0.0, out=h)
         if mode == "train" and config.dropout_p > 0.0:
-            # (u >= p) / keep, written into the uniform draws themselves
-            mask = rng.random(h.shape)
-            np.greater_equal(mask, config.dropout_p, out=mask)
-            mask /= 1.0 - config.dropout_p
+            if drawn is None:
+                mask = _keep_scaled(rng.random(h.shape), config.dropout_p)
+            else:
+                mask = drawn[layer]
             h *= mask
         else:
             mask = None
@@ -130,79 +213,93 @@ def loss(model, x, y, weights=None, biases=None):
     return nll + penalty
 
 
-def gradients(model, x, y, rng=None, weights=None, biases=None):
+def gradients(model, x, y, rng=None, weights=None, biases=None, workspace=None):
     """Backprop gradients of the regularized loss.
 
     The L1 subgradient uses sign(w) with sign(0) = 0 and never touches
-    biases. Returns (loss value, weight grads, bias grads); the gradient
-    arrays are fresh, so a caller may update them in place.
+    biases. Returns (loss value, weight grads, bias grads). The point is
+    ``weights``/``biases`` (default: the model's) unless a ``workspace`` is
+    given: then it is the workspace's lookahead buffer, the gradients are
+    written into its gradient buffer and the lists returned are views of
+    it. Without a workspace the gradient arrays are fresh, so a caller may
+    update them in place.
     """
-    weights = model.weights if weights is None else weights
-    biases = model.biases if biases is None else biases
     cfg = model.config
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=np.int64)
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty batch")
+    if workspace is None:
+        workspace = _Workspace(cfg, n)
+        for dst, src in zip(workspace.ahead_w + workspace.ahead_b,
+                            (model.weights if weights is None else weights)
+                            + (model.biases if biases is None else biases)):
+            dst[...] = src
+    weights, biases = workspace.ahead_w, workspace.ahead_b
     mode = "train" if cfg.dropout_p > 0.0 else "infer"
-    probs, activations, masks = _forward_cached(weights, biases, cfg, x, mode, rng)
+    probs, activations, masks = _forward_cached(weights, biases, cfg, x, mode, rng,
+                                                workspace.masks)
 
-    rows = np.arange(n)
+    rows = workspace.rows[:n]
     picked = probs[rows, y]
     np.maximum(picked, 1e-300, out=picked)
     np.log(picked, out=picked)
     nll = -(np.add.reduce(picked) / n)
-    # |w| per layer; the same buffers later hold l1 * sign(w)
-    scratch = [np.abs(w) for w in weights]
-    value = nll + cfg.l1 * sum(a.sum() for a in scratch)
+    # |w| summed per layer, in the gradient buffer before backprop fills it
+    np.abs(workspace.ahead_region, out=workspace.grad_region)
+    value = nll + cfg.l1 * sum(a.sum() for a in workspace.grad_w)
 
     delta = probs
     delta[rows, y] -= 1.0
     delta /= n
 
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(biases)
     for layer in range(len(weights) - 1, -1, -1):
-        grad = activations[layer].T @ delta
-        penalty = np.sign(weights[layer], out=scratch[layer])
-        penalty *= cfg.l1
-        grad += penalty
-        grads_w[layer] = grad
-        grads_b[layer] = delta.sum(axis=0)
+        np.matmul(activations[layer].T, delta, out=workspace.grad_w[layer])
+        np.add.reduce(delta, axis=0, out=workspace.grad_b[layer])
         if layer > 0:
             delta = delta @ weights[layer].T
             if masks[layer - 1] is not None:
                 delta *= masks[layer - 1]
             np.putmask(delta, activations[layer] <= 0.0, 0.0)
-    return value, grads_w, grads_b
-
-
-def _lookahead_buffers(model):
-    return ([np.empty_like(w) for w in model.weights],
-            [np.empty_like(b) for b in model.biases])
+    # into a buffer of its own: np.sign is several times slower in place
+    penalty = np.sign(workspace.ahead_region, out=workspace.scratch)
+    penalty *= cfg.l1
+    workspace.grad_region += penalty
+    return value, workspace.grad_w, workspace.grad_b
 
 
 def nesterov_step(model, x, y, lr, rng=None, ahead=None):
     """One Nesterov update: gradient at the lookahead point, then velocity step.
 
-    ``ahead`` is a (weights, biases) pair of arrays shaped like the model's
-    that receive the lookahead point w + momentum * v; ``train`` passes the
-    same pair to every step. Velocities and parameters are updated in place.
+    ``ahead`` is the workspace ``train`` builds once and passes to every
+    step: the lookahead point w + momentum * v and the gradients in the
+    model's flat layout, L1 scratch, row indices and the minibatch's
+    dropout masks. With it the lookahead is two whole-buffer operations and
+    the update four. Without it the lookahead goes into a fresh buffer,
+    ``gradients`` gets its per-layer views as ``weights=`` and ``biases=``,
+    and the update uses the arrays it returns. Velocities and parameters
+    are updated in place.
     """
     gamma = model.config.momentum
-    params = model.weights + model.biases
-    velocities = model.vel_w + model.vel_b
-    ahead_w, ahead_b = _lookahead_buffers(model) if ahead is None else ahead
-    for point, p, v in zip(ahead_w + ahead_b, params, velocities):
-        np.multiply(v, gamma, out=point)
-        point += p
-    value, grads_w, grads_b = gradients(model, x, y, rng=rng, weights=ahead_w, biases=ahead_b)
-    for p, v, g in zip(params, velocities, grads_w + grads_b):
-        v *= gamma
-        g *= lr
-        v -= g
-        p += v
+    if ahead is None:
+        point = np.multiply(model.velocity, gamma)
+        point += model.params
+        ahead_w, ahead_b = _layer_views(point, model.config)
+        value, grads_w, grads_b = gradients(model, x, y, rng=rng, weights=ahead_w,
+                                            biases=ahead_b)
+        model.velocity *= gamma
+        for v, g in zip(model.vel_w + model.vel_b, grads_w + grads_b):
+            g *= lr
+            v -= g
+    else:
+        np.multiply(model.velocity, gamma, out=ahead.ahead)
+        ahead.ahead += model.params
+        value, _, _ = gradients(model, x, y, rng=rng, workspace=ahead)
+        model.velocity *= gamma
+        ahead.grad *= lr
+        model.velocity -= ahead.grad
+    model.params += model.velocity
     return value
 
 
@@ -214,44 +311,84 @@ def train(model, x_train, y_train, eval_hook=None):
     model is returned. The training curve rows are
     (epoch, mean step loss, validation score or nan).
     """
-    x_train = np.asarray(x_train, dtype=float)
-    y_train = np.asarray(y_train, dtype=np.int64)
-    if len(x_train) == 0:
-        raise ValueError("empty training set")
     cfg = model.config
+    x_train = np.asarray(x_train, dtype=float)
+    y_train = np.asarray(y_train)
+    if x_train.ndim != 2 or x_train.shape[1] != cfg.input_dim:
+        raise ValueError("x_train must be 2-D with %d columns, got shape %s"
+                         % (cfg.input_dim, x_train.shape))
+    n = len(x_train)
+    if n == 0:
+        raise ValueError("empty training set")
+    if y_train.shape != (n,):
+        raise ValueError("y_train must hold one label per row: shape %s for %d rows"
+                         % (y_train.shape, n))
+    if (y_train.dtype.kind not in "iu" or y_train.min() < 0
+            or y_train.max() >= cfg.output_dim):
+        raise ValueError("labels must be integers in [0, %d)" % cfg.output_dim)
+    y_train = y_train.astype(np.int64, copy=False)
+    curve, best_params = _epochs(model, x_train, y_train, eval_hook)
+    if best_params is None:
+        return model, curve
+    # The epoch loop's buffers are freed by now; the best model takes the
+    # snapshot as its parameters and a copy of the final velocities.
+    return MlpModel(copy.deepcopy(cfg), best_params, model.velocity.copy()), curve
+
+
+def _epochs(model, x_train, y_train, eval_hook):
+    """``train``'s epoch loop on checked arrays.
+
+    Returns the curve and the parameters of the best-scoring epoch (None
+    without a hook or without epochs).
+    """
+    cfg = model.config
+    n = len(x_train)
     rng = np.random.default_rng([cfg.seed, 2])
-    order = np.arange(len(x_train))
+    order = np.arange(n)
+    starts = range(0, n, cfg.batch_size)
     # Each minibatch is gathered into the front of these buffers.
-    size = min(cfg.batch_size, len(x_train))
-    batch_x = np.empty((size,) + x_train.shape[1:])
+    size = min(cfg.batch_size, n)
+    batch_x = np.empty((size, cfg.input_dim))
     batch_y = np.empty(size, dtype=np.int64)
-    ahead = _lookahead_buffers(model)
+    workspace = _Workspace(cfg, size)
+    # An epoch's dropout uniforms come from one draw after its shuffle: per
+    # minibatch in turn, a (rows, width) block per hidden layer, which is the
+    # stream that one draw per layer and step would take.
+    drops = None
+    if cfg.dropout_p > 0.0 and cfg.hidden_layers:
+        drops = np.empty(n * sum(cfg.hidden_layers))
+        batch_masks = []
+        offset = 0
+        for start in starts:
+            rows = min(cfg.batch_size, n - start)
+            batch_masks.append([])
+            for width in cfg.hidden_layers:
+                batch_masks[-1].append(drops[offset : offset + rows * width].reshape(rows, width))
+                offset += rows * width
     curve = []
     best_score = None
-    best_params = None
+    # overwritten in place, so one snapshot is alive at a time
+    snapshot = None if eval_hook is None else np.empty_like(model.params)
     for epoch in range(cfg.epochs):
         rng.shuffle(order)
+        if drops is not None:
+            _keep_scaled(rng.random(out=drops), cfg.dropout_p)
         losses = []
-        for start in range(0, len(order), cfg.batch_size):
+        for i, start in enumerate(starts):
+            if drops is not None:
+                workspace.masks = batch_masks[i]
             batch = order[start : start + cfg.batch_size]
             x = np.take(x_train, batch, axis=0, out=batch_x[: len(batch)], mode="clip")
             y = np.take(y_train, batch, out=batch_y[: len(batch)], mode="clip")
-            losses.append(nesterov_step(model, x, y, cfg.lr, rng=rng, ahead=ahead))
+            losses.append(nesterov_step(model, x, y, cfg.lr, rng=rng, ahead=workspace))
         score = float("nan")
         if eval_hook is not None:
             score = eval_hook(model)
             if best_score is None or score > best_score:
                 best_score = score
-                best_params = (
-                    [w.copy() for w in model.weights],
-                    [b.copy() for b in model.biases],
-                )
+                snapshot[...] = model.params
         curve.append((epoch, float(np.mean(losses)), score))
-    if best_params is not None:
-        best = copy.deepcopy(model)
-        best.weights, best.biases = best_params
-        return best, curve
-    return model, curve
+    return curve, None if best_score is None else snapshot
 
 
 def predict(model, inputs):

@@ -6,7 +6,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import Vocabulary, read_jsonl
+from .corpus import Vocabulary, finite_vector, read_jsonl, require_int
 
 MODEL_FORMAT = "pvdm-v1"
 BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
@@ -24,6 +24,9 @@ class PvdmConfig:
     min_count: int = 5  # rarer tokens pool into <unk> (build_vocabulary)
 
     def __post_init__(self):
+        for name in ("vector_dim", "window_n", "negative_samples", "epochs", "seed",
+                     "min_count"):
+            require_int(name, getattr(self, name))
         if self.vector_dim < 1:
             raise ValueError("vector_dim must be >= 1")
         if self.window_n < 1:
@@ -444,6 +447,8 @@ def export_vectors(model, path):
 
 
 def read_vectors(path):
-    """Load an export back into a sentence_id -> vector map."""
+    """Load an export back into a sentence_id -> vector map; a malformed row
+    raises ValueError naming path:line."""
+    widths = {}
     return dict(read_jsonl(
-        path, lambda row: (row["sentence_id"], np.array(row["values"], dtype=float))))
+        path, lambda row: (row["sentence_id"], finite_vector(row["values"], "values", widths))))

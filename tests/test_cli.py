@@ -257,6 +257,26 @@ def test_experiment_rejects_non_finite_and_negative_rates(pipeline, capsys, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config,fragment", [
+    ({"mlp": {"epochs": 2.5}}, "mlp: epochs must be an integer, got 2.5"),
+    ({"mlp": {"hidden_layers": [8.5]}}, "mlp: hidden_layers entry must be an integer, got 8.5"),
+    ({"mlp": {"batch_size": True}}, "mlp: batch_size must be an integer, got True"),
+    ({"pvdm": {"window_n": 2.0}}, "pvdm: window_n must be an integer, got 2.0"),
+    ({"folds": 5.0}, "folds must be an integer, got 5.0"),
+], ids=["mlp-epochs-fraction", "mlp-hidden-fraction", "mlp-batch-size-bool",
+        "pvdm-window-float", "folds-float"])
+def test_experiment_rejects_non_integer_config_fields(pipeline, capsys, tmp_path, config,
+                                                      fragment):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["experiment", "--fused", pipeline["fused"],
+            "--events", os.path.join(pipeline["data"], "events.csv"),
+            "--config", str(cfg_path), "--runs", "1", "--out", str(out)]
+    assert_one_error_line(capsys, cli.main(argv), fragment)
+    assert not out.exists()
+
+
 def test_experiment_prints_zero_vector_fallbacks(pipeline, capsys, tmp_path):
     # a window longer than every sentence: nothing trains and no held-out
     # sentence can be inferred, so each takes a zero vector
@@ -308,9 +328,33 @@ def replace_line(src, dst, line_no, text):
     ("articles", '"just a string"', "expected a JSON object, got str"),
     ("fused", '{"sentence_id": "x"}', "missing key 'month'"),
     ("fused", '{"month": 7}', "'int' object has no attribute"),
+    # the cases below edit the file's own second row
+    ("fused", lambda row: dict(row, label=2), "label must be the integer 0 or 1, got 2"),
+    ("fused", lambda row: dict(row, label=-1), "label must be the integer 0 or 1, got -1"),
+    ("fused", lambda row: dict(row, label=1.7), "label must be the integer 0 or 1, got 1.7"),
+    ("fused", lambda row: dict(row, label=True), "label must be the integer 0 or 1, got True"),
+    ("fused", lambda row: dict(row, input=[float("nan")] + row["input"][1:]),
+     "input holds a NaN or infinite entry"),
+    ("fused", lambda row: dict(row, input=["0.5"] + row["input"][1:]),
+     "input must be a list of numbers"),
+    ("fused", lambda row: dict(row, input=row["input"][:-1]),
+     "input has 27 entries where the first row has 28"),
+    ("fused", lambda row: dict(row, numeric_raw=row["numeric_raw"][:11]),
+     "numeric_raw has 11 entries, expected 12"),
+    ("fused", lambda row: dict(row, numeric_raw=[float("inf")] + row["numeric_raw"][1:]),
+     "numeric_raw holds a NaN or infinite entry"),
+    ("vectors", lambda row: dict(row, values=row["values"][:-1]),
+     "values has 15 entries where the first row has 16"),
+    ("vectors", lambda row: dict(row, values=[None] + row["values"][1:]),
+     "values must be a list of numbers"),
+    ("vectors", lambda row: dict(row, values=[float("-inf")] + row["values"][1:]),
+     "values holds a NaN or infinite entry"),
 ], ids=["events-short-row", "events-bad-date", "vectors-array", "sentences-array",
         "sentences-missing-key", "sentences-string-tokens", "articles-string",
-        "fused-missing-key", "fused-bad-type"])
+        "fused-missing-key", "fused-bad-type", "fused-label-2", "fused-label-negative",
+        "fused-label-fraction", "fused-label-bool", "fused-input-nan", "fused-input-string",
+        "fused-input-short", "fused-numeric-raw-short", "fused-numeric-raw-inf",
+        "vectors-short", "vectors-null", "vectors-inf"])
 def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, text, fragment):
     data = pipeline["data"]
     inputs = {
@@ -320,6 +364,9 @@ def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, t
         "articles": os.path.join(data, "articles.jsonl"),
         "fused": pipeline["fused"],
     }
+    if callable(text):
+        with open(inputs[reader], encoding="utf-8") as fh:
+            text = json.dumps(text(json.loads(fh.read().splitlines()[1])))
     inputs[reader] = bad = replace_line(inputs[reader], tmp_path / reader, 2, text)
     out = str(tmp_path / "out.jsonl")
     if reader == "articles":

@@ -1,5 +1,6 @@
 """Alignment, labeling, normalization, folds and fused-dataset format tests."""
 
+import json
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -272,4 +273,44 @@ def test_read_sample_table_rejects_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
     with pytest.raises(ValueError):
+        read_sample_table(str(path))
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda row: dict(row, label=2), "label must be the integer 0 or 1, got 2"),
+    (lambda row: dict(row, label=-1), "label must be the integer 0 or 1, got -1"),
+    (lambda row: dict(row, label=1.7), "label must be the integer 0 or 1, got 1.7"),
+    (lambda row: dict(row, label=False), "label must be the integer 0 or 1, got False"),
+    (lambda row: dict(row, input=row["input"][:2] + [float("nan")] + row["input"][3:]),
+     "input holds a NaN or infinite entry"),
+    (lambda row: dict(row, input=row["input"][:-1] + [True]), "input must be a list of numbers"),
+    (lambda row: dict(row, input="0.5"), "input must be a list of numbers"),
+    (lambda row: dict(row, input=row["input"] + [0.0]),
+     "input has 19 entries where the first row has 18"),
+    (lambda row: dict(row, numeric_raw=row["numeric_raw"] + [1.0]),
+     "numeric_raw has 13 entries, expected 12"),
+    (lambda row: dict(row, numeric_raw=row["numeric_raw"][:5] + ["x"]),
+     "numeric_raw must be a list of numbers"),
+], ids=["label-2", "label-negative", "label-fraction", "label-bool", "input-nan",
+        "input-bool-entry", "input-string", "input-long", "numeric-raw-long",
+        "numeric-raw-string"])
+def test_read_sample_table_rejects_malformed_rows(tmp_path, edit, fragment):
+    sents, vectors, recs, events = small_dataset()
+    table, _ = build_sample_table(sents, vectors, recs, events)
+    path = tmp_path / "fused.jsonl"
+    write_sample_table(table, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = json.dumps(edit(json.loads(lines[2])))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"fused\.jsonl:3: ") as info:
+        read_sample_table(str(path))
+    assert fragment in str(info.value)
+
+
+def test_read_sample_table_rejects_inputs_without_a_semantic_part(tmp_path):
+    path = tmp_path / "fused.jsonl"
+    row = {"sentence_id": "s", "bank_id": "a", "month": "2010-01", "label": 0,
+           "input": [0.0] * NUMERIC_DIM, "numeric_raw": [0.0] * NUMERIC_DIM}
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"fused\.jsonl:1: input has 12 entries"):
         read_sample_table(str(path))

@@ -66,6 +66,25 @@ def test_config_rejects_non_finite_and_negative_rates(field, value, fragment):
     assert MlpConfig(input_dim=4, l1=0.0).l1 == 0.0
 
 
+@pytest.mark.parametrize("field,value,fragment", [
+    ("input_dim", 6.0, "input_dim must be an integer, got 6.0"),
+    ("output_dim", True, "output_dim must be an integer, got True"),
+    ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+    ("batch_size", True, "batch_size must be an integer, got True"),
+    ("seed", "3", "seed must be an integer, got '3'"),
+    ("hidden_layers", (8.5,), "hidden_layers entry must be an integer, got 8.5"),
+    ("hidden_layers", (4, False), "hidden_layers entry must be an integer, got False"),
+    ("hidden_layers", 8, "hidden_layers must be a list of layer widths, got 8"),
+], ids=["input-dim-float", "output-dim-bool", "epochs-fraction", "batch-size-bool",
+        "seed-string", "hidden-fraction", "hidden-bool", "hidden-not-a-list"])
+def test_config_rejects_non_integer_fields(field, value, fragment):
+    kwargs = {"input_dim": 6, field: value}
+    with pytest.raises(ValueError) as info:
+        MlpConfig(**kwargs)
+    assert fragment in str(info.value)
+    assert MlpConfig(input_dim=np.int64(6), hidden_layers=[np.int32(4)]).hidden_layers == (4,)
+
+
 def test_init_shapes_bounds_determinism():
     model = toy_model(hidden=(4, 3))
     shapes = [w.shape for w in model.weights]
@@ -390,6 +409,70 @@ def test_train_matches_reference_train(hidden, dropout, l1, n, batch_size, hooke
         assert [c[:2] for c in curve] == [c[:2] for c in ref_curve]
         assert all(math.isnan(c[2]) for c in curve)
         assert best is model
+
+
+def assert_views_of_buffers(model):
+    """Every per-layer entry is a view into the model's flat buffers, in layout order."""
+    for buffer, names in ((model.params, ("weights", "biases")),
+                          (model.velocity, ("vel_w", "vel_b"))):
+        entries = getattr(model, names[0]) + getattr(model, names[1])
+        for name in names:
+            for i, entry in enumerate(getattr(model, name)):
+                assert np.shares_memory(entry, buffer), "%s[%d] is off the buffer" % (name, i)
+        assert np.array_equal(np.concatenate([e.ravel() for e in entries]), buffer)
+        assert sum(e.size for e in entries) == buffer.size
+
+
+def test_model_lists_are_views_of_flat_buffers():
+    x, y = separable_data(n=40)
+    cfg = MlpConfig(input_dim=6, hidden_layers=(5, 3), epochs=4, batch_size=16, seed=1)
+    model = init_model(cfg)
+    assert_views_of_buffers(model)
+    scores = iter([0.2, 0.9, 0.1, 0.3])
+    best, _ = train(model, x, y, eval_hook=lambda m: next(scores))
+    assert best is not model
+    for m in (model, best, copy.deepcopy(model), copy.deepcopy(best)):
+        assert_views_of_buffers(m)
+    twin = copy.deepcopy(model)
+    assert not np.shares_memory(twin.params, model.params)
+    assert not np.shares_memory(twin.velocity, model.velocity)
+    assert np.array_equal(twin.params, model.params)
+    assert np.array_equal(twin.velocity, model.velocity)
+
+
+@pytest.mark.parametrize("hidden,dropout,n", [((50,), 0.5, 64), ((20, 10), 0.5, 13),
+                                              ((8,), 0.0, 9), ((), 0.0, 5)],
+                         ids=["50-dropout", "20x10-dropout", "8-plain", "linear"])
+def test_nesterov_step_with_and_without_workspace_agree(hidden, dropout, n):
+    cfg = MlpConfig(input_dim=9, hidden_layers=hidden, dropout_p=dropout, l1=1e-3, seed=5)
+    plain, spaced = init_model(cfg), init_model(cfg)
+    workspace = neural_module._Workspace(cfg, n)
+    rng_plain, rng_spaced = np.random.default_rng(3), np.random.default_rng(3)
+    x, y = toy_batch(n=n, input_dim=9, seed=4)
+    for _ in range(4):
+        v1 = nesterov_step(plain, x, y, 0.05, rng=rng_plain)
+        v2 = nesterov_step(spaced, x, y, 0.05, rng=rng_spaced, ahead=workspace)
+        assert v1 == v2
+    assert np.array_equal(plain.params, spaced.params)
+    assert np.array_equal(plain.velocity, spaced.velocity)
+
+
+@pytest.mark.parametrize("x_shape,y,fragment", [
+    ((20, 6), np.zeros(5, dtype=int), "one label per row"),
+    ((20, 6), np.zeros((20, 1), dtype=int), "one label per row"),
+    ((20, 6), np.full(20, -1), "labels must be integers in [0, 2)"),
+    ((20, 6), np.full(20, 2), "labels must be integers in [0, 2)"),
+    ((20, 6), np.zeros(20), "labels must be integers in [0, 2)"),
+    ((20, 6), np.zeros(20, dtype=bool), "labels must be integers in [0, 2)"),
+    ((20, 5), np.zeros(20, dtype=int), "x_train must be 2-D with 6 columns"),
+    ((120,), np.zeros(120, dtype=int), "x_train must be 2-D with 6 columns"),
+], ids=["short-labels", "2d-labels", "label-negative", "label-too-large", "float-labels",
+        "bool-labels", "wrong-width", "1d-inputs"])
+def test_train_checks_its_arrays(x_shape, y, fragment):
+    cfg = MlpConfig(input_dim=6, epochs=1)
+    with pytest.raises(ValueError) as info:
+        train(init_model(cfg), np.zeros(x_shape), y)
+    assert fragment in str(info.value)
 
 
 def test_gradients_return_fresh_arrays():

@@ -1,5 +1,6 @@
 """Paragraph-vector model tests: gradients, training, persistence."""
 
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -107,6 +108,17 @@ def test_config_rejects_non_finite_and_negative_rates(rates, fragment):
 
 # ---------------------------------------------------------------------------
 # Loss and gradients
+
+
+@pytest.mark.parametrize("field,value", [
+    ("vector_dim", 4.0), ("window_n", True), ("negative_samples", 2.5), ("epochs", 1.5),
+    ("seed", None), ("min_count", "5"),
+])
+def test_config_rejects_non_integer_fields(field, value):
+    with pytest.raises(ValueError) as info:
+        PvdmConfig(**{field: value})
+    assert "%s must be an integer, got %r" % (field, value) in str(info.value)
+    assert PvdmConfig(vector_dim=np.int64(4)).vector_dim == 4
 
 
 def test_initial_step_loss_is_closed_form():
@@ -540,3 +552,23 @@ def test_vector_export_round_trip(tmp_path):
     assert set(loaded) == set(model.sentence_index)
     for sid, row in model.sentence_index.items():
         np.testing.assert_allclose(loaded[sid], model.paragraph[row])
+
+
+@pytest.mark.parametrize("values,fragment", [
+    ([0.5] * 5, "values has 5 entries where the first row has 6"),
+    ([0.5] * 5 + [float("nan")], "values holds a NaN or infinite entry"),
+    ([0.5] * 5 + ["1.0"], "values must be a list of numbers"),
+    ([0.5] * 5 + [False], "values must be a list of numbers"),
+    ({"x": 1.0}, "values must be a list of numbers"),
+], ids=["short", "nan", "string-entry", "bool-entry", "object"])
+def test_read_vectors_rejects_malformed_rows(tmp_path, values, fragment):
+    sents, vocab = toy_corpus(n_sentences=4)
+    model = init_model(vocab, sents, PvdmConfig(vector_dim=6, window_n=2, seed=2))
+    path = tmp_path / "vectors.jsonl"
+    pvdm.export_vectors(model, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps(dict(json.loads(lines[1]), values=values))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"vectors\.jsonl:2: ") as info:
+        pvdm.read_vectors(str(path))
+    assert fragment in str(info.value)
