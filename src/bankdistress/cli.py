@@ -4,7 +4,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from . import corpus, evaluation, experiment, fusion, neural, pvdm, synth
 
@@ -18,36 +18,25 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _load_experiment_config(args):
-    base = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-        if not isinstance(base, dict):
-            raise ValueError("%s: expected a JSON object" % args.config)
-        known = [f.name for f in fields(experiment.ExperimentConfig)]
-        for key in base:
-            if key not in known:
-                raise ValueError("%s: unknown config key %r (expected one of %s)"
-                                 % (args.config, key, ", ".join(known)))
-    if getattr(args, "arm", None) and args.arm != "all":
-        base["arm"] = args.arm
-    if getattr(args, "runs", None) is not None:
-        base["runs"] = args.runs
-    if getattr(args, "mu", None) is not None:
-        base["mu"] = args.mu
-    if getattr(args, "seed", None) is not None:
-        base["master_seed"] = args.seed
-    if getattr(args, "embedding_scope", None):
-        base["embedding_scope"] = args.embedding_scope
-    return experiment.ExperimentConfig(**base)
+def _experiment_settings(args, **defaults):
+    """The command's defaults, then the --config file, then the flags given.
+
+    Flags left out are None; every default not passed here is ExperimentConfig's.
+    """
+    settings = dict(defaults)
+    if args.config:
+        settings.update(experiment.read_config(args.config))
+    flags = {"arm": args.arm, "runs": args.runs, "mu": args.mu,
+             "master_seed": args.seed, "embedding_scope": args.embedding_scope}
+    settings.update((key, value) for key, value in flags.items() if value is not None)
+    return settings
 
 
 def _scoped_sentences(args, config):
     """Raw sentences for per-run embedding retraining, when requested."""
     if config.embedding_scope != "train_folds":
         return None
-    if not getattr(args, "sentences", None):
+    if not args.sentences:
         raise CliError("embedding scope 'train_folds' retrains per run: pass --sentences")
     return corpus.read_sentences(args.sentences)
 
@@ -120,7 +109,7 @@ def _cmd_fuse(args):
 def _cmd_train(args):
     table = fusion.read_sample_table(args.fused)
     events = fusion.read_events(args.events)
-    config = _load_experiment_config(args)
+    config = experiment.ExperimentConfig(**_experiment_settings(args))
     result = experiment.run_once(table, events, config,
                                  experiment.derive_run_seed(config.master_seed, 0),
                                  sentences=_scoped_sentences(args, config))
@@ -146,8 +135,12 @@ def _cmd_train(args):
 def _cmd_experiment(args):
     table = fusion.read_sample_table(args.fused)
     events = fusion.read_events(args.events)
-    config = _load_experiment_config(args)
-    arms = list(fusion.ARMS) if args.arm == "all" else [config.arm]
+    settings = _experiment_settings(args)
+    # an arm set by the file or a flag runs alone; none set, or --arm all, runs every arm
+    if settings.get("arm") == "all":
+        del settings["arm"]
+    config = experiment.ExperimentConfig(**settings)
+    arms = [config.arm] if "arm" in settings else list(fusion.ARMS)
     sentences = _scoped_sentences(args, config)
     os.makedirs(args.out, exist_ok=True)
     results_by_arm = {}
@@ -182,10 +175,11 @@ def _grid_values(text):
 def _cmd_sweep(args):
     table = fusion.read_sample_table(args.fused)
     events = fusion.read_events(args.events)
-    config = _load_experiment_config(args)
+    config = experiment.ExperimentConfig(
+        **_experiment_settings(args, runs=experiment.SWEEP_RUNS))
     grid = _grid_values(args.grid)
 
-    if args.parameter in ("window_n", "vector_dim"):
+    if args.parameter in experiment.EMBEDDING_SWEEPS:
         if not (args.sentences and args.indicators):
             raise CliError(
                 "sweeping %s retrains embeddings: pass --sentences and --indicators"
@@ -206,7 +200,7 @@ def _cmd_sweep(args):
             return table
 
     result = experiment.sweep(builder, events, config, args.parameter, grid,
-                              runs=args.runs if args.runs else 10,
+                              runs=config.runs,
                               sentences=_scoped_sentences(args, config))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep_%s.csv" % args.parameter)
@@ -281,8 +275,8 @@ def build_parser():
     def common_experiment_flags(p):
         p.add_argument("--fused", required=True)
         p.add_argument("--events", required=True)
-        p.add_argument("--mu", type=float, default=0.9)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--mu", type=float)
+        p.add_argument("--seed", type=int)
         p.add_argument("--config", help="JSON experiment config file")
         p.add_argument("--embedding-scope", choices=("full", "train_folds"),
                        help="retrain embeddings per run on training folds only")
@@ -291,23 +285,23 @@ def build_parser():
 
     p = sub.add_parser("train", help="single run: train, select threshold, report")
     common_experiment_flags(p)
-    p.add_argument("--arm", choices=fusion.ARMS, default="combined")
+    p.add_argument("--arm", choices=fusion.ARMS)
     p.add_argument("--out", required=True, help="report JSON output")
     p.set_defaults(func=_cmd_train, runs=None)
 
     p = sub.add_parser("experiment", help="repeated-run protocol")
     common_experiment_flags(p)
-    p.add_argument("--arm", choices=fusion.ARMS + ("all",), default="all")
-    p.add_argument("--runs", type=int, default=50)
+    p.add_argument("--arm", choices=fusion.ARMS + ("all",))
+    p.add_argument("--runs", type=int)
     p.add_argument("--out", required=True, help="results directory")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("sweep", help="one-parameter sensitivity sweep")
     common_experiment_flags(p)
-    p.add_argument("--arm", choices=fusion.ARMS, default="combined")
+    p.add_argument("--arm", choices=fusion.ARMS)
     p.add_argument("--parameter", required=True, choices=experiment.SWEEPABLE)
     p.add_argument("--grid", required=True, help="comma-separated values")
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=int, help="runs per grid value")
     p.add_argument("--indicators", help="needed when sweeping embedding parameters")
     p.add_argument("--out", required=True, help="results directory")
     p.set_defaults(func=_cmd_sweep)
@@ -324,10 +318,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except OSError as exc:

@@ -53,16 +53,8 @@ class ConfusionRates:
         return self.tp + self.fp + self.tn + self.fn
 
     @property
-    def p_tp(self):
-        return self.tp / self.total
-
-    @property
     def p_fp(self):
         return self.fp / self.total
-
-    @property
-    def p_tn(self):
-        return self.tn / self.total
 
     @property
     def p_fn(self):

@@ -1,6 +1,7 @@
 """Repeated-run protocol: grouped folds, per-run normalization, arms, sweeps."""
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
@@ -20,8 +21,10 @@ VALIDATION_FOLD = 3
 TEST_FOLD = 4
 MAX_FOLD_REDRAWS = 100
 
-SWEEPABLE = ("hidden_width", "hidden_layer_count", "lr", "l1", "dropout_p",
-             "window_n", "vector_dim")
+# Sweeps of these parameters retrain the embedding, so they rebuild the table.
+EMBEDDING_SWEEPS = ("window_n", "vector_dim")
+SWEEPABLE = ("hidden_width", "hidden_layer_count", "lr", "l1", "dropout_p") + EMBEDDING_SWEEPS
+SWEEP_RUNS = 10  # runs per grid value
 
 # MlpConfig fields a config may set; input_dim and seed are set by each run.
 MLP_KEYS = tuple(f.name for f in fields(neural.MlpConfig)
@@ -56,6 +59,8 @@ class ExperimentConfig:
             raise ValueError("unknown arm %r" % self.arm)
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if not (isinstance(self.mu, numbers.Real) and 0.0 < self.mu < 1.0):
+            raise ValueError("mu must lie strictly in (0, 1), got %r" % (self.mu,))
         n_folds = len(TRAIN_FOLDS) + 2
         if self.folds != n_folds:
             raise ValueError("folds must be %d: %d train, 1 validation and 1 test fold"
@@ -71,6 +76,19 @@ class ExperimentConfig:
                 make(**overrides)
             except ValueError as exc:
                 raise ValueError("%s: %s" % (section, exc)) from None
+
+
+def read_config(path):
+    """The settings of a JSON experiment config file, checked as ExperimentConfig
+    checks them; every error names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            settings = json.load(fh)
+        _check_keys("config", settings, [f.name for f in fields(ExperimentConfig)])
+        ExperimentConfig(**settings)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
+    return settings
 
 
 @dataclass
@@ -248,47 +266,36 @@ def run_repeated(table, events, config, sentences=None):
 def _apply_sweep_value(config, parameter, value):
     mlp = dict(config.mlp)
     pvdm = dict(config.pvdm)
+    hidden = mlp.get("hidden_layers", neural.MlpConfig.hidden_layers)
     if parameter == "hidden_width":
-        depth = len(mlp.get("hidden_layers", (50,)))
-        mlp["hidden_layers"] = (int(value),) * depth
+        mlp["hidden_layers"] = (int(value),) * len(hidden)
     elif parameter == "hidden_layer_count":
-        width = mlp.get("hidden_layers", (50,))[0]
-        mlp["hidden_layers"] = (width,) * int(value)
-    elif parameter == "lr":
-        mlp["lr"] = float(value)
-    elif parameter == "l1":
-        mlp["l1"] = float(value)
-    elif parameter == "dropout_p":
-        mlp["dropout_p"] = float(value)
-    elif parameter == "window_n":
-        pvdm["window_n"] = int(value)
-    elif parameter == "vector_dim":
-        pvdm["vector_dim"] = int(value)
+        mlp["hidden_layers"] = (hidden[0],) * int(value)
+    elif parameter in ("lr", "l1", "dropout_p"):
+        mlp[parameter] = float(value)
+    elif parameter in EMBEDDING_SWEEPS:
+        pvdm[parameter] = int(value)
     else:
         raise ValueError("unknown sweep parameter %r (expected one of %s)"
                          % (parameter, ", ".join(SWEEPABLE)))
     return replace(config, mlp=mlp, pvdm=pvdm)
 
 
-def sweep(table_builder, events, base_config, parameter, grid, runs=10, sentences=None):
+def sweep(table_builder, events, base_config, parameter, grid, runs=SWEEP_RUNS, sentences=None):
     """Mean/std relative usefulness across a one-parameter grid.
 
     ``table_builder(pvdm_overrides) -> SampleTable`` rebuilds the dataset;
-    it is only re-invoked for embedding-side parameters.
+    it is only re-invoked for the EMBEDDING_SWEEPS parameters.
     """
     if not len(grid):
         raise ValueError("sweep grid must be non-empty")
     base_config = replace(base_config, runs=runs)
-    cached_table = None
+    table = None
     means, stds = [], []
     for value in grid:
         cfg = _apply_sweep_value(base_config, parameter, value)
-        if parameter in ("window_n", "vector_dim"):
+        if table is None or parameter in EMBEDDING_SWEEPS:
             table = table_builder(cfg.pvdm)
-        else:
-            if cached_table is None:
-                cached_table = table_builder(cfg.pvdm)
-            table = cached_table
         mean, std, _ = run_repeated(table, events, cfg, sentences=sentences)
         means.append(mean)
         stds.append(std)

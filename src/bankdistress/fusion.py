@@ -33,6 +33,7 @@ EVENT_KINDS = ("bankruptcy_default", "state_aid", "distressed_merger")
 EVENT_COLUMNS = ("bank_id", "start_date", "end_date", "kind")
 
 QUARTER_PATTERN = re.compile(r"\d{4}Q[1-4]")  # e.g. 2010Q3, as write_indicators writes it
+MONTH_PATTERN = re.compile(r"\d{4}-(0[1-9]|1[0-2])")  # e.g. 2010-07, in write_sample_table
 
 
 @dataclass(frozen=True)
@@ -337,7 +338,9 @@ def write_sample_table(table, path):
 
 
 def _parse_sample(row, widths):
-    year, month = row["month"].split("-")
+    month = row["month"]
+    if not (isinstance(month, str) and MONTH_PATTERN.fullmatch(month)):
+        raise ValueError("month %r is not of the form 2010-01..2010-12" % (month,))
     label = row["label"]
     if type(label) is not int or label not in (0, 1):
         raise ValueError("label must be the integer 0 or 1, got %r" % (label,))
@@ -349,7 +352,7 @@ def _parse_sample(row, widths):
     if len(numeric_raw) != NUMERIC_DIM:
         raise ValueError("numeric_raw has %d entries, expected %d"
                          % (len(numeric_raw), NUMERIC_DIM))
-    return (row["sentence_id"], row["bank_id"], (int(year), int(month)),
+    return (row["sentence_id"], row["bank_id"], (int(month[:4]), int(month[5:])),
             inputs[:-NUMERIC_DIM], numeric_raw, label)
 
 

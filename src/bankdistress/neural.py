@@ -199,17 +199,15 @@ def forward(model, x, mode="infer", rng=None):
     return probs[0] if single else probs
 
 
-def loss(model, x, y, weights=None, biases=None):
+def loss(model, x, y):
     """Mean negative log-likelihood plus the L1 weight penalty (no dropout)."""
-    weights = model.weights if weights is None else weights
-    biases = model.biases if biases is None else biases
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    probs, _, _ = _forward_cached(weights, biases, model.config, x, "infer", None)
+    probs, _, _ = _forward_cached(model.weights, model.biases, model.config, x, "infer", None)
     nll = -np.log(np.clip(probs[np.arange(len(y)), y], 1e-300, None)).mean()
-    penalty = model.config.l1 * sum(np.abs(w).sum() for w in weights)
+    penalty = model.config.l1 * sum(np.abs(w).sum() for w in model.weights)
     return nll + penalty
 
 

@@ -93,17 +93,6 @@ class SyntheticDataset:
     config: SynthConfig
 
 
-def _month_range(start_quarter, end_quarter):
-    y, q = start_quarter
-    months = []
-    while (y, q) <= tuple(end_quarter):
-        months.extend((y, 3 * (q - 1) + m) for m in (1, 2, 3))
-        q += 1
-        if q == 5:
-            y, q = y + 1, 1
-    return months
-
-
 def _quarter_range(start_quarter, end_quarter):
     y, q = start_quarter
     quarters = []
@@ -113,6 +102,11 @@ def _quarter_range(start_quarter, end_quarter):
         if q == 5:
             y, q = y + 1, 1
     return quarters
+
+
+def _month_range(start_quarter, end_quarter):
+    return [(y, 3 * (q - 1) + m) for y, q in _quarter_range(start_quarter, end_quarter)
+            for m in (1, 2, 3)]
 
 
 def _bank_names(n):
@@ -171,7 +165,7 @@ def _window_to_event(bank_id, months, window, rng):
     )
 
 
-def _compose_sentence(canonical, distressed, config, rng):
+def _compose_sentence(canonical, distressed, rng):
     phrases = DISTRESS_PHRASES if distressed else TRANQUIL_PHRASES
     phrase = phrases[int(rng.integers(0, len(phrases)))]
     fillers = rng.choice(len(FILLER_WORDS), size=3, replace=False)
@@ -238,7 +232,7 @@ def generate(config):
                 for _ in range(count):
                     use_distress_vocab = distressed and rng.random() < config.text_signal
                     sentences.append(
-                        _compose_sentence(entity.canonical_name, use_distress_vocab, config, rng)
+                        _compose_sentence(entity.canonical_name, use_distress_vocab, rng)
                     )
                 day = int(rng.integers(1, 28))
                 articles.append(

@@ -1,8 +1,11 @@
-"""Every public function and class of the package has a caller in the package.
+"""Every public function, class, method and property of the package has a
+caller in the package.
 
-A public top-level name that nothing in ``src/bankdistress`` refers to is
-dead weight, unless it is a test oracle or the benchmark wraps it; those
-stay on ALLOWED with their reason.
+A public top-level name, or a public method or property of a public class,
+that nothing in ``src/bankdistress`` refers to is dead weight, unless it is a
+test oracle or the benchmark wraps it; those stay on ALLOWED with their reason.
+A member counts as used wherever any expression looks up an attribute of its
+name, since the type behind an attribute is not known from the syntax.
 """
 
 import ast
@@ -21,6 +24,9 @@ ALLOWED = {
     "pvdm.infer_vector": "wrapped by perfbench/tracing.py as pvdm.infer",
     "pvdm.load_model": "the reader of the model file `bankdistress embed` writes; "
                        "no command reads that file yet",
+    "fusion.FoldAssignment.banks_in": "acceptance criterion 6 reads the banks of each fold",
+    "fusion.SampleTable.semantic_dim": "acceptance criterion 7b checks the fused "
+                                       "semantic width",
 }
 
 
@@ -70,6 +76,19 @@ def _used_from(tree, module, name):
     return False
 
 
+def _attribute_used(modules, name, definition):
+    """``<expression>.name`` in any module, outside ``definition`` itself."""
+    stack = list(modules.values())
+    while stack:
+        node = stack.pop()
+        if node is definition:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
 def public_orphans(src=SRC):
     modules = parse_modules(src)
     orphans = []
@@ -83,6 +102,12 @@ def public_orphans(src=SRC):
                 for name, other in modules.items() if name != module)
             if not used:
                 orphans.append("%s.%s" % (module, node.name))
+            if isinstance(node, ast.ClassDef):
+                orphans.extend("%s.%s.%s" % (module, node.name, member.name)
+                               for member in node.body
+                               if isinstance(member, ast.FunctionDef)
+                               and not member.name.startswith("_")
+                               and not _attribute_used(modules, member.name, member))
     return sorted(orphans)
 
 
@@ -101,10 +126,15 @@ def test_orphan_check_sees_unused_and_shadowed_names(tmp_path):
         "def shadowed():\n    return 2\n\n\n"
         "def caller(shadowed):\n    return used() + shadowed\n\n\n"
         "class Imported:\n    pass\n\n\n"
-        "def by_attribute():\n    pass\n",
+        "def by_attribute():\n    pass\n\n\n"
+        "class Shape:\n"
+        "    def area(self):\n        return self.side\n\n"
+        "    @property\n    def side(self):\n        return 1\n\n"
+        "    def unused(self):\n        return self.unused()\n",
         encoding="utf-8")
     (tmp_path / "b.py").write_text(
         "from . import a\nfrom .a import Imported\n\n\n"
-        "def _private():\n    return a.by_attribute, Imported\n",
+        "def _private():\n    return a.by_attribute, Imported, a.Shape().area()\n",
         encoding="utf-8")
-    assert public_orphans(str(tmp_path)) == ["a.caller", "a.only_recursive", "a.shadowed"]
+    assert public_orphans(str(tmp_path)) == ["a.Shape.unused", "a.caller",
+                                             "a.only_recursive", "a.shadowed"]

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from bankdistress import cli, corpus, fusion, pvdm
+from bankdistress import cli, corpus, experiment, fusion, pvdm
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +212,59 @@ def test_mu_flag_propagates(pipeline):
     assert report["test"]["mu"] == 0.8
 
 
+FILE_SETTINGS = {"master_seed": 5, "mu": 0.7, "runs": 2, "arm": "text_only"}
+FLAG_SETTINGS = {"master_seed": 3, "mu": 0.8, "runs": 1, "arm": "numeric_only"}
+
+
+@pytest.mark.parametrize("flags", [False, True], ids=["file", "flags"])
+@pytest.mark.parametrize("command", ["train", "experiment", "sweep"])
+def test_flags_left_out_keep_the_config_file_settings(pipeline, monkeypatch, tmp_path, command,
+                                                      flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(FILE_SETTINGS, mlp={"epochs": 1, "hidden_layers": [4]})),
+                        encoding="utf-8")
+    calls = []
+    run_once = experiment.run_once
+
+    def recording_run_once(table, events, config, run_seed, run_index=0, sentences=None):
+        calls.append((config, run_seed))
+        return run_once(table, events, config, run_seed, run_index, sentences)
+
+    monkeypatch.setattr(experiment, "run_once", recording_run_once)
+    argv = [command, "--fused", pipeline["fused"],
+            "--events", os.path.join(pipeline["data"], "events.csv"),
+            "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--parameter", "l1", "--grid", "0.0,1e-5"]
+    want = FILE_SETTINGS
+    if flags:
+        want = FLAG_SETTINGS
+        argv += ["--seed", "3", "--mu", "0.8", "--arm", "numeric_only"]
+        if command != "train":
+            argv += ["--runs", "1"]
+    assert cli.main(argv) == 0
+    runs = 1 if command == "train" else want["runs"]
+    grid_values = 2 if command == "sweep" else 1
+    assert ([(c.arm, c.mu, c.master_seed) for c, _ in calls]
+            == [(want["arm"], want["mu"], want["master_seed"])] * (runs * grid_values))
+    assert ([seed for _, seed in calls]
+            == [experiment.derive_run_seed(want["master_seed"], i)
+                for i in range(runs)] * grid_values)
+
+
+def test_arm_all_overrides_the_config_file_arm(pipeline, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"arm": "text_only", "runs": 1,
+                                    "mlp": {"epochs": 1, "hidden_layers": [4]}}),
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["experiment", "--fused", pipeline["fused"],
+                     "--events", os.path.join(pipeline["data"], "events.csv"),
+                     "--config", str(cfg_path), "--arm", "all", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert sorted(summary["arms"]) == sorted(fusion.ARMS)
+
+
 def assert_one_error_line(capsys, rc, *fragments):
     err = capsys.readouterr().err
     assert rc == 1
@@ -224,7 +277,7 @@ def assert_one_error_line(capsys, rc, *fragments):
     ({"run": 2}, None, "unknown config key 'run'"),
     ({"mlp": {"epoch": 2}}, None, "unknown mlp key 'epoch'"),
     ({"pvdm": {"dimm": 4}}, "train_folds", "unknown pvdm key 'dimm'"),
-    ([1, 2], None, "expected a JSON object"),
+    ([1, 2], None, "config must be a JSON object"),
 ], ids=["top-level", "mlp", "pvdm", "not-an-object"])
 def test_experiment_rejects_unknown_config_keys(pipeline, capsys, tmp_path, config, scope,
                                                 fragment):
@@ -235,7 +288,7 @@ def test_experiment_rejects_unknown_config_keys(pipeline, capsys, tmp_path, conf
             "--config", str(cfg_path), "--runs", "1", "--out", str(tmp_path / "out")]
     if scope:
         argv += ["--embedding-scope", scope, "--sentences", pipeline["sentences"]]
-    assert_one_error_line(capsys, cli.main(argv), fragment)
+    assert_one_error_line(capsys, cli.main(argv), "error: %s: " % cfg_path, fragment)
 
 
 @pytest.mark.parametrize("config,fragment", [
@@ -243,7 +296,10 @@ def test_experiment_rejects_unknown_config_keys(pipeline, capsys, tmp_path, conf
     ({"mlp": {"l1": float("inf")}}, "mlp: l1 penalty must be finite and non-negative"),
     ({"pvdm": {"lr_final": -1}}, "pvdm: lr_final must be >= 0"),
     ({"pvdm": {"lr_initial": float("inf")}}, "pvdm: lr_initial and lr_final must be finite"),
-], ids=["mlp-lr-nan", "mlp-l1-inf", "pvdm-lr-final-negative", "pvdm-lr-initial-inf"])
+    ({"mu": 1.5}, "mu must lie strictly in (0, 1), got 1.5"),
+    ({"mu": "0.9"}, "mu must lie strictly in (0, 1), got '0.9'"),
+], ids=["mlp-lr-nan", "mlp-l1-inf", "pvdm-lr-final-negative", "pvdm-lr-initial-inf",
+        "mu-above-one", "mu-string"])
 def test_experiment_rejects_non_finite_and_negative_rates(pipeline, capsys, tmp_path, config,
                                                           fragment):
     # json writes NaN and Infinity, which json.load reads back as floats
@@ -253,7 +309,7 @@ def test_experiment_rejects_non_finite_and_negative_rates(pipeline, capsys, tmp_
     argv = ["experiment", "--fused", pipeline["fused"],
             "--events", os.path.join(pipeline["data"], "events.csv"),
             "--config", str(cfg_path), "--runs", "1", "--out", str(out)]
-    assert_one_error_line(capsys, cli.main(argv), fragment)
+    assert_one_error_line(capsys, cli.main(argv), "error: %s: " % cfg_path, fragment)
     assert not out.exists()
 
 
@@ -263,8 +319,9 @@ def test_experiment_rejects_non_finite_and_negative_rates(pipeline, capsys, tmp_
     ({"mlp": {"batch_size": True}}, "mlp: batch_size must be an integer, got True"),
     ({"pvdm": {"window_n": 2.0}}, "pvdm: window_n must be an integer, got 2.0"),
     ({"folds": 5.0}, "folds must be an integer, got 5.0"),
+    ({"master_seed": 0.5}, "master_seed must be an integer, got 0.5"),
 ], ids=["mlp-epochs-fraction", "mlp-hidden-fraction", "mlp-batch-size-bool",
-        "pvdm-window-float", "folds-float"])
+        "pvdm-window-float", "folds-float", "master-seed-fraction"])
 def test_experiment_rejects_non_integer_config_fields(pipeline, capsys, tmp_path, config,
                                                       fragment):
     cfg_path = tmp_path / "cfg.json"
@@ -273,7 +330,7 @@ def test_experiment_rejects_non_integer_config_fields(pipeline, capsys, tmp_path
     argv = ["experiment", "--fused", pipeline["fused"],
             "--events", os.path.join(pipeline["data"], "events.csv"),
             "--config", str(cfg_path), "--runs", "1", "--out", str(out)]
-    assert_one_error_line(capsys, cli.main(argv), fragment)
+    assert_one_error_line(capsys, cli.main(argv), "error: %s: " % cfg_path, fragment)
     assert not out.exists()
 
 
@@ -327,8 +384,11 @@ def replace_line(src, dst, line_no, text):
      "tokens must be a list of strings"),
     ("articles", '"just a string"', "expected a JSON object, got str"),
     ("fused", '{"sentence_id": "x"}', "missing key 'month'"),
-    ("fused", '{"month": 7}', "'int' object has no attribute"),
+    ("fused", '{"month": 7}', "month 7 is not of the form 2010-01..2010-12"),
     # the cases below edit the file's own second row
+    ("fused", lambda row: dict(row, month="2010-13"), "month '2010-13' is not of the form"),
+    ("fused", lambda row: dict(row, month="2010-0"), "month '2010-0' is not of the form"),
+    ("fused", lambda row: dict(row, month="2010-1"), "month '2010-1' is not of the form"),
     ("fused", lambda row: dict(row, label=2), "label must be the integer 0 or 1, got 2"),
     ("fused", lambda row: dict(row, label=-1), "label must be the integer 0 or 1, got -1"),
     ("fused", lambda row: dict(row, label=1.7), "label must be the integer 0 or 1, got 1.7"),
@@ -351,7 +411,8 @@ def replace_line(src, dst, line_no, text):
      "values holds a NaN or infinite entry"),
 ], ids=["events-short-row", "events-bad-date", "vectors-array", "sentences-array",
         "sentences-missing-key", "sentences-string-tokens", "articles-string",
-        "fused-missing-key", "fused-bad-type", "fused-label-2", "fused-label-negative",
+        "fused-missing-key", "fused-bad-type", "fused-month-13", "fused-month-0",
+        "fused-month-one-digit", "fused-label-2", "fused-label-negative",
         "fused-label-fraction", "fused-label-bool", "fused-input-nan", "fused-input-string",
         "fused-input-short", "fused-numeric-raw-short", "fused-numeric-raw-inf",
         "vectors-short", "vectors-null", "vectors-inf"])
