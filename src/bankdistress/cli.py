@@ -109,7 +109,10 @@ def _cmd_fuse(args):
 def _cmd_train(args):
     table = fusion.read_sample_table(args.fused)
     events = fusion.read_events(args.events)
-    config = experiment.ExperimentConfig(**_experiment_settings(args))
+    settings = _experiment_settings(args)
+    if settings.get("runs", 1) != 1:
+        raise CliError("%s: train makes one run, got runs %r" % (args.config, settings["runs"]))
+    config = experiment.ExperimentConfig(**settings)
     result = experiment.run_once(table, events, config,
                                  experiment.derive_run_seed(config.master_seed, 0),
                                  sentences=_scoped_sentences(args, config))

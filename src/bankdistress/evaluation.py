@@ -1,8 +1,6 @@
 """Monthly aggregation and the usefulness evaluation framework."""
 
-import calendar
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
@@ -74,12 +72,12 @@ class UsefulnessReport:
 
 
 def month_label(bank_id, month, events):
-    """1 iff any distress window of the bank touches any day of the month."""
-    year, m = month
-    first = date(year, m, 1)
-    last = date(year, m, calendar.monthrange(year, m)[1])
+    """1 iff any distress window of the bank touches any day of the month,
+    that is iff its first and last days' months bound it (as 12 * year + month)."""
+    index = 12 * month[0] + month[1]
     for ev in events:
-        if ev.bank_id == bank_id and ev.start_date <= last and ev.end_date >= first:
+        if (ev.bank_id == bank_id and 12 * ev.start_date.year + ev.start_date.month <= index
+                <= 12 * ev.end_date.year + ev.end_date.month):
             return 1
     return 0
 
@@ -89,11 +87,15 @@ def group_months(bank_ids, months, events):
     keys = sorted(set(zip(bank_ids, months)))
     index = {key: i for i, key in enumerate(keys)}
     codes = np.array([index[key] for key in zip(bank_ids, months)], dtype=np.intp)
+    by_bank = {}  # each key is labelled against its own bank's events only
+    for ev in events:
+        by_bank.setdefault(ev.bank_id, []).append(ev)
     return MonthGrouping(
         keys=keys,
         codes=codes,
         counts=np.bincount(codes, minlength=len(keys)),
-        labels=np.array([month_label(b, m, events) for b, m in keys], dtype=np.int64),
+        labels=np.array([month_label(b, m, by_bank.get(b, ())) for b, m in keys],
+                        dtype=np.int64),
     )
 
 

@@ -117,9 +117,9 @@ def init_model(config):
 class _Workspace:
     """Buffers one ``train`` call reuses at every step.
 
-    ``ahead`` (the lookahead point) and ``grad`` share the model's flat
-    layout, with per-layer views and a view of each one's weight region;
-    ``scratch`` spans a weight region and takes l1 * sign(w). ``rows``
+    ``ahead`` (the lookahead point, one pass from the scaled velocity) and
+    ``grad`` share the model's flat layout, with per-layer views and a view
+    of each one's weight region; ``scratch`` takes l1 * sign(w). ``rows``
     indexes minibatch rows. ``masks`` holds the current minibatch's dropout
     masks, one per hidden layer, or None to draw them from the step's rng.
     """
@@ -138,9 +138,13 @@ class _Workspace:
 
 def _softmax(logits):
     """Row-wise softmax, computed in place in ``logits``."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    # the row max column by column: exact in any order, faster than a reduce
+    top = logits[:, :1]
+    for j in range(1, logits.shape[1]):
+        top = np.maximum(top, logits[:, j : j + 1])
+    logits -= top
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
     return logits
 
 
@@ -234,6 +238,13 @@ def gradients(model, x, y, rng=None, weights=None, biases=None, workspace=None):
                             (model.weights if weights is None else weights)
                             + (model.biases if biases is None else biases)):
             dst[...] = src
+    return _gradients(cfg, x, y, rng, workspace), workspace.grad_w, workspace.grad_b
+
+
+def _gradients(cfg, x, y, rng, workspace):
+    """``gradients`` at the workspace's lookahead point, into its gradient
+    buffer, for a checked non-empty 2-D batch; returns the loss value."""
+    n = x.shape[0]
     weights, biases = workspace.ahead_w, workspace.ahead_b
     mode = "train" if cfg.dropout_p > 0.0 else "infer"
     probs, activations, masks = _forward_cached(weights, biases, cfg, x, mode, rng,
@@ -246,7 +257,7 @@ def gradients(model, x, y, rng=None, weights=None, biases=None, workspace=None):
     nll = -(np.add.reduce(picked) / n)
     # |w| summed per layer, in the gradient buffer before backprop fills it
     np.abs(workspace.ahead_region, out=workspace.grad_region)
-    value = nll + cfg.l1 * sum(a.sum() for a in workspace.grad_w)
+    value = nll + cfg.l1 * sum(np.add.reduce(a, axis=None) for a in workspace.grad_w)
 
     delta = probs
     delta[rows, y] -= 1.0
@@ -259,25 +270,30 @@ def gradients(model, x, y, rng=None, weights=None, biases=None, workspace=None):
             delta = delta @ weights[layer].T
             if masks[layer - 1] is not None:
                 delta *= masks[layer - 1]
-            np.putmask(delta, activations[layer] <= 0.0, 0.0)
+            # AND delta's bits with ones where the unit is on, zeros where it is
+            # off: np.putmask(delta, a <= 0, 0.0) bit for bit, but branch-free
+            keep = np.subtract(activations[layer] <= 0.0, 1, dtype=np.int64)
+            bits = delta.view(np.int64)
+            np.bitwise_and(bits, keep, out=bits)
     # into a buffer of its own: np.sign is several times slower in place
     penalty = np.sign(workspace.ahead_region, out=workspace.scratch)
     penalty *= cfg.l1
     workspace.grad_region += penalty
-    return value, workspace.grad_w, workspace.grad_b
+    return value
 
 
 def nesterov_step(model, x, y, lr, rng=None, ahead=None):
     """One Nesterov update: gradient at the lookahead point, then velocity step.
 
     ``ahead`` is the workspace ``train`` builds once and passes to every
-    step: the lookahead point w + momentum * v and the gradients in the
-    model's flat layout, L1 scratch, row indices and the minibatch's
-    dropout masks. With it the lookahead is two whole-buffer operations and
-    the update four. Without it the lookahead goes into a fresh buffer,
-    ``gradients`` gets its per-layer views as ``weights=`` and ``biases=``,
-    and the update uses the arrays it returns. Velocities and parameters
-    are updated in place.
+    step. With it the step makes five whole-buffer passes: v *= momentum,
+    the lookahead v + w into the workspace, then g *= lr, v -= g and
+    w += v, the same IEEE operations as momentum * v - lr * g and w + v;
+    the gradient comes from ``gradients``' core, which skips its input
+    checks. Without it the lookahead goes into a fresh buffer, ``gradients``
+    gets its per-layer views as ``weights=`` and ``biases=``, and the update
+    uses the arrays it returns. Velocities and parameters are updated in
+    place.
     """
     gamma = model.config.momentum
     if ahead is None:
@@ -291,10 +307,9 @@ def nesterov_step(model, x, y, lr, rng=None, ahead=None):
             g *= lr
             v -= g
     else:
-        np.multiply(model.velocity, gamma, out=ahead.ahead)
-        ahead.ahead += model.params
-        value, _, _ = gradients(model, x, y, rng=rng, workspace=ahead)
         model.velocity *= gamma
+        np.add(model.velocity, model.params, out=ahead.ahead)
+        value = _gradients(model.config, x, y, rng, ahead)
         ahead.grad *= lr
         model.velocity -= ahead.grad
     model.params += model.velocity
@@ -343,8 +358,8 @@ def _epochs(model, x_train, y_train, eval_hook):
     n = len(x_train)
     rng = np.random.default_rng([cfg.seed, 2])
     order = np.arange(n)
-    starts = range(0, n, cfg.batch_size)
-    # Each minibatch is gathered into the front of these buffers.
+    # Each minibatch is gathered into the front of these buffers, from its
+    # view of ``order``, which every epoch shuffles in place.
     size = min(cfg.batch_size, n)
     batch_x = np.empty((size, cfg.input_dim))
     batch_y = np.empty(size, dtype=np.int64)
@@ -355,14 +370,16 @@ def _epochs(model, x_train, y_train, eval_hook):
     drops = None
     if cfg.dropout_p > 0.0 and cfg.hidden_layers:
         drops = np.empty(n * sum(cfg.hidden_layers))
-        batch_masks = []
-        offset = 0
-        for start in starts:
-            rows = min(cfg.batch_size, n - start)
-            batch_masks.append([])
+    batches, offset = [], 0
+    for start in range(0, n, cfg.batch_size):
+        rows = min(cfg.batch_size, n - start)
+        masks = None
+        if drops is not None:
+            masks = []
             for width in cfg.hidden_layers:
-                batch_masks[-1].append(drops[offset : offset + rows * width].reshape(rows, width))
+                masks.append(drops[offset : offset + rows * width].reshape(rows, width))
                 offset += rows * width
+        batches.append((order[start : start + rows], batch_x[:rows], batch_y[:rows], masks))
     curve = []
     best_score = None
     # overwritten in place, so one snapshot is alive at a time
@@ -372,12 +389,10 @@ def _epochs(model, x_train, y_train, eval_hook):
         if drops is not None:
             _keep_scaled(rng.random(out=drops), cfg.dropout_p)
         losses = []
-        for i, start in enumerate(starts):
-            if drops is not None:
-                workspace.masks = batch_masks[i]
-            batch = order[start : start + cfg.batch_size]
-            x = np.take(x_train, batch, axis=0, out=batch_x[: len(batch)], mode="clip")
-            y = np.take(y_train, batch, out=batch_y[: len(batch)], mode="clip")
+        for batch, x, y, masks in batches:
+            workspace.masks = masks
+            x_train.take(batch, axis=0, out=x, mode="clip")
+            y_train.take(batch, out=y, mode="clip")
             losses.append(nesterov_step(model, x, y, cfg.lr, rng=rng, ahead=workspace))
         score = float("nan")
         if eval_hook is not None:

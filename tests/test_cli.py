@@ -220,8 +220,10 @@ FLAG_SETTINGS = {"master_seed": 3, "mu": 0.8, "runs": 1, "arm": "numeric_only"}
 @pytest.mark.parametrize("command", ["train", "experiment", "sweep"])
 def test_flags_left_out_keep_the_config_file_settings(pipeline, monkeypatch, tmp_path, command,
                                                       flags):
+    # train makes one run and rejects any other runs setting
+    file_settings = dict(FILE_SETTINGS, runs=1) if command == "train" else FILE_SETTINGS
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(FILE_SETTINGS, mlp={"epochs": 1, "hidden_layers": [4]})),
+    cfg_path.write_text(json.dumps(dict(file_settings, mlp={"epochs": 1, "hidden_layers": [4]})),
                         encoding="utf-8")
     calls = []
     run_once = experiment.run_once
@@ -236,14 +238,14 @@ def test_flags_left_out_keep_the_config_file_settings(pipeline, monkeypatch, tmp
             "--config", str(cfg_path), "--out", str(tmp_path / "out")]
     if command == "sweep":
         argv += ["--parameter", "l1", "--grid", "0.0,1e-5"]
-    want = FILE_SETTINGS
+    want = file_settings
     if flags:
         want = FLAG_SETTINGS
         argv += ["--seed", "3", "--mu", "0.8", "--arm", "numeric_only"]
         if command != "train":
             argv += ["--runs", "1"]
     assert cli.main(argv) == 0
-    runs = 1 if command == "train" else want["runs"]
+    runs = want["runs"]
     grid_values = 2 if command == "sweep" else 1
     assert ([(c.arm, c.mu, c.master_seed) for c, _ in calls]
             == [(want["arm"], want["mu"], want["master_seed"])] * (runs * grid_values))
@@ -331,6 +333,20 @@ def test_experiment_rejects_non_integer_config_fields(pipeline, capsys, tmp_path
             "--events", os.path.join(pipeline["data"], "events.csv"),
             "--config", str(cfg_path), "--runs", "1", "--out", str(out)]
     assert_one_error_line(capsys, cli.main(argv), "error: %s: " % cfg_path, fragment)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("runs", [2, 50])
+def test_train_rejects_a_config_runs_other_than_one(pipeline, capsys, tmp_path, runs):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"runs": runs, "mlp": {"epochs": 1, "hidden_layers": [4]}}),
+                        encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ["train", "--fused", pipeline["fused"],
+            "--events", os.path.join(pipeline["data"], "events.csv"),
+            "--config", str(cfg_path), "--out", str(out)]
+    assert_one_error_line(capsys, cli.main(argv), "error: %s: " % cfg_path,
+                          "train makes one run, got runs %d" % runs)
     assert not out.exists()
 
 

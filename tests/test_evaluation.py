@@ -1,6 +1,7 @@
 """Usefulness framework tests with hand-derived oracles."""
 
-from datetime import date
+import calendar
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -41,6 +42,57 @@ def test_month_label_window_intersection():
     assert month_label("a", (2010, 2), events) == 0
     assert month_label("a", (2010, 6), events) == 0
     assert month_label("b", (2010, 4), events) == 0
+
+
+def reference_month_label(bank_id, month, events):
+    """month_label on dates, as it was before months compared as integers:
+    the oracle of that form."""
+    year, m = month
+    first = date(year, m, 1)
+    last = date(year, m, calendar.monthrange(year, m)[1])
+    for ev in events:
+        if ev.bank_id == bank_id and ev.start_date <= last and ev.end_date >= first:
+            return 1
+    return 0
+
+
+def _snap(day, where):
+    """``day`` itself, or the first or last day of its month."""
+    if where == "first":
+        return day.replace(day=1)
+    if where == "last":
+        return day.replace(day=calendar.monthrange(day.year, day.month)[1])
+    return day
+
+
+SNAPS = ("day", "first", "last")
+# (bank, start, length in days, where the start and the end snap to)
+WINDOWS = st.tuples(st.sampled_from("ab"), st.dates(date(2007, 1, 1), date(2013, 12, 31)),
+                    st.integers(min_value=0, max_value=800),
+                    st.sampled_from(SNAPS), st.sampled_from(SNAPS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows=st.lists(WINDOWS, max_size=4))
+@example(windows=[("a", date(2012, 2, 29), 0, "day", "day")])        # single leap day
+@example(windows=[("a", date(2008, 2, 10), 0, "first", "last")])     # a whole leap February
+@example(windows=[("a", date(2011, 2, 28), 0, "day", "day"),         # last day of a
+                  ("b", date(2010, 3, 1), 0, "day", "day")])         # short February; a first day
+@example(windows=[("a", date(2010, 12, 31), 1, "day", "day"),        # Dec 31 to Jan 1
+                  ("b", date(2009, 11, 15), 500, "first", "last")])  # spans two new years
+def test_month_label_matches_date_reference(windows):
+    events = []
+    for bank, start, days, where_start, where_end in windows:
+        first = _snap(start, where_start)
+        events.append(DistressEvent(bank, first, max(first, _snap(start + timedelta(days=days),
+                                                                   where_end)), "state_aid"))
+    keys = [(bank, (year, m)) for bank in "abc" for year in range(2006, 2016)
+            for m in range(1, 13)]
+    want = [reference_month_label(bank, month, events) for bank, month in keys]
+    assert [month_label(bank, month, events) for bank, month in keys] == want
+    groups = group_months([b for b, _ in keys], [m for _, m in keys], events)
+    assert groups.keys == keys
+    assert groups.labels.tolist() == want
 
 
 def test_aggregate_monthly_means_and_sorting():

@@ -373,22 +373,24 @@ def reference_train(model, x_train, y_train, eval_hook=None):
     return model, curve
 
 
-@pytest.mark.parametrize("hidden,dropout,l1,n,batch_size,hooked", [
-    ((50,), 0.5, 1e-5, 70, 16, True),     # short last batch (70 = 4 * 16 + 6)
-    ((50,), 0.0, 1e-3, 64, 16, True),
-    ((20, 10), 0.5, 1e-3, 45, 8, True),
-    ((20, 10), 0.0, 0.0, 45, 8, False),
-    ((), 0.0, 1e-3, 30, 64, True),        # one batch larger than the data
-    ((), 0.0, 0.0, 30, 7, False),
-    ((8,), 0.5, 0.0, 30, 100, False),
+@pytest.mark.parametrize("hidden,dropout,l1,n,batch_size,hooked,input_dim", [
+    ((50,), 0.5, 1e-5, 70, 16, True, 9),     # short last batch (70 = 4 * 16 + 6)
+    ((50,), 0.0, 1e-3, 64, 16, True, 9),
+    ((20, 10), 0.5, 1e-3, 45, 8, True, 9),
+    ((20, 10), 0.0, 0.0, 45, 8, False, 9),
+    ((), 0.0, 1e-3, 30, 64, True, 9),        # one batch larger than the data
+    ((), 0.0, 0.0, 30, 7, False, 9),
+    ((8,), 0.5, 0.0, 30, 100, False, 9),
+    # the arm_protocol benchmark's shape: 12 + 50 inputs, 707 = 11 * 64 + 3 rows
+    ((50,), 0.5, 1e-5, 707, 64, True, 62),
 ], ids=["50-dropout-short-batch", "50-l1", "20x10-dropout", "20x10-plain",
-        "linear-big-batch", "linear-plain", "8-dropout-big-batch"])
-def test_train_matches_reference_train(hidden, dropout, l1, n, batch_size, hooked):
+        "linear-big-batch", "linear-plain", "8-dropout-big-batch", "arm-protocol-shape"])
+def test_train_matches_reference_train(hidden, dropout, l1, n, batch_size, hooked, input_dim):
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(n, 9))
+    x = rng.normal(size=(n, input_dim))
     y = rng.integers(0, 2, size=n)
-    cfg = MlpConfig(input_dim=9, hidden_layers=hidden, dropout_p=dropout, l1=l1, lr=0.02,
-                    epochs=6, batch_size=batch_size, seed=4)
+    cfg = MlpConfig(input_dim=input_dim, hidden_layers=hidden, dropout_p=dropout, l1=l1,
+                    lr=0.02, epochs=6, batch_size=batch_size, seed=4)
     # scores that rise and fall, so the best epoch is neither the first nor the last
     scores = [0.1, 0.5, 0.7, 0.2, 0.6, 0.3]
     results = []
@@ -402,6 +404,7 @@ def test_train_matches_reference_train(hidden, dropout, l1, n, batch_size, hooke
         for name in ("weights", "biases", "vel_w", "vel_b"):
             for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
                 assert np.array_equal(a, b), name
+                assert a.tobytes() == b.tobytes(), name  # signed zeros too
     if hooked:
         assert curve == ref_curve
         assert best is not model
@@ -409,6 +412,25 @@ def test_train_matches_reference_train(hidden, dropout, l1, n, batch_size, hooke
         assert [c[:2] for c in curve] == [c[:2] for c in ref_curve]
         assert all(math.isnan(c[2]) for c in curve)
         assert best is model
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_relu_gate_matches_reference_bit_for_bit(seed):
+    # Hidden units 0-2 are held off by their bias, and at unit 0 delta @ W.T
+    # overflows: the gate must zero that inf, where multiplying by the gate
+    # would give inf * 0 = NaN.
+    model = toy_model(dropout=0.0, l1=1e-5, hidden=(6,), seed=seed)
+    model.biases[0][:3] = -1e3
+    model.weights[1][0] = (-1e308, 1e308)
+    model.biases[1][:] = (-50.0, 50.0)  # class 1 near certain, so delta ~ (-1, 1)
+    x, _ = toy_batch(n=1, seed=seed)
+    y = np.zeros(1, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grads_w, grads_b = gradients(model, x, y)
+        want = reference_gradients(model, x, y, None, model.weights, model.biases)
+    assert value == want[0]
+    for got, ref in zip(grads_w + grads_b, want[1] + want[2], strict=True):
+        assert got.tobytes() == ref.tobytes()
 
 
 def assert_views_of_buffers(model):
@@ -455,6 +477,8 @@ def test_nesterov_step_with_and_without_workspace_agree(hidden, dropout, n):
         assert v1 == v2
     assert np.array_equal(plain.params, spaced.params)
     assert np.array_equal(plain.velocity, spaced.velocity)
+    assert plain.params.tobytes() == spaced.params.tobytes()
+    assert plain.velocity.tobytes() == spaced.velocity.tobytes()
 
 
 @pytest.mark.parametrize("x_shape,y,fragment", [
