@@ -96,9 +96,7 @@ def _cmd_fuse(args):
     indicators = fusion.read_indicators(args.indicators)
     events = fusion.read_events(args.events)
     table, report = fusion.build_sample_table(sentences, vectors, indicators, events)
-    stats = fusion.write_sample_table(table, args.out)
-    if args.stats:
-        fusion.write_normalization_stats(stats, args.stats)
+    fusion.write_sample_table(table, args.out)
     print("wrote %s: %d samples (%d sentences dropped, %d banks fully dropped), "
           "class prior %.3f"
           % (args.out, len(table), report.n_dropped, len(report.banks_fully_dropped),
@@ -165,14 +163,13 @@ def _cmd_experiment(args):
     return 0
 
 
-def _grid_values(text):
-    values = []
-    for v in text.split(","):
+def _grid_value(text):
+    for parse in (int, float):
         try:
-            values.append(float(v) if "." in v or "e" in v else int(v))
+            return parse(text)
         except ValueError:
-            raise CliError("--grid: %r is not a number" % v) from None
-    return values
+            pass
+    raise CliError("--grid: %r is not a number" % text)
 
 
 def _cmd_sweep(args):
@@ -180,7 +177,7 @@ def _cmd_sweep(args):
     events = fusion.read_events(args.events)
     config = experiment.ExperimentConfig(
         **_experiment_settings(args, runs=experiment.SWEEP_RUNS))
-    grid = _grid_values(args.grid)
+    grid = [_grid_value(v) for v in args.grid.split(",")]
 
     if args.parameter in experiment.EMBEDDING_SWEEPS:
         if not (args.sentences and args.indicators):
@@ -272,7 +269,6 @@ def build_parser():
     p.add_argument("--indicators", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--out", required=True, help="fused dataset JSON-lines output")
-    p.add_argument("--stats", help="optional normalization stats JSON (audit)")
     p.set_defaults(func=_cmd_fuse)
 
     def common_experiment_flags(p):

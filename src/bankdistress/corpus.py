@@ -95,8 +95,7 @@ def _registry_entity(row):
     if not isinstance(row, dict):
         raise RegistryError("expected a JSON object, got %s" % type(row).__name__)
     for key in ("bank_id", "canonical_name", "country"):
-        if not isinstance(row[key], str):
-            raise RegistryError("%s must be a string, got %r" % (key, row[key]))
+        require_str(key, row[key])
     bank_id = row["bank_id"]
     patterns = _string_list(row["name_patterns"], "name_patterns")
     if not patterns:
@@ -275,7 +274,7 @@ def read_jsonl(path, parse):
                 out.append(parse(row))
             except KeyError as exc:
                 raise ValueError("%s:%d: missing key %s" % (path, line_no, exc)) from None
-            except (ValueError, TypeError, AttributeError) as exc:
+            except (ValueError, TypeError, AttributeError, OverflowError) as exc:
                 raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
     return out
 
@@ -308,6 +307,13 @@ def require_int(name, value):
         raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
+def require_str(name, value):
+    """``value``, after raising ValueError naming ``name`` unless it is a string."""
+    if not isinstance(value, str):
+        raise ValueError("%s must be a string, got %r" % (name, value))
+    return value
+
+
 def read_articles(path):
     """Read a JSON-lines article file."""
     return read_jsonl(path, lambda row: Article(
@@ -336,8 +342,8 @@ def write_sentences(sentences, path):
 
 def read_sentences(path):
     return read_jsonl(path, lambda row: Sentence(
-        sentence_id=row["sentence_id"],
-        bank_id=row["bank_id"],
+        sentence_id=require_str("sentence_id", row["sentence_id"]),
+        bank_id=require_str("bank_id", row["bank_id"]),
         published_at=datetime.fromisoformat(row["published_at"]),
         tokens=_string_list(row["tokens"], "tokens"),
     ))

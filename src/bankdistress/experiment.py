@@ -263,18 +263,25 @@ def run_repeated(table, events, config, sentences=None):
     return float(urs.mean()), float(urs.std()), results
 
 
+def _whole(parameter, value):
+    """``value`` as an int, if it has no fractional part."""
+    if not float(value).is_integer():
+        raise ValueError("%s must be a whole number, got %r" % (parameter, value))
+    return int(value)
+
+
 def _apply_sweep_value(config, parameter, value):
     mlp = dict(config.mlp)
     pvdm = dict(config.pvdm)
     hidden = mlp.get("hidden_layers", neural.MlpConfig.hidden_layers)
     if parameter == "hidden_width":
-        mlp["hidden_layers"] = (int(value),) * len(hidden)
+        mlp["hidden_layers"] = (_whole(parameter, value),) * len(hidden)
     elif parameter == "hidden_layer_count":
-        mlp["hidden_layers"] = (hidden[0],) * int(value)
+        mlp["hidden_layers"] = (hidden[0],) * _whole(parameter, value)
     elif parameter in ("lr", "l1", "dropout_p"):
         mlp[parameter] = float(value)
     elif parameter in EMBEDDING_SWEEPS:
-        pvdm[parameter] = int(value)
+        pvdm[parameter] = _whole(parameter, value)
     else:
         raise ValueError("unknown sweep parameter %r (expected one of %s)"
                          % (parameter, ", ".join(SWEEPABLE)))
@@ -290,10 +297,11 @@ def sweep(table_builder, events, base_config, parameter, grid, runs=SWEEP_RUNS, 
     if not len(grid):
         raise ValueError("sweep grid must be non-empty")
     base_config = replace(base_config, runs=runs)
+    # every grid point's config is checked before the first run
+    configs = [_apply_sweep_value(base_config, parameter, value) for value in grid]
     table = None
     means, stds = [], []
-    for value in grid:
-        cfg = _apply_sweep_value(base_config, parameter, value)
+    for cfg in configs:
         if table is None or parameter in EMBEDDING_SWEEPS:
             table = table_builder(cfg.pvdm)
         mean, std, _ = run_repeated(table, events, cfg, sentences=sentences)

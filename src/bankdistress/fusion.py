@@ -8,7 +8,7 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import finite_vector, read_jsonl
+from .corpus import finite_vector, read_jsonl, require_str
 
 NUMERIC_DIM = 12
 
@@ -310,14 +310,8 @@ def write_events(events, path):
 
 
 def write_sample_table(table, path):
-    """JSON-lines fused-dataset export.
-
-    ``input`` holds the semantic part followed by whole-dataset z-scored
-    numerics (audit view); ``numeric_raw`` is kept alongside so experiment
-    runs can re-fit normalization on their own training folds.
-    """
-    stats = fit_normalization(table.numeric_raw, source_folds=("all",))
-    numeric_z = apply_normalization(stats, table.numeric_raw)
+    """JSON-lines fused dataset, one row per sample and one key per
+    SampleTable column; ``read_sample_table`` reads it back."""
     with open(path, "w", encoding="utf-8") as fh:
         for i, sid in enumerate(table.sentence_ids):
             fh.write(
@@ -327,14 +321,13 @@ def write_sample_table(table, path):
                         "bank_id": table.bank_ids[i],
                         "month": "%04d-%02d" % table.months[i],
                         "label": int(table.labels[i]),
-                        "input": np.concatenate([table.semantic[i], numeric_z[i]]).tolist(),
+                        "semantic": table.semantic[i].tolist(),
                         "numeric_raw": table.numeric_raw[i].tolist(),
                     },
                     sort_keys=True,
                 )
             )
             fh.write("\n")
-    return stats
 
 
 def _parse_sample(row, widths):
@@ -344,16 +337,16 @@ def _parse_sample(row, widths):
     label = row["label"]
     if type(label) is not int or label not in (0, 1):
         raise ValueError("label must be the integer 0 or 1, got %r" % (label,))
-    inputs = finite_vector(row["input"], "input", widths)
-    if len(inputs) <= NUMERIC_DIM:
-        raise ValueError("input has %d entries, fewer than the %d indicators plus a "
-                         "semantic vector" % (len(inputs), NUMERIC_DIM))
+    sentence_id = require_str("sentence_id", row["sentence_id"])
+    bank_id = require_str("bank_id", row["bank_id"])
+    semantic = finite_vector(row["semantic"], "semantic", widths)
+    if not len(semantic):
+        raise ValueError("semantic is empty")
     numeric_raw = finite_vector(row["numeric_raw"], "numeric_raw")
     if len(numeric_raw) != NUMERIC_DIM:
         raise ValueError("numeric_raw has %d entries, expected %d"
                          % (len(numeric_raw), NUMERIC_DIM))
-    return (row["sentence_id"], row["bank_id"], (int(month[:4]), int(month[5:])),
-            inputs[:-NUMERIC_DIM], numeric_raw, label)
+    return sentence_id, bank_id, (int(month[:4]), int(month[5:])), semantic, numeric_raw, label
 
 
 def read_sample_table(path):
@@ -371,20 +364,3 @@ def read_sample_table(path):
         numeric_raw=np.vstack(num),
         labels=np.array(labels, dtype=np.int64),
     )
-
-
-def write_normalization_stats(stats, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "mean": stats.mean.tolist(),
-                "std": stats.std.tolist(),
-                "degenerate": stats.degenerate.astype(bool).tolist(),
-                "source_folds": list(stats.source_folds),
-                "indicators": list(INDICATOR_NAMES),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")

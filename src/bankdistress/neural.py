@@ -215,16 +215,13 @@ def loss(model, x, y):
     return nll + penalty
 
 
-def gradients(model, x, y, rng=None, weights=None, biases=None, workspace=None):
-    """Backprop gradients of the regularized loss.
+def gradients(model, x, y, rng=None, weights=None, biases=None):
+    """Backprop gradients of the regularized loss at ``weights``/``biases``
+    (default: the model's).
 
     The L1 subgradient uses sign(w) with sign(0) = 0 and never touches
-    biases. Returns (loss value, weight grads, bias grads). The point is
-    ``weights``/``biases`` (default: the model's) unless a ``workspace`` is
-    given: then it is the workspace's lookahead buffer, the gradients are
-    written into its gradient buffer and the lists returned are views of
-    it. Without a workspace the gradient arrays are fresh, so a caller may
-    update them in place.
+    biases. Returns (loss value, weight grads, bias grads). The gradient
+    arrays are fresh, so a caller may update them in place.
     """
     cfg = model.config
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -232,12 +229,11 @@ def gradients(model, x, y, rng=None, weights=None, biases=None, workspace=None):
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    if workspace is None:
-        workspace = _Workspace(cfg, n)
-        for dst, src in zip(workspace.ahead_w + workspace.ahead_b,
-                            (model.weights if weights is None else weights)
-                            + (model.biases if biases is None else biases)):
-            dst[...] = src
+    workspace = _Workspace(cfg, n)
+    for dst, src in zip(workspace.ahead_w + workspace.ahead_b,
+                        (model.weights if weights is None else weights)
+                        + (model.biases if biases is None else biases)):
+        dst[...] = src
     return _gradients(cfg, x, y, rng, workspace), workspace.grad_w, workspace.grad_b
 
 

@@ -6,7 +6,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import Vocabulary, finite_vector, read_jsonl, require_int
+from .corpus import Vocabulary, finite_vector, read_jsonl, require_int, require_str
 
 MODEL_FORMAT = "pvdm-v1"
 BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
@@ -451,4 +451,5 @@ def read_vectors(path):
     raises ValueError naming path:line."""
     widths = {}
     return dict(read_jsonl(
-        path, lambda row: (row["sentence_id"], finite_vector(row["values"], "values", widths))))
+        path, lambda row: (require_str("sentence_id", row["sentence_id"]),
+                           finite_vector(row["values"], "values", widths))))

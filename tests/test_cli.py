@@ -1,10 +1,15 @@
 """End-to-end command-line pipeline tests."""
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bankdistress import cli, corpus, experiment, fusion, pvdm
 
@@ -19,7 +24,6 @@ def pipeline(tmp_path_factory):
         "model": os.path.join(d, "model.npz"),
         "vectors": os.path.join(d, "vectors.jsonl"),
         "fused": os.path.join(d, "fused.jsonl"),
-        "stats": os.path.join(d, "stats.json"),
         "config": os.path.join(d, "config.json"),
         "dir": d,
     }
@@ -38,7 +42,7 @@ def pipeline(tmp_path_factory):
                      "--vectors", paths["vectors"],
                      "--indicators", os.path.join(paths["data"], "indicators.csv"),
                      "--events", os.path.join(paths["data"], "events.csv"),
-                     "--out", paths["fused"], "--stats", paths["stats"]]) == 0
+                     "--out", paths["fused"]]) == 0
     with open(paths["config"], "w", encoding="utf-8") as fh:
         json.dump({"mlp": {"epochs": 3, "hidden_layers": [6]}}, fh)
     return paths
@@ -73,9 +77,36 @@ def test_fuse_output(pipeline):
     assert table.semantic_dim == 16
     assert table.numeric_raw.shape[1] == fusion.NUMERIC_DIM
     assert set(np.unique(table.labels)) <= {0, 1}
-    stats = json.load(open(pipeline["stats"], encoding="utf-8"))
-    assert len(stats["mean"]) == fusion.NUMERIC_DIM
-    assert stats["indicators"] == list(fusion.INDICATOR_NAMES)
+    with open(pipeline["fused"], encoding="utf-8") as fh:
+        for line in fh:
+            assert set(json.loads(line)) == {"sentence_id", "bank_id", "month", "label",
+                                             "semantic", "numeric_raw"}
+
+
+def test_fuse_has_no_stats_option(pipeline, capsys, tmp_path):
+    rc = cli.main(["fuse", "--sentences", pipeline["sentences"],
+                   "--vectors", pipeline["vectors"],
+                   "--indicators", os.path.join(pipeline["data"], "indicators.csv"),
+                   "--events", os.path.join(pipeline["data"], "events.csv"),
+                   "--out", str(tmp_path / "fused.jsonl"), "--stats", str(tmp_path / "x.json")])
+    assert_one_error_line(capsys, rc, "unrecognized arguments: --stats")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_experiment_rejects_a_fused_file_with_an_input_key(pipeline, capsys, tmp_path):
+    # the earlier layout: semantic vector and z-scored indicators in one "input" list
+    rows = []
+    with open(pipeline["fused"], encoding="utf-8") as fh:
+        for line in fh:
+            row = json.loads(line)
+            row["input"] = row.pop("semantic") + [0.0] * fusion.NUMERIC_DIM
+            rows.append(json.dumps(row, sort_keys=True))
+    old = tmp_path / "fused.jsonl"
+    old.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rc = cli.main(["experiment", "--fused", str(old),
+                   "--events", os.path.join(pipeline["data"], "events.csv"),
+                   "--runs", "1", "--out", str(tmp_path / "results")])
+    assert_one_error_line(capsys, rc, "error: %s:1: missing key 'semantic'" % old)
 
 
 def test_train_command(pipeline):
@@ -409,12 +440,15 @@ def replace_line(src, dst, line_no, text):
     ("fused", lambda row: dict(row, label=-1), "label must be the integer 0 or 1, got -1"),
     ("fused", lambda row: dict(row, label=1.7), "label must be the integer 0 or 1, got 1.7"),
     ("fused", lambda row: dict(row, label=True), "label must be the integer 0 or 1, got True"),
-    ("fused", lambda row: dict(row, input=[float("nan")] + row["input"][1:]),
-     "input holds a NaN or infinite entry"),
-    ("fused", lambda row: dict(row, input=["0.5"] + row["input"][1:]),
-     "input must be a list of numbers"),
-    ("fused", lambda row: dict(row, input=row["input"][:-1]),
-     "input has 27 entries where the first row has 28"),
+    ("fused", lambda row: dict(row, semantic=[float("nan")] + row["semantic"][1:]),
+     "semantic holds a NaN or infinite entry"),
+    ("fused", lambda row: dict(row, semantic=["0.5"] + row["semantic"][1:]),
+     "semantic must be a list of numbers"),
+    ("fused", lambda row: dict(row, semantic=row["semantic"][:-1]),
+     "semantic has 15 entries where the first row has 16"),
+    ("fused", lambda row: dict(row, bank_id=[1]), "bank_id must be a string, got [1]"),
+    ("fused", lambda row: dict(row, bank_id=5), "bank_id must be a string, got 5"),
+    ("fused", lambda row: dict(row, sentence_id=[2]), "sentence_id must be a string, got [2]"),
     ("fused", lambda row: dict(row, numeric_raw=row["numeric_raw"][:11]),
      "numeric_raw has 11 entries, expected 12"),
     ("fused", lambda row: dict(row, numeric_raw=[float("inf")] + row["numeric_raw"][1:]),
@@ -425,13 +459,22 @@ def replace_line(src, dst, line_no, text):
      "values must be a list of numbers"),
     ("vectors", lambda row: dict(row, values=[float("-inf")] + row["values"][1:]),
      "values holds a NaN or infinite entry"),
+    ("vectors", lambda row: dict(row, values=[10 ** 400] + row["values"][1:]),
+     "int too large to convert to float"),
+    ("vectors", lambda row: dict(row, sentence_id=[7]), "sentence_id must be a string, got [7]"),
+    ("sentences", lambda row: dict(row, bank_id=[1]), "bank_id must be a string, got [1]"),
+    ("sentences", lambda row: dict(row, sentence_id=[7]),
+     "sentence_id must be a string, got [7]"),
 ], ids=["events-short-row", "events-bad-date", "vectors-array", "sentences-array",
         "sentences-missing-key", "sentences-string-tokens", "articles-string",
         "fused-missing-key", "fused-bad-type", "fused-month-13", "fused-month-0",
         "fused-month-one-digit", "fused-label-2", "fused-label-negative",
-        "fused-label-fraction", "fused-label-bool", "fused-input-nan", "fused-input-string",
-        "fused-input-short", "fused-numeric-raw-short", "fused-numeric-raw-inf",
-        "vectors-short", "vectors-null", "vectors-inf"])
+        "fused-label-fraction", "fused-label-bool", "fused-semantic-nan",
+        "fused-semantic-string", "fused-semantic-short", "fused-bank-id-list",
+        "fused-bank-id-int", "fused-sentence-id-list", "fused-numeric-raw-short",
+        "fused-numeric-raw-inf", "vectors-short", "vectors-null", "vectors-inf",
+        "vectors-huge-int", "vectors-sentence-id-list", "sentences-bank-id-list",
+        "sentences-sentence-id-list"])
 def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, text, fragment):
     data = pipeline["data"]
     inputs = {
@@ -499,3 +542,96 @@ def test_sweep_rejects_a_grid_value_that_is_not_a_number(pipeline, capsys, grid,
                    "--parameter", "l1", "--grid", grid,
                    "--out", os.path.join(pipeline["dir"], "x")])
     assert_one_error_line(capsys, rc, "error: --grid: %s is not a number" % bad)
+
+
+@pytest.mark.parametrize("parameter,grid", [("hidden_width", "5.5"),
+                                            ("hidden_layer_count", "1,2.5"),
+                                            ("window_n", "2,2.5"), ("vector_dim", "4,inf")])
+def test_sweep_rejects_a_fractional_integer_parameter(pipeline, capsys, monkeypatch, parameter,
+                                                      grid):
+    trained = []
+    for name in ("embed_sentences", "run_repeated"):
+        monkeypatch.setattr(experiment, name, lambda *a, **k: trained.append(a))
+    out = os.path.join(pipeline["dir"], "fractional")
+    rc = cli.main(["sweep", "--fused", pipeline["fused"],
+                   "--events", os.path.join(pipeline["data"], "events.csv"),
+                   "--sentences", pipeline["sentences"],
+                   "--indicators", os.path.join(pipeline["data"], "indicators.csv"),
+                   "--parameter", parameter, "--grid", grid, "--out", out])
+    bad = grid.split(",")[-1]
+    assert_one_error_line(capsys, rc, "error: %s must be a whole number, got %r"
+                          % (parameter, float(bad)))
+    assert not trained and not os.path.exists(out)
+
+
+def test_sweep_reads_an_upper_case_exponent(pipeline, capsys):
+    out = os.path.join(pipeline["dir"], "sweep_lr")
+    rc = cli.main(["sweep", "--fused", pipeline["fused"],
+                   "--events", os.path.join(pipeline["data"], "events.csv"),
+                   "--config", pipeline["config"], "--parameter", "lr", "--grid", "1E-3",
+                   "--runs", "1", "--out", out])
+    assert rc == 0 and capsys.readouterr().err == ""
+    lines = open(os.path.join(out, "sweep_lr.csv"), encoding="utf-8").read().splitlines()
+    assert lines[1].startswith("lr,0.001,")
+
+
+MISSING = object()  # stands for deleting the key instead of replacing its value
+ROW_KEYS = {
+    "fused": ("sentence_id", "bank_id", "month", "label", "semantic", "numeric_raw"),
+    "sentences": ("sentence_id", "bank_id", "published_at", "tokens"),
+    "vectors": ("sentence_id", "values"),
+}
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    json_containers, max_leaves=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(target=st.sampled_from([(reader, key) for reader, keys in ROW_KEYS.items()
+                               for key in keys]),
+       row_no=st.integers(min_value=0, max_value=2),
+       value=JSON_VALUES | st.just(MISSING))
+@example(target=("fused", "bank_id"), row_no=1, value=[1])
+@example(target=("fused", "bank_id"), row_no=1, value=5)
+def test_any_edited_field_exits_cleanly(pipeline, target, row_no, value):
+    """One field of one row of a JSON-lines input, replaced or deleted, either
+    leaves the command working or ends it with one ``error:`` line."""
+    reader, key = target
+    data = pipeline["data"]
+    with tempfile.TemporaryDirectory() as d:
+        inputs = {name: pipeline[name] for name in ROW_KEYS}
+        with open(inputs[reader], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        row = json.loads(lines[row_no])
+        if value is MISSING:
+            del row[key]
+        else:
+            row[key] = value
+        lines[row_no] = json.dumps(row)
+        inputs[reader] = os.path.join(d, reader + ".jsonl")
+        with open(inputs[reader], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        events = os.path.join(data, "events.csv")
+        if reader == "fused":
+            config = os.path.join(d, "config.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump({"arm": "combined", "mlp": {"epochs": 1, "hidden_layers": [2]}}, fh)
+            argv = ["experiment", "--fused", inputs["fused"], "--events", events,
+                    "--config", config, "--runs", "1", "--out", os.path.join(d, "results")]
+        else:
+            argv = ["fuse", "--sentences", inputs["sentences"], "--vectors", inputs["vectors"],
+                    "--indicators", os.path.join(data, "indicators.csv"), "--events", events,
+                    "--out", os.path.join(d, "fused.jsonl")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    assert rc in (0, 1)
+    if rc == 1:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert err.getvalue().startswith("error: "), err.getvalue()

@@ -212,8 +212,7 @@ def test_sample_table_round_trip(tmp_path):
     sents, vectors, recs, events = small_dataset()
     table, _ = build_sample_table(sents, vectors, recs, events)
     path = str(tmp_path / "fused.jsonl")
-    stats = write_sample_table(table, path)
-    assert stats.source_folds == ("all",)
+    write_sample_table(table, path)
     loaded = read_sample_table(path)
     assert loaded.sentence_ids == table.sentence_ids
     assert loaded.bank_ids == table.bank_ids
@@ -281,18 +280,19 @@ def test_read_sample_table_rejects_empty(tmp_path):
     (lambda row: dict(row, label=-1), "label must be the integer 0 or 1, got -1"),
     (lambda row: dict(row, label=1.7), "label must be the integer 0 or 1, got 1.7"),
     (lambda row: dict(row, label=False), "label must be the integer 0 or 1, got False"),
-    (lambda row: dict(row, input=row["input"][:2] + [float("nan")] + row["input"][3:]),
-     "input holds a NaN or infinite entry"),
-    (lambda row: dict(row, input=row["input"][:-1] + [True]), "input must be a list of numbers"),
-    (lambda row: dict(row, input="0.5"), "input must be a list of numbers"),
-    (lambda row: dict(row, input=row["input"] + [0.0]),
-     "input has 19 entries where the first row has 18"),
+    (lambda row: dict(row, semantic=row["semantic"][:2] + [float("nan")] + row["semantic"][3:]),
+     "semantic holds a NaN or infinite entry"),
+    (lambda row: dict(row, semantic=row["semantic"][:-1] + [True]),
+     "semantic must be a list of numbers"),
+    (lambda row: dict(row, semantic="0.5"), "semantic must be a list of numbers"),
+    (lambda row: dict(row, semantic=row["semantic"] + [0.0]),
+     "semantic has 7 entries where the first row has 6"),
     (lambda row: dict(row, numeric_raw=row["numeric_raw"] + [1.0]),
      "numeric_raw has 13 entries, expected 12"),
     (lambda row: dict(row, numeric_raw=row["numeric_raw"][:5] + ["x"]),
      "numeric_raw must be a list of numbers"),
-], ids=["label-2", "label-negative", "label-fraction", "label-bool", "input-nan",
-        "input-bool-entry", "input-string", "input-long", "numeric-raw-long",
+], ids=["label-2", "label-negative", "label-fraction", "label-bool", "semantic-nan",
+        "semantic-bool-entry", "semantic-string", "semantic-long", "numeric-raw-long",
         "numeric-raw-string"])
 def test_read_sample_table_rejects_malformed_rows(tmp_path, edit, fragment):
     sents, vectors, recs, events = small_dataset()
@@ -307,10 +307,10 @@ def test_read_sample_table_rejects_malformed_rows(tmp_path, edit, fragment):
     assert fragment in str(info.value)
 
 
-def test_read_sample_table_rejects_inputs_without_a_semantic_part(tmp_path):
+def test_read_sample_table_rejects_an_empty_semantic_vector(tmp_path):
     path = tmp_path / "fused.jsonl"
     row = {"sentence_id": "s", "bank_id": "a", "month": "2010-01", "label": 0,
-           "input": [0.0] * NUMERIC_DIM, "numeric_raw": [0.0] * NUMERIC_DIM}
+           "semantic": [], "numeric_raw": [0.0] * NUMERIC_DIM}
     path.write_text(json.dumps(row) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"fused\.jsonl:1: input has 12 entries"):
+    with pytest.raises(ValueError, match=r"fused\.jsonl:1: semantic is empty"):
         read_sample_table(str(path))
