@@ -4,9 +4,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
-from . import corpus, evaluation, experiment, fusion, neural, pvdm, synth
+from . import corpus, experiment, fusion, neural, pvdm, synth
 
 
 class CliError(Exception):
@@ -32,13 +32,26 @@ def _experiment_settings(args, **defaults):
     return settings
 
 
-def _scoped_sentences(args, config):
-    """Raw sentences for per-run embedding retraining, when requested."""
-    if config.embedding_scope != "train_folds":
-        return None
-    if not args.sentences:
+# the commands that read pvdm and --sentences (experiment.inputs_read)
+_EMBEDDING_READERS = "embedding scope 'train_folds' or a full-scope window_n or vector_dim sweep"
+
+
+def _check_inputs(args, config, parameter=None):
+    """Ends the command on a pvdm override or an input file it would not read,
+    and on an input file it would read but was not given."""
+    reads = experiment.inputs_read(config.embedding_scope, parameter)
+    indicators = getattr(args, "indicators", None)
+    if config.pvdm and "pvdm" not in reads:
+        raise CliError("%s: pvdm is read only under %s" % (args.config, _EMBEDDING_READERS))
+    if args.sentences and "sentences" not in reads:
+        raise CliError("--sentences is read only under %s" % _EMBEDDING_READERS)
+    if indicators and "indicators" not in reads:
+        raise CliError("--indicators is read only by a full-scope window_n or vector_dim sweep")
+    if "indicators" in reads and not (args.sentences and indicators):
+        raise CliError("sweeping %s retrains embeddings: pass --sentences and --indicators"
+                       % parameter)
+    if "sentences" in reads and not args.sentences:
         raise CliError("embedding scope 'train_folds' retrains per run: pass --sentences")
-    return corpus.read_sentences(args.sentences)
 
 
 def _cmd_synth(args):
@@ -95,7 +108,8 @@ def _cmd_fuse(args):
     vectors = pvdm.read_vectors(args.vectors)
     indicators = fusion.read_indicators(args.indicators)
     events = fusion.read_events(args.events)
-    table, report = fusion.build_sample_table(sentences, vectors, indicators, events)
+    table, report = fusion.build_sample_table(sentences, vectors, indicators, events,
+                                              vectors_name=args.vectors)
     fusion.write_sample_table(table, args.out)
     print("wrote %s: %d samples (%d sentences dropped, %d banks fully dropped), "
           "class prior %.3f"
@@ -105,44 +119,38 @@ def _cmd_fuse(args):
 
 
 def _cmd_train(args):
-    table = fusion.read_sample_table(args.fused)
-    events = fusion.read_events(args.events)
     settings = _experiment_settings(args)
     if settings.get("runs", 1) != 1:
         raise CliError("%s: train makes one run, got runs %r" % (args.config, settings["runs"]))
     config = experiment.ExperimentConfig(**settings)
+    _check_inputs(args, config)
+    table = fusion.read_sample_table(args.fused)
+    events = fusion.read_events(args.events)
+    sentences = corpus.read_sentences(args.sentences) if args.sentences else None
     result = experiment.run_once(table, events, config,
                                  experiment.derive_run_seed(config.master_seed, 0),
-                                 sentences=_scoped_sentences(args, config))
+                                 sentences=sentences)
+    report = {"arm": config.arm, "mu": config.mu, "seed": result.seed,
+              "threshold": result.threshold,
+              "validation": asdict(result.validation), "test": asdict(result.test)}
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "arm": config.arm,
-                "mu": config.mu,
-                "seed": result.seed,
-                "threshold": result.threshold,
-                "validation": evaluation.report_to_dict(result.validation),
-                "test": evaluation.report_to_dict(result.test),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print("wrote %s: test U_r %.4f" % (args.out, result.test.relative_usefulness))
     return 0
 
 
 def _cmd_experiment(args):
-    table = fusion.read_sample_table(args.fused)
-    events = fusion.read_events(args.events)
     settings = _experiment_settings(args)
     # an arm set by the file or a flag runs alone; none set, or --arm all, runs every arm
     if settings.get("arm") == "all":
         del settings["arm"]
     config = experiment.ExperimentConfig(**settings)
     arms = [config.arm] if "arm" in settings else list(fusion.ARMS)
-    sentences = _scoped_sentences(args, config)
+    _check_inputs(args, config)
+    table = fusion.read_sample_table(args.fused)
+    events = fusion.read_events(args.events)
+    sentences = corpus.read_sentences(args.sentences) if args.sentences else None
     os.makedirs(args.out, exist_ok=True)
     results_by_arm = {}
     for arm in arms:
@@ -173,19 +181,15 @@ def _grid_value(text):
 
 
 def _cmd_sweep(args):
-    table = fusion.read_sample_table(args.fused)
-    events = fusion.read_events(args.events)
     config = experiment.ExperimentConfig(
         **_experiment_settings(args, runs=experiment.SWEEP_RUNS))
     grid = [_grid_value(v) for v in args.grid.split(",")]
+    _check_inputs(args, config, args.parameter)
+    table = fusion.read_sample_table(args.fused)
+    events = fusion.read_events(args.events)
+    sentences = corpus.read_sentences(args.sentences) if args.sentences else None
 
-    if args.parameter in experiment.EMBEDDING_SWEEPS:
-        if not (args.sentences and args.indicators):
-            raise CliError(
-                "sweeping %s retrains embeddings: pass --sentences and --indicators"
-                % args.parameter
-            )
-        sentences = corpus.read_sentences(args.sentences)
+    if args.indicators:
         indicators = fusion.read_indicators(args.indicators)
 
         def builder(pvdm_overrides):
@@ -200,8 +204,7 @@ def _cmd_sweep(args):
             return table
 
     result = experiment.sweep(builder, events, config, args.parameter, grid,
-                              runs=config.runs,
-                              sentences=_scoped_sentences(args, config))
+                              runs=config.runs, sentences=sentences)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep_%s.csv" % args.parameter)
     experiment.write_sweep_csv(result, path)

@@ -254,14 +254,16 @@ def build_vocabulary(sentences, min_count=5, noise_power=0.75):
     )
 
 
-def read_jsonl(path, parse):
+def read_jsonl(path, parse, unique=None):
     """``parse(row)`` of every non-blank line of a JSON-lines file, in order.
 
     A line that is not a JSON object, or whose object ``parse`` rejects
     (a missing key, a value of the wrong type or form), raises ValueError
-    naming path:line.
+    naming path:line. So does a line that repeats an earlier line's value
+    of the key ``unique``, when given.
     """
     out = []
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -272,6 +274,10 @@ def read_jsonl(path, parse):
                 if not isinstance(row, dict):
                     raise ValueError("expected a JSON object, got %s" % type(row).__name__)
                 out.append(parse(row))
+                if unique is not None:
+                    if row[unique] in seen:
+                        raise ValueError("duplicate %s %r" % (unique, row[unique]))
+                    seen.add(row[unique])
             except KeyError as exc:
                 raise ValueError("%s:%d: missing key %s" % (path, line_no, exc)) from None
             except (ValueError, TypeError, AttributeError, OverflowError) as exc:
@@ -346,4 +352,4 @@ def read_sentences(path):
         bank_id=require_str("bank_id", row["bank_id"]),
         published_at=datetime.fromisoformat(row["published_at"]),
         tokens=_string_list(row["tokens"], "tokens"),
-    ))
+    ), unique="sentence_id")

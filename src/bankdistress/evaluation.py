@@ -218,21 +218,3 @@ def pick_threshold(scores, mu):
             best_tau, best_ur = tau, ur
     return best_tau
 
-
-def report_to_dict(report):
-    return {
-        "mu": report.mu,
-        "prior": report.prior,
-        "threshold": report.threshold,
-        "baseline_loss": report.baseline_loss,
-        "model_loss": report.model_loss,
-        "absolute_usefulness": report.absolute_usefulness,
-        "relative_usefulness": report.relative_usefulness,
-        "confusion": {
-            "tp": report.confusion.tp,
-            "fp": report.confusion.fp,
-            "tn": report.confusion.tn,
-            "fn": report.confusion.fn,
-        },
-    }
-

@@ -21,7 +21,7 @@ VALIDATION_FOLD = 3
 TEST_FOLD = 4
 MAX_FOLD_REDRAWS = 100
 
-# Sweeps of these parameters retrain the embedding, so they rebuild the table.
+# At full scope, sweeps of these parameters re-embed the corpus into a new table.
 EMBEDDING_SWEEPS = ("window_n", "vector_dim")
 SWEEPABLE = ("hidden_width", "hidden_layer_count", "lr", "l1", "dropout_p") + EMBEDDING_SWEEPS
 SWEEP_RUNS = 10  # runs per grid value
@@ -45,7 +45,6 @@ def _check_keys(section, overrides, allowed):
 class ExperimentConfig:
     arm: str = "combined"
     runs: int = 50
-    folds: int = 5
     mu: float = 0.9
     mlp: dict = field(default_factory=dict)      # MlpConfig overrides (MLP_KEYS)
     pvdm: dict = field(default_factory=dict)     # PvdmConfig overrides (PVDM_KEYS)
@@ -53,7 +52,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("runs", "folds", "master_seed"):
+        for name in ("runs", "master_seed"):
             require_int(name, getattr(self, name))
         if self.arm not in ARMS:
             raise ValueError("unknown arm %r" % self.arm)
@@ -61,10 +60,6 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if not (isinstance(self.mu, numbers.Real) and 0.0 < self.mu < 1.0):
             raise ValueError("mu must lie strictly in (0, 1), got %r" % (self.mu,))
-        n_folds = len(TRAIN_FOLDS) + 2
-        if self.folds != n_folds:
-            raise ValueError("folds must be %d: %d train, 1 validation and 1 test fold"
-                             % (n_folds, len(TRAIN_FOLDS)))
         if self.embedding_scope not in ("full", "train_folds"):
             raise ValueError("embedding_scope must be 'full' or 'train_folds'")
         _check_keys("mlp", self.mlp, MLP_KEYS)
@@ -76,6 +71,21 @@ class ExperimentConfig:
                 make(**overrides)
             except ValueError as exc:
                 raise ValueError("%s: %s" % (section, exc)) from None
+
+
+def inputs_read(embedding_scope, parameter=None):
+    """Which of the pvdm overrides and the sentences and indicators files a
+    command reads at ``embedding_scope``, sweeping ``parameter`` if given.
+
+    Each train_folds run retrains PV-DM on its training folds' sentences;
+    only a full-scope EMBEDDING_SWEEPS sweep re-embeds the whole corpus and
+    rebuilds the table from the indicators.
+    """
+    if embedding_scope == "train_folds":
+        return {"pvdm", "sentences"}
+    if parameter in EMBEDDING_SWEEPS:
+        return {"pvdm", "sentences", "indicators"}
+    return set()
 
 
 def read_config(path):
@@ -177,19 +187,11 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
         # Redraw r uses key r + 2 of the run seed: keys 1 and 2 seed the MLP
         # and the per-run embedding.
         seed = run_seed if redraws == 0 else derive_run_seed(run_seed, redraws + 2)
-        folds = assign_folds(table.bank_ids, k=config.folds, seed=seed)
-        role_of = {}
-        for bank, f in folds.fold_of.items():
-            if f in TRAIN_FOLDS:
-                role_of[bank] = "train"
-            elif f == VALIDATION_FOLD:
-                role_of[bank] = "validation"
-            else:
-                role_of[bank] = "test"
-        roles = np.array([role_of[b] for b in table.bank_ids])
-        train_mask = roles == "train"
-        val_mask = roles == "validation"
-        test_mask = roles == "test"
+        folds = assign_folds(table.bank_ids, k=len(TRAIN_FOLDS) + 2, seed=seed)
+        fold = np.array([folds.fold_of[b] for b in table.bank_ids])
+        train_mask = np.isin(fold, TRAIN_FOLDS)
+        val_mask = fold == VALIDATION_FOLD
+        test_mask = fold == TEST_FOLD
         if not (train_mask.any() and val_mask.any() and test_mask.any()):
             raise ValueError("a fold role received no samples")
         val_groups = month_groups(val_mask)
@@ -206,7 +208,7 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
     if config.embedding_scope == "train_folds":
         if sentences is None:
             raise ValueError("embedding_scope 'train_folds' needs the raw sentences")
-        train_banks = {b for b, role in role_of.items() if role == "train"}
+        train_banks = {b for b, f in folds.fold_of.items() if f in TRAIN_FOLDS}
         vectors, zero_vectors = fold_scoped_vectors(
             sentences, config.pvdm, train_banks, derive_run_seed(run_seed, 2))
         semantic = np.vstack([vectors[sid] for sid in table.sentence_ids])
@@ -273,6 +275,9 @@ def _whole(parameter, value):
 def _apply_sweep_value(config, parameter, value):
     mlp = dict(config.mlp)
     pvdm = dict(config.pvdm)
+    if parameter in mlp or parameter in pvdm:
+        raise ValueError("the config sets %s, which the sweep sets at each grid value"
+                         % parameter)
     hidden = mlp.get("hidden_layers", neural.MlpConfig.hidden_layers)
     if parameter == "hidden_width":
         mlp["hidden_layers"] = (_whole(parameter, value),) * len(hidden)
@@ -291,18 +296,20 @@ def _apply_sweep_value(config, parameter, value):
 def sweep(table_builder, events, base_config, parameter, grid, runs=SWEEP_RUNS, sentences=None):
     """Mean/std relative usefulness across a one-parameter grid.
 
-    ``table_builder(pvdm_overrides) -> SampleTable`` rebuilds the dataset;
-    it is only re-invoked for the EMBEDDING_SWEEPS parameters.
+    ``table_builder(pvdm_overrides) -> SampleTable`` builds the dataset once,
+    and again at each grid point only where the sweep reads the indicators
+    (see ``inputs_read``).
     """
     if not len(grid):
         raise ValueError("sweep grid must be non-empty")
     base_config = replace(base_config, runs=runs)
     # every grid point's config is checked before the first run
     configs = [_apply_sweep_value(base_config, parameter, value) for value in grid]
+    rebuilds = "indicators" in inputs_read(base_config.embedding_scope, parameter)
     table = None
     means, stds = [], []
     for cfg in configs:
-        if table is None or parameter in EMBEDDING_SWEEPS:
+        if table is None or rebuilds:
             table = table_builder(cfg.pvdm)
         mean, std, _ = run_repeated(table, events, cfg, sentences=sentences)
         means.append(mean)
@@ -337,7 +344,11 @@ def write_runs_csv(results_by_arm, path):
 
 
 def write_summary_json(results_by_arm, config, path):
-    summary = {"config": asdict(config), "arms": {}}
+    """The config and each arm's statistics; ``arms`` names the arms run, so
+    the config's own arm is left out."""
+    settings = asdict(config)
+    del settings["arm"]
+    summary = {"config": settings, "arms": {}}
     for arm, results in results_by_arm.items():
         urs = np.array([r.test.relative_usefulness for r in results])
         summary["arms"][arm] = {

@@ -209,14 +209,19 @@ class SampleTable:
         return float(self.labels.mean())
 
 
-def build_sample_table(sentences, vectors_by_id, indicators, events):
-    """Align, label and stack everything the experiment harness consumes."""
+def build_sample_table(sentences, vectors_by_id, indicators, events, vectors_name="vectors"):
+    """Align, label and stack everything the experiment harness consumes.
+
+    An aligned sentence without a vector raises ValueError naming
+    ``vectors_name`` (the vectors file, where there is one) and the sentence.
+    """
     aligned, report = align(sentences, indicators)
     sids, bids, months, sem, num, labels = [], [], [], [], [], []
     for sent, rec in aligned:
         vec = vectors_by_id.get(sent.sentence_id)
         if vec is None:
-            raise KeyError("no semantic vector for sentence %r" % sent.sentence_id)
+            raise ValueError("%s: no semantic vector for sentence %r"
+                             % (vectors_name, sent.sentence_id))
         sids.append(sent.sentence_id)
         bids.append(sent.bank_id)
         months.append(month_of(sent.published_at))
@@ -225,17 +230,14 @@ def build_sample_table(sentences, vectors_by_id, indicators, events):
         labels.append(label(sent, events))
     if not sids:
         raise ValueError("no aligned samples")
-    return (
-        SampleTable(
-            sentence_ids=sids,
-            bank_ids=bids,
-            months=months,
-            semantic=np.vstack(sem),
-            numeric_raw=np.vstack(num),
-            labels=np.array(labels, dtype=np.int64),
-        ),
-        report,
-    )
+    return _stack(sids, bids, months, sem, num, labels), report
+
+
+def _stack(sids, bids, months, sem, num, labels):
+    """The SampleTable of per-sample columns: ids, months, vectors and labels."""
+    return SampleTable(sentence_ids=list(sids), bank_ids=list(bids), months=list(months),
+                       semantic=np.vstack(sem), numeric_raw=np.vstack(num),
+                       labels=np.array(labels, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +357,4 @@ def read_sample_table(path):
     rows = read_jsonl(path, lambda row: _parse_sample(row, widths))
     if not rows:
         raise ValueError("empty fused dataset %s" % path)
-    sids, bids, months, sem, num, labels = zip(*rows)
-    return SampleTable(
-        sentence_ids=list(sids),
-        bank_ids=list(bids),
-        months=list(months),
-        semantic=np.vstack(sem),
-        numeric_raw=np.vstack(num),
-        labels=np.array(labels, dtype=np.int64),
-    )
+    return _stack(*zip(*rows))

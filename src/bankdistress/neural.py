@@ -7,12 +7,13 @@ import numpy as np
 
 from .corpus import require_int
 
+N_CLASSES = 2  # tranquil (0) and distressed (1); predict reads column 1
+
 
 @dataclass
 class MlpConfig:
     input_dim: int
     hidden_layers: tuple = (50,)
-    output_dim: int = 2
     lr: float = 5e-4
     l1: float = 1e-5
     momentum: float = 0.9
@@ -22,7 +23,7 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("input_dim", "output_dim", "epochs", "batch_size", "seed"):
+        for name in ("input_dim", "epochs", "batch_size", "seed"):
             require_int(name, getattr(self, name))
         if not isinstance(self.hidden_layers, (list, tuple)):
             raise ValueError("hidden_layers must be a list of layer widths, got %r"
@@ -30,7 +31,7 @@ class MlpConfig:
         self.hidden_layers = tuple(self.hidden_layers)
         for width in self.hidden_layers:
             require_int("hidden_layers entry", width)
-        if self.input_dim < 1 or self.output_dim < 1 or any(h < 1 for h in self.hidden_layers):
+        if self.input_dim < 1 or any(h < 1 for h in self.hidden_layers):
             raise ValueError("layer widths must be positive")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError("learning rate must be finite and positive")
@@ -45,7 +46,7 @@ class MlpConfig:
 
 
 def _layer_dims(config):
-    return (config.input_dim,) + config.hidden_layers + (config.output_dim,)
+    return (config.input_dim,) + config.hidden_layers + (N_CLASSES,)
 
 
 def _layer_views(flat, config):
@@ -333,8 +334,8 @@ def train(model, x_train, y_train, eval_hook=None):
         raise ValueError("y_train must hold one label per row: shape %s for %d rows"
                          % (y_train.shape, n))
     if (y_train.dtype.kind not in "iu" or y_train.min() < 0
-            or y_train.max() >= cfg.output_dim):
-        raise ValueError("labels must be integers in [0, %d)" % cfg.output_dim)
+            or y_train.max() >= N_CLASSES):
+        raise ValueError("labels must be integers in [0, %d)" % N_CLASSES)
     y_train = y_train.astype(np.int64, copy=False)
     curve, best_params = _epochs(model, x_train, y_train, eval_hook)
     if best_params is None:

@@ -448,8 +448,9 @@ def export_vectors(model, path):
 
 def read_vectors(path):
     """Load an export back into a sentence_id -> vector map; a malformed row
-    raises ValueError naming path:line."""
+    or a repeated sentence_id raises ValueError naming path:line."""
     widths = {}
     return dict(read_jsonl(
         path, lambda row: (require_str("sentence_id", row["sentence_id"]),
-                           finite_vector(row["values"], "values", widths))))
+                           finite_vector(row["values"], "values", widths)),
+        unique="sentence_id"))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -109,7 +110,15 @@ def test_experiment_rejects_a_fused_file_with_an_input_key(pipeline, capsys, tmp
     assert_one_error_line(capsys, rc, "error: %s:1: missing key 'semantic'" % old)
 
 
-def test_train_command(pipeline):
+def test_train_command(pipeline, monkeypatch):
+    results = []
+    run_once = experiment.run_once
+
+    def recording_run_once(*args, **kwargs):
+        results.append(run_once(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(experiment, "run_once", recording_run_once)
     out = os.path.join(pipeline["dir"], "report.json")
     rc = cli.main(["train", "--fused", pipeline["fused"],
                    "--events", os.path.join(pipeline["data"], "events.csv"),
@@ -119,6 +128,10 @@ def test_train_command(pipeline):
     assert report["arm"] == "combined"
     assert report["mu"] == 0.9
     assert set(report["test"]) >= {"relative_usefulness", "confusion", "threshold"}
+    [result] = results
+    c = result.test.confusion
+    assert report["test"]["confusion"] == {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn}
+    assert report["test"]["relative_usefulness"] == result.test.relative_usefulness
 
 
 def test_experiment_command_and_report(pipeline, capsys):
@@ -132,6 +145,8 @@ def test_experiment_command_and_report(pipeline, capsys):
     assert len(runs) == 1 + 3 * 2  # header + three arms x two runs
     summary = json.load(open(os.path.join(out, "summary.json"), encoding="utf-8"))
     assert sorted(summary["arms"]) == ["combined", "numeric_only", "text_only"]
+    # the arms object names the arms run; the config names none
+    assert "arm" not in summary["config"]
 
     capsys.readouterr()
     assert cli.main(["report", "--results", out]) == 0
@@ -296,6 +311,135 @@ def test_arm_all_overrides_the_config_file_arm(pipeline, tmp_path):
                      "--config", str(cfg_path), "--arm", "all", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert sorted(summary["arms"]) == sorted(fusion.ARMS)
+    assert "arm" not in summary["config"]
+
+
+@pytest.mark.parametrize("command,config,flags,fragment", [
+    ("experiment", {"pvdm": {"vector_dim": 8}}, [], "pvdm is read only"),
+    ("train", {"pvdm": {"vector_dim": 8}}, [], "pvdm is read only"),
+    ("sweep", {"pvdm": {"vector_dim": 8}}, [], "pvdm is read only"),
+    ("experiment", {}, ["--sentences", "none.jsonl"], "--sentences is read only"),
+    ("train", {}, ["--sentences", "none.jsonl"], "--sentences is read only"),
+    ("sweep", {}, ["--sentences", "none.jsonl"], "--sentences is read only"),
+    ("sweep", {}, ["--indicators", "none.csv"], "--indicators is read only"),
+    ("sweep", {"pvdm": {"vector_dim": 8}},
+     ["--parameter", "window_n", "--embedding-scope", "train_folds",
+      "--sentences", "none.jsonl", "--indicators", "none.csv"], "--indicators is read only"),
+], ids=["experiment-pvdm", "train-pvdm", "sweep-pvdm", "experiment-sentences",
+        "train-sentences", "sweep-sentences", "sweep-indicators", "scoped-sweep-indicators"])
+def test_settings_a_command_would_not_read_are_rejected(monkeypatch, capsys, tmp_path, command,
+                                                        config, flags, fragment):
+    # full-scope runs read neither pvdm nor --sentences, and only a full-scope
+    # embedding sweep reads --indicators; none of the inputs exists, so the
+    # one error line shows the command stopped before it read any
+    calls = []
+    monkeypatch.setattr(experiment, "run_once", lambda *a, **k: calls.append(a))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, "--fused", str(tmp_path / "none.jsonl"),
+            "--events", str(tmp_path / "none.csv"), "--config", str(cfg_path),
+            "--out", str(out)] + flags
+    if command == "sweep" and "--parameter" not in flags:
+        argv += ["--parameter", "l1", "--grid", "0.0"]
+    elif command == "sweep":
+        argv += ["--grid", "2"]
+    prefix = "error: %s: " % cfg_path if "pvdm" in fragment else "error: "
+    assert_one_error_line(capsys, cli.main(argv), prefix + fragment)
+    assert not out.exists() and not calls
+
+
+def test_scoped_embedding_sweep_reads_no_indicators(pipeline, monkeypatch, tmp_path):
+    # each train_folds run embeds its own training folds' sentences, so the
+    # sweep re-embeds no full corpus into a table of its own
+    embedded = []
+    embed_sentences = experiment.embed_sentences
+
+    def recording_embed(sentences, pvdm_config):
+        embedded.append(len(sentences))
+        return embed_sentences(sentences, pvdm_config)
+
+    monkeypatch.setattr(experiment, "embed_sentences", recording_embed)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mlp": {"epochs": 1, "hidden_layers": [2]},
+                                    "pvdm": {"vector_dim": 4, "epochs": 1, "min_count": 1}}),
+                        encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--fused", pipeline["fused"],
+                     "--events", os.path.join(pipeline["data"], "events.csv"),
+                     "--config", str(cfg_path), "--embedding-scope", "train_folds",
+                     "--sentences", pipeline["sentences"], "--parameter", "window_n",
+                     "--grid", "2,3", "--runs", "1", "--out", str(out)]) == 0
+    n_sentences = len(corpus.read_sentences(pipeline["sentences"]))
+    assert len(embedded) == 2 and all(n < n_sentences for n in embedded)
+    assert len((out / "sweep_window_n.csv").read_text(encoding="utf-8").splitlines()) == 3
+
+
+# The protocol the setting tests below change one value of: a 1-epoch,
+# hidden-[2] network whose validation threshold, at master seed 1, lies
+# inside the score range, so a changed score moves the results.
+EFFECT_BASE = {"arm": "combined", "runs": 1, "master_seed": 1,
+               "mlp": {"epochs": 1, "hidden_layers": [2], "lr": 0.01}}
+EFFECT_PVDM = {"vector_dim": 4, "window_n": 2, "epochs": 1, "min_count": 1}
+EFFECT_SCOPED = dict(EFFECT_BASE, embedding_scope="train_folds", pvdm=EFFECT_PVDM)
+# one value per setting that differs from EFFECT_BASE's or EFFECT_SCOPED's
+EFFECTS = {
+    "config": {"arm": "text_only", "runs": 2, "mu": 0.8, "master_seed": 2,
+               "mlp": dict(EFFECT_BASE["mlp"], epochs=3),
+               "pvdm": dict(EFFECT_PVDM, vector_dim=6),
+               "embedding_scope": "train_folds"},
+    "mlp": {"hidden_layers": [3], "lr": 0.05, "l1": 0.01, "momentum": 0.5, "dropout_p": 0.0,
+            "epochs": 3, "batch_size": 16},
+    # min_count above every token's count pools them all into <unk>
+    "pvdm": {"vector_dim": 6, "window_n": 3, "negative_samples": 2, "epochs": 2,
+             "lr_initial": 0.05, "lr_final": 0.01, "seed": 9, "min_count": 10 ** 6},
+}
+EFFECT_CASES = ([("config", f.name) for f in fields(experiment.ExperimentConfig)]
+                + [("mlp", key) for key in experiment.MLP_KEYS]
+                + [("pvdm", key) for key in experiment.PVDM_KEYS])
+
+
+@pytest.fixture(scope="module")
+def effect_runs(pipeline, tmp_path_factory):
+    """``run(config)`` -> runs.csv of a one-run experiment with that config."""
+    d = tmp_path_factory.mktemp("effects")
+    cache = {}
+
+    def run(config):
+        key = json.dumps(config, sort_keys=True)
+        if key not in cache:
+            n = len(cache)
+            (d / ("%d.json" % n)).write_text(key, encoding="utf-8")
+            out = d / str(n)
+            argv = ["experiment", "--fused", pipeline["fused"],
+                    "--events", os.path.join(pipeline["data"], "events.csv"),
+                    "--config", str(d / ("%d.json" % n)), "--out", str(out)]
+            if config.get("embedding_scope") == "train_folds":
+                argv += ["--sentences", pipeline["sentences"]]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            # summary.json's config echoes every setting; only the results count
+            cache[key] = (out / "runs.csv").read_bytes()
+        return cache[key]
+
+    return run
+
+
+@pytest.mark.parametrize("section,key", EFFECT_CASES,
+                         ids=["%s-%s" % case for case in EFFECT_CASES])
+def test_every_setting_changes_the_results(effect_runs, section, key):
+    value = EFFECTS[section][key]  # a setting added without a case fails here
+    if section == "mlp":
+        base, config = EFFECT_BASE, dict(EFFECT_BASE, mlp=dict(EFFECT_BASE["mlp"], **{key: value}))
+    elif section == "pvdm":
+        base, config = EFFECT_SCOPED, dict(EFFECT_SCOPED, pvdm=dict(EFFECT_PVDM, **{key: value}))
+    elif key == "embedding_scope":
+        # with the small embedding that keeps the per-run retraining cheap
+        base, config = EFFECT_BASE, dict(EFFECT_SCOPED, embedding_scope=value)
+    else:
+        base = EFFECT_SCOPED if key == "pvdm" else EFFECT_BASE
+        config = dict(base, **{key: value})
+    assert effect_runs(config) != effect_runs(base)
 
 
 def assert_one_error_line(capsys, rc, *fragments):
@@ -311,7 +455,10 @@ def assert_one_error_line(capsys, rc, *fragments):
     ({"mlp": {"epoch": 2}}, None, "unknown mlp key 'epoch'"),
     ({"pvdm": {"dimm": 4}}, "train_folds", "unknown pvdm key 'dimm'"),
     ([1, 2], None, "config must be a JSON object"),
-], ids=["top-level", "mlp", "pvdm", "not-an-object"])
+    # the fold count and the output width each had one legal value
+    ({"folds": 5}, None, "unknown config key 'folds'"),
+    ({"mlp": {"output_dim": 3}}, None, "unknown mlp key 'output_dim'"),
+], ids=["top-level", "mlp", "pvdm", "not-an-object", "folds", "output-dim"])
 def test_experiment_rejects_unknown_config_keys(pipeline, capsys, tmp_path, config, scope,
                                                 fragment):
     cfg_path = tmp_path / "cfg.json"
@@ -351,10 +498,9 @@ def test_experiment_rejects_non_finite_and_negative_rates(pipeline, capsys, tmp_
     ({"mlp": {"hidden_layers": [8.5]}}, "mlp: hidden_layers entry must be an integer, got 8.5"),
     ({"mlp": {"batch_size": True}}, "mlp: batch_size must be an integer, got True"),
     ({"pvdm": {"window_n": 2.0}}, "pvdm: window_n must be an integer, got 2.0"),
-    ({"folds": 5.0}, "folds must be an integer, got 5.0"),
     ({"master_seed": 0.5}, "master_seed must be an integer, got 0.5"),
 ], ids=["mlp-epochs-fraction", "mlp-hidden-fraction", "mlp-batch-size-bool",
-        "pvdm-window-float", "folds-float", "master-seed-fraction"])
+        "pvdm-window-float", "master-seed-fraction"])
 def test_experiment_rejects_non_integer_config_fields(pipeline, capsys, tmp_path, config,
                                                       fragment):
     cfg_path = tmp_path / "cfg.json"
@@ -420,6 +566,9 @@ def replace_line(src, dst, line_no, text):
     return str(dst)
 
 
+REPEAT_FIRST = object()  # stands for a copy of the file's first line
+
+
 @pytest.mark.parametrize("reader,text,fragment", [
     ("events", "bank00,2011-01-01", "row has fewer than 4 columns"),
     ("events", "bank00,2011-13-01,2011-12-31,state_aid", "month must be in 1..12"),
@@ -465,6 +614,9 @@ def replace_line(src, dst, line_no, text):
     ("sentences", lambda row: dict(row, bank_id=[1]), "bank_id must be a string, got [1]"),
     ("sentences", lambda row: dict(row, sentence_id=[7]),
      "sentence_id must be a string, got [7]"),
+    # the cases below repeat the file's first row as its second
+    ("sentences", REPEAT_FIRST, "duplicate sentence_id '"),
+    ("vectors", REPEAT_FIRST, "duplicate sentence_id '"),
 ], ids=["events-short-row", "events-bad-date", "vectors-array", "sentences-array",
         "sentences-missing-key", "sentences-string-tokens", "articles-string",
         "fused-missing-key", "fused-bad-type", "fused-month-13", "fused-month-0",
@@ -474,7 +626,7 @@ def replace_line(src, dst, line_no, text):
         "fused-bank-id-int", "fused-sentence-id-list", "fused-numeric-raw-short",
         "fused-numeric-raw-inf", "vectors-short", "vectors-null", "vectors-inf",
         "vectors-huge-int", "vectors-sentence-id-list", "sentences-bank-id-list",
-        "sentences-sentence-id-list"])
+        "sentences-sentence-id-list", "sentences-repeated-id", "vectors-repeated-id"])
 def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, text, fragment):
     data = pipeline["data"]
     inputs = {
@@ -484,9 +636,12 @@ def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, t
         "articles": os.path.join(data, "articles.jsonl"),
         "fused": pipeline["fused"],
     }
-    if callable(text):
-        with open(inputs[reader], encoding="utf-8") as fh:
-            text = json.dumps(text(json.loads(fh.read().splitlines()[1])))
+    with open(inputs[reader], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if text is REPEAT_FIRST:
+        text = lines[0]
+    elif callable(text):
+        text = json.dumps(text(json.loads(lines[1])))
     inputs[reader] = bad = replace_line(inputs[reader], tmp_path / reader, 2, text)
     out = str(tmp_path / "out.jsonl")
     if reader == "articles":
@@ -503,6 +658,20 @@ def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, t
                 "--indicators", os.path.join(data, "indicators.csv"),
                 "--events", inputs["events"], "--out", out]
     assert_one_error_line(capsys, cli.main(argv), "error: %s:2: " % bad, fragment)
+
+
+def test_fuse_names_the_vectors_file_for_a_missing_vector(pipeline, capsys, tmp_path):
+    with open(pipeline["vectors"], encoding="utf-8") as fh:
+        first, *rest = fh.read().splitlines()
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text("\n".join(rest) + "\n", encoding="utf-8")
+    rc = cli.main(["fuse", "--sentences", pipeline["sentences"], "--vectors", str(vectors),
+                   "--indicators", os.path.join(pipeline["data"], "indicators.csv"),
+                   "--events", os.path.join(pipeline["data"], "events.csv"),
+                   "--out", str(tmp_path / "fused.jsonl")])
+    assert_one_error_line(capsys, rc, "error: %s: no semantic vector for sentence %r"
+                          % (vectors, json.loads(first)["sentence_id"]))
+    assert not (tmp_path / "fused.jsonl").exists()
 
 
 @pytest.mark.parametrize("row_no,bad_row,fragment", [
@@ -553,11 +722,14 @@ def test_sweep_rejects_a_fractional_integer_parameter(pipeline, capsys, monkeypa
     for name in ("embed_sentences", "run_repeated"):
         monkeypatch.setattr(experiment, name, lambda *a, **k: trained.append(a))
     out = os.path.join(pipeline["dir"], "fractional")
-    rc = cli.main(["sweep", "--fused", pipeline["fused"],
-                   "--events", os.path.join(pipeline["data"], "events.csv"),
-                   "--sentences", pipeline["sentences"],
-                   "--indicators", os.path.join(pipeline["data"], "indicators.csv"),
-                   "--parameter", parameter, "--grid", grid, "--out", out])
+    argv = ["sweep", "--fused", pipeline["fused"],
+            "--events", os.path.join(pipeline["data"], "events.csv"),
+            "--parameter", parameter, "--grid", grid, "--out", out]
+    if parameter in experiment.EMBEDDING_SWEEPS:
+        # only a full-scope embedding sweep reads these, and it needs both
+        argv += ["--sentences", pipeline["sentences"],
+                 "--indicators", os.path.join(pipeline["data"], "indicators.csv")]
+    rc = cli.main(argv)
     bad = grid.split(",")[-1]
     assert_one_error_line(capsys, rc, "error: %s must be a whole number, got %r"
                           % (parameter, float(bad)))

@@ -19,7 +19,6 @@ from bankdistress.evaluation import (
     month_label,
     pick_threshold,
     relative_usefulness,
-    report_to_dict,
     usefulness_curve,
     usefulness_report,
 )
@@ -191,9 +190,6 @@ def test_usefulness_report_fields():
     assert report.prior == pytest.approx(0.25)
     assert report.mu == 0.9
     assert report.threshold == 0.5
-    d = report_to_dict(report)
-    assert d["confusion"] == {"tp": 1, "fp": 0, "tn": 3, "fn": 0}
-    assert d["relative_usefulness"] == report.relative_usefulness
 
 
 # ---------------------------------------------------------------------------

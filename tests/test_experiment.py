@@ -42,10 +42,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(runs=0)
     # fold roles are fixed (3 train, 1 validation, 1 test), so is the count
-    for folds in (1, 4, 6):
-        with pytest.raises(ValueError, match="folds must be 5"):
-            ExperimentConfig(folds=folds)
-    assert ExperimentConfig(folds=5).folds == 5
+    with pytest.raises(TypeError, match="folds"):
+        ExperimentConfig(folds=5)
 
 
 def test_config_rejects_unknown_override_keys():
@@ -294,6 +292,18 @@ def test_apply_sweep_value():
     assert experiment._apply_sweep_value(cfg, "vector_dim", 32).pvdm["vector_dim"] == 32
     with pytest.raises(ValueError):
         experiment._apply_sweep_value(cfg, "batchiness", 1)
+
+
+@pytest.mark.parametrize("parameter,overrides", [
+    ("lr", {"mlp": {"lr": 0.01}}), ("l1", {"mlp": {"l1": 0.0}}),
+    ("dropout_p", {"mlp": {"dropout_p": 0.1}}), ("window_n", {"pvdm": {"window_n": 3}}),
+    ("vector_dim", {"pvdm": {"vector_dim": 8}}),
+])
+def test_sweep_rejects_a_config_value_the_grid_replaces(parameter, overrides):
+    calls = []
+    with pytest.raises(ValueError, match="the config sets %s, which the sweep sets" % parameter):
+        sweep(lambda o: calls.append(o), None, quick_config(**overrides), parameter, [2])
+    assert not calls
 
 
 def test_sweep_builder_invocations_and_result():

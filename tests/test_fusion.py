@@ -204,7 +204,7 @@ def test_build_sample_table():
 def test_build_sample_table_missing_vector():
     sents, vectors, recs, events = small_dataset()
     del vectors["art:a:1"]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no semantic vector for sentence 'art:a:1'"):
         build_sample_table(sents, vectors, recs, events)
 
 

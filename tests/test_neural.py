@@ -68,14 +68,13 @@ def test_config_rejects_non_finite_and_negative_rates(field, value, fragment):
 
 @pytest.mark.parametrize("field,value,fragment", [
     ("input_dim", 6.0, "input_dim must be an integer, got 6.0"),
-    ("output_dim", True, "output_dim must be an integer, got True"),
     ("epochs", 2.5, "epochs must be an integer, got 2.5"),
     ("batch_size", True, "batch_size must be an integer, got True"),
     ("seed", "3", "seed must be an integer, got '3'"),
     ("hidden_layers", (8.5,), "hidden_layers entry must be an integer, got 8.5"),
     ("hidden_layers", (4, False), "hidden_layers entry must be an integer, got False"),
     ("hidden_layers", 8, "hidden_layers must be a list of layer widths, got 8"),
-], ids=["input-dim-float", "output-dim-bool", "epochs-fraction", "batch-size-bool",
+], ids=["input-dim-float", "epochs-fraction", "batch-size-bool",
         "seed-string", "hidden-fraction", "hidden-bool", "hidden-not-a-list"])
 def test_config_rejects_non_integer_fields(field, value, fragment):
     kwargs = {"input_dim": 6, field: value}
