@@ -185,6 +185,8 @@ def _cmd_sweep(args):
         **_experiment_settings(args, runs=experiment.SWEEP_RUNS))
     grid = [_grid_value(v) for v in args.grid.split(",")]
     _check_inputs(args, config, args.parameter)
+    # a bad grid ends the command before any input is read
+    experiment.sweep_configs(config, args.parameter, grid)
     table = fusion.read_sample_table(args.fused)
     events = fusion.read_events(args.events)
     sentences = corpus.read_sentences(args.sentences) if args.sentences else None

@@ -254,6 +254,20 @@ def build_vocabulary(sentences, min_count=5, noise_power=0.75):
     )
 
 
+def _nonblank_lines(path):
+    """(line number, stripped text) of each non-blank line of a text file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if line:
+                yield line_no, line
+
+
+def count_rows(path):
+    """The number of rows ``read_jsonl`` parses in ``path``: its non-blank lines."""
+    return sum(1 for _ in _nonblank_lines(path))
+
+
 def read_jsonl(path, parse, unique=None):
     """``parse(row)`` of every non-blank line of a JSON-lines file, in order.
 
@@ -264,47 +278,57 @@ def read_jsonl(path, parse, unique=None):
     """
     out = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise ValueError("expected a JSON object, got %s" % type(row).__name__)
-                out.append(parse(row))
-                if unique is not None:
-                    if row[unique] in seen:
-                        raise ValueError("duplicate %s %r" % (unique, row[unique]))
-                    seen.add(row[unique])
-            except KeyError as exc:
-                raise ValueError("%s:%d: missing key %s" % (path, line_no, exc)) from None
-            except (ValueError, TypeError, AttributeError, OverflowError) as exc:
-                raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
+    for line_no, line in _nonblank_lines(path):
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError("expected a JSON object, got %s" % type(row).__name__)
+            out.append(parse(row))
+            if unique is not None:
+                if row[unique] in seen:
+                    raise ValueError("duplicate %s %r" % (unique, row[unique]))
+                seen.add(row[unique])
+        except KeyError as exc:
+            raise ValueError("%s:%d: missing key %s" % (path, line_no, exc)) from None
+        except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+            raise ValueError("%s:%d: %s" % (path, line_no, exc)) from None
     return out
 
 
-def finite_vector(values, name, widths=None):
-    """``values``, a JSON list of numbers, as a float array.
+class VectorRows:
+    """A float matrix of ``n_rows`` rows, filled in order from JSON lists.
 
-    Anything else raises ValueError naming ``name``: a value that is not a
-    list, an entry that is not an int or a float (a bool, string, null or
-    list), or an entry that is NaN or infinite. With a dict ``widths`` (one
-    per file), the first vector called ``name`` sets the length of every
-    later one.
+    Each ``add(values)`` raises ValueError naming the column ``name`` for a
+    value that is not a list, an entry that is not an int or a float (a bool,
+    string, null or list), an entry that is NaN or infinite, or a length
+    other than ``width``; without a ``width``, the first row sets it. It
+    writes the row into ``matrix`` and returns that row, a view.
     """
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-        raise ValueError("%s must be a list of numbers" % name)
-    vec = np.array(values, dtype=float)
-    if not np.isfinite(vec).all():
-        raise ValueError("%s holds a NaN or infinite entry" % name)
-    if widths is not None:
-        width = widths.setdefault(name, len(vec))
-        if len(vec) != width:
-            raise ValueError("%s has %d entries where the first row has %d"
-                             % (name, len(vec), width))
-    return vec
+
+    def __init__(self, name, n_rows, width=None):
+        self.name = name
+        self.n_rows = n_rows
+        self.width = width
+        self.matrix = None if width is None else np.empty((n_rows, width))
+        self.filled = 0
+
+    def add(self, values):
+        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+            raise ValueError("%s must be a list of numbers" % self.name)
+        vec = np.array(values, dtype=float)
+        if not np.isfinite(vec).all():
+            raise ValueError("%s holds a NaN or infinite entry" % self.name)
+        if self.matrix is None:
+            self.matrix = np.empty((self.n_rows, len(vec)))
+        elif len(vec) != self.matrix.shape[1]:
+            if self.width is None:
+                raise ValueError("%s has %d entries where the first row has %d"
+                                 % (self.name, len(vec), self.matrix.shape[1]))
+            raise ValueError("%s has %d entries, expected %d" % (self.name, len(vec), self.width))
+        row = self.matrix[self.filled]
+        row[:] = vec
+        self.filled += 1
+        return row
 
 
 def require_int(name, value):

@@ -178,8 +178,7 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
     supplied; the run then retrains its own embedding on training-fold banks
     instead of using the table's precomputed semantic vectors.
     """
-    def month_groups(mask):
-        rows = np.flatnonzero(mask)
+    def month_groups(rows):
         return evaluation.group_months([table.bank_ids[i] for i in rows],
                                        [table.months[i] for i in rows], events)
 
@@ -189,13 +188,13 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
         seed = run_seed if redraws == 0 else derive_run_seed(run_seed, redraws + 2)
         folds = assign_folds(table.bank_ids, k=len(TRAIN_FOLDS) + 2, seed=seed)
         fold = np.array([folds.fold_of[b] for b in table.bank_ids])
-        train_mask = np.isin(fold, TRAIN_FOLDS)
-        val_mask = fold == VALIDATION_FOLD
-        test_mask = fold == TEST_FOLD
-        if not (train_mask.any() and val_mask.any() and test_mask.any()):
+        train_rows = np.flatnonzero(np.isin(fold, TRAIN_FOLDS))
+        val_rows = np.flatnonzero(fold == VALIDATION_FOLD)
+        test_rows = np.flatnonzero(fold == TEST_FOLD)
+        if not (len(train_rows) and len(val_rows) and len(test_rows)):
             raise ValueError("a fold role received no samples")
-        val_groups = month_groups(val_mask)
-        test_groups = month_groups(test_mask)
+        val_groups = month_groups(val_rows)
+        test_groups = month_groups(test_rows)
         if all(g.labels.min() != g.labels.max() for g in (val_groups, test_groups)):
             break
     else:
@@ -213,17 +212,21 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
             sentences, config.pvdm, train_banks, derive_run_seed(run_seed, 2))
         semantic = np.vstack([vectors[sid] for sid in table.sentence_ids])
 
-    stats = fit_normalization(table.numeric_raw[train_mask], source_folds=TRAIN_FOLDS)
-    numeric_z = apply_normalization(stats, table.numeric_raw)
-    fused = np.concatenate([semantic, numeric_z], axis=1)
-    inputs = project_arm(fused, config.arm, semantic_dim=semantic.shape[1])
+    stats = fit_normalization(table.numeric_raw[train_rows], source_folds=TRAIN_FOLDS)
 
+    def arm_inputs(rows):
+        # z-scoring is elementwise, so each role's rows take the same values
+        # as rows of a z-scored whole table would
+        numeric = apply_normalization(stats, table.numeric_raw[rows])
+        return project_arm(semantic, numeric, rows, config.arm)
+
+    # Each role's inputs are built as they are needed: the test rows only
+    # once the training rows are freed.
+    x_val = arm_inputs(val_rows)
     mlp_overrides = dict(config.mlp)
-    mlp_overrides["input_dim"] = inputs.shape[1]
+    mlp_overrides["input_dim"] = x_val.shape[1]
     mlp_overrides["seed"] = derive_run_seed(run_seed, 1)
     model = neural.init_model(neural.MlpConfig(**mlp_overrides))
-
-    x_val = inputs[val_mask]
 
     def val_usefulness(m):
         scores = evaluation.aggregate_monthly(neural.predict(m, x_val), val_groups)
@@ -231,14 +234,14 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
         return evaluation.usefulness_report(scores, config.mu, tau).relative_usefulness
 
     best, _curve = neural.train(
-        model, inputs[train_mask], table.labels[train_mask], eval_hook=val_usefulness
+        model, arm_inputs(train_rows), table.labels[train_rows], eval_hook=val_usefulness
     )
 
     val_scores = evaluation.aggregate_monthly(neural.predict(best, x_val), val_groups)
     tau = evaluation.pick_threshold(val_scores, config.mu)
     val_report = evaluation.usefulness_report(val_scores, config.mu, tau)
 
-    test_scores = evaluation.aggregate_monthly(neural.predict(best, inputs[test_mask]),
+    test_scores = evaluation.aggregate_monthly(neural.predict(best, arm_inputs(test_rows)),
                                                test_groups)
     test_report = evaluation.usefulness_report(test_scores, config.mu, tau)
 
@@ -293,18 +296,26 @@ def _apply_sweep_value(config, parameter, value):
     return replace(config, mlp=mlp, pvdm=pvdm)
 
 
+def sweep_configs(base_config, parameter, grid):
+    """The config of each grid point: ``base_config`` with ``parameter`` set
+    to the grid value. Raises ValueError for an empty grid, an unknown
+    parameter, a config that sets the parameter itself, or a fractional value
+    of an integer parameter."""
+    if not len(grid):
+        raise ValueError("sweep grid must be non-empty")
+    return [_apply_sweep_value(base_config, parameter, value) for value in grid]
+
+
 def sweep(table_builder, events, base_config, parameter, grid, runs=SWEEP_RUNS, sentences=None):
     """Mean/std relative usefulness across a one-parameter grid.
 
     ``table_builder(pvdm_overrides) -> SampleTable`` builds the dataset once,
     and again at each grid point only where the sweep reads the indicators
-    (see ``inputs_read``).
+    (see ``inputs_read``). Every grid point's config is checked before the
+    first run.
     """
-    if not len(grid):
-        raise ValueError("sweep grid must be non-empty")
     base_config = replace(base_config, runs=runs)
-    # every grid point's config is checked before the first run
-    configs = [_apply_sweep_value(base_config, parameter, value) for value in grid]
+    configs = sweep_configs(base_config, parameter, grid)
     rebuilds = "indicators" in inputs_read(base_config.embedding_scope, parameter)
     table = None
     means, stds = [], []

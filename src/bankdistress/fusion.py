@@ -8,7 +8,7 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import finite_vector, read_jsonl, require_str
+from .corpus import VectorRows, count_rows, read_jsonl, require_str
 
 NUMERIC_DIM = 12
 
@@ -78,7 +78,6 @@ class NormalizationStats:
 
 @dataclass
 class FoldAssignment:
-    k: int
     fold_of: dict  # bank_id -> fold index
 
     def banks_in(self, fold):
@@ -172,19 +171,34 @@ def assign_folds(bank_ids, k=5, seed=0):
     rng = np.random.default_rng(seed)
     order = list(banks)
     rng.shuffle(order)
-    return FoldAssignment(k=k, fold_of={b: i % k for i, b in enumerate(order)})
+    return FoldAssignment(fold_of={b: i % k for i, b in enumerate(order)})
 
 
-def project_arm(input_vec, arm, semantic_dim):
-    """Slice a fused input down to the requested experiment arm."""
-    vec = np.asarray(input_vec, dtype=float)
-    if arm == "combined":
-        return vec
-    if arm == "text_only":
-        return vec[..., :semantic_dim]
+ARM_ROW_CHUNK = 256  # rows gathered at a time into a combined arm's inputs
+
+
+def project_arm(semantic, numeric, rows, arm):
+    """Experiment arm ``arm``'s inputs for the samples ``rows``: their rows of
+    ``semantic`` (one row per sample), the z-scored indicator block
+    ``numeric`` (one row per entry of ``rows``), or both side by side.
+
+    The result is a new C-ordered matrix, or ``numeric`` itself. Only the
+    arms that read ``semantic`` touch it, and a combined arm's semantic
+    columns are gathered into place ARM_ROW_CHUNK rows at a time, so no
+    full-size block is built twice.
+    """
     if arm == "numeric_only":
-        return vec[..., semantic_dim:]
-    raise ValueError("unknown arm %r" % arm)
+        return numeric
+    if arm == "text_only":
+        return semantic[rows]
+    if arm != "combined":
+        raise ValueError("unknown arm %r" % arm)
+    width = semantic.shape[1]
+    out = np.empty((len(rows), width + numeric.shape[1]))
+    out[:, width:] = numeric
+    for lo in range(0, len(rows), ARM_ROW_CHUNK):
+        out[lo:lo + ARM_ROW_CHUNK, :width] = semantic[rows[lo:lo + ARM_ROW_CHUNK]]
+    return out
 
 
 @dataclass
@@ -230,14 +244,10 @@ def build_sample_table(sentences, vectors_by_id, indicators, events, vectors_nam
         labels.append(label(sent, events))
     if not sids:
         raise ValueError("no aligned samples")
-    return _stack(sids, bids, months, sem, num, labels), report
-
-
-def _stack(sids, bids, months, sem, num, labels):
-    """The SampleTable of per-sample columns: ids, months, vectors and labels."""
-    return SampleTable(sentence_ids=list(sids), bank_ids=list(bids), months=list(months),
-                       semantic=np.vstack(sem), numeric_raw=np.vstack(num),
-                       labels=np.array(labels, dtype=np.int64))
+    table = SampleTable(sentence_ids=sids, bank_ids=bids, months=months,
+                        semantic=np.vstack(sem), numeric_raw=np.vstack(num),
+                        labels=np.array(labels, dtype=np.int64))
+    return table, report
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +342,9 @@ def write_sample_table(table, path):
             fh.write("\n")
 
 
-def _parse_sample(row, widths):
+def _parse_sample(row, semantic, numeric_raw):
+    """(sentence_id, bank_id, month, label) of a fused row, whose vectors go
+    to the next rows of ``semantic`` and ``numeric_raw`` (VectorRows)."""
     month = row["month"]
     if not (isinstance(month, str) and MONTH_PATTERN.fullmatch(month)):
         raise ValueError("month %r is not of the form 2010-01..2010-12" % (month,))
@@ -341,20 +353,25 @@ def _parse_sample(row, widths):
         raise ValueError("label must be the integer 0 or 1, got %r" % (label,))
     sentence_id = require_str("sentence_id", row["sentence_id"])
     bank_id = require_str("bank_id", row["bank_id"])
-    semantic = finite_vector(row["semantic"], "semantic", widths)
-    if not len(semantic):
+    if not len(semantic.add(row["semantic"])):
         raise ValueError("semantic is empty")
-    numeric_raw = finite_vector(row["numeric_raw"], "numeric_raw")
-    if len(numeric_raw) != NUMERIC_DIM:
-        raise ValueError("numeric_raw has %d entries, expected %d"
-                         % (len(numeric_raw), NUMERIC_DIM))
-    return sentence_id, bank_id, (int(month[:4]), int(month[5:])), semantic, numeric_raw, label
+    numeric_raw.add(row["numeric_raw"])
+    return sentence_id, bank_id, (int(month[:4]), int(month[5:])), label
 
 
 def read_sample_table(path):
-    """Read a fused dataset; a malformed row raises ValueError naming path:line."""
-    widths = {}
-    rows = read_jsonl(path, lambda row: _parse_sample(row, widths))
-    if not rows:
+    """Read a fused dataset; a malformed row raises ValueError naming path:line.
+
+    The rows are counted first, so that each vector column is read into one
+    preallocated matrix.
+    """
+    n = count_rows(path)
+    if not n:
         raise ValueError("empty fused dataset %s" % path)
-    return _stack(*zip(*rows))
+    semantic = VectorRows("semantic", n)
+    numeric_raw = VectorRows("numeric_raw", n, width=NUMERIC_DIM)
+    rows = read_jsonl(path, lambda row: _parse_sample(row, semantic, numeric_raw))
+    sids, bids, months, labels = map(list, zip(*rows))
+    return SampleTable(sentence_ids=sids, bank_ids=bids, months=months,
+                       semantic=semantic.matrix, numeric_raw=numeric_raw.matrix,
+                       labels=np.array(labels, dtype=np.int64))

@@ -1,12 +1,15 @@
 """Distributed-memory paragraph vectors trained with negative sampling."""
 
 import json
+import os
+import zipfile
 from dataclasses import dataclass, field, asdict
 from itertools import chain, repeat
 
 import numpy as np
+from numpy.lib import format as npy_format
 
-from .corpus import Vocabulary, finite_vector, read_jsonl, require_int, require_str
+from .corpus import Vocabulary, VectorRows, count_rows, read_jsonl, require_int, require_str
 
 MODEL_FORMAT = "pvdm-v1"
 BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
@@ -400,14 +403,30 @@ def save_model(model, path):
         },
         "sentence_ids": ids,
     }
-    np.savez(
-        path,
-        header=np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8),
-        word_in=model.word_in,
-        word_out=model.word_out,
-        paragraph=model.paragraph,
-        noise_probs=model.vocab.noise_probs,
-    )
+    _write_npz(path, {
+        "header": np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"),
+                                dtype=np.uint8),
+        "word_in": model.word_in,
+        "word_out": model.word_out,
+        "paragraph": model.paragraph,
+        "noise_probs": model.vocab.noise_probs,
+    })
+
+
+def _write_npz(path, arrays):
+    """Write the file ``np.savez(path, **arrays)`` writes for C-contiguous
+    arrays, byte for byte, without its staging copy: ``np.savez`` copies each
+    array with ``tobytes`` because a zip entry is not a real file, while a
+    memoryview of the array goes into the entry as it is."""
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"  # as np.savez names it
+    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
+        for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr)
+            with zf.open(name + ".npy", "w", force_zip64=True) as fid:
+                npy_format.write_array_header_1_0(fid, npy_format.header_data_from_array_1_0(arr))
+                fid.write(memoryview(arr).cast("B"))
 
 
 def load_model(path):
@@ -448,9 +467,13 @@ def export_vectors(model, path):
 
 def read_vectors(path):
     """Load an export back into a sentence_id -> vector map; a malformed row
-    or a repeated sentence_id raises ValueError naming path:line."""
-    widths = {}
+    or a repeated sentence_id raises ValueError naming path:line.
+
+    The vectors are the rows of one matrix, read in file order: each map
+    value is a view of its row.
+    """
+    values = VectorRows("values", count_rows(path))
     return dict(read_jsonl(
         path, lambda row: (require_str("sentence_id", row["sentence_id"]),
-                           finite_vector(row["values"], "values", widths)),
+                           values.add(row["values"])),
         unique="sentence_id"))

@@ -722,13 +722,14 @@ def test_sweep_rejects_a_fractional_integer_parameter(pipeline, capsys, monkeypa
     for name in ("embed_sentences", "run_repeated"):
         monkeypatch.setattr(experiment, name, lambda *a, **k: trained.append(a))
     out = os.path.join(pipeline["dir"], "fractional")
-    argv = ["sweep", "--fused", pipeline["fused"],
-            "--events", os.path.join(pipeline["data"], "events.csv"),
+    missing = os.path.join(pipeline["dir"], "missing")
+    # the grid is checked before any input is opened, so none need exist
+    argv = ["sweep", "--fused", missing + ".jsonl", "--events", missing + ".csv",
             "--parameter", parameter, "--grid", grid, "--out", out]
     if parameter in experiment.EMBEDDING_SWEEPS:
         # only a full-scope embedding sweep reads these, and it needs both
-        argv += ["--sentences", pipeline["sentences"],
-                 "--indicators", os.path.join(pipeline["data"], "indicators.csv")]
+        argv += ["--sentences", missing + "_sentences.jsonl",
+                 "--indicators", missing + "_indicators.csv"]
     rc = cli.main(argv)
     bad = grid.split(",")[-1]
     assert_one_error_line(capsys, rc, "error: %s must be a whole number, got %r"

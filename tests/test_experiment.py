@@ -140,6 +140,70 @@ def test_run_once_normalization_sees_only_training_folds(monkeypatch):
     assert mask.sum() < len(table)  # validation/test rows really were excluded
 
 
+def fused_table_oracle(table, semantic, fold_of, arm):
+    """The train, validation and test inputs of the old path: z-score the
+    whole table's indicators, concatenate them to the semantic vectors, slice
+    the arm's columns, then take each role's rows by mask."""
+    from bankdistress.fusion import apply_normalization, fit_normalization
+
+    fold = np.array([fold_of[b] for b in table.bank_ids])
+    masks = (np.isin(fold, TRAIN_FOLDS), fold == VALIDATION_FOLD, fold == TEST_FOLD)
+    stats = fit_normalization(table.numeric_raw[masks[0]], source_folds=TRAIN_FOLDS)
+    fused = np.concatenate([semantic, apply_normalization(stats, table.numeric_raw)], axis=1)
+    dim = semantic.shape[1]
+    projected = {"combined": fused, "text_only": fused[..., :dim],
+                 "numeric_only": fused[..., dim:]}[arm]
+    return [projected[mask] for mask in masks]
+
+
+@pytest.mark.parametrize("scope", ["full", "train_folds"])
+@pytest.mark.parametrize("run_seed", [11, 12])
+@pytest.mark.parametrize("arm", ["combined", "text_only", "numeric_only"])
+def test_run_once_role_inputs_match_the_fused_table_oracle(monkeypatch, arm, run_seed, scope):
+    from bankdistress import neural
+
+    # 300 training rows: more than one of project_arm's gathering chunks
+    table, events = toy_table(n_banks=10, n_months=25, per_month=2)
+    sentences = toy_sentences(table)
+    fed = {"train": [], "predict": [], "vectors": []}
+    train, predict, scoped = neural.train, neural.predict, experiment.fold_scoped_vectors
+
+    def record_train(model, x, y, eval_hook=None):
+        fed["train"].append(x)
+        return train(model, x, y, eval_hook=eval_hook)
+
+    def record_predict(model, x):
+        fed["predict"].append(x)
+        return predict(model, x)
+
+    def record_scoped(*args):
+        vectors, zero_vectors = scoped(*args)
+        fed["vectors"].append(vectors)
+        return vectors, zero_vectors
+
+    monkeypatch.setattr(neural, "train", record_train)
+    monkeypatch.setattr(neural, "predict", record_predict)
+    monkeypatch.setattr(experiment, "fold_scoped_vectors", record_scoped)
+    config = quick_config(arm=arm, runs=1, embedding_scope=scope,
+                          pvdm={} if scope == "full" else
+                          {"vector_dim": 6, "window_n": 2, "epochs": 1, "min_count": 1})
+    result = run_once(table, events, config, run_seed=run_seed,
+                      sentences=sentences if scope == "train_folds" else None)
+
+    semantic = table.semantic
+    if scope == "train_folds":
+        (vectors,) = fed["vectors"]
+        semantic = np.vstack([vectors[sid] for sid in table.sentence_ids])
+    # the eval hook predicts on the validation inputs; the last call is the test
+    got = [fed["train"][0], fed["predict"][0], fed["predict"][-1]]
+    assert len(fed["train"]) == 1
+    assert all(x is got[1] for x in fed["predict"][:-1])
+    for role, x, want in zip(("train", "validation", "test"), got,
+                             fused_table_oracle(table, semantic, result.fold_of, arm)):
+        assert np.array_equal(x, want), role
+        assert x.dtype == want.dtype and x.flags.c_contiguous, role
+
+
 def toy_sentences(table, seed=1):
     """Raw sentences matching a toy table's ids, for embedding-scope runs."""
     from datetime import datetime, timezone

@@ -8,6 +8,7 @@ import pytest
 
 from bankdistress.corpus import Sentence
 from bankdistress.fusion import (
+    ARM_ROW_CHUNK,
     NUMERIC_DIM,
     DistressEvent,
     QuarterlyIndicators,
@@ -132,14 +133,22 @@ def test_apply_normalization_zscore_and_degenerate():
 
 
 def test_project_arm():
-    vec = np.arange(10.0)
-    np.testing.assert_array_equal(project_arm(vec, "combined", semantic_dim=6), vec)
-    np.testing.assert_array_equal(project_arm(vec, "text_only", semantic_dim=6), vec[:6])
-    np.testing.assert_array_equal(project_arm(vec, "numeric_only", semantic_dim=6), vec[6:])
-    batch = np.arange(20.0).reshape(2, 10)
-    assert project_arm(batch, "numeric_only", semantic_dim=6).shape == (2, 4)
+    semantic = np.arange(30.0).reshape(5, 6)
+    rows = np.array([4, 1, 2])
+    numeric = -np.arange(12.0).reshape(3, 4)  # the z-scored block of those rows
+    combined = project_arm(semantic, numeric, rows, "combined")
+    np.testing.assert_array_equal(combined, np.hstack([semantic[rows], numeric]))
+    np.testing.assert_array_equal(project_arm(semantic, numeric, rows, "text_only"),
+                                  semantic[rows])
+    assert project_arm(semantic, numeric, rows, "numeric_only") is numeric
+    assert combined.flags.c_contiguous and combined.shape == (3, 10)
+    # a combined block longer than one gathering chunk
+    many = np.arange(ARM_ROW_CHUNK * 2 + 3) % 5
+    np.testing.assert_array_equal(
+        project_arm(semantic, np.zeros((len(many), 4)), many, "combined")[:, :6],
+        semantic[many])
     with pytest.raises(ValueError):
-        project_arm(vec, "both", semantic_dim=6)
+        project_arm(semantic, numeric, rows, "both")
 
 
 # ---------------------------------------------------------------------------

@@ -535,6 +535,17 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert loaded.config == model.config
 
 
+def test_save_model_writes_the_bytes_of_np_savez(tmp_path):
+    sents, vocab = toy_corpus(n_sentences=20, seed=9)
+    model = init_model(vocab, sents, PvdmConfig(vector_dim=10, window_n=2, seed=1))
+    save_model(model, str(tmp_path / "model"))  # np.savez's name: ".npz" added
+    with np.load(str(tmp_path / "model.npz")) as data:
+        arrays = {name: data[name] for name in data.files}
+    assert list(arrays) == ["header", "word_in", "word_out", "paragraph", "noise_probs"]
+    np.savez(str(tmp_path / "oracle.npz"), **arrays)
+    assert (tmp_path / "model.npz").read_bytes() == (tmp_path / "oracle.npz").read_bytes()
+
+
 def test_load_rejects_unknown_format(tmp_path):
     path = str(tmp_path / "bad.npz")
     header = np.frombuffer(b'{"format": "other-v9"}', dtype=np.uint8)
