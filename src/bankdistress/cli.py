@@ -36,22 +36,31 @@ def _experiment_settings(args, **defaults):
 _EMBEDDING_READERS = "embedding scope 'train_folds' or a full-scope window_n or vector_dim sweep"
 
 
-def _check_inputs(args, config, parameter=None):
-    """Ends the command on a pvdm override or an input file it would not read,
-    and on an input file it would read but was not given."""
+def _read_inputs(args, config, parameter=None):
+    """The fused table, the events and the sentences, None where the command
+    does not read them.
+
+    A pvdm override or an input file the command would not read, an input it
+    would read but was not given, and a fused sample whose sentence is not
+    among the sentences each end the command before any run starts.
+    """
     reads = experiment.inputs_read(config.embedding_scope, parameter)
-    indicators = getattr(args, "indicators", None)
     if config.pvdm and "pvdm" not in reads:
         raise CliError("%s: pvdm is read only under %s" % (args.config, _EMBEDDING_READERS))
     if args.sentences and "sentences" not in reads:
         raise CliError("--sentences is read only under %s" % _EMBEDDING_READERS)
-    if indicators and "indicators" not in reads:
-        raise CliError("--indicators is read only by a full-scope window_n or vector_dim sweep")
-    if "indicators" in reads and not (args.sentences and indicators):
-        raise CliError("sweeping %s retrains embeddings: pass --sentences and --indicators"
-                       % parameter)
     if "sentences" in reads and not args.sentences:
-        raise CliError("embedding scope 'train_folds' retrains per run: pass --sentences")
+        raise CliError("%s retrains embeddings: pass --sentences" % _EMBEDDING_READERS)
+    table = fusion.read_sample_table(args.fused)
+    events = fusion.read_events(args.events)
+    if not args.sentences:
+        return table, events, None
+    sentences = corpus.read_sentences(args.sentences)
+    known = {s.sentence_id for s in sentences}
+    for sid in table.sentence_ids:
+        if sid not in known:
+            raise CliError("%s: no sentence for fused sample %r" % (args.sentences, sid))
+    return table, events, sentences
 
 
 def _cmd_synth(args):
@@ -123,10 +132,7 @@ def _cmd_train(args):
     if settings.get("runs", 1) != 1:
         raise CliError("%s: train makes one run, got runs %r" % (args.config, settings["runs"]))
     config = experiment.ExperimentConfig(**settings)
-    _check_inputs(args, config)
-    table = fusion.read_sample_table(args.fused)
-    events = fusion.read_events(args.events)
-    sentences = corpus.read_sentences(args.sentences) if args.sentences else None
+    table, events, sentences = _read_inputs(args, config)
     result = experiment.run_once(table, events, config,
                                  experiment.derive_run_seed(config.master_seed, 0),
                                  sentences=sentences)
@@ -147,10 +153,7 @@ def _cmd_experiment(args):
         del settings["arm"]
     config = experiment.ExperimentConfig(**settings)
     arms = [config.arm] if "arm" in settings else list(fusion.ARMS)
-    _check_inputs(args, config)
-    table = fusion.read_sample_table(args.fused)
-    events = fusion.read_events(args.events)
-    sentences = corpus.read_sentences(args.sentences) if args.sentences else None
+    table, events, sentences = _read_inputs(args, config)
     os.makedirs(args.out, exist_ok=True)
     results_by_arm = {}
     for arm in arms:
@@ -184,26 +187,18 @@ def _cmd_sweep(args):
     config = experiment.ExperimentConfig(
         **_experiment_settings(args, runs=experiment.SWEEP_RUNS))
     grid = [_grid_value(v) for v in args.grid.split(",")]
-    _check_inputs(args, config, args.parameter)
     # a bad grid ends the command before any input is read
     experiment.sweep_configs(config, args.parameter, grid)
-    table = fusion.read_sample_table(args.fused)
-    events = fusion.read_events(args.events)
-    sentences = corpus.read_sentences(args.sentences) if args.sentences else None
+    table, events, sentences = _read_inputs(args, config, args.parameter)
 
-    if args.indicators:
-        indicators = fusion.read_indicators(args.indicators)
-
-        def builder(pvdm_overrides):
-            model, _ = experiment.embed_sentences(sentences, pvdm.PvdmConfig(**pvdm_overrides))
-            vectors = {
-                sid: model.paragraph[row] for sid, row in model.sentence_index.items()
-            }
-            new_table, _ = fusion.build_sample_table(sentences, vectors, indicators, events)
-            return new_table
-    else:
-        def builder(_pvdm_overrides):
+    def builder(pvdm_overrides):
+        # only a full-scope embedding sweep re-embeds, into the fused table's rows
+        if config.embedding_scope != "full" or args.parameter not in experiment.EMBEDDING_SWEEPS:
             return table
+        model, _ = experiment.embed_sentences(sentences, pvdm.PvdmConfig(**pvdm_overrides))
+        vectors = {sid: model.paragraph[row] for sid, row in model.sentence_index.items()}
+        return replace(table, semantic=fusion.semantic_rows(table.sentence_ids, vectors,
+                                                            args.sentences))
 
     result = experiment.sweep(builder, events, config, args.parameter, grid,
                               runs=config.runs, sentences=sentences)
@@ -306,7 +301,6 @@ def build_parser():
     p.add_argument("--parameter", required=True, choices=experiment.SWEEPABLE)
     p.add_argument("--grid", required=True, help="comma-separated values")
     p.add_argument("--runs", type=int, help="runs per grid value")
-    p.add_argument("--indicators", help="needed when sweeping embedding parameters")
     p.add_argument("--out", required=True, help="results directory")
     p.set_defaults(func=_cmd_sweep)
 

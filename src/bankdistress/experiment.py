@@ -14,6 +14,7 @@ from .fusion import (
     assign_folds,
     fit_normalization,
     project_arm,
+    semantic_rows,
 )
 
 TRAIN_FOLDS = (0, 1, 2)
@@ -74,17 +75,15 @@ class ExperimentConfig:
 
 
 def inputs_read(embedding_scope, parameter=None):
-    """Which of the pvdm overrides and the sentences and indicators files a
-    command reads at ``embedding_scope``, sweeping ``parameter`` if given.
+    """Which of the pvdm overrides and the sentences file a command reads at
+    ``embedding_scope``, sweeping ``parameter`` if given.
 
-    Each train_folds run retrains PV-DM on its training folds' sentences;
-    only a full-scope EMBEDDING_SWEEPS sweep re-embeds the whole corpus and
-    rebuilds the table from the indicators.
+    Each train_folds run retrains PV-DM on its training folds' sentences; a
+    full-scope EMBEDDING_SWEEPS sweep re-embeds the whole corpus into the
+    fused table's rows at each grid value. Other commands read neither.
     """
-    if embedding_scope == "train_folds":
+    if embedding_scope == "train_folds" or parameter in EMBEDDING_SWEEPS:
         return {"pvdm", "sentences"}
-    if parameter in EMBEDDING_SWEEPS:
-        return {"pvdm", "sentences", "indicators"}
     return set()
 
 
@@ -176,7 +175,7 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
 
     With ``embedding_scope == "train_folds"`` the raw ``sentences`` must be
     supplied; the run then retrains its own embedding on training-fold banks
-    instead of using the table's precomputed semantic vectors.
+    instead of using the table's semantic vectors, unless its arm reads none.
     """
     def month_groups(rows):
         return evaluation.group_months([table.bank_ids[i] for i in rows],
@@ -204,13 +203,13 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
 
     semantic = table.semantic
     zero_vectors = 0
-    if config.embedding_scope == "train_folds":
+    if config.embedding_scope == "train_folds" and config.arm != "numeric_only":
         if sentences is None:
             raise ValueError("embedding_scope 'train_folds' needs the raw sentences")
         train_banks = {b for b, f in folds.fold_of.items() if f in TRAIN_FOLDS}
         vectors, zero_vectors = fold_scoped_vectors(
             sentences, config.pvdm, train_banks, derive_run_seed(run_seed, 2))
-        semantic = np.vstack([vectors[sid] for sid in table.sentence_ids])
+        semantic = semantic_rows(table.sentence_ids, vectors, "sentences")
 
     stats = fit_normalization(table.numeric_raw[train_rows], source_folds=TRAIN_FOLDS)
 
@@ -310,13 +309,13 @@ def sweep(table_builder, events, base_config, parameter, grid, runs=SWEEP_RUNS, 
     """Mean/std relative usefulness across a one-parameter grid.
 
     ``table_builder(pvdm_overrides) -> SampleTable`` builds the dataset once,
-    and again at each grid point only where the sweep reads the indicators
-    (see ``inputs_read``). Every grid point's config is checked before the
-    first run.
+    and again at each grid point of a full-scope EMBEDDING_SWEEPS sweep, whose
+    every grid value needs the corpus re-embedded into the table's semantic
+    column. Every grid point's config is checked before the first run.
     """
     base_config = replace(base_config, runs=runs)
     configs = sweep_configs(base_config, parameter, grid)
-    rebuilds = "indicators" in inputs_read(base_config.embedding_scope, parameter)
+    rebuilds = base_config.embedding_scope == "full" and parameter in EMBEDDING_SWEEPS
     table = None
     means, stds = [], []
     for cfg in configs:

@@ -223,6 +223,20 @@ class SampleTable:
         return float(self.labels.mean())
 
 
+def semantic_rows(sentence_ids, vectors_by_id, source="vectors"):
+    """The vectors of ``sentence_ids``, in order, as the rows of one new matrix;
+    an id without a vector raises ValueError naming ``source`` and the id."""
+    matrix = None
+    for row, sid in enumerate(sentence_ids):
+        vec = vectors_by_id.get(sid)
+        if vec is None:
+            raise ValueError("%s: no semantic vector for sentence %r" % (source, sid))
+        if matrix is None:
+            matrix = np.empty((len(sentence_ids), len(vec)))
+        matrix[row] = vec
+    return matrix
+
+
 def build_sample_table(sentences, vectors_by_id, indicators, events, vectors_name="vectors"):
     """Align, label and stack everything the experiment harness consumes.
 
@@ -230,23 +244,15 @@ def build_sample_table(sentences, vectors_by_id, indicators, events, vectors_nam
     ``vectors_name`` (the vectors file, where there is one) and the sentence.
     """
     aligned, report = align(sentences, indicators)
-    sids, bids, months, sem, num, labels = [], [], [], [], [], []
-    for sent, rec in aligned:
-        vec = vectors_by_id.get(sent.sentence_id)
-        if vec is None:
-            raise ValueError("%s: no semantic vector for sentence %r"
-                             % (vectors_name, sent.sentence_id))
-        sids.append(sent.sentence_id)
-        bids.append(sent.bank_id)
-        months.append(month_of(sent.published_at))
-        sem.append(np.asarray(vec, dtype=float))
-        num.append(rec.values)
-        labels.append(label(sent, events))
-    if not sids:
+    if not aligned:
         raise ValueError("no aligned samples")
-    table = SampleTable(sentence_ids=sids, bank_ids=bids, months=months,
-                        semantic=np.vstack(sem), numeric_raw=np.vstack(num),
-                        labels=np.array(labels, dtype=np.int64))
+    sents, recs = zip(*aligned)
+    sids = [s.sentence_id for s in sents]
+    table = SampleTable(sentence_ids=sids, bank_ids=[s.bank_id for s in sents],
+                        months=[month_of(s.published_at) for s in sents],
+                        semantic=semantic_rows(sids, vectors_by_id, vectors_name),
+                        numeric_raw=np.vstack([r.values for r in recs]),
+                        labels=np.array([label(s, events) for s in sents], dtype=np.int64))
     return table, report
 
 

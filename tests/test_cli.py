@@ -321,17 +321,20 @@ def test_arm_all_overrides_the_config_file_arm(pipeline, tmp_path):
     ("experiment", {}, ["--sentences", "none.jsonl"], "--sentences is read only"),
     ("train", {}, ["--sentences", "none.jsonl"], "--sentences is read only"),
     ("sweep", {}, ["--sentences", "none.jsonl"], "--sentences is read only"),
-    ("sweep", {}, ["--indicators", "none.csv"], "--indicators is read only"),
+    # an embedding sweep re-embeds into the fused table's rows; sweep has no --indicators
+    ("sweep", {}, ["--parameter", "window_n", "--sentences", "none.jsonl",
+                   "--indicators", "none.csv"], "unrecognized arguments: --indicators"),
     ("sweep", {"pvdm": {"vector_dim": 8}},
      ["--parameter", "window_n", "--embedding-scope", "train_folds",
-      "--sentences", "none.jsonl", "--indicators", "none.csv"], "--indicators is read only"),
+      "--sentences", "none.jsonl", "--indicators", "none.csv"],
+     "unrecognized arguments: --indicators"),
 ], ids=["experiment-pvdm", "train-pvdm", "sweep-pvdm", "experiment-sentences",
         "train-sentences", "sweep-sentences", "sweep-indicators", "scoped-sweep-indicators"])
 def test_settings_a_command_would_not_read_are_rejected(monkeypatch, capsys, tmp_path, command,
                                                         config, flags, fragment):
-    # full-scope runs read neither pvdm nor --sentences, and only a full-scope
-    # embedding sweep reads --indicators; none of the inputs exists, so the
-    # one error line shows the command stopped before it read any
+    # full-scope runs other than an embedding sweep read neither pvdm nor
+    # --sentences; none of the inputs exists, so the one error line shows
+    # the command stopped before it read any
     calls = []
     monkeypatch.setattr(experiment, "run_once", lambda *a, **k: calls.append(a))
     cfg_path = tmp_path / "cfg.json"
@@ -349,7 +352,7 @@ def test_settings_a_command_would_not_read_are_rejected(monkeypatch, capsys, tmp
     assert not out.exists() and not calls
 
 
-def test_scoped_embedding_sweep_reads_no_indicators(pipeline, monkeypatch, tmp_path):
+def test_scoped_embedding_sweep_embeds_training_folds_only(pipeline, monkeypatch, tmp_path):
     # each train_folds run embeds its own training folds' sentences, so the
     # sweep re-embeds no full corpus into a table of its own
     embedded = []
@@ -373,6 +376,85 @@ def test_scoped_embedding_sweep_reads_no_indicators(pipeline, monkeypatch, tmp_p
     n_sentences = len(corpus.read_sentences(pipeline["sentences"]))
     assert len(embedded) == 2 and all(n < n_sentences for n in embedded)
     assert len((out / "sweep_window_n.csv").read_text(encoding="utf-8").splitlines()) == 3
+
+
+def test_sweep_has_no_indicators_option(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--help"])
+    assert "--indicators" not in capsys.readouterr().out
+
+
+def test_full_scope_embedding_sweep_runs_on_the_fused_rows(pipeline, monkeypatch, tmp_path):
+    # a fused file in reverse order with shifted indicators: the sweep must run
+    # on its rows, with only the semantic column re-embedded from --sentences
+    with open(pipeline["fused"], encoding="utf-8") as fh:
+        rows = [json.loads(line) for line in fh]
+    for row in rows:
+        row["numeric_raw"] = [v + 1.0 for v in row["numeric_raw"]]
+    fused = tmp_path / "fused.jsonl"
+    fused.write_text("".join(json.dumps(row) + "\n" for row in rows[::-1]), encoding="utf-8")
+    pvdm_overrides = {"vector_dim": 4, "epochs": 1, "min_count": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mlp": {"epochs": 1, "hidden_layers": [2]},
+                                    "pvdm": pvdm_overrides}), encoding="utf-8")
+    tables = []
+    run_repeated = experiment.run_repeated
+
+    def recording_run_repeated(table, events, config, sentences=None):
+        tables.append((config.pvdm["window_n"], table))
+        return run_repeated(table, events, config, sentences=sentences)
+
+    monkeypatch.setattr(experiment, "run_repeated", recording_run_repeated)
+    assert cli.main(["sweep", "--fused", str(fused),
+                     "--events", os.path.join(pipeline["data"], "events.csv"),
+                     "--config", str(cfg_path), "--sentences", pipeline["sentences"],
+                     "--parameter", "window_n", "--grid", "2,3", "--runs", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+    want = fusion.read_sample_table(str(fused))
+    sentences = corpus.read_sentences(pipeline["sentences"])
+    indicators = fusion.read_indicators(os.path.join(pipeline["data"], "indicators.csv"))
+    events = fusion.read_events(os.path.join(pipeline["data"], "events.csv"))
+    assert [window for window, _ in tables] == [2, 3]
+    for window, table in tables:
+        assert table.sentence_ids == want.sentence_ids
+        assert table.bank_ids == want.bank_ids and table.months == want.months
+        np.testing.assert_array_equal(table.numeric_raw, want.numeric_raw)
+        np.testing.assert_array_equal(table.labels, want.labels)
+        model, _ = experiment.embed_sentences(
+            sentences, pvdm.PvdmConfig(**dict(pvdm_overrides, window_n=window)))
+        vectors = {sid: model.paragraph[row] for sid, row in model.sentence_index.items()}
+        oracle, _ = fusion.build_sample_table(sentences, vectors, indicators, events)
+        order = [oracle.sentence_ids.index(sid) for sid in table.sentence_ids]
+        np.testing.assert_array_equal(table.semantic, oracle.semantic[order])
+
+
+@pytest.mark.parametrize("command", ["train", "experiment", "sweep"])
+def test_a_fused_sample_missing_from_the_sentences_ends_the_command(pipeline, monkeypatch,
+                                                                    capsys, tmp_path, command):
+    with open(pipeline["fused"], encoding="utf-8") as fh:
+        missing = json.loads(fh.readline())["sentence_id"]
+    sentences = tmp_path / "sentences.jsonl"
+    with open(pipeline["sentences"], encoding="utf-8") as fh:
+        sentences.write_text("".join(line for line in fh
+                                     if json.loads(line)["sentence_id"] != missing),
+                             encoding="utf-8")
+    trained = []
+    for name in ("embed_sentences", "run_once"):
+        monkeypatch.setattr(experiment, name, lambda *a, **k: trained.append(a))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mlp": {"epochs": 1, "hidden_layers": [2]},
+                                    "pvdm": {"vector_dim": 4, "epochs": 1}}), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, "--fused", pipeline["fused"],
+            "--events", os.path.join(pipeline["data"], "events.csv"),
+            "--config", str(cfg_path), "--sentences", str(sentences), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--parameter", "window_n", "--grid", "2,3", "--runs", "1"]
+    else:
+        argv += ["--embedding-scope", "train_folds"]
+    assert_one_error_line(capsys, cli.main(argv), "error: %s: no sentence for fused sample %r"
+                          % (sentences, missing))
+    assert not trained and not out.exists()
 
 
 # The protocol the setting tests below change one value of: a 1-epoch,
@@ -727,9 +809,8 @@ def test_sweep_rejects_a_fractional_integer_parameter(pipeline, capsys, monkeypa
     argv = ["sweep", "--fused", missing + ".jsonl", "--events", missing + ".csv",
             "--parameter", parameter, "--grid", grid, "--out", out]
     if parameter in experiment.EMBEDDING_SWEEPS:
-        # only a full-scope embedding sweep reads these, and it needs both
-        argv += ["--sentences", missing + "_sentences.jsonl",
-                 "--indicators", missing + "_indicators.csv"]
+        # a full-scope embedding sweep reads the sentences and needs them
+        argv += ["--sentences", missing + "_sentences.jsonl"]
     rc = cli.main(argv)
     bad = grid.split(",")[-1]
     assert_one_error_line(capsys, rc, "error: %s must be a whole number, got %r"

@@ -191,9 +191,11 @@ def test_run_once_role_inputs_match_the_fused_table_oracle(monkeypatch, arm, run
                       sentences=sentences if scope == "train_folds" else None)
 
     semantic = table.semantic
-    if scope == "train_folds":
+    if scope == "train_folds" and arm != "numeric_only":
         (vectors,) = fed["vectors"]
         semantic = np.vstack([vectors[sid] for sid in table.sentence_ids])
+    else:
+        assert not fed["vectors"]  # full scope, or an arm that reads no semantic vectors
     # the eval hook predicts on the validation inputs; the last call is the test
     got = [fed["train"][0], fed["predict"][0], fed["predict"][-1]]
     assert len(fed["train"]) == 1
@@ -202,6 +204,32 @@ def test_run_once_role_inputs_match_the_fused_table_oracle(monkeypatch, arm, run
                              fused_table_oracle(table, semantic, result.fold_of, arm)):
         assert np.array_equal(x, want), role
         assert x.dtype == want.dtype and x.flags.c_contiguous, role
+
+
+def test_numeric_only_builds_no_fold_scoped_embedding(monkeypatch):
+    table, events = toy_table()
+    sentences = toy_sentences(table)
+    calls = []
+    scoped = experiment.fold_scoped_vectors
+
+    def counting_scoped(*args):
+        calls.append(args)
+        return scoped(*args)
+
+    monkeypatch.setattr(experiment, "fold_scoped_vectors", counting_scoped)
+    pvdm_overrides = {"vector_dim": 4, "window_n": 2, "epochs": 1, "min_count": 1}
+    urs = {}
+    for arm in ("combined", "numeric_only", "text_only"):
+        config = quick_config(arm=arm, runs=2, embedding_scope="train_folds",
+                              pvdm=pvdm_overrides)
+        count = len(calls)
+        _, _, results = run_repeated(table, events, config, sentences=sentences)
+        urs[arm] = [r.test.relative_usefulness for r in results]
+        assert len(calls) - count == (0 if arm == "numeric_only" else 2), arm
+    # the MLP seeds from key 1 of the run seed, the embedding from key 2, so
+    # skipping the embedding leaves numeric_only's runs as the full-scope ones
+    _, _, full = run_repeated(table, events, quick_config(arm="numeric_only", runs=2))
+    assert urs["numeric_only"] == [r.test.relative_usefulness for r in full]
 
 
 def toy_sentences(table, seed=1):
