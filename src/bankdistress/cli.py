@@ -36,7 +36,7 @@ def _experiment_settings(args, **defaults):
 _EMBEDDING_READERS = "embedding scope 'train_folds' or a full-scope window_n or vector_dim sweep"
 
 
-def _read_inputs(args, config, parameter=None):
+def _read_inputs(args, config, arms, parameter=None):
     """The fused table, the events and the sentences, None where the command
     does not read them.
 
@@ -44,11 +44,15 @@ def _read_inputs(args, config, parameter=None):
     would read but was not given, and a fused sample whose sentence is not
     among the sentences each end the command before any run starts.
     """
-    reads = experiment.inputs_read(config.embedding_scope, parameter)
+    reads = experiment.inputs_read(arms, config.embedding_scope, parameter)
+    if experiment.inputs_read(fusion.ARMS, config.embedding_scope, parameter) - reads:
+        unread = "is not read by arm %s, which reads no sentence vector" % ", ".join(arms)
+    else:
+        unread = "is read only under %s" % _EMBEDDING_READERS
     if config.pvdm and "pvdm" not in reads:
-        raise CliError("%s: pvdm is read only under %s" % (args.config, _EMBEDDING_READERS))
+        raise CliError("%s: pvdm %s" % (args.config, unread))
     if args.sentences and "sentences" not in reads:
-        raise CliError("--sentences is read only under %s" % _EMBEDDING_READERS)
+        raise CliError("--sentences %s" % unread)
     if "sentences" in reads and not args.sentences:
         raise CliError("%s retrains embeddings: pass --sentences" % _EMBEDDING_READERS)
     table = fusion.read_sample_table(args.fused)
@@ -114,16 +118,15 @@ def _cmd_embed(args):
 
 def _cmd_fuse(args):
     sentences = corpus.read_sentences(args.sentences)
-    vectors = pvdm.read_vectors(args.vectors)
+    vector_spans = pvdm.read_vector_spans(args.vectors)
     indicators = fusion.read_indicators(args.indicators)
     events = fusion.read_events(args.events)
-    table, report = fusion.build_sample_table(sentences, vectors, indicators, events,
-                                              vectors_name=args.vectors)
-    fusion.write_sample_table(table, args.out)
+    labels, report = fusion.write_fused(sentences, args.vectors, vector_spans, indicators,
+                                        events, args.out)
     print("wrote %s: %d samples (%d sentences dropped, %d banks fully dropped), "
           "class prior %.3f"
-          % (args.out, len(table), report.n_dropped, len(report.banks_fully_dropped),
-             table.class_prior()))
+          % (args.out, len(labels), report.n_dropped, len(report.banks_fully_dropped),
+             sum(labels) / len(labels)))
     return 0
 
 
@@ -132,7 +135,7 @@ def _cmd_train(args):
     if settings.get("runs", 1) != 1:
         raise CliError("%s: train makes one run, got runs %r" % (args.config, settings["runs"]))
     config = experiment.ExperimentConfig(**settings)
-    table, events, sentences = _read_inputs(args, config)
+    table, events, sentences = _read_inputs(args, config, [config.arm])
     result = experiment.run_once(table, events, config,
                                  experiment.derive_run_seed(config.master_seed, 0),
                                  sentences=sentences)
@@ -153,7 +156,7 @@ def _cmd_experiment(args):
         del settings["arm"]
     config = experiment.ExperimentConfig(**settings)
     arms = [config.arm] if "arm" in settings else list(fusion.ARMS)
-    table, events, sentences = _read_inputs(args, config)
+    table, events, sentences = _read_inputs(args, config, arms)
     os.makedirs(args.out, exist_ok=True)
     results_by_arm = {}
     for arm in arms:
@@ -189,11 +192,11 @@ def _cmd_sweep(args):
     grid = [_grid_value(v) for v in args.grid.split(",")]
     # a bad grid ends the command before any input is read
     experiment.sweep_configs(config, args.parameter, grid)
-    table, events, sentences = _read_inputs(args, config, args.parameter)
+    table, events, sentences = _read_inputs(args, config, [config.arm], args.parameter)
 
     def builder(pvdm_overrides):
-        # only a full-scope embedding sweep re-embeds, into the fused table's rows
-        if config.embedding_scope != "full" or args.parameter not in experiment.EMBEDDING_SWEEPS:
+        # only a sweep that re-embeds builds new vectors, into the fused table's rows
+        if not experiment.reembeds(config, args.parameter):
             return table
         model, _ = experiment.embed_sentences(sentences, pvdm.PvdmConfig(**pvdm_overrides))
         vectors = {sid: model.paragraph[row] for sid, row in model.sentence_index.items()}

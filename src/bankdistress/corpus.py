@@ -2,6 +2,8 @@
 
 import functools
 import json
+import json.decoder
+import json.scanner
 import numbers
 import re
 from dataclasses import dataclass, field
@@ -254,13 +256,24 @@ def build_vocabulary(sentences, min_count=5, noise_power=0.75):
     )
 
 
+def _utf8_size(text):
+    """The number of bytes ``text`` takes in UTF-8."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
 def _nonblank_lines(path):
-    """(line number, stripped text) of each non-blank line of a text file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """(line number, byte offset, stripped text) of each non-blank line of a
+    text file; the offset is where the stripped text starts in the file."""
+    offset = 0
+    # newline="" splits lines where universal newlines do, but keeps each
+    # line's own ending, so the bytes of every line can be counted
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
-                yield line_no, line
+            text = line.strip()
+            if text:
+                lead = line[:line.index(text[0])]  # the blanks before the text
+                yield line_no, offset + _utf8_size(lead), text
+            offset += _utf8_size(line)
 
 
 def count_rows(path):
@@ -268,22 +281,61 @@ def count_rows(path):
     return sum(1 for _ in _nonblank_lines(path))
 
 
-def read_jsonl(path, parse, unique=None):
+_scan_value = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _loads_with_spans(line):
+    """``json.loads(line)``, and for an object the (start, end) character span
+    of each of its values' text, by key (the last of a repeated key, as the
+    object keeps it).
+
+    The object is parsed by the stdlib's ``JSONObject`` around the stdlib
+    scanner, which is told to record where each top-level value starts and
+    ends. A line that does not parse that way goes to ``json.loads``, so its
+    errors and non-object values are json's own.
+    """
+    spans = []
+
+    def scan_once(s, idx):
+        value, end = _scan_value(s, idx)
+        spans.append((idx, end))
+        return value, end
+
+    if line.startswith("{"):
+        try:
+            pairs, end = json.decoder.JSONObject((line, 1), True, scan_once, None, list, {})
+        except ValueError:
+            end = None
+        if end == len(line):
+            return dict(pairs), {key: span for (key, _), span in zip(pairs, spans)}
+    return json.loads(line), {}
+
+
+def read_jsonl(path, parse, unique=None, span=None):
     """``parse(row)`` of every non-blank line of a JSON-lines file, in order.
 
     A line that is not a JSON object, or whose object ``parse`` rejects
     (a missing key, a value of the wrong type or form), raises ValueError
     naming path:line. So does a line that repeats an earlier line's value
-    of the key ``unique``, when given.
+    of the key ``unique``, when given. With ``span``, each item is
+    ``(parse(row), (offset, length))``: where the text of the row's ``span``
+    value lies in the file, in bytes.
     """
     out = []
     seen = set()
-    for line_no, line in _nonblank_lines(path):
+    for line_no, offset, line in _nonblank_lines(path):
         try:
-            row = json.loads(line)
+            if span is None:
+                row = json.loads(line)
+            else:
+                row, spans = _loads_with_spans(line)
             if not isinstance(row, dict):
                 raise ValueError("expected a JSON object, got %s" % type(row).__name__)
-            out.append(parse(row))
+            item = parse(row)
+            if span is not None:
+                start, end = spans[span]
+                item = (item, (offset + _utf8_size(line[:start]), _utf8_size(line[start:end])))
+            out.append(item)
             if unique is not None:
                 if row[unique] in seen:
                     raise ValueError("duplicate %s %r" % (unique, row[unique]))
@@ -298,33 +350,42 @@ def read_jsonl(path, parse, unique=None):
 class VectorRows:
     """A float matrix of ``n_rows`` rows, filled in order from JSON lists.
 
-    Each ``add(values)`` raises ValueError naming the column ``name`` for a
+    ``check(values)`` raises ValueError naming the column ``name`` for a
     value that is not a list, an entry that is not an int or a float (a bool,
     string, null or list), an entry that is NaN or infinite, or a length
-    other than ``width``; without a ``width``, the first row sets it. It
-    writes the row into ``matrix`` and returns that row, a view.
+    other than ``width``; without a ``width``, the first row checked sets it.
+    It returns the values as a new float vector. ``add(values)`` checks them,
+    writes them into the next row of ``matrix`` and returns that row, a view.
     """
 
-    def __init__(self, name, n_rows, width=None):
+    def __init__(self, name, n_rows=0, width=None):
         self.name = name
         self.n_rows = n_rows
         self.width = width
-        self.matrix = None if width is None else np.empty((n_rows, width))
+        self.width_given = width is not None
+        self.matrix = None
         self.filled = 0
 
-    def add(self, values):
+    def check(self, values):
         if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
             raise ValueError("%s must be a list of numbers" % self.name)
         vec = np.array(values, dtype=float)
         if not np.isfinite(vec).all():
             raise ValueError("%s holds a NaN or infinite entry" % self.name)
+        if self.width is None:
+            self.width = len(vec)
+        elif len(vec) != self.width:
+            if self.width_given:
+                raise ValueError("%s has %d entries, expected %d"
+                                 % (self.name, len(vec), self.width))
+            raise ValueError("%s has %d entries where the first row has %d"
+                             % (self.name, len(vec), self.width))
+        return vec
+
+    def add(self, values):
+        vec = self.check(values)
         if self.matrix is None:
-            self.matrix = np.empty((self.n_rows, len(vec)))
-        elif len(vec) != self.matrix.shape[1]:
-            if self.width is None:
-                raise ValueError("%s has %d entries where the first row has %d"
-                                 % (self.name, len(vec), self.matrix.shape[1]))
-            raise ValueError("%s has %d entries, expected %d" % (self.name, len(vec), self.width))
+            self.matrix = np.empty((self.n_rows, self.width))
         row = self.matrix[self.filled]
         row[:] = vec
         self.filled += 1

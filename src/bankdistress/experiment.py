@@ -10,6 +10,7 @@ from . import evaluation, neural, pvdm
 from .corpus import build_vocabulary, require_int
 from .fusion import (
     ARMS,
+    TEXT_ARMS,
     apply_normalization,
     assign_folds,
     fit_normalization,
@@ -74,17 +75,28 @@ class ExperimentConfig:
                 raise ValueError("%s: %s" % (section, exc)) from None
 
 
-def inputs_read(embedding_scope, parameter=None):
-    """Which of the pvdm overrides and the sentences file a command reads at
-    ``embedding_scope``, sweeping ``parameter`` if given.
+def inputs_read(arms, embedding_scope, parameter=None):
+    """Which of the pvdm overrides and the sentences file a command that runs
+    ``arms`` reads at ``embedding_scope``, sweeping ``parameter`` if given.
 
-    Each train_folds run retrains PV-DM on its training folds' sentences; a
-    full-scope EMBEDDING_SWEEPS sweep re-embeds the whole corpus into the
-    fused table's rows at each grid value. Other commands read neither.
+    Each train_folds run of an arm that reads sentence vectors retrains PV-DM
+    on its training folds' sentences; a full-scope EMBEDDING_SWEEPS sweep of
+    such an arm re-embeds the whole corpus into the fused table's rows at each
+    grid value (``reembeds``). Other commands, and every command whose arms
+    read no sentence vector, read neither.
     """
+    if not set(arms) & set(TEXT_ARMS):
+        return set()
     if embedding_scope == "train_folds" or parameter in EMBEDDING_SWEEPS:
         return {"pvdm", "sentences"}
     return set()
+
+
+def reembeds(config, parameter):
+    """Whether a sweep of ``parameter`` re-embeds the corpus into the table at
+    each grid value: a full-scope EMBEDDING_SWEEPS sweep of a text arm."""
+    return (config.embedding_scope == "full" and parameter in EMBEDDING_SWEEPS
+            and config.arm in TEXT_ARMS)
 
 
 def read_config(path):
@@ -203,7 +215,7 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
 
     semantic = table.semantic
     zero_vectors = 0
-    if config.embedding_scope == "train_folds" and config.arm != "numeric_only":
+    if config.embedding_scope == "train_folds" and config.arm in TEXT_ARMS:
         if sentences is None:
             raise ValueError("embedding_scope 'train_folds' needs the raw sentences")
         train_banks = {b for b, f in folds.fold_of.items() if f in TRAIN_FOLDS}
@@ -309,13 +321,13 @@ def sweep(table_builder, events, base_config, parameter, grid, runs=SWEEP_RUNS, 
     """Mean/std relative usefulness across a one-parameter grid.
 
     ``table_builder(pvdm_overrides) -> SampleTable`` builds the dataset once,
-    and again at each grid point of a full-scope EMBEDDING_SWEEPS sweep, whose
-    every grid value needs the corpus re-embedded into the table's semantic
-    column. Every grid point's config is checked before the first run.
+    and again at each grid point of a sweep that ``reembeds``, whose every
+    grid value needs the corpus re-embedded into the table's semantic column.
+    Every grid point's config is checked before the first run.
     """
     base_config = replace(base_config, runs=runs)
     configs = sweep_configs(base_config, parameter, grid)
-    rebuilds = base_config.embedding_scope == "full" and parameter in EMBEDDING_SWEEPS
+    rebuilds = reembeds(base_config, parameter)
     table = None
     means, stds = [], []
     for cfg in configs:

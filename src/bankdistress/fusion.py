@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 from dataclasses import dataclass
 from datetime import date
@@ -28,6 +29,7 @@ INDICATOR_NAMES = (
 )
 
 ARMS = ("text_only", "numeric_only", "combined")
+TEXT_ARMS = ("text_only", "combined")  # the arms whose inputs hold sentence vectors
 
 EVENT_KINDS = ("bankruptcy_default", "state_aid", "distressed_merger")
 EVENT_COLUMNS = ("bank_id", "start_date", "end_date", "kind")
@@ -219,9 +221,6 @@ class SampleTable:
     def __len__(self):
         return len(self.sentence_ids)
 
-    def class_prior(self):
-        return float(self.labels.mean())
-
 
 def semantic_rows(sentence_ids, vectors_by_id, source="vectors"):
     """The vectors of ``sentence_ids``, in order, as the rows of one new matrix;
@@ -237,22 +236,29 @@ def semantic_rows(sentence_ids, vectors_by_id, source="vectors"):
     return matrix
 
 
+def _labelled_samples(sentences, indicators, events):
+    """The aligned sentences, their indicator records, their labels and the
+    DropReport; raises ValueError if no sentence aligns."""
+    aligned, report = align(sentences, indicators)
+    if not aligned:
+        raise ValueError("no aligned samples")
+    sents, recs = zip(*aligned)
+    return sents, recs, [label(s, events) for s in sents], report
+
+
 def build_sample_table(sentences, vectors_by_id, indicators, events, vectors_name="vectors"):
     """Align, label and stack everything the experiment harness consumes.
 
     An aligned sentence without a vector raises ValueError naming
     ``vectors_name`` (the vectors file, where there is one) and the sentence.
     """
-    aligned, report = align(sentences, indicators)
-    if not aligned:
-        raise ValueError("no aligned samples")
-    sents, recs = zip(*aligned)
+    sents, recs, labels, report = _labelled_samples(sentences, indicators, events)
     sids = [s.sentence_id for s in sents]
     table = SampleTable(sentence_ids=sids, bank_ids=[s.bank_id for s in sents],
                         months=[month_of(s.published_at) for s in sents],
                         semantic=semantic_rows(sids, vectors_by_id, vectors_name),
                         numeric_raw=np.vstack([r.values for r in recs]),
-                        labels=np.array([label(s, events) for s in sents], dtype=np.int64))
+                        labels=np.array(labels, dtype=np.int64))
     return table, report
 
 
@@ -329,7 +335,8 @@ def write_events(events, path):
 
 def write_sample_table(table, path):
     """JSON-lines fused dataset, one row per sample and one key per
-    SampleTable column; ``read_sample_table`` reads it back."""
+    SampleTable column; ``read_sample_table`` reads it back. The byte oracle
+    of ``write_fused``."""
     with open(path, "w", encoding="utf-8") as fh:
         for i, sid in enumerate(table.sentence_ids):
             fh.write(
@@ -381,3 +388,40 @@ def read_sample_table(path):
     return SampleTable(sentence_ids=sids, bank_ids=bids, months=months,
                        semantic=semantic.matrix, numeric_raw=numeric_raw.matrix,
                        labels=np.array(labels, dtype=np.int64))
+
+
+def write_fused(sentences, vectors_path, vector_spans, indicators, events, path):
+    """Align and label the sentences and write the fused dataset to ``path``.
+
+    ``vector_spans`` maps a sentence id to where the text of its vector lies
+    in the vectors file ``vectors_path`` (``pvdm.read_vector_spans``). Each
+    row's ``semantic`` is that text, copied as written, so no vector is
+    parsed or printed again; for a file ``pvdm.export_vectors`` wrote, the
+    file holds the bytes that ``write_sample_table`` writes of
+    ``build_sample_table``'s table. An aligned sentence without a vector
+    raises ValueError naming ``vectors_path`` and the sentence, before
+    ``path`` is opened. Returns the labels, in row order, and the DropReport.
+    """
+    sents, recs, labels, report = _labelled_samples(sentences, indicators, events)
+    spans = []
+    for sent in sents:
+        span = vector_spans.get(sent.sentence_id)
+        if span is None:
+            raise ValueError("%s: no semantic vector for sentence %r"
+                             % (vectors_path, sent.sentence_id))
+        spans.append(span)
+    if os.path.exists(path) and os.path.samefile(path, vectors_path):
+        raise ValueError("%s: the fused dataset would overwrite the vectors it copies"
+                         % path)
+    with open(vectors_path, "rb") as vectors, open(path, "w", encoding="utf-8") as fh:
+        for sent, rec, lab, (offset, length) in zip(sents, recs, labels, spans):
+            # the row json.dumps(..., sort_keys=True) writes: semantic sorts
+            # between numeric_raw and sentence_id
+            head = json.dumps({"bank_id": sent.bank_id, "label": lab,
+                               "month": "%04d-%02d" % month_of(sent.published_at),
+                               "numeric_raw": rec.values.tolist()}, sort_keys=True)
+            vectors.seek(offset)
+            fh.write('%s, "semantic": %s, "sentence_id": %s}\n'
+                     % (head[:-1], vectors.read(length).decode("utf-8"),
+                        json.dumps(sent.sentence_id)))
+    return labels, report

@@ -470,10 +470,27 @@ def read_vectors(path):
     or a repeated sentence_id raises ValueError naming path:line.
 
     The vectors are the rows of one matrix, read in file order: each map
-    value is a view of its row.
+    value is a view of its row. The float oracle of ``read_vector_spans``.
     """
     values = VectorRows("values", count_rows(path))
     return dict(read_jsonl(
         path, lambda row: (require_str("sentence_id", row["sentence_id"]),
                            values.add(row["values"])),
         unique="sentence_id"))
+
+
+def read_vector_spans(path):
+    """sentence_id -> (offset, length): where the text of each row's
+    ``values`` lies in the vectors file ``path``, in bytes.
+
+    Each row is checked as ``read_vectors`` checks it, with the same errors,
+    but no vector is kept.
+    """
+    values = VectorRows("values")
+
+    def checked_id(row):
+        sentence_id = require_str("sentence_id", row["sentence_id"])
+        values.check(row["values"])
+        return sentence_id
+
+    return dict(read_jsonl(path, checked_id, unique="sentence_id", span="values"))

@@ -457,6 +457,56 @@ def test_a_fused_sample_missing_from_the_sentences_ends_the_command(pipeline, mo
     assert not trained and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "experiment", "sweep"])
+def test_numeric_only_reads_no_sentence_input(pipeline, monkeypatch, capsys, tmp_path, command):
+    # the numeric_only arm reads no sentence vector: under train_folds, or in
+    # a full-scope embedding sweep, it runs without --sentences, embeds
+    # nothing and gives the full-scope results; --sentences or pvdm given to
+    # it end the command with one line naming the arm
+    embedded = []
+    embed_sentences = experiment.embed_sentences
+    monkeypatch.setattr(experiment, "embed_sentences",
+                        lambda *a, **k: embedded.append(a) or embed_sentences(*a, **k))
+    mlp = {"mlp": {"epochs": 1, "hidden_layers": [2]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(mlp), encoding="utf-8")
+
+    def run(name, flags, config=cfg_path):
+        out = tmp_path / name
+        rc = cli.main([command, "--fused", pipeline["fused"],
+                       "--events", os.path.join(pipeline["data"], "events.csv"),
+                       "--config", str(config), "--arm", "numeric_only", "--seed", "2",
+                       "--out", str(out)] + flags)
+        return rc, out
+
+    if command == "sweep":
+        flags, full = ["--parameter", "window_n", "--grid", "2,3", "--runs", "1"], None
+    else:
+        runs = ["--runs", "2"] if command == "experiment" else []
+        flags, full = ["--embedding-scope", "train_folds"] + runs, runs
+    rc, out = run("scoped", flags)
+    assert rc == 0 and not embedded
+    if command == "sweep":
+        _, first, second = (out / "sweep_window_n.csv").read_text(encoding="utf-8").splitlines()
+        assert first.split(",")[2:] == second.split(",")[2:]
+    else:
+        rc, full_out = run("full", full)
+        assert rc == 0
+        if command == "experiment":  # train writes one report file
+            out, full_out = out / "runs.csv", full_out / "runs.csv"
+        assert out.read_bytes() == full_out.read_bytes()
+    capsys.readouterr()
+    rc, out = run("with-sentences", flags + ["--sentences", pipeline["sentences"]])
+    assert_one_error_line(capsys, rc, "error: --sentences is not read by arm numeric_only")
+    assert not out.exists()
+    pvdm_path = tmp_path / "pvdm.json"
+    pvdm_path.write_text(json.dumps(dict(mlp, pvdm={"vector_dim": 4})), encoding="utf-8")
+    rc, out = run("with-pvdm", flags, config=pvdm_path)
+    assert_one_error_line(capsys, rc, "error: %s: pvdm is not read by arm numeric_only"
+                          % pvdm_path)
+    assert not out.exists() and not embedded
+
+
 # The protocol the setting tests below change one value of: a 1-epoch,
 # hidden-[2] network whose validation threshold, at master seed 1, lies
 # inside the score range, so a changed score moves the results.

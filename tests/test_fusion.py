@@ -1,11 +1,16 @@
 """Alignment, labeling, normalization, folds and fused-dataset format tests."""
 
 import json
+import os
+import tempfile
 from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bankdistress import pvdm
 from bankdistress.corpus import Sentence
 from bankdistress.fusion import (
     ARM_ROW_CHUNK,
@@ -25,6 +30,7 @@ from bankdistress.fusion import (
     read_indicators,
     read_sample_table,
     write_events,
+    write_fused,
     write_indicators,
     write_sample_table,
 )
@@ -207,7 +213,7 @@ def test_build_sample_table():
     assert by_id["art:a:2"] == 1
     assert by_id["art:a:1"] == 0
     assert by_id["art:b:2"] == 0
-    assert abs(table.class_prior() - 1.0 / 6.0) < 1e-12
+    assert abs(table.labels.mean() - 1.0 / 6.0) < 1e-12
 
 
 def test_build_sample_table_missing_vector():
@@ -323,3 +329,114 @@ def test_read_sample_table_rejects_an_empty_semantic_vector(tmp_path):
     path.write_text(json.dumps(row) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"fused\.jsonl:1: semantic is empty"):
         read_sample_table(str(path))
+
+
+# ---------------------------------------------------------------------------
+# write_fused: the fused file with each vector's text copied from the vectors file
+
+
+def fuse_both_ways(sentences, vectors_path, recs, events, d):
+    """The bytes write_fused writes, and the bytes of its float oracle."""
+    fused, oracle = os.path.join(d, "fused.jsonl"), os.path.join(d, "oracle.jsonl")
+    write_fused(sentences, vectors_path, pvdm.read_vector_spans(vectors_path), recs, events,
+                fused)
+    table, _ = build_sample_table(sentences, pvdm.read_vectors(vectors_path), recs, events)
+    write_sample_table(table, oracle)
+    with open(fused, "rb") as fh, open(oracle, "rb") as gh:
+        return fh.read(), gh.read()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e22, 1e-5,
+               3.0, -7.0, 2.0 ** 53, 1.7976931348623157e308]
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+SENTENCE_IDS = st.text(alphabet=st.sampled_from('a\u00e9\u20ac\U0001d11e"\\[] :,{}')
+                       | st.characters(), min_size=1, max_size=8)
+
+
+def assert_fused_matches_the_oracle(ids, months, matrix, order):
+    """write_fused of an export of ``matrix`` (row ``order[i]`` for ids[i])
+    writes the oracle's bytes, or refuses a set where nothing aligns."""
+    sentences = [make_sentence(sid, "ab"[i % 2], ts(2010, month))
+                 for i, (sid, month) in enumerate(zip(ids, months))]
+    # quarter 2 of bank b has no indicators, so its sentences are dropped
+    recs = [make_indicators(b, 2010, q, base=0.1 * q) for b in "ab" for q in (1, 2)
+            if (b, q) != ("b", 2)]
+    events = [DistressEvent("a", date(2010, 2, 1), date(2010, 4, 30), "state_aid")]
+    model = pvdm.PvdmModel(word_in=None, word_out=None, paragraph=matrix,
+                           sentence_index=dict(zip(ids, order)), vocab=None, config=None)
+    with tempfile.TemporaryDirectory() as d:
+        vectors_path = os.path.join(d, "vectors.jsonl")
+        pvdm.export_vectors(model, vectors_path)
+        if not align(sentences, recs)[0]:
+            with pytest.raises(ValueError, match="no aligned samples"):
+                write_fused(sentences, vectors_path, pvdm.read_vector_spans(vectors_path),
+                            recs, events, os.path.join(d, "fused.jsonl"))
+            return
+        fused, oracle = fuse_both_ways(sentences, vectors_path, recs, events, d)
+    assert fused == oracle
+
+
+def test_write_fused_writes_the_oracle_bytes_of_edge_floats():
+    ids = ['q"\\[0]', "\u00e9\u20ac\U0001d11e", "[]", "\\"]
+    matrix = np.array(EDGE_FLOATS).reshape(4, 3)
+    assert_fused_matches_the_oracle(ids, [1, 2, 3, 5], matrix, [2, 0, 3, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=6),
+       dim=st.integers(min_value=1, max_value=5))
+def test_write_fused_writes_the_oracle_bytes_of_an_export(data, n, dim):
+    ids = data.draw(st.lists(SENTENCE_IDS, min_size=n, max_size=n, unique=True))
+    months = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    values = data.draw(st.lists(FLOATS, min_size=n * dim, max_size=n * dim))
+    order = data.draw(st.permutations(range(n)))
+    assert_fused_matches_the_oracle(ids, months, np.array(values).reshape(n, dim), order)
+
+
+# Hand-written rows: CRLF endings, a blank line, leading blanks, values
+# before sentence_id, nested "values" keys in other fields, int and exponent
+# numerals, [1,2] spacing, and raw multi-byte ids before and after values.
+HAND_WRITTEN = [
+    '{"values": [1, 2.5, -3], "sentence_id": "s0"}',
+    "",
+    '   {"sentence_id": "s1", "values": [1e-3,2E2,-0], "extra": {"values": [9, 9, 9]}}',
+    '\t{"note": {"values": "x"}, "sentence_id": "s2", "values":[ 4 , 5.0 ,6e0 ]}',
+    '{"sentence_id": "b\u00e4nk\u20ac\U0001d11e", "values": [7,8,1E+1]}',
+    '{"values": [0.5, 0.25, 0.125], "sentence_id": "\u00fc\u00fc"}',
+]
+
+
+def test_write_fused_copies_hand_written_numerals_as_written(tmp_path):
+    vectors_path = tmp_path / "vectors.jsonl"
+    vectors_path.write_bytes("\r\n".join(HAND_WRITTEN + [""]).encode("utf-8"))
+    ids = ["s0", "s1", "s2", "b\u00e4nk\u20ac\U0001d11e", "\u00fc\u00fc"]
+    sentences = [make_sentence(sid, "ab"[i % 2], ts(2010, 1 + i)) for i, sid in enumerate(ids)]
+    recs = [make_indicators(b, 2010, q, base=q) for b in "ab" for q in (1, 2)]
+    events = [DistressEvent("a", date(2010, 2, 1), date(2010, 4, 30), "state_aid")]
+    fused, _ = fuse_both_ways(sentences, str(vectors_path), recs, events, str(tmp_path))
+    written = ["[1, 2.5, -3]", "[1e-3,2E2,-0]", "[ 4 , 5.0 ,6e0 ]", "[7,8,1E+1]",
+               "[0.5, 0.25, 0.125]"]
+    lines = fused.decode("utf-8").splitlines()
+    assert len(lines) == len(written)
+    for line, text in zip(lines, written):
+        assert '"semantic": %s, "sentence_id": ' % text in line
+    got = read_sample_table(str(tmp_path / "fused.jsonl"))
+    want = read_sample_table(str(tmp_path / "oracle.jsonl"))
+    assert got.sentence_ids == want.sentence_ids == ids
+    np.testing.assert_array_equal(got.semantic, want.semantic)
+    np.testing.assert_array_equal(got.numeric_raw, want.numeric_raw)
+    np.testing.assert_array_equal(got.labels, want.labels)
+    np.testing.assert_array_equal(got.semantic[1], [1e-3, 200.0, 0.0])
+
+
+def test_write_fused_does_not_overwrite_its_vectors_file(tmp_path):
+    sents, vectors, recs, events = small_dataset()
+    model = pvdm.PvdmModel(word_in=None, word_out=None, paragraph=np.vstack(list(vectors.values())),
+                           sentence_index={sid: i for i, sid in enumerate(vectors)},
+                           vocab=None, config=None)
+    path = str(tmp_path / "vectors.jsonl")
+    pvdm.export_vectors(model, path)
+    before = (tmp_path / "vectors.jsonl").read_bytes()
+    with pytest.raises(ValueError, match="would overwrite the vectors it copies"):
+        write_fused(sents, path, pvdm.read_vector_spans(path), recs, events, path)
+    assert (tmp_path / "vectors.jsonl").read_bytes() == before

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bankdistress import corpus, experiment, fusion, pvdm
+from bankdistress import cli, corpus, experiment, fusion, pvdm, synth
 from conftest import toy_table
 
 MB = 1e6
@@ -57,6 +57,31 @@ def test_read_sample_table_fills_one_matrix_per_column(tmp_path):
     assert peak <= 1.25 * matrices + SLACK, peak
     np.testing.assert_array_equal(read.semantic, table.semantic)
     np.testing.assert_array_equal(read.numeric_raw, table.numeric_raw)
+
+
+def test_fuse_holds_no_vector_matrix(tmp_path):
+    # the text_pipeline benchmark's chain: 62 banks x 19 quarters, one
+    # sentence each, 600-dim vectors
+    data = tmp_path / "data"
+    synth.write_dataset(synth.generate(synth.SynthConfig(
+        start_quarter=(2010, 1), end_quarter=(2014, 3), sentences_per_bank_quarter=(1, 1),
+        seed=1)), str(data))
+    sentences, vectors = str(tmp_path / "sentences.jsonl"), str(tmp_path / "vectors.jsonl")
+    assert cli.main(["ingest", "--articles", str(data / "articles.jsonl"),
+                     "--registry", str(data / "registry.json"), "--out", sentences]) == 0
+    ids = [s.sentence_id for s in corpus.read_sentences(sentences)]
+    rows = np.random.default_rng(0).standard_normal((len(ids), 600))
+    with open(vectors, "w", encoding="utf-8") as fh:
+        for sid, row in zip(ids, rows):
+            fh.write(json.dumps({"sentence_id": sid, "values": row.tolist()}) + "\n")
+    fused = str(tmp_path / "fused.jsonl")
+    rc, peak, _ = traced(lambda: cli.main([
+        "fuse", "--sentences", sentences, "--vectors", vectors,
+        "--indicators", str(data / "indicators.csv"),
+        "--events", str(data / "events.csv"), "--out", fused]))
+    assert rc == 0 and len(ids) == 1178
+    assert peak < rows.nbytes, peak  # 5.65 MB
+    np.testing.assert_array_equal(fusion.read_sample_table(fused).semantic, rows)
 
 
 def test_save_model_writes_without_a_staging_copy(tmp_path):
