@@ -32,30 +32,31 @@ def _experiment_settings(args, **defaults):
     return settings
 
 
-# the commands that read pvdm and --sentences (experiment.inputs_read)
+# the commands that read pvdm and --sentences: a run's vector_source embeds
 _EMBEDDING_READERS = "embedding scope 'train_folds' or a full-scope window_n or vector_dim sweep"
 
 
 def _read_inputs(args, config, arms, parameter=None):
-    """The fused table, the events and the sentences, None where the command
-    does not read them.
+    """The fused table, with its semantic column only if a run reads it, the
+    events and the sentences, None where the command does not read them.
 
     A pvdm override or an input file the command would not read, an input it
     would read but was not given, and a fused sample whose sentence is not
     among the sentences each end the command before any run starts.
     """
-    reads = experiment.inputs_read(arms, config.embedding_scope, parameter)
-    if experiment.inputs_read(fusion.ARMS, config.embedding_scope, parameter) - reads:
-        unread = "is not read by arm %s, which reads no sentence vector" % ", ".join(arms)
-    else:
-        unread = "is read only under %s" % _EMBEDDING_READERS
-    if config.pvdm and "pvdm" not in reads:
-        raise CliError("%s: pvdm %s" % (args.config, unread))
-    if args.sentences and "sentences" not in reads:
-        raise CliError("--sentences %s" % unread)
-    if "sentences" in reads and not args.sentences:
+    sources = {experiment.vector_source(arm, config.embedding_scope, parameter) for arm in arms}
+    embeds = bool(sources - {None, "fused"})
+    if embeds and not args.sentences:
         raise CliError("%s retrains embeddings: pass --sentences" % _EMBEDDING_READERS)
-    table = fusion.read_sample_table(args.fused)
+    if not embeds and (config.pvdm or args.sentences):
+        if experiment.vector_source(fusion.TEXT_ARMS[0], config.embedding_scope,
+                                    parameter) != "fused":
+            unread = "is not read by arm %s, which reads no sentence vector" % ", ".join(arms)
+        else:
+            unread = "is read only under %s" % _EMBEDDING_READERS
+        raise CliError("%s: pvdm %s" % (args.config, unread) if config.pvdm
+                       else "--sentences %s" % unread)
+    table = fusion.read_sample_table(args.fused, keep_semantic="fused" in sources)
     events = fusion.read_events(args.events)
     if not args.sentences:
         return table, events, None
@@ -195,8 +196,9 @@ def _cmd_sweep(args):
     table, events, sentences = _read_inputs(args, config, [config.arm], args.parameter)
 
     def builder(pvdm_overrides):
-        # only a sweep that re-embeds builds new vectors, into the fused table's rows
-        if not experiment.reembeds(config, args.parameter):
+        # only a re-embedding sweep builds new vectors, into the fused table's rows
+        if experiment.vector_source(config.arm, config.embedding_scope,
+                                    args.parameter) != "reembedded":
             return table
         model, _ = experiment.embed_sentences(sentences, pvdm.PvdmConfig(**pvdm_overrides))
         vectors = {sid: model.paragraph[row] for sid, row in model.sentence_index.items()}

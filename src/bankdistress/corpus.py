@@ -398,6 +398,17 @@ def require_int(name, value):
         raise ValueError("%s must be an integer, got %r" % (name, value))
 
 
+def require_float(name, value):
+    """``value`` as a float, after raising ValueError naming ``name`` unless
+    it is a number (not a bool); an integer too large for a float is infinite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    try:
+        return float(value)
+    except OverflowError:
+        return float("inf") if value > 0 else float("-inf")
+
+
 def require_str(name, value):
     """``value``, after raising ValueError naming ``name`` unless it is a string."""
     if not isinstance(value, str):

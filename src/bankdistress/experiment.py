@@ -75,28 +75,16 @@ class ExperimentConfig:
                 raise ValueError("%s: %s" % (section, exc)) from None
 
 
-def inputs_read(arms, embedding_scope, parameter=None):
-    """Which of the pvdm overrides and the sentences file a command that runs
-    ``arms`` reads at ``embedding_scope``, sweeping ``parameter`` if given.
-
-    Each train_folds run of an arm that reads sentence vectors retrains PV-DM
-    on its training folds' sentences; a full-scope EMBEDDING_SWEEPS sweep of
-    such an arm re-embeds the whole corpus into the fused table's rows at each
-    grid value (``reembeds``). Other commands, and every command whose arms
-    read no sentence vector, read neither.
-    """
-    if not set(arms) & set(TEXT_ARMS):
-        return set()
-    if embedding_scope == "train_folds" or parameter in EMBEDDING_SWEEPS:
-        return {"pvdm", "sentences"}
-    return set()
-
-
-def reembeds(config, parameter):
-    """Whether a sweep of ``parameter`` re-embeds the corpus into the table at
-    each grid value: a full-scope EMBEDDING_SWEEPS sweep of a text arm."""
-    return (config.embedding_scope == "full" and parameter in EMBEDDING_SWEEPS
-            and config.arm in TEXT_ARMS)
+def vector_source(arm, embedding_scope, parameter=None):
+    """Where a run of ``arm`` at ``embedding_scope`` (sweeping ``parameter``,
+    if given) takes its sentence vectors: None for an arm that reads none,
+    "train_folds" (PV-DM retrained on the run's training folds), "reembedded"
+    (the corpus embedded anew at each grid value) or "fused" (the table's)."""
+    if arm not in TEXT_ARMS:
+        return None
+    if embedding_scope == "train_folds":
+        return "train_folds"
+    return "reembedded" if parameter in EMBEDDING_SWEEPS else "fused"
 
 
 def read_config(path):
@@ -185,9 +173,9 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
     times, and records the count in ``RunResult.redraws``. A draw that
     already holds both classes is kept as it is.
 
-    With ``embedding_scope == "train_folds"`` the raw ``sentences`` must be
-    supplied; the run then retrains its own embedding on training-fold banks
-    instead of using the table's semantic vectors, unless its arm reads none.
+    A run whose ``vector_source`` is "train_folds" needs the raw
+    ``sentences``: it retrains its own embedding on training-fold banks
+    instead of using the table's semantic vectors.
     """
     def month_groups(rows):
         return evaluation.group_months([table.bank_ids[i] for i in rows],
@@ -215,7 +203,7 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
 
     semantic = table.semantic
     zero_vectors = 0
-    if config.embedding_scope == "train_folds" and config.arm in TEXT_ARMS:
+    if vector_source(config.arm, config.embedding_scope) == "train_folds":
         if sentences is None:
             raise ValueError("embedding_scope 'train_folds' needs the raw sentences")
         train_banks = {b for b, f in folds.fold_of.items() if f in TRAIN_FOLDS}
@@ -239,18 +227,16 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
     mlp_overrides["seed"] = derive_run_seed(run_seed, 1)
     model = neural.init_model(neural.MlpConfig(**mlp_overrides))
 
-    def val_usefulness(m):
+    def val_report(m):
+        # the validation report at the threshold picked on its own scores
         scores = evaluation.aggregate_monthly(neural.predict(m, x_val), val_groups)
         tau = evaluation.pick_threshold(scores, config.mu)
-        return evaluation.usefulness_report(scores, config.mu, tau).relative_usefulness
+        return evaluation.usefulness_report(scores, config.mu, tau)
 
-    best, _curve = neural.train(
-        model, arm_inputs(train_rows), table.labels[train_rows], eval_hook=val_usefulness
-    )
-
-    val_scores = evaluation.aggregate_monthly(neural.predict(best, x_val), val_groups)
-    tau = evaluation.pick_threshold(val_scores, config.mu)
-    val_report = evaluation.usefulness_report(val_scores, config.mu, tau)
+    best, _curve = neural.train(model, arm_inputs(train_rows), table.labels[train_rows],
+                                eval_hook=lambda m: val_report(m).relative_usefulness)
+    validation = val_report(best)
+    tau = validation.threshold
 
     test_scores = evaluation.aggregate_monthly(neural.predict(best, arm_inputs(test_rows)),
                                                test_groups)
@@ -261,7 +247,7 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
         seed=run_seed,
         fold_of=dict(folds.fold_of),
         threshold=tau,
-        validation=val_report,
+        validation=validation,
         test=test_report,
         redraws=redraws,
         zero_vectors=zero_vectors,
@@ -321,13 +307,13 @@ def sweep(table_builder, events, base_config, parameter, grid, runs=SWEEP_RUNS, 
     """Mean/std relative usefulness across a one-parameter grid.
 
     ``table_builder(pvdm_overrides) -> SampleTable`` builds the dataset once,
-    and again at each grid point of a sweep that ``reembeds``, whose every
-    grid value needs the corpus re-embedded into the table's semantic column.
-    Every grid point's config is checked before the first run.
+    and again at each grid point of a sweep whose ``vector_source`` is
+    "reembedded". Every grid point's config is checked before the first run.
     """
     base_config = replace(base_config, runs=runs)
     configs = sweep_configs(base_config, parameter, grid)
-    rebuilds = reembeds(base_config, parameter)
+    rebuilds = vector_source(base_config.arm, base_config.embedding_scope,
+                             parameter) == "reembedded"
     table = None
     means, stds = [], []
     for cfg in configs:

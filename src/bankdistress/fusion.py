@@ -210,7 +210,7 @@ class SampleTable:
     sentence_ids: list
     bank_ids: list
     months: list
-    semantic: np.ndarray     # N x semantic_dim
+    semantic: np.ndarray     # N x semantic_dim, or None if no run reads it
     numeric_raw: np.ndarray  # N x 12
     labels: np.ndarray       # N, in {0, 1}
 
@@ -357,7 +357,7 @@ def write_sample_table(table, path):
 
 def _parse_sample(row, semantic, numeric_raw):
     """(sentence_id, bank_id, month, label) of a fused row, whose vectors go
-    to the next rows of ``semantic`` and ``numeric_raw`` (VectorRows)."""
+    to ``semantic`` (a VectorRows' add, or check) and ``numeric_raw``.add."""
     month = row["month"]
     if not (isinstance(month, str) and MONTH_PATTERN.fullmatch(month)):
         raise ValueError("month %r is not of the form 2010-01..2010-12" % (month,))
@@ -366,24 +366,26 @@ def _parse_sample(row, semantic, numeric_raw):
         raise ValueError("label must be the integer 0 or 1, got %r" % (label,))
     sentence_id = require_str("sentence_id", row["sentence_id"])
     bank_id = require_str("bank_id", row["bank_id"])
-    if not len(semantic.add(row["semantic"])):
+    if not len(semantic(row["semantic"])):
         raise ValueError("semantic is empty")
     numeric_raw.add(row["numeric_raw"])
     return sentence_id, bank_id, (int(month[:4]), int(month[5:])), label
 
 
-def read_sample_table(path):
+def read_sample_table(path, keep_semantic=True):
     """Read a fused dataset; a malformed row raises ValueError naming path:line.
 
     The rows are counted first, so that each vector column is read into one
-    preallocated matrix.
+    preallocated matrix. Without ``keep_semantic`` the semantic vectors are
+    checked as strictly but not stored, and the table's ``semantic`` is None.
     """
     n = count_rows(path)
     if not n:
         raise ValueError("empty fused dataset %s" % path)
     semantic = VectorRows("semantic", n)
     numeric_raw = VectorRows("numeric_raw", n, width=NUMERIC_DIM)
-    rows = read_jsonl(path, lambda row: _parse_sample(row, semantic, numeric_raw))
+    take = semantic.add if keep_semantic else semantic.check
+    rows = read_jsonl(path, lambda row: _parse_sample(row, take, numeric_raw))
     sids, bids, months, labels = map(list, zip(*rows))
     return SampleTable(sentence_ids=sids, bank_ids=bids, months=months,
                        semantic=semantic.matrix, numeric_raw=numeric_raw.matrix,

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import require_int
+from .corpus import require_float, require_int
 
 N_CLASSES = 2  # tranquil (0) and distressed (1); predict reads column 1
 
@@ -33,13 +33,15 @@ class MlpConfig:
             require_int("hidden_layers entry", width)
         if self.input_dim < 1 or any(h < 1 for h in self.hidden_layers):
             raise ValueError("layer widths must be positive")
-        if not (np.isfinite(self.lr) and self.lr > 0):
+        lr, l1, momentum, dropout_p = (require_float(name, getattr(self, name))
+                                       for name in ("lr", "l1", "momentum", "dropout_p"))
+        if not (np.isfinite(lr) and lr > 0):
             raise ValueError("learning rate must be finite and positive")
-        if not (np.isfinite(self.l1) and self.l1 >= 0):
+        if not (np.isfinite(l1) and l1 >= 0):
             raise ValueError("l1 penalty must be finite and non-negative")
-        if not 0.0 <= self.momentum < 1.0:
+        if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if not 0.0 <= self.dropout_p < 1.0:
+        if not 0.0 <= dropout_p < 1.0:
             raise ValueError("dropout_p must lie in [0, 1)")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("epochs/batch_size out of range")

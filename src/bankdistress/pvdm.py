@@ -9,7 +9,8 @@ from itertools import chain, repeat
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .corpus import Vocabulary, VectorRows, count_rows, read_jsonl, require_int, require_str
+from .corpus import (Vocabulary, VectorRows, count_rows, read_jsonl, require_float, require_int,
+                     require_str)
 
 MODEL_FORMAT = "pvdm-v1"
 BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
@@ -38,9 +39,11 @@ class PvdmConfig:
             raise ValueError("negative_samples must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if not (np.isfinite(self.lr_initial) and np.isfinite(self.lr_final)):
+        lr_initial, lr_final = (require_float(name, getattr(self, name))
+                                for name in ("lr_initial", "lr_final"))
+        if not (np.isfinite(lr_initial) and np.isfinite(lr_final)):
             raise ValueError("lr_initial and lr_final must be finite")
-        if not 0 <= self.lr_final < self.lr_initial:
+        if not 0 <= lr_final < lr_initial:
             raise ValueError("lr_final must be >= 0 and below lr_initial")
 
 

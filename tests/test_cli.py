@@ -610,8 +610,15 @@ def test_experiment_rejects_unknown_config_keys(pipeline, capsys, tmp_path, conf
     ({"pvdm": {"lr_initial": float("inf")}}, "pvdm: lr_initial and lr_final must be finite"),
     ({"mu": 1.5}, "mu must lie strictly in (0, 1), got 1.5"),
     ({"mu": "0.9"}, "mu must lie strictly in (0, 1), got '0.9'"),
+    ({"mlp": {"lr": "x"}}, "mlp: lr must be a number, got 'x'"),
+    ({"pvdm": {"lr_initial": "x"}}, "pvdm: lr_initial must be a number, got 'x'"),
+    ({"mlp": {"momentum": None}}, "mlp: momentum must be a number, got None"),
+    ({"mlp": {"dropout_p": [1]}}, "mlp: dropout_p must be a number, got [1]"),
+    ({"mlp": {"lr": True}}, "mlp: lr must be a number, got True"),
+    ({"mlp": {"lr": 10 ** 400}}, "mlp: learning rate must be finite and positive"),
 ], ids=["mlp-lr-nan", "mlp-l1-inf", "pvdm-lr-final-negative", "pvdm-lr-initial-inf",
-        "mu-above-one", "mu-string"])
+        "mu-above-one", "mu-string", "mlp-lr-string", "pvdm-lr-initial-string",
+        "mlp-momentum-null", "mlp-dropout-list", "mlp-lr-bool", "mlp-lr-huge-int"])
 def test_experiment_rejects_non_finite_and_negative_rates(pipeline, capsys, tmp_path, config,
                                                           fragment):
     # json writes NaN and Infinity, which json.load reads back as floats

@@ -1,9 +1,14 @@
 """Experiment protocol tests: seeds, folds, arm isolation, sweeps, outputs."""
 
-from dataclasses import replace
+import json
+import os
+import tempfile
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bankdistress.experiment as experiment_module
 from bankdistress import experiment
@@ -63,6 +68,55 @@ def test_config_rejects_unknown_override_keys():
     cfg = ExperimentConfig(mlp={"epochs": 2, "hidden_layers": [4]},
                            pvdm={"vector_dim": 4, "min_count": 1, "seed": 3})
     assert cfg.pvdm["min_count"] == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def json_object(keys):
+    """A JSON object whose keys are among ``keys`` and whose values are any JSON."""
+    return st.dictionaries(st.sampled_from(keys), JSON_VALUES, max_size=len(keys))
+
+
+# config files whose keys are config keys at every level, with any JSON values
+CONFIG_FILES = st.fixed_dictionaries({}, optional=dict(
+    {f.name: JSON_VALUES for f in fields(ExperimentConfig)},
+    mlp=json_object(experiment.MLP_KEYS) | JSON_VALUES,
+    pvdm=json_object(experiment.PVDM_KEYS) | JSON_VALUES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIG_FILES)
+@example({"mlp": {"lr": "x"}})
+@example({"pvdm": {"lr_initial": None, "lr_final": [0.1]}})
+@example({"mlp": {"momentum": 10 ** 400}, "mu": 10 ** 400})
+def test_read_config_returns_or_raises_a_value_error_naming_the_file(config):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        try:
+            experiment.read_config(path)
+        except ValueError as exc:
+            assert str(exc).startswith(path + ": "), exc
+
+
+@pytest.mark.parametrize("arm,scope,parameter,source", [
+    ("numeric_only", "train_folds", None, None),
+    ("numeric_only", "full", "window_n", None),
+    ("combined", "train_folds", None, "train_folds"),
+    ("text_only", "train_folds", "vector_dim", "train_folds"),
+    ("combined", "full", "window_n", "reembedded"),
+    ("text_only", "full", "vector_dim", "reembedded"),
+    ("combined", "full", "lr", "fused"),
+    ("text_only", "full", None, "fused"),
+])
+def test_vector_source(arm, scope, parameter, source):
+    assert experiment.vector_source(arm, scope, parameter) == source
 
 
 def test_derive_run_seed_properties():

@@ -317,9 +317,11 @@ def test_read_sample_table_rejects_malformed_rows(tmp_path, edit, fragment):
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[2] = json.dumps(edit(json.loads(lines[2])))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"fused\.jsonl:3: ") as info:
-        read_sample_table(str(path))
-    assert fragment in str(info.value)
+    # a semantic column that no run reads is checked as strictly as a kept one
+    for keep_semantic in (True, False):
+        with pytest.raises(ValueError, match=r"fused\.jsonl:3: ") as info:
+            read_sample_table(str(path), keep_semantic=keep_semantic)
+        assert fragment in str(info.value)
 
 
 def test_read_sample_table_rejects_an_empty_semantic_vector(tmp_path):
@@ -327,8 +329,22 @@ def test_read_sample_table_rejects_an_empty_semantic_vector(tmp_path):
     row = {"sentence_id": "s", "bank_id": "a", "month": "2010-01", "label": 0,
            "semantic": [], "numeric_raw": [0.0] * NUMERIC_DIM}
     path.write_text(json.dumps(row) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"fused\.jsonl:1: semantic is empty"):
-        read_sample_table(str(path))
+    for keep_semantic in (True, False):
+        with pytest.raises(ValueError, match=r"fused\.jsonl:1: semantic is empty"):
+            read_sample_table(str(path), keep_semantic=keep_semantic)
+
+
+def test_read_sample_table_without_the_semantic_column(tmp_path):
+    sents, vectors, recs, events = small_dataset()
+    table, _ = build_sample_table(sents, vectors, recs, events)
+    path = str(tmp_path / "fused.jsonl")
+    write_sample_table(table, path)
+    read = read_sample_table(path, keep_semantic=False)
+    assert read.semantic is None
+    assert read.sentence_ids == table.sentence_ids and read.bank_ids == table.bank_ids
+    assert read.months == table.months
+    np.testing.assert_array_equal(read.numeric_raw, table.numeric_raw)
+    np.testing.assert_array_equal(read.labels, table.labels)
 
 
 # ---------------------------------------------------------------------------

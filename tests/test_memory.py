@@ -59,29 +59,73 @@ def test_read_sample_table_fills_one_matrix_per_column(tmp_path):
     np.testing.assert_array_equal(read.numeric_raw, table.numeric_raw)
 
 
-def test_fuse_holds_no_vector_matrix(tmp_path):
-    # the text_pipeline benchmark's chain: 62 banks x 19 quarters, one
-    # sentence each, 600-dim vectors
-    data = tmp_path / "data"
+@pytest.fixture(scope="module")
+def text_pipeline(tmp_path_factory):
+    """The text_pipeline benchmark's chain up to its vectors: 62 banks x 19
+    quarters, one sentence each, 600-dim vectors; also a fused table of them."""
+    d = tmp_path_factory.mktemp("text_pipeline")
+    data = d / "data"
     synth.write_dataset(synth.generate(synth.SynthConfig(
         start_quarter=(2010, 1), end_quarter=(2014, 3), sentences_per_bank_quarter=(1, 1),
         seed=1)), str(data))
-    sentences, vectors = str(tmp_path / "sentences.jsonl"), str(tmp_path / "vectors.jsonl")
+    paths = {"sentences": str(d / "sentences.jsonl"), "vectors": str(d / "vectors.jsonl"),
+             "fused": str(d / "fused.jsonl"), "indicators": str(data / "indicators.csv"),
+             "events": str(data / "events.csv"), "dir": d}
     assert cli.main(["ingest", "--articles", str(data / "articles.jsonl"),
-                     "--registry", str(data / "registry.json"), "--out", sentences]) == 0
-    ids = [s.sentence_id for s in corpus.read_sentences(sentences)]
-    rows = np.random.default_rng(0).standard_normal((len(ids), 600))
-    with open(vectors, "w", encoding="utf-8") as fh:
-        for sid, row in zip(ids, rows):
+                     "--registry", str(data / "registry.json"),
+                     "--out", paths["sentences"]]) == 0
+    ids = [s.sentence_id for s in corpus.read_sentences(paths["sentences"])]
+    paths["rows"] = np.random.default_rng(0).standard_normal((len(ids), 600))
+    with open(paths["vectors"], "w", encoding="utf-8") as fh:
+        for sid, row in zip(ids, paths["rows"]):
             fh.write(json.dumps({"sentence_id": sid, "values": row.tolist()}) + "\n")
-    fused = str(tmp_path / "fused.jsonl")
-    rc, peak, _ = traced(lambda: cli.main([
-        "fuse", "--sentences", sentences, "--vectors", vectors,
-        "--indicators", str(data / "indicators.csv"),
-        "--events", str(data / "events.csv"), "--out", fused]))
-    assert rc == 0 and len(ids) == 1178
+    assert len(ids) == 1178 and cli.main(fuse_argv(paths, paths["fused"])) == 0
+    return paths
+
+
+def fuse_argv(paths, out):
+    return ["fuse", "--sentences", paths["sentences"], "--vectors", paths["vectors"],
+            "--indicators", paths["indicators"], "--events", paths["events"], "--out", out]
+
+
+def test_fuse_holds_no_vector_matrix(text_pipeline):
+    fused = str(text_pipeline["dir"] / "fused-traced.jsonl")
+    rc, peak, _ = traced(lambda: cli.main(fuse_argv(text_pipeline, fused)))
+    rows = text_pipeline["rows"]
+    assert rc == 0
     assert peak < rows.nbytes, peak  # 5.65 MB
     np.testing.assert_array_equal(fusion.read_sample_table(fused).semantic, rows)
+
+
+class InputsRead(Exception):
+    """Ends a command once its inputs are read."""
+
+
+@pytest.mark.parametrize("flags", [
+    ["experiment", "--arm", "all", "--embedding-scope", "train_folds", "--sentences", "{}"],
+    ["sweep", "--parameter", "window_n", "--grid", "3", "--sentences", "{}"],
+    ["experiment", "--arm", "numeric_only"],
+], ids=["train-folds", "full-scope-window-sweep", "numeric-only"])
+def test_a_command_whose_runs_read_no_fused_vector_holds_none(text_pipeline, monkeypatch,
+                                                              flags):
+    # each run retrains, re-embeds or reads no sentence vector, so the
+    # command reads the fused semantic column without holding it
+    read_inputs = cli._read_inputs
+    seen = []
+
+    def traced_read_inputs(*args, **kwargs):
+        seen.append(traced(lambda: read_inputs(*args, **kwargs))[:2])
+        raise InputsRead
+
+    monkeypatch.setattr(cli, "_read_inputs", traced_read_inputs)
+    argv = [flag.format(text_pipeline["sentences"]) for flag in flags] + [
+        "--fused", text_pipeline["fused"], "--events", text_pipeline["events"],
+        "--out", str(text_pipeline["dir"] / "out")]
+    with pytest.raises(InputsRead):
+        cli.main(argv)
+    (table, _, _), peak = seen[0]
+    assert peak < text_pipeline["rows"].nbytes, peak  # 5.65 MB
+    assert table.semantic is None and len(table) == 1178
 
 
 def test_save_model_writes_without_a_staging_copy(tmp_path):
