@@ -143,9 +143,7 @@ def _cmd_train(args):
     report = {"arm": config.arm, "mu": config.mu, "seed": result.seed,
               "threshold": result.threshold,
               "validation": asdict(result.validation), "test": asdict(result.test)}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    corpus.write_json(report, args.out)
     print("wrote %s: test U_r %.4f" % (args.out, result.test.relative_usefulness))
     return 0
 

@@ -17,6 +17,10 @@ ABBREVIATIONS = ("Inc.", "Ltd.", "St.", "Mr.")
 _TOKEN_RE = re.compile(r"<num>|[a-z]+")
 _DIGITS_RE = re.compile(r"\d+")
 
+# Negative sampling draws a word with probability proportional to its count
+# to this power (Mikolov et al. 2013).
+NOISE_POWER = 0.75
+
 
 class RegistryError(ValueError):
     """Raised when a bank registry file is malformed."""
@@ -217,12 +221,12 @@ def extract_sentences(article, registry):
     return out
 
 
-def build_vocabulary(sentences, min_count=5, noise_power=0.75):
+def build_vocabulary(sentences, min_count=5):
     """Count tokens over a sentence stream and build the lookup tables.
 
     Tokens below ``min_count`` are dropped; their mass is pooled into the
     ``<unk>`` slot. The noise distribution is counts raised to
-    ``noise_power``, normalized.
+    ``NOISE_POWER``, normalized.
     """
     if min_count < 1:
         raise ValueError("min_count must be positive")
@@ -242,7 +246,7 @@ def build_vocabulary(sentences, min_count=5, noise_power=0.75):
     # Frequent-first ordering, ties by token, so indices are reproducible.
     ordered = sorted(kept, key=lambda t: (-kept[t], t))
     token_to_index = {t: i for i, t in enumerate(ordered)}
-    weights = np.array([float(kept[t]) ** noise_power if kept[t] else 0.0 for t in ordered])
+    weights = np.array([float(kept[t]) ** NOISE_POWER if kept[t] else 0.0 for t in ordered])
     total = weights.sum()
     if total <= 0:
         raise ValueError("degenerate vocabulary: no token mass")
@@ -251,7 +255,7 @@ def build_vocabulary(sentences, min_count=5, noise_power=0.75):
         index_to_token=ordered,
         counts=kept,
         min_count=min_count,
-        noise_power=noise_power,
+        noise_power=NOISE_POWER,
         noise_probs=weights / total,
     )
 
@@ -347,6 +351,23 @@ def read_jsonl(path, parse, unique=None, span=None):
     return out
 
 
+def write_jsonl(rows, path):
+    """Write each row of ``rows`` as one line of JSON with sorted keys, the
+    format ``read_jsonl`` reads; rows are encoded one at a time, so a
+    generator of rows is never held whole."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True))
+            fh.write("\n")
+
+
+def write_json(value, path):
+    """Write ``value`` as one JSON document with sorted keys, indented by 2."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 class VectorRows:
     """A float matrix of ``n_rows`` rows, filled in order from JSON lists.
 
@@ -426,20 +447,9 @@ def read_articles(path):
 
 
 def write_sentences(sentences, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sentences:
-            fh.write(
-                json.dumps(
-                    {
-                        "sentence_id": s.sentence_id,
-                        "bank_id": s.bank_id,
-                        "published_at": s.published_at.isoformat(),
-                        "tokens": list(s.tokens),
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    write_jsonl(({"sentence_id": s.sentence_id, "bank_id": s.bank_id,
+                  "published_at": s.published_at.isoformat(), "tokens": list(s.tokens)}
+                 for s in sentences), path)
 
 
 def read_sentences(path):

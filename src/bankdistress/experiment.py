@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 import numpy as np
 
 from . import evaluation, neural, pvdm
-from .corpus import build_vocabulary, require_int
+from .corpus import build_vocabulary, require_int, write_json
 from .fusion import (
     ARMS,
     TEXT_ARMS,
@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ValueError("unknown arm %r" % self.arm)
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0, got %d" % self.master_seed)
         if not (isinstance(self.mu, numbers.Real) and 0.0 < self.mu < 1.0):
             raise ValueError("mu must lie strictly in (0, 1), got %r" % (self.mu,))
         if self.embedding_scope not in ("full", "train_folds"):
@@ -365,9 +367,7 @@ def write_summary_json(results_by_arm, config, path):
             "mean_test_ur": float(urs.mean()),
             "std_test_ur": float(urs.std()),
         }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, path)
 
 
 def write_sweep_csv(result, path):

@@ -9,7 +9,7 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import VectorRows, count_rows, read_jsonl, require_str
+from .corpus import VectorRows, count_rows, read_jsonl, require_str, write_jsonl
 
 NUMERIC_DIM = 12
 
@@ -158,10 +158,7 @@ def apply_normalization(stats, values):
     vals = np.asarray(values, dtype=float)
     safe_std = np.where(stats.degenerate, 1.0, stats.std)
     z = (vals - stats.mean) / safe_std
-    if vals.ndim == 1:
-        z[stats.degenerate] = 0.0
-    else:
-        z[:, stats.degenerate] = 0.0
+    z[..., stats.degenerate] = 0.0
     return z
 
 
@@ -222,7 +219,7 @@ class SampleTable:
         return len(self.sentence_ids)
 
 
-def semantic_rows(sentence_ids, vectors_by_id, source="vectors"):
+def semantic_rows(sentence_ids, vectors_by_id, source):
     """The vectors of ``sentence_ids``, in order, as the rows of one new matrix;
     an id without a vector raises ValueError naming ``source`` and the id."""
     matrix = None
@@ -246,17 +243,14 @@ def _labelled_samples(sentences, indicators, events):
     return sents, recs, [label(s, events) for s in sents], report
 
 
-def build_sample_table(sentences, vectors_by_id, indicators, events, vectors_name="vectors"):
-    """Align, label and stack everything the experiment harness consumes.
-
-    An aligned sentence without a vector raises ValueError naming
-    ``vectors_name`` (the vectors file, where there is one) and the sentence.
-    """
+def build_sample_table(sentences, vectors_by_id, indicators, events):
+    """Align, label and stack everything the experiment harness consumes; an
+    aligned sentence without a vector raises ValueError naming it."""
     sents, recs, labels, report = _labelled_samples(sentences, indicators, events)
     sids = [s.sentence_id for s in sents]
     table = SampleTable(sentence_ids=sids, bank_ids=[s.bank_id for s in sents],
                         months=[month_of(s.published_at) for s in sents],
-                        semantic=semantic_rows(sids, vectors_by_id, vectors_name),
+                        semantic=semantic_rows(sids, vectors_by_id, "vectors"),
                         numeric_raw=np.vstack([r.values for r in recs]),
                         labels=np.array(labels, dtype=np.int64))
     return table, report
@@ -296,8 +290,19 @@ def _parse_indicators(row):
 
 
 def read_indicators(path):
-    """Read an indicator CSV; a malformed row raises ValueError naming path:line."""
-    return _read_csv(path, _parse_indicators)
+    """Read an indicator CSV; a malformed row, or a second row for the same
+    bank and quarter, raises ValueError naming path:line."""
+    seen = set()
+
+    def parse(row):
+        rec = _parse_indicators(row)
+        key = (rec.bank_id, rec.year, rec.quarter)
+        if key in seen:
+            raise ValueError("duplicate row for bank %r in %dQ%d" % key)
+        seen.add(key)
+        return rec
+
+    return _read_csv(path, parse)
 
 
 def write_indicators(indicators, path):
@@ -337,22 +342,11 @@ def write_sample_table(table, path):
     """JSON-lines fused dataset, one row per sample and one key per
     SampleTable column; ``read_sample_table`` reads it back. The byte oracle
     of ``write_fused``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, sid in enumerate(table.sentence_ids):
-            fh.write(
-                json.dumps(
-                    {
-                        "sentence_id": sid,
-                        "bank_id": table.bank_ids[i],
-                        "month": "%04d-%02d" % table.months[i],
-                        "label": int(table.labels[i]),
-                        "semantic": table.semantic[i].tolist(),
-                        "numeric_raw": table.numeric_raw[i].tolist(),
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    write_jsonl(({"sentence_id": sid, "bank_id": table.bank_ids[i],
+                  "month": "%04d-%02d" % table.months[i], "label": int(table.labels[i]),
+                  "semantic": table.semantic[i].tolist(),
+                  "numeric_raw": table.numeric_raw[i].tolist()}
+                 for i, sid in enumerate(table.sentence_ids)), path)
 
 
 def _parse_sample(row, semantic, numeric_raw):
@@ -417,8 +411,10 @@ def write_fused(sentences, vectors_path, vector_spans, indicators, events, path)
                          % path)
     with open(vectors_path, "rb") as vectors, open(path, "w", encoding="utf-8") as fh:
         for sent, rec, lab, (offset, length) in zip(sents, recs, labels, spans):
-            # the row json.dumps(..., sort_keys=True) writes: semantic sorts
-            # between numeric_raw and sentence_id
+            # the row corpus.write_jsonl writes, encoded here so that the
+            # vector's text is copied as written, not parsed and printed
+            # again, which took most of fuse's time; semantic sorts between
+            # numeric_raw and sentence_id
             head = json.dumps({"bank_id": sent.bank_id, "label": lab,
                                "month": "%04d-%02d" % month_of(sent.published_at),
                                "numeric_raw": rec.values.tolist()}, sort_keys=True)

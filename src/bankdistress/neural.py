@@ -45,6 +45,8 @@ class MlpConfig:
             raise ValueError("dropout_p must lie in [0, 1)")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("epochs/batch_size out of range")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % self.seed)
 
 
 def _layer_dims(config):

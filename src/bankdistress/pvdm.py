@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 from .corpus import (Vocabulary, VectorRows, count_rows, read_jsonl, require_float, require_int,
-                     require_str)
+                     require_str, write_jsonl)
 
 MODEL_FORMAT = "pvdm-v1"
 BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
@@ -39,6 +39,8 @@ class PvdmConfig:
             raise ValueError("negative_samples must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % self.seed)
         lr_initial, lr_final = (require_float(name, getattr(self, name))
                                 for name in ("lr_initial", "lr_final"))
         if not (np.isfinite(lr_initial) and np.isfinite(lr_final)):
@@ -406,6 +408,8 @@ def save_model(model, path):
         },
         "sentence_ids": ids,
     }
+    # the header is encoded here, not by corpus.write_json: it is an entry of
+    # the .npz, not a file of its own
     _write_npz(path, {
         "header": np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"),
                                 dtype=np.uint8),
@@ -458,14 +462,9 @@ def load_model(path):
 
 def export_vectors(model, path):
     """JSON-lines export of all trained paragraph vectors."""
-    ids = sorted(model.sentence_index, key=model.sentence_index.get)
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid in ids:
-            row = model.sentence_index[sid]
-            fh.write(
-                json.dumps({"sentence_id": sid, "values": model.paragraph[row].tolist()})
-            )
-            fh.write("\n")
+    rows = sorted(model.sentence_index.items(), key=lambda item: item[1])
+    write_jsonl(({"sentence_id": sid, "values": model.paragraph[row].tolist()}
+                 for sid, row in rows), path)
 
 
 def read_vectors(path):

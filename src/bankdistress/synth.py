@@ -1,14 +1,13 @@
 """Seeded synthetic banks, news and indicators for desk-scale verification."""
 
 import calendar
-import json
 import os
 from dataclasses import dataclass, field, asdict
 from datetime import date, datetime, timezone
 
 import numpy as np
 
-from .corpus import Article, BankEntity
+from .corpus import Article, BankEntity, write_json, write_jsonl
 from .fusion import (
     DistressEvent,
     EVENT_KINDS,
@@ -77,6 +76,8 @@ class SynthConfig:
             raise ValueError("distress_prior must lie in (0, 1)")
         if self.n_banks < 1:
             raise ValueError("n_banks must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0, got %d" % self.seed)
         lo, hi = self.sentences_per_bank_quarter
         if lo < 1 or hi < lo:
             raise ValueError("bad sentences_per_bank_quarter range")
@@ -287,38 +288,13 @@ def describe(dataset):
 def write_dataset(dataset, outdir):
     """Serialize to the exact formats the ingestion modules consume."""
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "registry.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            [
-                {
-                    "bank_id": e.bank_id,
-                    "canonical_name": e.canonical_name,
-                    "country": e.country,
-                    "name_patterns": list(e.name_patterns),
-                }
-                for e in dataset.registry
-            ],
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-    with open(os.path.join(outdir, "articles.jsonl"), "w", encoding="utf-8") as fh:
-        for a in dataset.articles:
-            fh.write(
-                json.dumps(
-                    {
-                        "article_id": a.article_id,
-                        "published_at": a.published_at.isoformat(),
-                        "body": a.body,
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+    write_json([{"bank_id": e.bank_id, "canonical_name": e.canonical_name,
+                 "country": e.country, "name_patterns": list(e.name_patterns)}
+                for e in dataset.registry], os.path.join(outdir, "registry.json"))
+    write_jsonl(({"article_id": a.article_id, "published_at": a.published_at.isoformat(),
+                  "body": a.body} for a in dataset.articles),
+                os.path.join(outdir, "articles.jsonl"))
     write_events(dataset.events, os.path.join(outdir, "events.csv"))
     write_indicators(dataset.indicators, os.path.join(outdir, "indicators.csv"))
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump({"config": asdict(dataset.config), "seed": dataset.config.seed},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({"config": asdict(dataset.config), "seed": dataset.config.seed},
+               os.path.join(outdir, "manifest.json"))

@@ -1,5 +1,5 @@
 """Every public function, class, method and property of the package has a
-caller in the package.
+caller in the package, and JSON is encoded in one place.
 
 A public top-level name, or a public method or property of a public class,
 that nothing in ``src/bankdistress`` refers to is dead weight, unless it is a
@@ -145,3 +145,38 @@ def test_orphan_check_sees_unused_and_shadowed_names(tmp_path):
         encoding="utf-8")
     assert public_orphans(str(tmp_path)) == ["a.Shape.unused", "a.caller",
                                              "a.only_recursive", "a.shadowed"]
+
+
+# The functions of src/ that may encode JSON, with the reason for each.
+JSON_ENCODERS = {
+    "corpus.write_jsonl": "writes every JSON-lines file",
+    "corpus.write_json": "writes every JSON document",
+    "fusion.write_fused": "copies each vector's text from the vectors file into its row "
+                          "instead of parsing and printing it again, the bulk of fuse's time",
+    "pvdm.save_model": "encodes the model header into an entry of the .npz, not a file",
+}
+
+
+def json_encoders(src=SRC):
+    """``module.function`` of each top-level function of ``src`` that refers
+    to ``json.dump`` or ``json.dumps``; ``<module>`` for a reference outside
+    any top-level function, or for a ``from json import`` of either name."""
+    found = set()
+    for module, tree in parse_modules(src).items():
+        for node in tree.body:
+            owner = ("%s.%s" % (module, node.name) if isinstance(node, ast.FunctionDef)
+                     else "%s.<module>" % module)
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and sub.attr in ("dump", "dumps")
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "json"):
+                    found.add(owner)
+                if (isinstance(sub, ast.ImportFrom) and sub.module == "json"
+                        and any(alias.name in ("dump", "dumps") for alias in sub.names)):
+                    found.add("%s.<module>" % module)
+    return sorted(found)
+
+
+def test_json_is_encoded_in_one_place():
+    assert json_encoders() == sorted(JSON_ENCODERS), (
+        "json.dump/json.dumps outside corpus.write_jsonl and corpus.write_json "
+        "(and the encoders JSON_ENCODERS gives a reason for): %s" % json_encoders())

@@ -696,6 +696,52 @@ def test_embed_rejects_negative_epochs(pipeline, capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,config,fragment", [
+    (["experiment", "--seed", "-1", "--runs", "1"], None, "master_seed must be >= 0, got -1"),
+    (["train", "--seed", "-1"], None, "master_seed must be >= 0, got -1"),
+    (["experiment", "--runs", "1"], {"master_seed": -1}, "master_seed must be >= 0, got -1"),
+    (["experiment", "--runs", "1", "--embedding-scope", "train_folds"],
+     {"pvdm": {"seed": -1, "vector_dim": 4, "epochs": 1}}, "pvdm: seed must be >= 0, got -1"),
+    (["embed", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+    (["synth", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+], ids=["experiment-flag", "train-flag", "experiment-config", "pvdm-config", "embed", "synth"])
+def test_a_negative_seed_ends_the_command_before_any_output(pipeline, capsys, tmp_path, command,
+                                                            config, fragment):
+    out = tmp_path / "out"
+    argv = command + ["--out", str(out)]
+    if command[0] in ("experiment", "train"):
+        argv += ["--fused", pipeline["fused"],
+                 "--events", os.path.join(pipeline["data"], "events.csv")]
+    if "train_folds" in command:
+        argv += ["--sentences", pipeline["sentences"]]
+    if command[0] == "embed":
+        argv += ["--sentences", pipeline["sentences"], "--dim", "4", "--epochs", "1"]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(cfg_path)]
+        fragment = "%s: %s" % (cfg_path, fragment)
+    assert_one_error_line(capsys, cli.main(argv), "error: " + fragment)
+    assert os.listdir(tmp_path) == (["cfg.json"] if config is not None else [])
+
+
+def test_fuse_rejects_a_repeated_indicators_row(pipeline, capsys, tmp_path):
+    with open(os.path.join(pipeline["data"], "indicators.csv"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    first = lines[1].split(",")
+    repeated = ",".join(first[:-1] + ["99.0"])
+    indicators = tmp_path / "indicators.csv"
+    indicators.write_text("\n".join(lines + [repeated]) + "\n", encoding="utf-8")
+    out = tmp_path / "fused.jsonl"
+    rc = cli.main(["fuse", "--sentences", pipeline["sentences"], "--vectors", pipeline["vectors"],
+                   "--indicators", str(indicators),
+                   "--events", os.path.join(pipeline["data"], "events.csv"),
+                   "--out", str(out)])
+    assert_one_error_line(capsys, rc, "error: %s:%d: duplicate row for bank %r in %s"
+                          % (indicators, len(lines) + 1, first[0], first[1]))
+    assert not out.exists()
+
+
 def replace_line(src, dst, line_no, text):
     """Copy ``src`` to ``dst`` with 1-based line ``line_no`` replaced by ``text``."""
     with open(src, encoding="utf-8") as fh:

@@ -317,6 +317,20 @@ def test_article_and_sentence_round_trip(tmp_path):
     assert corpus.read_sentences(str(spath)) == sents
 
 
+def test_write_jsonl_and_write_json_write_the_one_format(tmp_path):
+    rows = [{"z": 1, "a": [0.1, 1e-300]}, {"b": "é", "a": None}]
+    path = tmp_path / "rows.jsonl"
+    corpus.write_jsonl((row for row in rows), str(path))
+    assert path.read_bytes() == b'{"a": [0.1, 1e-300], "z": 1}\n{"a": null, "b": "\\u00e9"}\n'
+    assert corpus.read_jsonl(str(path), lambda row: row) == rows
+
+    value = {"b": [1, 2], "a": {"d": 1.5, "c": "x"}}
+    path = tmp_path / "doc.json"
+    corpus.write_json(value, str(path))
+    assert path.read_text(encoding="utf-8") == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert path.read_text(encoding="utf-8").startswith('{\n  "a": {\n    "c": "x",')
+
+
 @pytest.mark.parametrize("tokens", ["bank fell", ["bank", 3], {"bank": 1}, None])
 def test_read_sentences_rejects_tokens_that_are_not_a_list_of_strings(tmp_path, tokens):
     path = tmp_path / "sentences.jsonl"
