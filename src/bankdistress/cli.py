@@ -6,7 +6,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-from . import corpus, experiment, fusion, neural, pvdm, synth
+from . import corpus, experiment, fusion, pvdm, synth
 
 
 class CliError(Exception):

@@ -16,6 +16,10 @@ ABBREVIATIONS = ("Inc.", "Ltd.", "St.", "Mr.")
 
 _TOKEN_RE = re.compile(r"<num>|[a-z]+")
 _DIGITS_RE = re.compile(r"\d+")
+# A pattern that matches only its own text: ordinary characters and
+# backslash-escaped punctuation or spaces, as re.escape writes a name.
+_LITERAL_RE = re.compile(r"(?:[^.^$*+?{}\[\]\\|()]|\\[^0-9A-Za-z])*")
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 # Negative sampling draws a word with probability proportional to its count
 # to this power (Mikolov et al. 2013).
@@ -42,11 +46,29 @@ class BankEntity:
         """
         return self._matcher
 
+    @property
+    def _alternatives(self):
+        return list(self.name_patterns) + [re.escape(self.canonical_name)]
+
     @functools.cached_property
     def _matcher(self):
-        alts = list(self.name_patterns) + [re.escape(self.canonical_name)]
-        joined = "|".join("(?:%s)" % a for a in alts)
+        joined = "|".join("(?:%s)" % a for a in self._alternatives)
         return re.compile(r"\b(?:%s)\b" % joined, re.IGNORECASE)
+
+    @functools.cached_property
+    def needles(self):
+        """The lowercased text of every spelling variant and of the canonical
+        name, or None unless each is a plain ASCII literal.
+
+        In an ASCII text, ``matcher()`` can match only where the lowercased
+        text contains one of these: under IGNORECASE an ASCII letter matches
+        its other ASCII case, or non-ASCII letters (the long s, the Kelvin
+        sign, the dotless i, ...) that an ASCII text cannot hold.
+        """
+        alts = self._alternatives
+        if not all(a.isascii() and _LITERAL_RE.fullmatch(a) for a in alts):
+            return None
+        return tuple({_ESCAPE_RE.sub(r"\1", a).lower(): None for a in alts})
 
 
 @dataclass(frozen=True)
@@ -106,13 +128,19 @@ def _registry_entity(row):
     patterns = _string_list(row["name_patterns"], "name_patterns")
     if not patterns:
         raise RegistryError("bank %r has no name_patterns" % bank_id)
+    if not row["canonical_name"]:
+        # the matcher also looks for the canonical name
+        raise RegistryError("bank %r: canonical_name is empty" % bank_id)
     for pat in patterns:
         try:
             re.compile(pat, re.IGNORECASE)
-        except re.error as exc:
+        except (re.error, OverflowError) as exc:
             raise RegistryError(
                 "bank %r: pattern %r does not compile: %s" % (bank_id, pat, exc)
             ) from exc
+        if re.fullmatch(pat, "", re.IGNORECASE):
+            # it would tag every sentence with this bank
+            raise RegistryError("bank %r: pattern %r matches the empty string" % (bank_id, pat))
     entity = BankEntity(
         bank_id=bank_id,
         canonical_name=row["canonical_name"],
@@ -132,7 +160,8 @@ def compile_registry(registry_file):
     Returns entities in file order, each with its matcher compiled. Raises
     RegistryError on malformed JSON, and naming the file and the 1-based row
     on a row that is not an object, lacks a key, holds a value of the wrong
-    type, repeats a bank_id or has a pattern that does not compile.
+    type, repeats a bank_id, has a pattern that does not compile or that
+    matches the empty string, or has an empty canonical name.
     """
     with open(registry_file, "r", encoding="utf-8") as fh:
         raw = fh.read()
@@ -199,16 +228,29 @@ def tokenize(text):
 
 
 def extract_sentences(article, registry):
-    """Entity-bearing sentences of one article, duplicated per matched bank."""
+    """Entity-bearing sentences of one article, duplicated per matched bank.
+
+    A bank's matcher decides each match; on an ASCII sentence it runs only if
+    the lowercased sentence holds one of the bank's ``needles``, or it has none.
+    """
     if not registry:
         raise ValueError("registry must be non-empty")
     matchers = [(entity, entity.matcher()) for entity in registry]
+    # one list for the whole registry, so a sentence costs one pass over it
+    pairs = [(needle, i) for i, entity in enumerate(registry) for needle in entity.needles or ()]
+    unscreened = {i for i, entity in enumerate(registry) if entity.needles is None}
     out = []
     for ordinal, raw in enumerate(split_into_sentences(article.body)):
         tokens = tuple(tokenize(raw))
         if not tokens:
             continue
-        for entity, matcher in matchers:
+        if raw.isascii():
+            lowered = raw.lower()
+            candidates = sorted({i for needle, i in pairs if needle in lowered} | unscreened)
+        else:
+            candidates = range(len(matchers))
+        for i in candidates:
+            entity, matcher = matchers[i]
             if matcher.search(raw):
                 out.append(
                     Sentence(
@@ -438,12 +480,12 @@ def require_str(name, value):
 
 
 def read_articles(path):
-    """Read a JSON-lines article file."""
+    """Read a JSON-lines article file; each ``article_id`` is a distinct string."""
     return read_jsonl(path, lambda row: Article(
-        article_id=row["article_id"],
+        article_id=require_str("article_id", row["article_id"]),
         published_at=datetime.fromisoformat(row["published_at"]),
         body=row["body"],
-    ))
+    ), unique="article_id")
 
 
 def write_sentences(sentences, path):

@@ -2,7 +2,7 @@
 
 import calendar
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from datetime import date, datetime, timezone
 
 import numpy as np

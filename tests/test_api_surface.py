@@ -1,5 +1,6 @@
 """Every public function, class, method and property of the package has a
-caller in the package, and JSON is encoded in one place.
+caller in the package, every imported name is used, and JSON is encoded in
+one place.
 
 A public top-level name, or a public method or property of a public class,
 that nothing in ``src/bankdistress`` refers to is dead weight, unless it is a
@@ -145,6 +146,40 @@ def test_orphan_check_sees_unused_and_shadowed_names(tmp_path):
         encoding="utf-8")
     assert public_orphans(str(tmp_path)) == ["a.Shape.unused", "a.caller",
                                              "a.only_recursive", "a.shadowed"]
+
+
+def unused_imports(src=SRC):
+    """``module.name`` of each name a module imports and neither loads nor
+    lists in its ``__all__``."""
+    unused = []
+    for module, tree in parse_modules(src).items():
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # "import a.b" binds the name a
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append("%s.%s" % (module, name))
+    return sorted(unused)
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports() == []
+
+
+def test_unused_import_check_sees_every_kind_of_import(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\nimport json.decoder\nimport re as regex\nfrom math import pi, tau as t\n"
+        "from . import b\n\n__all__ = [\"b\"]\n\n\n"
+        "def f(os_path):\n    return json.loads(os_path), pi\n",
+        encoding="utf-8")
+    assert unused_imports(str(tmp_path)) == ["a.os", "a.regex", "a.t"]
 
 
 # The functions of src/ that may encode JSON, with the reason for each.

@@ -799,9 +799,12 @@ REPEAT_FIRST = object()  # stands for a copy of the file's first line
     ("sentences", lambda row: dict(row, bank_id=[1]), "bank_id must be a string, got [1]"),
     ("sentences", lambda row: dict(row, sentence_id=[7]),
      "sentence_id must be a string, got [7]"),
+    ("articles", lambda row: dict(row, article_id=None), "article_id must be a string, got None"),
+    ("articles", lambda row: dict(row, article_id=3), "article_id must be a string, got 3"),
     # the cases below repeat the file's first row as its second
     ("sentences", REPEAT_FIRST, "duplicate sentence_id '"),
     ("vectors", REPEAT_FIRST, "duplicate sentence_id '"),
+    ("articles", REPEAT_FIRST, "duplicate article_id '"),
 ], ids=["events-short-row", "events-bad-date", "vectors-array", "sentences-array",
         "sentences-missing-key", "sentences-string-tokens", "articles-string",
         "fused-missing-key", "fused-bad-type", "fused-month-13", "fused-month-0",
@@ -811,7 +814,8 @@ REPEAT_FIRST = object()  # stands for a copy of the file's first line
         "fused-bank-id-int", "fused-sentence-id-list", "fused-numeric-raw-short",
         "fused-numeric-raw-inf", "vectors-short", "vectors-null", "vectors-inf",
         "vectors-huge-int", "vectors-sentence-id-list", "sentences-bank-id-list",
-        "sentences-sentence-id-list", "sentences-repeated-id", "vectors-repeated-id"])
+        "sentences-sentence-id-list", "articles-null-id", "articles-int-id",
+        "sentences-repeated-id", "vectors-repeated-id", "articles-repeated-id"])
 def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, text, fragment):
     data = pipeline["data"]
     inputs = {
@@ -932,6 +936,17 @@ def test_sweep_reads_an_upper_case_exponent(pipeline, capsys):
     assert lines[1].startswith("lr,0.001,")
 
 
+def assert_exits_cleanly(argv):
+    """``cli.main(argv)`` exits 0, or exits 1 with exactly one ``error:`` line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 1)
+    if rc == 1:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        assert err.getvalue().startswith("error: "), err.getvalue()
+
+
 MISSING = object()  # stands for deleting the key instead of replacing its value
 ROW_KEYS = {
     "fused": ("sentence_id", "bank_id", "month", "label", "semantic", "numeric_raw"),
@@ -985,10 +1000,41 @@ def test_any_edited_field_exits_cleanly(pipeline, target, row_no, value):
             argv = ["fuse", "--sentences", inputs["sentences"], "--vectors", inputs["vectors"],
                     "--indicators", os.path.join(data, "indicators.csv"), "--events", events,
                     "--out", os.path.join(d, "fused.jsonl")]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = cli.main(argv)
-    assert rc in (0, 1)
-    if rc == 1:
-        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
-        assert err.getvalue().startswith("error: "), err.getvalue()
+        assert_exits_cleanly(argv)
+
+
+INGEST_KEYS = {
+    "registry": ("bank_id", "canonical_name", "country", "name_patterns"),
+    "articles": ("article_id", "published_at", "body"),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from([(name, key) for name, keys in INGEST_KEYS.items()
+                               for key in keys]),
+       row_no=st.integers(min_value=0, max_value=2),
+       value=JSON_VALUES | st.lists(st.text(max_size=8), max_size=3) | st.just(MISSING))
+@example(target=("registry", "name_patterns"), row_no=0, value=["a{4294967296}"])
+@example(target=("registry", "name_patterns"), row_no=1, value=[""])
+@example(target=("articles", "article_id"), row_no=1, value=None)
+def test_any_edited_ingest_field_exits_cleanly(pipeline, target, row_no, value):
+    """One field of one registry or article row, replaced or deleted, either
+    leaves ingest working or ends it with one ``error:`` line."""
+    name, key = target
+    inputs = {"registry": os.path.join(pipeline["data"], "registry.json"),
+              "articles": os.path.join(pipeline["data"], "articles.jsonl")}
+    with open(inputs[name], encoding="utf-8") as fh:
+        rows = (json.load(fh) if name == "registry"
+                else [json.loads(line) for line in fh.read().splitlines()])
+    if value is MISSING:
+        del rows[row_no][key]
+    else:
+        rows[row_no][key] = value
+    with tempfile.TemporaryDirectory() as d:
+        inputs[name] = os.path.join(d, os.path.basename(inputs[name]))
+        with open(inputs[name], "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(rows) if name == "registry"
+                     else "".join(json.dumps(row) + "\n" for row in rows))
+        assert_exits_cleanly(["ingest", "--articles", inputs["articles"],
+                              "--registry", inputs["registry"],
+                              "--out", os.path.join(d, "sentences.jsonl")])

@@ -6,6 +6,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bankdistress import corpus
 from bankdistress.corpus import (
@@ -123,6 +125,101 @@ def test_extract_sentences_per_matched_bank():
     assert ("art1:2:a", "a") in ids
     assert len(out) == 3
     assert all(s.published_at == TS for s in out)
+
+
+def reference_extract_sentences(article, registry):
+    """The per-bank loop: every bank's matcher searches every sentence."""
+    out = []
+    for ordinal, raw in enumerate(split_into_sentences(article.body)):
+        tokens = tuple(tokenize(raw))
+        if not tokens:
+            continue
+        for entity in registry:
+            if entity.matcher().search(raw):
+                out.append(Sentence("%s:%d:%s" % (article.article_id, ordinal, entity.bank_id),
+                                    entity.bank_id, article.published_at, tokens))
+    return out
+
+
+NAMES = ("Ibis", "Sun Bank", "AB-C Kask")
+# non-ASCII letters that IGNORECASE matches to an ASCII letter
+LOOKALIKES = {"s": "\u017f", "k": "\u212a", "K": "\u212a", "i": "\u0131", "I": "\u0130"}
+
+
+def lookalike(name):
+    """``name`` with its first letter that has a lookalike replaced by it."""
+    i = next(i for i, ch in enumerate(name) if ch in LOOKALIKES)
+    return name[:i] + LOOKALIKES[name[i]] + name[i + 1:]
+
+
+VARIANTS = [variant for name in NAMES for variant in (
+    name, name.upper(), re.escape(name),  # literal, escaped
+    name + "?", "(?:%s)" % name, name[:-1] + ".", name.replace(" ", r"\s"),
+    r"\b" + name,  # regex
+    name + "\u00e9", lookalike(name))]  # non-ASCII
+# each name in another case, as a lookalike, or glued to a word or non-ASCII
+# character, and words that name no bank
+WORDS = [word for name in NAMES for word in (
+    name, name.lower(), name.swapcase(), lookalike(name), lookalike(name.swapcase()),
+    "_" + name, name + "x", name + "1", "\u00e9" + name)] + [
+    "rose", "fell", "the", "-", "Bank", "\u00e9t\u00e9"]
+SENTENCES = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(
+    lambda words: " ".join(words) + ".")
+
+
+@st.composite
+def registries(draw):
+    n_banks = draw(st.integers(min_value=1, max_value=2))
+    return [BankEntity("b%d" % i, draw(st.sampled_from(NAMES + ("Caf\u00e9 Bank",))), "DE",
+                       tuple(draw(st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=2))))
+            for i in range(n_banks)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(registry=registries(), sentences=st.lists(SENTENCES, min_size=1, max_size=2))
+@example(registry=[BankEntity("b0", "Sun Bank", "DE", ("Ibis",))], sentences=["\u0130bis fell."])
+@example(registry=[BankEntity("b0", "Ibis", "DE", ("Kask",))], sentences=["\u212aas\u017f rose."])
+def test_extract_sentences_matches_the_per_bank_loop(registry, sentences):
+    article = Article("art", TS, " ".join(sentences))
+    assert extract_sentences(article, registry) == reference_extract_sentences(article, registry)
+
+
+@pytest.mark.parametrize("patterns,canonical,needles", [
+    (("Nordia",), "Nordia Bank", ("nordia", "nordia bank")),
+    ((r"ABN\ Amro", r"ABN\-Amro"), "ABN Amro", ("abn amro", "abn-amro")),
+    (("B&B's", r"\#1"), "B&B's", ("b&b's", "#1")),
+    (("Nordia",), "Caf\u00e9 Bank", None),
+    (("Nordi.",), "Nordia Bank", None),
+    (("Nordias?",), "Nordia Bank", None),
+    ((r"Nordia\b",), "Nordia Bank", None),
+    (("Ka\u017f",), "Kas Bank", None),
+], ids=["literal", "escaped", "punctuation", "non-ascii-canonical", "dot", "optional",
+        "word-boundary", "lookalike"])
+def test_needles_are_the_lowercased_names_of_a_literal_registry_row(patterns, canonical,
+                                                                     needles):
+    assert BankEntity("x", canonical, "DE", patterns).needles == needles
+
+
+def test_an_ascii_sentence_naming_one_bank_runs_one_search(monkeypatch):
+    import bankdistress
+
+    registry = compile_registry(bankdistress.__path__[0] + "/data/registry_sample.json")
+    assert len(registry) == 62 and all(e.needles is not None for e in registry)
+    searched = []
+    matcher = BankEntity.matcher
+
+    class Counted:
+        def __init__(self, entity):
+            self.entity, self.pattern = entity, matcher(entity)
+
+        def search(self, text):
+            searched.append(self.entity.bank_id)
+            return self.pattern.search(text)
+
+    monkeypatch.setattr(BankEntity, "matcher", lambda entity: Counted(entity))
+    article = Article("art", TS, "Shares of Aareal Bank fell sharply. Markets were calm.")
+    assert [s.bank_id for s in extract_sentences(article, registry)] == ["aareal_bank"]
+    assert searched == ["aareal_bank"]
 
 
 def test_extract_sentences_requires_registry():
@@ -254,8 +351,16 @@ VALID_ROW = {"bank_id": "a", "canonical_name": "Alpha Bank", "country": "DE",
      "name_patterns must be a list of strings"),
     (dict(VALID_ROW, bank_id="b", name_patterns=["a", "(?i)b"]), "patterns do not combine"),
     (dict(VALID_ROW, name_patterns=["Alias"]), "duplicate bank_id 'a'"),
+    (dict(VALID_ROW, bank_id="b", name_patterns=[""]),
+     "bank 'b': pattern '' matches the empty string"),
+    (dict(VALID_ROW, bank_id="b", name_patterns=["Beta", "x?"]),
+     "bank 'b': pattern 'x?' matches the empty string"),
+    (dict(VALID_ROW, bank_id="b", canonical_name=""), "bank 'b': canonical_name is empty"),
+    (dict(VALID_ROW, bank_id="b", name_patterns=["a{4294967296}"]),
+     "bank 'b': pattern 'a{4294967296}' does not compile"),
 ], ids=["list", "string", "missing-key", "int-id", "string-patterns", "int-pattern",
-        "uncombinable", "duplicate"])
+        "uncombinable", "duplicate", "empty-pattern", "optional-pattern", "empty-canonical",
+        "huge-repeat"])
 def test_compile_registry_names_file_and_row(tmp_path, bad_row, fragment):
     path = write_registry(tmp_path / "reg.json", [VALID_ROW, bad_row])
     with pytest.raises(RegistryError) as info:
