@@ -69,14 +69,10 @@ def _read_inputs(args, config, arms, parameter=None):
 
 
 def _cmd_synth(args):
-    cfg = synth.SynthConfig(
-        n_banks=args.banks,
-        distress_prior=args.prior,
-        text_signal=args.text_signal,
-        numeric_signal=args.numeric_signal,
-        sentences_per_bank_quarter=(args.min_sentences, args.max_sentences),
-        seed=args.seed,
-    )
+    cfg = synth.SynthConfig(n_banks=args.banks, distress_prior=args.prior,
+                            text_signal=args.text_signal, numeric_signal=args.numeric_signal,
+                            sentences_per_bank_quarter=(args.min_sentences, args.max_sentences),
+                            seed=args.seed)
     dataset = synth.generate(cfg)
     synth.write_dataset(dataset, args.out)
     summary = synth.describe(dataset)
@@ -100,13 +96,8 @@ def _cmd_ingest(args):
 
 def _cmd_embed(args):
     sentences = corpus.read_sentences(args.sentences)
-    cfg = pvdm.PvdmConfig(
-        vector_dim=args.dim,
-        window_n=args.window,
-        epochs=args.epochs,
-        seed=args.seed,
-        min_count=args.min_count,
-    )
+    cfg = pvdm.PvdmConfig(vector_dim=args.dim, window_n=args.window, epochs=args.epochs,
+                          seed=args.seed, min_count=args.min_count)
     model, losses = experiment.embed_sentences(sentences, cfg)
     pvdm.save_model(model, args.out)
     if args.vectors:
@@ -132,14 +123,12 @@ def _cmd_fuse(args):
 
 
 def _cmd_train(args):
-    settings = _experiment_settings(args)
-    if settings.get("runs", 1) != 1:
+    settings = _experiment_settings(args, runs=1)
+    if settings["runs"] != 1:
         raise CliError("%s: train makes one run, got runs %r" % (args.config, settings["runs"]))
     config = experiment.ExperimentConfig(**settings)
     table, events, sentences = _read_inputs(args, config, [config.arm])
-    result = experiment.run_once(table, events, config,
-                                 experiment.derive_run_seed(config.master_seed, 0),
-                                 sentences=sentences)
+    [(_, _, result)] = experiment.protocol_runs(table, events, {config.arm: config}, sentences)
     report = {"arm": config.arm, "mu": config.mu, "seed": result.seed,
               "threshold": result.threshold,
               "validation": asdict(result.validation), "test": asdict(result.test)}
@@ -157,12 +146,13 @@ def _cmd_experiment(args):
     arms = [config.arm] if "arm" in settings else list(fusion.ARMS)
     table, events, sentences = _read_inputs(args, config, arms)
     os.makedirs(args.out, exist_ok=True)
-    results_by_arm = {}
-    for arm in arms:
-        cfg = replace(config, arm=arm)
-        mean, std, results = experiment.run_repeated(table, events, cfg, sentences=sentences)
-        results_by_arm[arm] = results
-        print("%s: mean test U_r %.4f (std %.4f, %d runs)" % (arm, mean, std, cfg.runs))
+    results_by_arm = {arm: [] for arm in arms}
+    configs = {arm: replace(config, arm=arm) for arm in arms}
+    for arm, _, result in experiment.protocol_runs(table, events, configs, sentences):
+        results_by_arm[arm].append(result)
+    for arm, results in results_by_arm.items():
+        mean, std = experiment.ur_stats(results)
+        print("%s: mean test U_r %.4f (std %.4f, %d runs)" % (arm, mean, std, len(results)))
         redraws = sum(r.redraws for r in results)
         if redraws:
             print("%s: %d fold redraws replaced draws with a single-class validation "

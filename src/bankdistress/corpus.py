@@ -11,6 +11,11 @@ from datetime import datetime
 
 import numpy as np
 
+try:  # the parser behind re.compile: re._parser from Python 3.11, sre_parse before
+    from re import _parser as _regex_parser
+except ImportError:
+    import sre_parse as _regex_parser
+
 # Trailing abbreviations that do not terminate a sentence.
 ABBREVIATIONS = ("Inc.", "Ltd.", "St.", "Mr.")
 
@@ -138,9 +143,11 @@ def _registry_entity(row):
             raise RegistryError(
                 "bank %r: pattern %r does not compile: %s" % (bank_id, pat, exc)
             ) from exc
-        if re.fullmatch(pat, "", re.IGNORECASE):
-            # it would tag every sentence with this bank
-            raise RegistryError("bank %r: pattern %r matches the empty string" % (bank_id, pat))
+        if _regex_parser.parse(pat, re.IGNORECASE).getwidth()[0] == 0:
+            # a match of no characters, alone ("x?") or where a sentence
+            # allows it ("\b", "(?=w)"), would tag sentences naming no bank
+            raise RegistryError("bank %r: pattern %r matches the empty string, alone or "
+                                "inside a sentence" % (bank_id, pat))
     entity = BankEntity(
         bank_id=bank_id,
         canonical_name=row["canonical_name"],
@@ -161,7 +168,8 @@ def compile_registry(registry_file):
     RegistryError on malformed JSON, and naming the file and the 1-based row
     on a row that is not an object, lacks a key, holds a value of the wrong
     type, repeats a bank_id, has a pattern that does not compile or that
-    matches the empty string, or has an empty canonical name.
+    can match the empty string (its shortest match is empty), or has an
+    empty canonical name.
     """
     with open(registry_file, "r", encoding="utf-8") as fh:
         raw = fh.read()

@@ -8,15 +8,8 @@ import numpy as np
 
 from . import evaluation, neural, pvdm
 from .corpus import build_vocabulary, require_int, write_json
-from .fusion import (
-    ARMS,
-    TEXT_ARMS,
-    apply_normalization,
-    assign_folds,
-    fit_normalization,
-    project_arm,
-    semantic_rows,
-)
+from .fusion import (ARMS, TEXT_ARMS, apply_normalization, assign_folds, fit_normalization,
+                     project_arm, semantic_rows)
 
 TRAIN_FOLDS = (0, 1, 2)
 VALIDATION_FOLD = 3
@@ -130,9 +123,7 @@ def derive_run_seed(master_seed, run_index):
 
 def embed_sentences(sentences, pvdm_config):
     """Train paragraph vectors for ``sentences``: vocabulary, init, then SGD.
-
-    Returns (model, per-epoch mean losses).
-    """
+    Returns (model, per-epoch mean losses)."""
     vocab = build_vocabulary(sentences, min_count=pvdm_config.min_count)
     return pvdm.train(pvdm.init_model(vocab, sentences, pvdm_config), sentences)
 
@@ -151,14 +142,8 @@ def fold_scoped_vectors(sentences, pvdm_overrides, train_banks, seed):
         raise ValueError("no sentences from training-fold banks")
     cfg = pvdm.PvdmConfig(**dict({"seed": seed}, **pvdm_overrides))
     model, _ = embed_sentences(train_sents, cfg)
-    vectors = {}
-    held_out = []
-    for i, sent in enumerate(sentences):
-        row = model.sentence_index.get(sent.sentence_id)
-        if row is not None:
-            vectors[sent.sentence_id] = model.paragraph[row]
-        else:
-            held_out.append((i, sent))
+    vectors = {sid: model.paragraph[row] for sid, row in model.sentence_index.items()}
+    held_out = [(i, s) for i, s in enumerate(sentences) if s.sentence_id not in vectors]
     inferred = pvdm.infer_vectors(model, [s.tokens for _, s in held_out],
                                   [seed + i for i, _ in held_out])
     for (_, sent), vec in zip(held_out, inferred):
@@ -166,18 +151,28 @@ def fold_scoped_vectors(sentences, pvdm_overrides, train_banks, seed):
     return vectors, sum(vec is None for vec in inferred)
 
 
-def run_once(table, events, config, run_seed, run_index=0, sentences=None):
-    """One full protocol run: fold draw, normalization, training, test report.
+# What the configs of protocol_runs' run index share, set while that loop's
+# run_once call runs (run_once keeps its arguments): key -> built value.
+_shared = None
+
+
+def _shared_work(key, build):
+    """``build()``, built once per ``key`` at a run index of protocol_runs."""
+    if _shared is None:
+        return build()
+    if key not in _shared:
+        _shared[key] = build()
+    return _shared[key]
+
+
+def _draw_folds(table, events, run_seed):
+    """What a run takes from its seed alone: the kept fold draw, its redraw
+    count, role rows, validation and test month groups and normalization.
 
     A fold draw whose validation or test fold holds month labels of one class
     only leaves the usefulness measure undefined; the run then redraws the
     folds with seeds derived from ``run_seed``, at most MAX_FOLD_REDRAWS
-    times, and records the count in ``RunResult.redraws``. A draw that
-    already holds both classes is kept as it is.
-
-    A run whose ``vector_source`` is "train_folds" needs the raw
-    ``sentences``: it retrains its own embedding on training-fold banks
-    instead of using the table's semantic vectors.
+    times. A draw that already holds both classes is kept as it is.
     """
     def month_groups(rows):
         return evaluation.group_months([table.bank_ids[i] for i in rows],
@@ -189,31 +184,47 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
         seed = run_seed if redraws == 0 else derive_run_seed(run_seed, redraws + 2)
         folds = assign_folds(table.bank_ids, k=len(TRAIN_FOLDS) + 2, seed=seed)
         fold = np.array([folds.fold_of[b] for b in table.bank_ids])
-        train_rows = np.flatnonzero(np.isin(fold, TRAIN_FOLDS))
-        val_rows = np.flatnonzero(fold == VALIDATION_FOLD)
-        test_rows = np.flatnonzero(fold == TEST_FOLD)
-        if not (len(train_rows) and len(val_rows) and len(test_rows)):
+        rows = (np.flatnonzero(np.isin(fold, TRAIN_FOLDS)),
+                np.flatnonzero(fold == VALIDATION_FOLD), np.flatnonzero(fold == TEST_FOLD))
+        if not all(len(r) for r in rows):
             raise ValueError("a fold role received no samples")
-        val_groups = month_groups(val_rows)
-        test_groups = month_groups(test_rows)
-        if all(g.labels.min() != g.labels.max() for g in (val_groups, test_groups)):
+        groups = (month_groups(rows[1]), month_groups(rows[2]))
+        if all(g.labels.min() != g.labels.max() for g in groups):
             break
     else:
         raise ValueError(
             "%d fold draws all left the validation or the test fold with month "
             "labels of one class (too few distressed banks?)" % (MAX_FOLD_REDRAWS + 1))
+    stats = fit_normalization(table.numeric_raw[rows[0]], source_folds=TRAIN_FOLDS)
+    return folds, redraws, rows, groups, stats
+
+
+def run_once(table, events, config, run_seed, run_index=0, sentences=None):
+    """One full protocol run: fold draw (``_draw_folds``), normalization,
+    training, test report.
+
+    A run whose ``vector_source`` is "train_folds" needs the raw
+    ``sentences``: it retrains its own embedding on training-fold banks
+    instead of using the table's semantic vectors. Inside protocol_runs, the
+    configs of a run index share the fold draw, normalization and embedding.
+    """
+    folds, redraws, (train_rows, val_rows, test_rows), (val_groups, test_groups), stats = \
+        _shared_work(run_seed, lambda: _draw_folds(table, events, run_seed))
 
     semantic = table.semantic
     zero_vectors = 0
     if vector_source(config.arm, config.embedding_scope) == "train_folds":
         if sentences is None:
             raise ValueError("embedding_scope 'train_folds' needs the raw sentences")
-        train_banks = {b for b, f in folds.fold_of.items() if f in TRAIN_FOLDS}
-        vectors, zero_vectors = fold_scoped_vectors(
-            sentences, config.pvdm, train_banks, derive_run_seed(run_seed, 2))
-        semantic = semantic_rows(table.sentence_ids, vectors, "sentences")
 
-    stats = fit_normalization(table.numeric_raw[train_rows], source_folds=TRAIN_FOLDS)
+        def embed():
+            train_banks = {b for b, f in folds.fold_of.items() if f in TRAIN_FOLDS}
+            vectors, zeros = fold_scoped_vectors(sentences, config.pvdm, train_banks,
+                                                 derive_run_seed(run_seed, 2))
+            return semantic_rows(table.sentence_ids, vectors, "sentences"), zeros
+
+        semantic, zero_vectors = _shared_work((run_seed, tuple(sorted(config.pvdm.items()))),
+                                              embed)
 
     def arm_inputs(rows):
         # z-scoring is elementwise, so each role's rows take the same values
@@ -224,10 +235,8 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
     # Each role's inputs are built as they are needed: the test rows only
     # once the training rows are freed.
     x_val = arm_inputs(val_rows)
-    mlp_overrides = dict(config.mlp)
-    mlp_overrides["input_dim"] = x_val.shape[1]
-    mlp_overrides["seed"] = derive_run_seed(run_seed, 1)
-    model = neural.init_model(neural.MlpConfig(**mlp_overrides))
+    model = neural.init_model(neural.MlpConfig(**dict(
+        config.mlp, input_dim=x_val.shape[1], seed=derive_run_seed(run_seed, 1))))
 
     def val_report(m):
         # the validation report at the threshold picked on its own scores
@@ -244,27 +253,40 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
                                                test_groups)
     test_report = evaluation.usefulness_report(test_scores, config.mu, tau)
 
-    return RunResult(
-        run_index=run_index,
-        seed=run_seed,
-        fold_of=dict(folds.fold_of),
-        threshold=tau,
-        validation=validation,
-        test=test_report,
-        redraws=redraws,
-        zero_vectors=zero_vectors,
-    )
+    return RunResult(run_index=run_index, seed=run_seed, fold_of=dict(folds.fold_of),
+                     threshold=tau, validation=validation, test=test_report,
+                     redraws=redraws, zero_vectors=zero_vectors)
+
+
+def protocol_runs(table, events, configs, sentences=None):
+    """Yield (key, run index, RunResult) of each ``run_once`` of ``configs``
+    (key -> ExperimentConfig) as it ends, run index outer, configs inner.
+    The configs of a run index share its ``_draw_folds`` and the train_folds
+    vectors of each distinct pvdm override set."""
+    global _shared
+    for i in range(max(c.runs for c in configs.values())):
+        work = {}
+        for key, config in configs.items():
+            if i < config.runs:
+                _shared = work
+                try:
+                    result = run_once(table, events, config, derive_run_seed(config.master_seed, i),
+                                      run_index=i, sentences=sentences)
+                finally:
+                    _shared = None
+                yield key, i, result
+
+
+def ur_stats(results):
+    """Mean and standard deviation of the runs' test relative usefulness."""
+    urs = np.array([r.test.relative_usefulness for r in results])
+    return float(urs.mean()), float(urs.std())
 
 
 def run_repeated(table, events, config, sentences=None):
     """config.runs independent repetitions with seeds derived from master_seed."""
-    results = [
-        run_once(table, events, config, derive_run_seed(config.master_seed, i),
-                 run_index=i, sentences=sentences)
-        for i in range(config.runs)
-    ]
-    urs = np.array([r.test.relative_usefulness for r in results])
-    return float(urs.mean()), float(urs.std()), results
+    results = [r for _, _, r in protocol_runs(table, events, {config.arm: config}, sentences)]
+    return (*ur_stats(results), results)
 
 
 def _whole(parameter, value):
@@ -309,28 +331,23 @@ def sweep(table_builder, events, base_config, parameter, grid, runs=SWEEP_RUNS, 
     """Mean/std relative usefulness across a one-parameter grid.
 
     ``table_builder(pvdm_overrides) -> SampleTable`` builds the dataset once,
-    and again at each grid point of a sweep whose ``vector_source`` is
-    "reembedded". Every grid point's config is checked before the first run.
+    for one protocol_runs loop over every grid point. A sweep whose
+    ``vector_source`` is "reembedded" builds it anew for each grid point
+    instead, grid point outer, so one re-embedded table is alive at a time.
+    Every grid point's config is checked before the first run.
     """
-    base_config = replace(base_config, runs=runs)
-    configs = sweep_configs(base_config, parameter, grid)
-    rebuilds = vector_source(base_config.arm, base_config.embedding_scope,
-                             parameter) == "reembedded"
-    table = None
-    means, stds = [], []
-    for cfg in configs:
-        if table is None or rebuilds:
-            table = table_builder(cfg.pvdm)
-        mean, std, _ = run_repeated(table, events, cfg, sentences=sentences)
-        means.append(mean)
-        stds.append(std)
-    return SweepResult(
-        parameter=parameter,
-        grid=list(grid),
-        mean_ur=means,
-        std_ur=stds,
-        runs_per_point=runs,
-    )
+    configs = sweep_configs(replace(base_config, runs=runs), parameter, grid)
+    if vector_source(base_config.arm, base_config.embedding_scope, parameter) == "reembedded":
+        stats = [run_repeated(table_builder(cfg.pvdm), events, cfg, sentences=sentences)[:2]
+                 for cfg in configs]
+    else:
+        by_point = [[] for _ in configs]
+        for k, _, result in protocol_runs(table_builder(configs[0].pvdm), events,
+                                          dict(enumerate(configs)), sentences):
+            by_point[k].append(result)
+        stats = [ur_stats(results) for results in by_point]
+    return SweepResult(parameter=parameter, grid=list(grid), mean_ur=[m for m, _ in stats],
+                       std_ur=[s for _, s in stats], runs_per_point=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +362,9 @@ def write_runs_csv(results_by_arm, path):
         for arm in sorted(results_by_arm):
             for r in results_by_arm[arm]:
                 c = r.test.confusion
-                fh.write(
-                    "%s,%d,%d,%r,%r,%r,%r,%d,%d,%d,%d\n"
-                    % (arm, r.run_index, r.seed, r.threshold,
-                       r.validation.relative_usefulness, r.test.relative_usefulness,
-                       r.test.prior, c.tp, c.fp, c.tn, c.fn)
-                )
+                fh.write("%s,%d,%d,%r,%r,%r,%r,%d,%d,%d,%d\n"
+                         % (arm, r.run_index, r.seed, r.threshold, r.validation.relative_usefulness,
+                            r.test.relative_usefulness, r.test.prior, c.tp, c.fp, c.tn, c.fn))
 
 
 def write_summary_json(results_by_arm, config, path):
@@ -360,13 +374,9 @@ def write_summary_json(results_by_arm, config, path):
     del settings["arm"]
     summary = {"config": settings, "arms": {}}
     for arm, results in results_by_arm.items():
-        urs = np.array([r.test.relative_usefulness for r in results])
-        summary["arms"][arm] = {
-            "runs": len(results),
-            "seeds": [r.seed for r in results],
-            "mean_test_ur": float(urs.mean()),
-            "std_test_ur": float(urs.std()),
-        }
+        mean, std = ur_stats(results)
+        summary["arms"][arm] = {"runs": len(results), "seeds": [r.seed for r in results],
+                                "mean_test_ur": mean, "std_test_ur": std}
     write_json(summary, path)
 
 

@@ -295,9 +295,10 @@ def test_flags_left_out_keep_the_config_file_settings(pipeline, monkeypatch, tmp
     grid_values = 2 if command == "sweep" else 1
     assert ([(c.arm, c.mu, c.master_seed) for c, _ in calls]
             == [(want["arm"], want["mu"], want["master_seed"])] * (runs * grid_values))
+    # run index outer, grid values inner
     assert ([seed for _, seed in calls]
             == [experiment.derive_run_seed(want["master_seed"], i)
-                for i in range(runs)] * grid_values)
+                for i in range(runs) for _ in range(grid_values)])
 
 
 def test_arm_all_overrides_the_config_file_arm(pipeline, tmp_path):
@@ -867,7 +868,12 @@ def test_fuse_names_the_vectors_file_for_a_missing_vector(pipeline, capsys, tmp_
     (1, [1], "expected a JSON object, got list"),
     (2, {"canonical_name": "Nobank", "country": "DE", "name_patterns": ["Nobank"]},
      "missing key 'bank_id'"),
-], ids=["row-not-an-object", "row-missing-bank-id"])
+    # each matches empty text inside "The weather was fine.", which names no bank
+    (2, {"bank_id": "nb", "canonical_name": "Nobank", "country": "DE", "name_patterns": ["\\b"]},
+     "bank 'nb': pattern '\\\\b' matches the empty string"),
+    (3, {"bank_id": "nb", "canonical_name": "Nobank", "country": "DE",
+         "name_patterns": ["(?=w)"]}, "bank 'nb': pattern '(?=w)' matches the empty string"),
+], ids=["row-not-an-object", "row-missing-bank-id", "word-boundary", "lookahead"])
 def test_ingest_rejects_malformed_registry(pipeline, capsys, tmp_path, row_no, bad_row,
                                            fragment):
     with open(os.path.join(pipeline["data"], "registry.json"), encoding="utf-8") as fh:

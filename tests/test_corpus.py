@@ -355,11 +355,17 @@ VALID_ROW = {"bank_id": "a", "canonical_name": "Alpha Bank", "country": "DE",
      "bank 'b': pattern '' matches the empty string"),
     (dict(VALID_ROW, bank_id="b", name_patterns=["Beta", "x?"]),
      "bank 'b': pattern 'x?' matches the empty string"),
+    # no match of the whole empty string, but empty matches inside a sentence
+    (dict(VALID_ROW, bank_id="b", name_patterns=["\\b"]),
+     "bank 'b': pattern '\\\\b' matches the empty string, alone or inside a sentence"),
+    (dict(VALID_ROW, bank_id="b", name_patterns=["Beta", "(?=w)"]),
+     "bank 'b': pattern '(?=w)' matches the empty string, alone or inside a sentence"),
     (dict(VALID_ROW, bank_id="b", canonical_name=""), "bank 'b': canonical_name is empty"),
     (dict(VALID_ROW, bank_id="b", name_patterns=["a{4294967296}"]),
      "bank 'b': pattern 'a{4294967296}' does not compile"),
 ], ids=["list", "string", "missing-key", "int-id", "string-patterns", "int-pattern",
-        "uncombinable", "duplicate", "empty-pattern", "optional-pattern", "empty-canonical",
+        "uncombinable", "duplicate", "empty-pattern", "optional-pattern", "word-boundary",
+        "lookahead", "empty-canonical",
         "huge-repeat"])
 def test_compile_registry_names_file_and_row(tmp_path, bad_row, fragment):
     path = write_registry(tmp_path / "reg.json", [VALID_ROW, bad_row])

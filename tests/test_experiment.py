@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -473,6 +474,126 @@ def test_sweep_builder_invocations_and_result():
 
     with pytest.raises(ValueError):
         sweep(builder, events, quick_config(), "hidden_width", [], runs=1)
+
+
+# ---------------------------------------------------------------------------
+# The protocol loop
+
+LOOP_PVDM = {"vector_dim": 4, "window_n": 2, "epochs": 1, "min_count": 1}
+
+
+def fresh_runs(table_of, events, configs, sentences):
+    """(key, run index, RunResult) of one run_once call per (config, run
+    index), outside any loop, so no call shares work with another;
+    ``table_of(config)`` is each config's table."""
+    return [(key, i, run_once(table_of(cfg), events, cfg, derive_run_seed(cfg.master_seed, i),
+                              run_index=i, sentences=sentences))
+            for key, cfg in configs.items() for i in range(cfg.runs)]
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls of each of ``names`` that run_once makes through the module."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _inner=getattr(experiment, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(experiment, name, counting)
+    return counts
+
+
+def few_distressed(events):
+    # three distressed banks of ten: some fold draws are redrawn
+    return [e for e in events if e.bank_id in ("b00", "b01", "b02")]
+
+
+@pytest.mark.parametrize("scope", ["full", "train_folds"])
+def test_protocol_runs_share_a_run_index_and_equal_fresh_runs(monkeypatch, scope):
+    table, events = toy_table()
+    events = few_distressed(events)
+    sentences = toy_sentences(table) if scope == "train_folds" else None
+    configs = {arm: quick_config(arm=arm, runs=4, embedding_scope=scope,
+                                 pvdm=LOOP_PVDM if sentences else {})
+               for arm in ("text_only", "numeric_only", "combined")}
+    names = ("assign_folds", "fit_normalization", "fold_scoped_vectors")
+    counts = count_calls(monkeypatch, names)
+    want = fresh_runs(lambda cfg: table, events, configs, sentences)
+    # fresh runs draw the folds and embed once per text arm and run index
+    redraws = [r.redraws for key, _, r in want if key == "combined"]
+    assert any(redraws)
+    assert counts == {"assign_folds": 3 * (4 + sum(redraws)), "fit_normalization": 3 * 4,
+                      "fold_scoped_vectors": 2 * 4 if sentences else 0}
+
+    counts.update(dict.fromkeys(names, 0))
+    got, seen = [], []
+    for key, i, result in experiment.protocol_runs(table, events, configs, sentences):
+        got.append((key, i, result))
+        seen.append((i, dict(counts)))
+    assert sorted(got, key=lambda g: list(configs).index(g[0])) == want
+    assert [(key, i) for key, i, _ in got] == [(key, i) for i in range(4) for key in configs]
+    # the first run of each run index builds what all of its configs use
+    for i, seen_counts in seen:
+        assert seen_counts == {"assign_folds": i + 1 + sum(redraws[:i + 1]),
+                               "fit_normalization": i + 1,
+                               "fold_scoped_vectors": i + 1 if sentences else 0}, i
+    assert experiment_module._shared is None
+
+
+@pytest.mark.parametrize("parameter,grid,scope", [("lr", [0.01, 0.05, 0.1], "train_folds"),
+                                                  ("window_n", [2, 3], "train_folds"),
+                                                  ("window_n", [2, 3], "full")])
+def test_sweep_runs_equal_fresh_runs(monkeypatch, parameter, grid, scope):
+    from bankdistress import pvdm
+    from bankdistress.fusion import semantic_rows
+
+    table, events = toy_table()
+    sentences = toy_sentences(table)
+    base = quick_config(runs=3, embedding_scope=scope,
+                        pvdm={k: v for k, v in LOOP_PVDM.items() if k != parameter})
+    reembeds = experiment.vector_source(base.arm, scope, parameter) == "reembedded"
+    built = []
+
+    def builder(pvdm_overrides):
+        # a re-embedding sweep's table for each grid value, as the CLI builds it
+        assert all(t() is None for t in built)  # the table before it is gone
+        tbl = table
+        if reembeds:
+            model, _ = experiment.embed_sentences(sentences, pvdm.PvdmConfig(**pvdm_overrides))
+            vectors = {sid: model.paragraph[row] for sid, row in model.sentence_index.items()}
+            tbl = replace(table, semantic=semantic_rows(table.sentence_ids, vectors, "s"))
+            built.append(weakref.ref(tbl))
+        return tbl
+
+    configs = dict(enumerate(experiment.sweep_configs(base, parameter, grid)))
+    want = fresh_runs(lambda cfg: builder(cfg.pvdm), events, configs, sentences)
+    built.clear()
+
+    counts = count_calls(monkeypatch, ("assign_folds", "fold_scoped_vectors"))
+    got = []
+    run_once = experiment.run_once
+
+    def recording_run_once(tbl, events, config, run_seed, run_index=0, sentences=None):
+        result = run_once(tbl, events, config, run_seed, run_index, sentences)
+        got.append((list(configs.values()).index(config), run_index, result))
+        return result
+
+    monkeypatch.setattr(experiment, "run_once", recording_run_once)
+    result = sweep(builder, events, base, parameter, grid, runs=3, sentences=sentences)
+    assert sorted(got, key=lambda g: g[0]) == want
+    stats = [experiment.ur_stats([r for k, _, r in want if k == point]) for point in configs]
+    assert result.mean_ur == [mean for mean, _ in stats]
+    assert result.std_ur == [std for _, std in stats]
+    if reembeds:
+        # grid value outer: one table per grid value, each run index's folds drawn per table
+        assert [(k, i) for k, i, _ in got] == [(k, i) for k in configs for i in range(3)]
+        assert len(built) == len(grid)
+        assert counts == {"assign_folds": 3 * len(grid), "fold_scoped_vectors": 0}
+    else:
+        # run index outer: one fold draw per run index, and one embedding per
+        # run index and distinct pvdm override set
+        assert [(k, i) for k, i, _ in got] == [(k, i) for i in range(3) for k in configs]
+        pvdm_sets = len(grid) if parameter in experiment.EMBEDDING_SWEEPS else 1
+        assert counts == {"assign_folds": 3, "fold_scoped_vectors": 3 * pvdm_sets}
 
 
 # ---------------------------------------------------------------------------

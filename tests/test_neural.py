@@ -432,6 +432,21 @@ def test_relu_gate_matches_reference_bit_for_bit(seed):
         assert got.tobytes() == ref.tobytes()
 
 
+def test_softmax_matches_the_reduce_form_bit_for_bit():
+    # the two-column max and sum against numpy's reduces over the row, on
+    # logits at every scale with signed zeros, infinities and NaNs mixed in
+    rng = np.random.default_rng(0)
+    logits = rng.normal(scale=50.0, size=(100_000, neural_module.N_CLASSES))
+    special = rng.random(logits.shape) < 0.05
+    logits[special] = rng.choice([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308, -1e308],
+                                 size=special.sum())
+    with np.errstate(all="ignore"):
+        want = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+        want /= np.add.reduce(want, axis=-1, keepdims=True)
+        got = neural_module._softmax(logits.copy())
+    assert got.tobytes() == want.tobytes()
+
+
 def assert_views_of_buffers(model):
     """Every per-layer entry is a view into the model's flat buffers, in layout order."""
     for buffer, names in ((model.params, ("weights", "biases")),
