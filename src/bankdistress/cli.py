@@ -209,7 +209,7 @@ def _cmd_report(args):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             summary = json.load(fh)
-        lines = ["mu=%s runs config=%s" % (summary["config"]["mu"], summary["config"]["runs"])]
+        lines = ["mu=%s runs=%s" % (summary["config"]["mu"], summary["config"]["runs"])]
         for arm in sorted(summary["arms"]):
             entry = summary["arms"][arm]
             lines.append("%-14s mean U_r %+.4f  std %.4f  (%d runs)"

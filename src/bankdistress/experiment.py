@@ -151,20 +151,6 @@ def fold_scoped_vectors(sentences, pvdm_overrides, train_banks, seed):
     return vectors, sum(vec is None for vec in inferred)
 
 
-# What the configs of protocol_runs' run index share, set while that loop's
-# run_once call runs (run_once keeps its arguments): key -> built value.
-_shared = None
-
-
-def _shared_work(key, build):
-    """``build()``, built once per ``key`` at a run index of protocol_runs."""
-    if _shared is None:
-        return build()
-    if key not in _shared:
-        _shared[key] = build()
-    return _shared[key]
-
-
 def _draw_folds(table, events, run_seed):
     """What a run takes from its seed alone: the kept fold draw, its redraw
     count, role rows, validation and test month groups and normalization.
@@ -199,32 +185,35 @@ def _draw_folds(table, events, run_seed):
     return folds, redraws, rows, groups, stats
 
 
-def run_once(table, events, config, run_seed, run_index=0, sentences=None):
+def run_once(table, events, config, run_seed, run_index=0, sentences=None, shared=None):
     """One full protocol run: fold draw (``_draw_folds``), normalization,
     training, test report.
 
     A run whose ``vector_source`` is "train_folds" needs the raw
     ``sentences``: it retrains its own embedding on training-fold banks
-    instead of using the table's semantic vectors. Inside protocol_runs, the
-    configs of a run index share the fold draw, normalization and embedding.
+    instead of using the table's semantic vectors. Runs given the same
+    ``shared`` dict build each fold draw (key: run seed) and each such
+    embedding (key: run seed and pvdm overrides) once; a run given none
+    builds all of it itself.
     """
+    shared = {} if shared is None else shared
+    if run_seed not in shared:
+        shared[run_seed] = _draw_folds(table, events, run_seed)
     folds, redraws, (train_rows, val_rows, test_rows), (val_groups, test_groups), stats = \
-        _shared_work(run_seed, lambda: _draw_folds(table, events, run_seed))
+        shared[run_seed]
 
     semantic = table.semantic
     zero_vectors = 0
     if vector_source(config.arm, config.embedding_scope) == "train_folds":
         if sentences is None:
             raise ValueError("embedding_scope 'train_folds' needs the raw sentences")
-
-        def embed():
+        key = (run_seed, tuple(sorted(config.pvdm.items())))
+        if key not in shared:
             train_banks = {b for b, f in folds.fold_of.items() if f in TRAIN_FOLDS}
             vectors, zeros = fold_scoped_vectors(sentences, config.pvdm, train_banks,
                                                  derive_run_seed(run_seed, 2))
-            return semantic_rows(table.sentence_ids, vectors, "sentences"), zeros
-
-        semantic, zero_vectors = _shared_work((run_seed, tuple(sorted(config.pvdm.items()))),
-                                              embed)
+            shared[key] = semantic_rows(table.sentence_ids, vectors, "sentences"), zeros
+        semantic, zero_vectors = shared[key]
 
     def arm_inputs(rows):
         # z-scoring is elementwise, so each role's rows take the same values
@@ -261,20 +250,15 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None):
 def protocol_runs(table, events, configs, sentences=None):
     """Yield (key, run index, RunResult) of each ``run_once`` of ``configs``
     (key -> ExperimentConfig) as it ends, run index outer, configs inner.
-    The configs of a run index share its ``_draw_folds`` and the train_folds
-    vectors of each distinct pvdm override set."""
-    global _shared
+    The configs of a run index share one ``shared`` dict, so its ``_draw_folds``
+    and the train_folds vectors of each distinct pvdm override set are built once."""
     for i in range(max(c.runs for c in configs.values())):
-        work = {}
+        shared = {}
         for key, config in configs.items():
             if i < config.runs:
-                _shared = work
-                try:
-                    result = run_once(table, events, config, derive_run_seed(config.master_seed, i),
-                                      run_index=i, sentences=sentences)
-                finally:
-                    _shared = None
-                yield key, i, result
+                yield key, i, run_once(table, events, config,
+                                       derive_run_seed(config.master_seed, i),
+                                       run_index=i, sentences=sentences, shared=shared)
 
 
 def ur_stats(results):

@@ -1,6 +1,6 @@
 """Every public function, class, method and property of the package has a
-caller in the package, every imported name is used, and JSON is encoded in
-one place.
+caller in the package, every imported name is used, JSON is encoded in one
+place, and no function rebinds a module-level or enclosing name.
 
 A public top-level name, or a public method or property of a public class,
 that nothing in ``src/bankdistress`` refers to is dead weight, unless it is a
@@ -215,3 +215,32 @@ def test_json_is_encoded_in_one_place():
     assert json_encoders() == sorted(JSON_ENCODERS), (
         "json.dump/json.dumps outside corpus.write_jsonl and corpus.write_json "
         "(and the encoders JSON_ENCODERS gives a reason for): %s" % json_encoders())
+
+
+def rebinding_statements(src=SRC):
+    """``module.function:line`` of each ``global`` or ``nonlocal`` statement,
+    named by its top-level function (``<module>`` outside any)."""
+    found = []
+    for module, tree in parse_modules(src).items():
+        for node in tree.body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            found += ["%s.%s:%d" % (module, owner, sub.lineno) for sub in ast.walk(node)
+                      if isinstance(sub, (ast.Global, ast.Nonlocal))]
+    return sorted(found)
+
+
+def test_no_function_rebinds_module_or_enclosing_state():
+    # state a run needs is passed to it, as protocol_runs passes run_once its
+    # run index's shared work
+    assert rebinding_statements() == []
+
+
+def test_rebinding_check_sees_global_and_nonlocal(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "count = 0\n\n\n"
+        "def bump():\n    global count\n    count += 1\n\n\n"
+        "def outer():\n    n = 0\n\n    def inner():\n        nonlocal n\n        n += 1\n"
+        "    return inner\n\n\n"
+        "def reads():\n    return count\n",
+        encoding="utf-8")
+    assert rebinding_statements(str(tmp_path)) == ["a.bump:5", "a.outer:13"]

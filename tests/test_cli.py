@@ -151,6 +151,7 @@ def test_experiment_command_and_report(pipeline, capsys):
     capsys.readouterr()
     assert cli.main(["report", "--results", out]) == 0
     printed = capsys.readouterr().out
+    assert printed.splitlines()[0] == "mu=0.9 runs=2"
     assert "combined" in printed and "mean U_r" in printed
 
 
@@ -274,9 +275,9 @@ def test_flags_left_out_keep_the_config_file_settings(pipeline, monkeypatch, tmp
     calls = []
     run_once = experiment.run_once
 
-    def recording_run_once(table, events, config, run_seed, run_index=0, sentences=None):
-        calls.append((config, run_seed))
-        return run_once(table, events, config, run_seed, run_index, sentences)
+    def recording_run_once(*args, **kwargs):
+        calls.append(args[2:4])  # (config, run_seed)
+        return run_once(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "run_once", recording_run_once)
     argv = [command, "--fused", pipeline["fused"],

@@ -525,10 +525,25 @@ def test_protocol_runs_share_a_run_index_and_equal_fresh_runs(monkeypatch, scope
                       "fold_scoped_vectors": 2 * 4 if sentences else 0}
 
     counts.update(dict.fromkeys(names, 0))
+    fresh = {(key, i): result for key, i, result in want}
+
+    def check_a_direct_run(i):
+        # a run_once call outside the loop draws its own folds and equals a fresh run
+        before = dict(counts)
+        config = configs["combined"]
+        result = run_once(table, events, config, derive_run_seed(config.master_seed, i),
+                          run_index=i, sentences=sentences)
+        assert counts["assign_folds"] > before["assign_folds"]
+        assert result == fresh["combined", i]
+        counts.update(before)
+
     got, seen = [], []
     for key, i, result in experiment.protocol_runs(table, events, configs, sentences):
         got.append((key, i, result))
         seen.append((i, dict(counts)))
+        if (key, i) == ("text_only", 1):
+            # the loop is suspended before the other configs of run index 1
+            check_a_direct_run(1)
     assert sorted(got, key=lambda g: list(configs).index(g[0])) == want
     assert [(key, i) for key, i, _ in got] == [(key, i) for i in range(4) for key in configs]
     # the first run of each run index builds what all of its configs use
@@ -536,7 +551,7 @@ def test_protocol_runs_share_a_run_index_and_equal_fresh_runs(monkeypatch, scope
         assert seen_counts == {"assign_folds": i + 1 + sum(redraws[:i + 1]),
                                "fit_normalization": i + 1,
                                "fold_scoped_vectors": i + 1 if sentences else 0}, i
-    assert experiment_module._shared is None
+    check_a_direct_run(3)
 
 
 @pytest.mark.parametrize("parameter,grid,scope", [("lr", [0.01, 0.05, 0.1], "train_folds"),
@@ -572,9 +587,9 @@ def test_sweep_runs_equal_fresh_runs(monkeypatch, parameter, grid, scope):
     got = []
     run_once = experiment.run_once
 
-    def recording_run_once(tbl, events, config, run_seed, run_index=0, sentences=None):
-        result = run_once(tbl, events, config, run_seed, run_index, sentences)
-        got.append((list(configs.values()).index(config), run_index, result))
+    def recording_run_once(*args, **kwargs):
+        result = run_once(*args, **kwargs)
+        got.append((list(configs.values()).index(args[2]), result.run_index, result))
         return result
 
     monkeypatch.setattr(experiment, "run_once", recording_run_once)
