@@ -182,18 +182,7 @@ def _cmd_sweep(args):
     # a bad grid ends the command before any input is read
     experiment.sweep_configs(config, args.parameter, grid)
     table, events, sentences = _read_inputs(args, config, [config.arm], args.parameter)
-
-    def builder(pvdm_overrides):
-        # only a re-embedding sweep builds new vectors, into the fused table's rows
-        if experiment.vector_source(config.arm, config.embedding_scope,
-                                    args.parameter) != "reembedded":
-            return table
-        model, _ = experiment.embed_sentences(sentences, pvdm.PvdmConfig(**pvdm_overrides))
-        vectors = {sid: model.paragraph[row] for sid, row in model.sentence_index.items()}
-        return replace(table, semantic=fusion.semantic_rows(table.sentence_ids, vectors,
-                                                            args.sentences))
-
-    result = experiment.sweep(builder, events, config, args.parameter, grid,
+    result = experiment.sweep(lambda _: table, events, config, args.parameter, grid,
                               runs=config.runs, sentences=sentences)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep_%s.csv" % args.parameter)

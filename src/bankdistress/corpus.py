@@ -19,6 +19,8 @@ except ImportError:
 # Trailing abbreviations that do not terminate a sentence.
 ABBREVIATIONS = ("Inc.", "Ltd.", "St.", "Mr.")
 
+# a terminator and the whitespace after it, where split_into_sentences may split
+_BOUNDARY_RE = re.compile(r"[.!?]\s+")
 _TOKEN_RE = re.compile(r"<num>|[a-z]+")
 _DIGITS_RE = re.compile(r"\d+")
 # A pattern that matches only its own text: ordinary characters and
@@ -208,25 +210,14 @@ def split_into_sentences(body):
     text = body.strip()
     sentences = []
     start = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in ".!?":
-            j = i + 1
-            while j < len(text) and text[j].isspace():
-                j += 1
-            if j > i + 1 and j < len(text) and text[j].isupper():
-                chunk = text[start : i + 1]
-                if not any(chunk.endswith(abbr) for abbr in ABBREVIATIONS):
-                    sentences.append(chunk.strip())
-                    start = j
-                    i = j
-                    continue
-        i += 1
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
+    for boundary in _BOUNDARY_RE.finditer(text):
+        chunk = text[start : boundary.start() + 1]
+        # text is stripped, so a boundary never ends it
+        if text[boundary.end()].isupper() and not chunk.endswith(ABBREVIATIONS):
+            sentences.append(chunk)
+            start = boundary.end()
+    # the last sentence runs to the end; only an empty body has none
+    return sentences + [text[start:]] if text else []
 
 
 def tokenize(text):

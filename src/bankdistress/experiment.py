@@ -128,6 +128,12 @@ def embed_sentences(sentences, pvdm_config):
     return pvdm.train(pvdm.init_model(vocab, sentences, pvdm_config), sentences)
 
 
+def _embedded(sentences, pvdm_config):
+    """``embed_sentences``' model and its sentence_id -> vector map."""
+    model, _ = embed_sentences(sentences, pvdm_config)
+    return model, {sid: model.paragraph[row] for sid, row in model.sentence_index.items()}
+
+
 def fold_scoped_vectors(sentences, pvdm_overrides, train_banks, seed):
     """Paragraph vectors trained on the training banks' sentences only.
 
@@ -141,8 +147,7 @@ def fold_scoped_vectors(sentences, pvdm_overrides, train_banks, seed):
     if not train_sents:
         raise ValueError("no sentences from training-fold banks")
     cfg = pvdm.PvdmConfig(**dict({"seed": seed}, **pvdm_overrides))
-    model, _ = embed_sentences(train_sents, cfg)
-    vectors = {sid: model.paragraph[row] for sid, row in model.sentence_index.items()}
+    model, vectors = _embedded(train_sents, cfg)
     held_out = [(i, s) for i, s in enumerate(sentences) if s.sentence_id not in vectors]
     inferred = pvdm.infer_vectors(model, [s.tokens for _, s in held_out],
                                   [seed + i for i, _ in held_out])
@@ -314,20 +319,27 @@ def sweep_configs(base_config, parameter, grid):
 def sweep(table_builder, events, base_config, parameter, grid, runs=SWEEP_RUNS, sentences=None):
     """Mean/std relative usefulness across a one-parameter grid.
 
-    ``table_builder(pvdm_overrides) -> SampleTable`` builds the dataset once,
-    for one protocol_runs loop over every grid point. A sweep whose
-    ``vector_source`` is "reembedded" builds it anew for each grid point
-    instead, grid point outer, so one re-embedded table is alive at a time.
-    Every grid point's config is checked before the first run.
+    ``table_builder(pvdm_overrides) -> SampleTable`` builds the dataset once.
+    A sweep whose ``vector_source`` is "reembedded" embeds ``sentences`` into
+    its semantic column anew at each grid point, grid point outer, so one
+    re-embedded table is alive at a time; any other runs one protocol_runs
+    loop over every grid point. Every grid point's config is checked first.
     """
     configs = sweep_configs(replace(base_config, runs=runs), parameter, grid)
-    if vector_source(base_config.arm, base_config.embedding_scope, parameter) == "reembedded":
-        stats = [run_repeated(table_builder(cfg.pvdm), events, cfg, sentences=sentences)[:2]
+    reembeds = vector_source(base_config.arm, base_config.embedding_scope,
+                             parameter) == "reembedded"
+    if reembeds and sentences is None:
+        raise ValueError("a full-scope %s sweep needs the raw sentences" % parameter)
+    table = table_builder(configs[0].pvdm)
+    if reembeds:
+        def table_at(cfg):
+            _, vectors = _embedded(sentences, pvdm.PvdmConfig(**cfg.pvdm))
+            return replace(table, semantic=semantic_rows(table.sentence_ids, vectors, "sentences"))
+        stats = [run_repeated(table_at(cfg), events, cfg, sentences=sentences)[:2]
                  for cfg in configs]
     else:
         by_point = [[] for _ in configs]
-        for k, _, result in protocol_runs(table_builder(configs[0].pvdm), events,
-                                          dict(enumerate(configs)), sentences):
+        for k, _, result in protocol_runs(table, events, dict(enumerate(configs)), sentences):
             by_point[k].append(result)
         stats = [ur_stats(results) for results in by_point]
     return SweepResult(parameter=parameter, grid=list(grid), mean_ur=[m for m, _ in stats],

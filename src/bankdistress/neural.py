@@ -158,51 +158,37 @@ def _keep_scaled(u, p):
     return u
 
 
-def _forward_cached(weights, biases, config, x, mode, rng, drawn=None):
-    """Forward pass keeping activations and dropout masks for backprop.
+def _forward_cached(weights, biases, x, masks=None):
+    """Forward pass keeping activations for backprop.
 
     Every layer's output is a fresh matmul result that the bias add, ReLU,
     dropout scaling and softmax then update in place; ``x`` is never written.
-    In train mode the dropout masks come from ``drawn`` (one per hidden
-    layer) if given, else from ``rng``.
+    ``masks``, if given, holds one dropout mask per hidden layer.
     """
     h = x
     activations = [h]
-    masks = []
-    n_hidden = len(weights) - 1
-    for layer in range(n_hidden):
+    for layer in range(len(weights) - 1):
         h = h @ weights[layer]
         h += biases[layer]
         np.maximum(h, 0.0, out=h)
-        if mode == "train" and config.dropout_p > 0.0:
-            if drawn is None:
-                mask = _keep_scaled(rng.random(h.shape), config.dropout_p)
-            else:
-                mask = drawn[layer]
-            h *= mask
-        else:
-            mask = None
-        masks.append(mask)
+        if masks is not None:
+            h *= masks[layer]
         activations.append(h)
     probs = h @ weights[-1]
     probs += biases[-1]
-    return _softmax(probs), activations, masks
+    return _softmax(probs), activations
 
 
-def forward(model, x, mode="infer", rng=None):
-    """Class probabilities for one input or a batch."""
+def forward(model, x):
+    """Infer-mode class probabilities for one input or a batch."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if x.shape[-1] != model.config.input_dim:
         raise ValueError(
             "input has %d features, model expects %d" % (x.shape[-1], model.config.input_dim)
         )
-    if mode not in ("train", "infer"):
-        raise ValueError("mode must be 'train' or 'infer'")
-    if mode == "train" and model.config.dropout_p > 0.0 and rng is None:
-        raise ValueError("train-mode forward with dropout needs an rng")
     batch = x[None, :] if single else x
-    probs, _, _ = _forward_cached(model.weights, model.biases, model.config, batch, mode, rng)
+    probs, _ = _forward_cached(model.weights, model.biases, batch)
     return probs[0] if single else probs
 
 
@@ -212,7 +198,7 @@ def loss(model, x, y):
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    probs, _, _ = _forward_cached(model.weights, model.biases, model.config, x, "infer", None)
+    probs, _ = _forward_cached(model.weights, model.biases, x)
     nll = -np.log(np.clip(probs[np.arange(len(y)), y], 1e-300, None)).mean()
     penalty = model.config.l1 * sum(np.abs(w).sum() for w in model.weights)
     return nll + penalty
@@ -220,7 +206,7 @@ def loss(model, x, y):
 
 def gradients(model, x, y, rng=None, weights=None, biases=None):
     """Backprop gradients of the regularized loss at ``weights``/``biases``
-    (default: the model's).
+    (default: the model's); a model with dropout draws its masks from ``rng``.
 
     The L1 subgradient uses sign(w) with sign(0) = 0 and never touches
     biases. Returns (loss value, weight grads, bias grads). The gradient
@@ -245,9 +231,13 @@ def _gradients(cfg, x, y, rng, workspace):
     buffer, for a checked non-empty 2-D batch; returns the loss value."""
     n = x.shape[0]
     weights, biases = workspace.ahead_w, workspace.ahead_b
-    mode = "train" if cfg.dropout_p > 0.0 else "infer"
-    probs, activations, masks = _forward_cached(weights, biases, cfg, x, mode, rng,
-                                                workspace.masks)
+    # the workspace's dropout masks, or an (n, width) block per hidden layer from rng
+    masks = workspace.masks
+    if masks is None and cfg.dropout_p > 0.0 and cfg.hidden_layers:
+        if rng is None:
+            raise ValueError("a step with dropout needs an rng to draw its masks")
+        masks = [_keep_scaled(rng.random((n, w)), cfg.dropout_p) for w in cfg.hidden_layers]
+    probs, activations = _forward_cached(weights, biases, x, masks)
 
     rows = workspace.rows[:n]
     picked = probs[rows, y]
@@ -267,7 +257,7 @@ def _gradients(cfg, x, y, rng, workspace):
         np.add.reduce(delta, axis=0, out=workspace.grad_b[layer])
         if layer > 0:
             delta = delta @ weights[layer].T
-            if masks[layer - 1] is not None:
+            if masks is not None:
                 delta *= masks[layer - 1]
             # AND delta's bits with ones where the unit is on, zeros where it is
             # off: np.putmask(delta, a <= 0, 0.0) bit for bit, but branch-free
@@ -405,5 +395,5 @@ def _epochs(model, x_train, y_train, eval_hook):
 
 def predict(model, inputs):
     """Infer-mode distress probability (class 1) of each input row."""
-    return forward(model, inputs, mode="infer")[:, 1]
+    return forward(model, inputs)[:, 1]
 

@@ -14,6 +14,8 @@ from .corpus import (Vocabulary, VectorRows, count_rows, read_jsonl, require_flo
 
 MODEL_FORMAT = "pvdm-v1"
 BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
+INFER_STEPS = 20  # SGD sweeps over each sentence's positions in infer_vectors
+INFER_LR = 0.025  # infer_vectors' fixed learning rate
 
 
 @dataclass
@@ -311,15 +313,15 @@ def train(model, sentences):
     return model, epoch_losses
 
 
-def infer_vectors(model, token_seqs, seeds, steps=20, lr=0.025):
+def infer_vectors(model, token_seqs, seeds):
     """Fit fresh paragraph vectors for many sentences against frozen word matrices.
 
     Returns one vector per sentence, or None for a sentence shorter than
-    window_n + 2 tokens. Each sentence runs ``steps`` sweeps of SGD over its
-    positions, with the step math of ``step_gradients`` (no clipping), and
-    draws its start vector and then all its sweeps' noise words from its own
-    ``default_rng(seed)``, the stream a one-sentence loop would take, so the
-    result does not depend on the batch. The word matrices never change, so
+    window_n + 2 tokens. Each sentence runs ``INFER_STEPS`` SGD sweeps over its
+    positions at rate ``INFER_LR`` with ``step_gradients``' step math (no
+    clipping), drawing its start vector, then all its sweeps' noise words, from
+    its own ``default_rng(seed)``: the stream a one-sentence loop would take, so
+    the result does not depend on the batch. The word matrices never change, so
     every (sentence, position) context sum is computed once; the sentences'
     updates at one position run as a few array operations over all of them.
     """
@@ -354,13 +356,14 @@ def infer_vectors(model, token_seqs, seeds, steps=20, lr=0.025):
     # Every sweep's noise words, rows position-major as above: steps x rows x k
     # entries, so in the smallest integer type that holds a vocabulary index.
     cdf = model.noise_cdf()
-    noise = np.empty((steps, len(rows), k), dtype=np.min_scalar_type(len(cdf) - 1))
+    noise = np.empty((INFER_STEPS, len(rows), k), dtype=np.min_scalar_type(len(cdf) - 1))
     vecs = np.empty((len(order), dim))
     half = 0.5 / dim
     for s, (i, c) in enumerate(zip(order, n_pos.tolist())):
         rng = np.random.default_rng(seeds[i])
         vecs[s] = rng.uniform(-half, half, size=dim)
-        noise[:, block[:c] + s] = np.searchsorted(cdf, rng.random((steps, c, k)), side="right")
+        noise[:, block[:c] + s] = np.searchsorted(cdf, rng.random((INFER_STEPS, c, k)),
+                                                  side="right")
 
     out_idx = np.empty((len(rows), k + 1), dtype=np.intp)
     out_idx[:, 0] = targets
@@ -377,18 +380,18 @@ def infer_vectors(model, token_seqs, seeds, steps=20, lr=0.025):
                 u = np.take(model.word_out, out_idx[lo : lo + a], axis=0, out=u_buf[:a],
                             mode="clip")
                 _, _, grad_h = _output_step(u, h)
-                vec -= lr * (grad_h / (n + 1))
+                vec -= INFER_LR * (grad_h / (n + 1))
     for s, i in enumerate(order):
         out[i] = vecs[s]
     return out
 
 
-def infer_vector(model, tokens, steps=20, lr=0.025, seed=0):
+def infer_vector(model, tokens, seed=0):
     """Fit a fresh paragraph vector for one sentence against frozen word matrices."""
     min_tokens = model.config.window_n + 2
     if len(tokens) < min_tokens:
         raise ValueError("no trainable context: need at least %d tokens" % min_tokens)
-    (vec,) = infer_vectors(model, [tokens], [seed], steps=steps, lr=lr)
+    (vec,) = infer_vectors(model, [tokens], [seed])
     return vec
 
 

@@ -1,6 +1,7 @@
 """Every public function, class, method and property of the package has a
-caller in the package, every imported name is used, JSON is encoded in one
-place, and no function rebinds a module-level or enclosing name.
+caller in the package, as has every defaulted parameter of a public function,
+every imported name is used, JSON is encoded in one place, and no function
+rebinds a module-level or enclosing name.
 
 A public top-level name, or a public method or property of a public class,
 that nothing in ``src/bankdistress`` refers to is dead weight, unless it is a
@@ -244,3 +245,105 @@ def test_rebinding_check_sees_global_and_nonlocal(tmp_path):
         "def reads():\n    return count\n",
         encoding="utf-8")
     assert rebinding_statements(str(tmp_path)) == ["a.bump:5", "a.outer:13"]
+
+
+
+# Defaulted parameters of public functions that no call in src/ passes, with
+# the reason each stays; any other is a knob only tests can turn.
+UNPASSED = {
+    "cli.main.argv": "the console script calls main() without one; tests pass the arguments",
+}
+
+
+def _calls(tree, module, modules):
+    """(``module.function`` called, call node) of each call in ``tree`` that
+    names a top-level function of the package, as ``f`` or ``module.f``.
+    Calls inside ALLOWED top-level definitions do not count."""
+    targets = {node.name: "%s.%s" % (module, node.name) for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    packages = {}  # local name -> package module
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    packages[local] = alias.name
+                else:
+                    targets[local] = "%s.%s" % (node.module, alias.name)
+    for top in tree.body:
+        if "%s.%s" % (module, getattr(top, "name", "")) in ALLOWED:
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in targets:
+                yield targets[func.id], node
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and packages.get(func.value.id) in modules):
+                yield "%s.%s" % (packages[func.value.id], func.attr), node
+
+
+def unpassed_parameters(src=SRC):
+    """``module.function.parameter`` of each defaulted parameter of a public
+    top-level function, not on ALLOWED, that no call in ``src`` passes by
+    position or by keyword. A call with ``*args`` or ``**kwargs`` passes
+    every parameter."""
+    modules = parse_modules(src)
+    passed = {}  # module.function -> positions and keywords some call passes
+    for module, tree in modules.items():
+        for target, call in _calls(tree, module, modules):
+            given = passed.setdefault(target, set())
+            given.update(range(len(call.args)))
+            given.update(k.arg for k in call.keywords)  # None for **kwargs
+            if None in given or any(isinstance(a, ast.Starred) for a in call.args):
+                given.add("*")
+    unpassed = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            name = "%s.%s" % (module, getattr(node, "name", ""))
+            if (not isinstance(node, ast.FunctionDef) or node.name.startswith("_")
+                    or name in ALLOWED):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(a.arg, a.arg) for a, d in zip(node.args.kwonlyargs,
+                                                          node.args.kw_defaults) if d is not None]
+            given = passed.get(name, set())
+            unpassed += ["%s.%s" % (name, arg) for key, arg in defaulted
+                         if "*" not in given and key not in given and arg not in given]
+    return sorted(unpassed)
+
+
+def test_every_defaulted_parameter_is_passed_or_explained():
+    unpassed = unpassed_parameters()
+    unexplained = [name for name in unpassed if name not in UNPASSED]
+    assert not unexplained, "defaulted parameters no call in src/ passes: %s" % unexplained
+    # an entry that gained a caller no longer needs its exemption
+    assert sorted(UNPASSED) == unpassed
+
+
+def test_parameter_check_sees_positions_keywords_and_allowed_callers(tmp_path, monkeypatch):
+    (tmp_path / "a.py").write_text(
+        "def f(x, by_position=1, by_keyword=2, unpassed=3, *, only_kw=4, kw_unpassed=5):\n"
+        "    return x\n\n\n"
+        "def _private(x=0):\n    return f(x, 1, by_keyword=2, only_kw=4)\n\n\n"
+        "def splatted(a=0, b=1):\n    return a + b\n\n\n"
+        "def by_module(x, unpassed=0):\n    return x\n\n\n"
+        "def oracle(x, unpassed=0):\n    return x\n\n\n"
+        "def only_from_oracle(x, unpassed=0):\n    return x\n",
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "from . import a\nfrom .a import splatted as s\n\n\n"
+        "def g(args):\n    return s(*args), a.by_module(1)\n\n\n"
+        "def oracle_caller(x):\n    return a.only_from_oracle(x, unpassed=1)\n",
+        encoding="utf-8")
+    assert unpassed_parameters(str(tmp_path)) == [
+        "a.by_module.unpassed", "a.f.kw_unpassed", "a.f.unpassed", "a.oracle.unpassed"]
+    # an ALLOWED function's defaults are exempt, and its calls do not count
+    monkeypatch.setitem(ALLOWED, "a.oracle", "fixture")
+    monkeypatch.setitem(ALLOWED, "b.oracle_caller", "fixture")
+    assert unpassed_parameters(str(tmp_path)) == [
+        "a.by_module.unpassed", "a.f.kw_unpassed", "a.f.unpassed",
+        "a.only_from_oracle.unpassed"]

@@ -64,6 +64,51 @@ def test_split_empty_body():
     assert split_into_sentences("   ") == []
 
 
+def reference_split_into_sentences(body):
+    """The character-by-character splitter: the oracle of split_into_sentences."""
+    text = body.strip()
+    sentences = []
+    start = 0
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch in ".!?":
+            j = i + 1
+            while j < len(text) and text[j].isspace():
+                j += 1
+            if j > i + 1 and j < len(text) and text[j].isupper():
+                chunk = text[start : i + 1]
+                if not any(chunk.endswith(abbr) for abbr in corpus.ABBREVIATIONS):
+                    sentences.append(chunk.strip())
+                    start = j
+                    i = j
+                    continue
+        i += 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+# Pieces that reach each branch of the splitter: terminators and runs of
+# them, Unicode whitespace (\x1c-\x1f are str.isspace), upper, lower and
+# title-case letters (\u01c5 is not isupper) and each abbreviation.
+SPLIT_PIECES = (".", "!", "?", "...", "?!", " ", "  ", "\n", "\t", "\x1c", "\x1f", "\x85",
+                "\xa0", "\u2003", "\u3000", "A", "Z", "\xc9", "\u0394", "\u01c4", "\u01c5",
+                "a", "z", "\xdf", "1", ",", "word", "Bank") + corpus.ABBREVIATIONS
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(SPLIT_PIECES), max_size=30).map("".join),
+                 st.text(max_size=40)))
+@example("")
+@example(" \x1c\u3000 ")
+@example("Mr. Smith. St. Jude... Inc. Ltd. Mr.")
+@example("One.\x1cTwo!\u2003Three? \u01c5ero. \u01c4ight.")
+def test_split_matches_the_character_loop(body):
+    assert split_into_sentences(body) == reference_split_into_sentences(body)
+
+
 # ---------------------------------------------------------------------------
 # Tokenization
 

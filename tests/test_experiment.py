@@ -468,9 +468,17 @@ def test_sweep_builder_invocations_and_result():
     assert result.runs_per_point == 1
     assert len(calls) == 1  # classifier-side sweep reuses one table
 
+    # an embedding sweep builds its one table too, and re-embeds the
+    # sentences into it at each grid value itself
     calls.clear()
-    sweep(builder, events, quick_config(), "window_n", [2, 3], runs=1)
-    assert [c["window_n"] for c in calls] == [2, 3]  # embedding sweep rebuilds
+    small = quick_config(pvdm={"vector_dim": 4, "epochs": 1, "min_count": 1})
+    with pytest.raises(ValueError, match="full-scope window_n sweep needs the raw sentences"):
+        sweep(builder, events, small, "window_n", [2, 3], runs=1)
+    assert not calls
+    result = sweep(builder, events, small, "window_n", [2, 3], runs=1,
+                   sentences=toy_sentences(table))
+    assert calls == [dict(small.pvdm, window_n=2)]
+    assert len(result.mean_ur) == 2
 
     with pytest.raises(ValueError):
         sweep(builder, events, quick_config(), "hidden_width", [], runs=1)
@@ -559,41 +567,49 @@ def test_protocol_runs_share_a_run_index_and_equal_fresh_runs(monkeypatch, scope
                                                   ("window_n", [2, 3], "full")])
 def test_sweep_runs_equal_fresh_runs(monkeypatch, parameter, grid, scope):
     from bankdistress import pvdm
-    from bankdistress.fusion import semantic_rows
 
     table, events = toy_table()
     sentences = toy_sentences(table)
     base = quick_config(runs=3, embedding_scope=scope,
                         pvdm={k: v for k, v in LOOP_PVDM.items() if k != parameter})
     reembeds = experiment.vector_source(base.arm, scope, parameter) == "reembedded"
-    built = []
 
-    def builder(pvdm_overrides):
-        # a re-embedding sweep's table for each grid value, as the CLI builds it
-        assert all(t() is None for t in built)  # the table before it is gone
-        tbl = table
-        if reembeds:
-            model, _ = experiment.embed_sentences(sentences, pvdm.PvdmConfig(**pvdm_overrides))
-            vectors = {sid: model.paragraph[row] for sid, row in model.sentence_index.items()}
-            tbl = replace(table, semantic=semantic_rows(table.sentence_ids, vectors, "s"))
-            built.append(weakref.ref(tbl))
-        return tbl
+    def table_of(cfg):
+        # a re-embedding sweep's table for each grid value: the sentences
+        # embedded with its pvdm settings, into the table's rows
+        if not reembeds:
+            return table
+        model, _ = experiment.embed_sentences(sentences, pvdm.PvdmConfig(**cfg.pvdm))
+        vectors = {sid: model.paragraph[row] for sid, row in model.sentence_index.items()}
+        return replace(table, semantic=experiment.semantic_rows(table.sentence_ids, vectors, "s"))
 
     configs = dict(enumerate(experiment.sweep_configs(base, parameter, grid)))
-    want = fresh_runs(lambda cfg: builder(cfg.pvdm), events, configs, sentences)
-    built.clear()
+    want = fresh_runs(table_of, events, configs, sentences)
 
     counts = count_calls(monkeypatch, ("assign_folds", "fold_scoped_vectors"))
-    got = []
-    run_once = experiment.run_once
+    got, built, columns = [], [], []  # columns: a weak reference to each semantic one
+    run_once, semantic_rows = experiment.run_once, experiment.semantic_rows
 
     def recording_run_once(*args, **kwargs):
         result = run_once(*args, **kwargs)
         got.append((list(configs.values()).index(args[2]), result.run_index, result))
         return result
 
+    def recording_semantic_rows(*args):
+        if reembeds:
+            assert all(c() is None for c in columns)  # the table before is gone
+        column = semantic_rows(*args)
+        columns.append(weakref.ref(column))
+        return column
+
+    def builder(pvdm_overrides):
+        built.append(pvdm_overrides)
+        return table
+
     monkeypatch.setattr(experiment, "run_once", recording_run_once)
+    monkeypatch.setattr(experiment, "semantic_rows", recording_semantic_rows)
     result = sweep(builder, events, base, parameter, grid, runs=3, sentences=sentences)
+    assert built == [configs[0].pvdm]  # one table, built once
     assert sorted(got, key=lambda g: g[0]) == want
     stats = [experiment.ur_stats([r for k, _, r in want if k == point]) for point in configs]
     assert result.mean_ur == [mean for mean, _ in stats]
@@ -601,7 +617,7 @@ def test_sweep_runs_equal_fresh_runs(monkeypatch, parameter, grid, scope):
     if reembeds:
         # grid value outer: one table per grid value, each run index's folds drawn per table
         assert [(k, i) for k, i, _ in got] == [(k, i) for k in configs for i in range(3)]
-        assert len(built) == len(grid)
+        assert len(columns) == len(grid)
         assert counts == {"assign_folds": 3 * len(grid), "fold_scoped_vectors": 0}
     else:
         # run index outer: one fold draw per run index, and one embedding per

@@ -116,19 +116,16 @@ def test_forward_input_validation():
     model = toy_model()
     with pytest.raises(ValueError, match="features"):
         forward(model, np.zeros(5))
-    with pytest.raises(ValueError, match="mode"):
-        forward(model, np.zeros(6), mode="test")
-    dropped = toy_model(dropout=0.5)
-    with pytest.raises(ValueError, match="rng"):
-        forward(dropped, np.zeros(6), mode="train")
 
 
 def test_dropout_scales_expectation():
     model = toy_model(dropout=0.5)
-    x = np.ones((1, 6))
-    rng = np.random.default_rng(0)
-    reps = np.stack([forward(model, x, mode="train", rng=rng)[0] for _ in range(600)])
-    infer = forward(model, x)[0]
+    x = np.ones((600, 6))
+    # one inverted-dropout mask per row, as a step draws them
+    masks = [neural_module._keep_scaled(np.random.default_rng(0).random((600, 4)), 0.5)]
+    assert set(np.unique(masks[0])) == {0.0, 2.0}
+    reps, _ = neural_module._forward_cached(model.weights, model.biases, x, masks)
+    infer = forward(model, x[0])
     # inverted dropout keeps the expected activations near the infer pass
     np.testing.assert_allclose(reps.mean(axis=0), infer, atol=0.08)
 
@@ -173,6 +170,32 @@ def test_gradients_exclude_bias_from_l1():
         np.testing.assert_allclose(g, p, atol=1e-12)
     for g, p, w in zip(grads_w, plain_w, model.weights):
         np.testing.assert_allclose(g - p, 10.0 * np.sign(w), atol=1e-12)
+
+
+def test_a_dropout_step_without_an_rng_names_it():
+    # the default MlpConfig has dropout, so its masks need an rng to come from
+    model = toy_model(dropout=0.5)
+    x, y = toy_batch()
+    before = model.params.copy()
+    with pytest.raises(ValueError, match="rng"):
+        gradients(model, x, y)
+    with pytest.raises(ValueError, match="rng"):
+        nesterov_step(model, x, y, 0.1)
+    assert model.params.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(4,), (20, 10)])
+def test_gradients_draw_the_reference_dropout_stream(hidden):
+    # with no masks handed in, a step draws an (n, width) block per hidden
+    # layer, in layer order, as the reference forward pass draws them
+    model = toy_model(dropout=0.5, hidden=hidden)
+    x, y = toy_batch()
+    value, grads_w, grads_b = gradients(model, x, y, rng=np.random.default_rng(7))
+    want = reference_gradients(model, x, y, np.random.default_rng(7), model.weights,
+                               model.biases)
+    assert value == want[0]
+    for got, ref in zip(grads_w + grads_b, want[1] + want[2], strict=True):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_gradients_dropout_deterministic_given_rng():

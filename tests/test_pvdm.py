@@ -359,7 +359,12 @@ def test_train_stays_finite_when_sigma_saturates():
         assert np.isfinite(getattr(model, name)).all()
 
 
-def test_train_and_infer_restore_the_error_state():
+def set_infer_schedule(monkeypatch, steps, lr=pvdm.INFER_LR):
+    monkeypatch.setattr(pvdm, "INFER_STEPS", steps)
+    monkeypatch.setattr(pvdm, "INFER_LR", lr)
+
+
+def test_train_and_infer_restore_the_error_state(monkeypatch):
     # saturated scores overflow exp(-x); the calls ignore that inside and
     # leave the caller's own setting (here: raise) as they found it
     sents, vocab = toy_corpus(n_sentences=12, n_words=6, length=7, seed=3)
@@ -371,7 +376,8 @@ def test_train_and_infer_restore_the_error_state():
         before = np.geterr()
         model, _ = train(model, sents)
         assert np.geterr() == before
-        (vec,) = infer_vectors(model, [sents[0].tokens], [1], steps=3)
+        set_infer_schedule(monkeypatch, 3)
+        (vec,) = infer_vectors(model, [sents[0].tokens], [1])
         assert np.geterr() == before
     assert np.isfinite(vec).all()
 
@@ -412,9 +418,10 @@ def trained_two_topic_model():
     return model, sents
 
 
-def test_infer_vector_recovers_training_sentence():
+def test_infer_vector_recovers_training_sentence(monkeypatch):
     model, sents = trained_two_topic_model()
-    inferred = infer_vector(model, sents[0].tokens, steps=40, seed=5)
+    set_infer_schedule(monkeypatch, 40)
+    inferred = infer_vector(model, sents[0].tokens, seed=5)
 
     def cosine(sentence_id):
         own = model.paragraph[model.sentence_index[sentence_id]]
@@ -424,8 +431,10 @@ def test_infer_vector_recovers_training_sentence():
     assert cosine("s0") > cosine("s1")
 
 
-def reference_infer_vector(model, tokens, steps=20, lr=0.025, seed=0):
-    """One sentence at a time through step_gradients: the oracle for infer_vectors."""
+def reference_infer_vector(model, tokens, seed=0):
+    """One sentence at a time through step_gradients: the oracle for infer_vectors,
+    with its schedule ``pvdm.INFER_STEPS`` and ``pvdm.INFER_LR``."""
+    steps, lr = pvdm.INFER_STEPS, pvdm.INFER_LR
     cfg = model.config
     if len(tokens) < cfg.window_n + 2:
         return None
@@ -443,17 +452,17 @@ def reference_infer_vector(model, tokens, steps=20, lr=0.025, seed=0):
     return vec
 
 
-def assert_matches_reference(model, token_seqs, seeds, got, steps=20, lr=0.025):
+def assert_matches_reference(model, token_seqs, seeds, got):
     assert len(got) == len(token_seqs)
     for tokens, seed, vec in zip(token_seqs, seeds, got):
-        want = reference_infer_vector(model, tokens, steps=steps, lr=lr, seed=seed)
+        want = reference_infer_vector(model, tokens, seed=seed)
         if want is None:
             assert vec is None
         else:
             np.testing.assert_allclose(vec, want, rtol=0, atol=1e-12)
 
 
-def test_infer_vectors_match_per_sentence_reference():
+def test_infer_vectors_match_per_sentence_reference(monkeypatch):
     model, _ = randomized_model(window=3)
     n = model.config.window_n
     batch = [
@@ -467,20 +476,21 @@ def test_infer_vectors_match_per_sentence_reference():
          "w05", "w06", "w07"),
     ]
     seeds = [11, 12, 13, 14, 15, 16, 17]
-    got = infer_vectors(model, batch, seeds, steps=7, lr=0.05)
+    set_infer_schedule(monkeypatch, 7, 0.05)
+    got = infer_vectors(model, batch, seeds)
     assert [v is None for v in got] == [False, True, False, False, False, True, False]
-    assert_matches_reference(model, batch, seeds, got, steps=7, lr=0.05)
+    assert_matches_reference(model, batch, seeds, got)
 
     # a batch of one, and the empty batch
-    one = infer_vectors(model, batch[3:4], seeds[3:4], steps=7, lr=0.05)
-    assert_matches_reference(model, batch[3:4], seeds[3:4], one, steps=7, lr=0.05)
+    one = infer_vectors(model, batch[3:4], seeds[3:4])
+    assert_matches_reference(model, batch[3:4], seeds[3:4], one)
     assert infer_vectors(model, [], []) == []
     with pytest.raises(ValueError, match="one seed per sentence"):
         infer_vectors(model, batch, seeds[:2])
 
 
 @pytest.mark.parametrize("dim,window", [(8, 3), (1, 9)], ids=["dim8", "dim1-window9"])
-def test_infer_vectors_batch_equals_each_sentence_alone(dim, window):
+def test_infer_vectors_batch_equals_each_sentence_alone(monkeypatch, dim, window):
     # mixed lengths: the batch runs position-major over the longest-first
     # sentences, and each sentence draws all its sweeps' noise in one call
     model, _ = randomized_model(dim=dim, window=window, n_words=20)
@@ -489,22 +499,24 @@ def test_infer_vectors_batch_equals_each_sentence_alone(dim, window):
     batch = [tuple(rng.choice(words, size=size)) for size in (0, 25, window + 2, 3, 14, 25,
                                                                window + 1, 19, window + 3)]
     seeds = list(range(30, 30 + len(batch)))
-    got = infer_vectors(model, batch, seeds, steps=4, lr=0.05)
+    set_infer_schedule(monkeypatch, 4, 0.05)
+    got = infer_vectors(model, batch, seeds)
     assert sum(v is None for v in got) == 3
     for tokens, seed, vec in zip(batch, seeds, got):
-        (alone,) = infer_vectors(model, [tokens], [seed], steps=4, lr=0.05)
+        (alone,) = infer_vectors(model, [tokens], [seed])
         if alone is None:
             assert vec is None
         else:
             np.testing.assert_array_equal(vec, alone)
-    assert_matches_reference(model, batch, seeds, got, steps=4, lr=0.05)
+    assert_matches_reference(model, batch, seeds, got)
 
 
-def test_infer_vector_wraps_infer_vectors():
+def test_infer_vector_wraps_infer_vectors(monkeypatch):
     model, sents = randomized_model()
     tokens = sents[2].tokens
-    vec = infer_vector(model, tokens, steps=5, seed=9)
-    np.testing.assert_array_equal(vec, infer_vectors(model, [tokens], [9], steps=5)[0])
+    set_infer_schedule(monkeypatch, 5)
+    vec = infer_vector(model, tokens, seed=9)
+    np.testing.assert_array_equal(vec, infer_vectors(model, [tokens], [9])[0])
 
 
 def test_infer_vector_needs_trainable_context():
