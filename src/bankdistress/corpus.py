@@ -494,9 +494,15 @@ def write_sentences(sentences, path):
 
 
 def read_sentences(path):
+    """Read a JSON-lines sentence file; each ``sentence_id`` is a distinct string.
+
+    Every sentence's tokens share one string object per distinct token, so a
+    corpus over a small vocabulary holds each word once, not once per use.
+    """
+    memo = {}
     return read_jsonl(path, lambda row: Sentence(
         sentence_id=require_str("sentence_id", row["sentence_id"]),
         bank_id=require_str("bank_id", row["bank_id"]),
         published_at=datetime.fromisoformat(row["published_at"]),
-        tokens=_string_list(row["tokens"], "tokens"),
+        tokens=tuple([memo.setdefault(t, t) for t in _string_list(row["tokens"], "tokens")]),
     ), unique="sentence_id")

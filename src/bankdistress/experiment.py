@@ -272,9 +272,11 @@ def ur_stats(results):
     return float(urs.mean()), float(urs.std())
 
 
-def run_repeated(table, events, config, sentences=None):
-    """config.runs independent repetitions with seeds derived from master_seed."""
-    results = [r for _, _, r in protocol_runs(table, events, {config.arm: config}, sentences)]
+def run_repeated(table, events, config):
+    """config.runs independent repetitions with seeds derived from master_seed,
+    on ``table``'s sentence vectors (``protocol_runs`` takes the raw sentences
+    that a ``train_folds`` run embeds)."""
+    results = [r for _, _, r in protocol_runs(table, events, {config.arm: config})]
     return (*ur_stats(results), results)
 
 
@@ -335,8 +337,7 @@ def sweep(table_builder, events, base_config, parameter, grid, runs=SWEEP_RUNS, 
         def table_at(cfg):
             _, vectors = _embedded(sentences, pvdm.PvdmConfig(**cfg.pvdm))
             return replace(table, semantic=semantic_rows(table.sentence_ids, vectors, "sentences"))
-        stats = [run_repeated(table_at(cfg), events, cfg, sentences=sentences)[:2]
-                 for cfg in configs]
+        stats = [run_repeated(table_at(cfg), events, cfg)[:2] for cfg in configs]
     else:
         by_point = [[] for _ in configs]
         for k, _, result in protocol_runs(table, events, dict(enumerate(configs)), sentences):

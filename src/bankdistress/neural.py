@@ -180,16 +180,17 @@ def _forward_cached(weights, biases, x, masks=None):
 
 
 def forward(model, x):
-    """Infer-mode class probabilities for one input or a batch."""
+    """Infer-mode class probabilities of a 2-D batch of inputs, one row each."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if x.shape[-1] != model.config.input_dim:
+    if x.ndim != 2:
+        raise ValueError("input must be a 2-D batch (rows, features), got shape %s"
+                         % (x.shape,))
+    if x.shape[1] != model.config.input_dim:
         raise ValueError(
-            "input has %d features, model expects %d" % (x.shape[-1], model.config.input_dim)
+            "input has %d features, model expects %d" % (x.shape[1], model.config.input_dim)
         )
-    batch = x[None, :] if single else x
-    probs, _ = _forward_cached(model.weights, model.biases, batch)
-    return probs[0] if single else probs
+    probs, _ = _forward_cached(model.weights, model.biases, x)
+    return probs
 
 
 def loss(model, x, y):

@@ -14,6 +14,8 @@ from .corpus import (Vocabulary, VectorRows, count_rows, read_jsonl, require_flo
 
 MODEL_FORMAT = "pvdm-v1"
 BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
+NOISE_BATCHES = 64  # batches whose noise words train draws in one call
+INFER_CHUNK = 256  # held-out sentences infer_vectors runs at a time
 INFER_STEPS = 20  # SGD sweeps over each sentence's positions in infer_vectors
 INFER_LR = 0.025  # infer_vectors' fixed learning rate
 
@@ -291,25 +293,35 @@ def train(model, sentences):
     sign = np.ones(k + 1)
     sign[0] = -1.0
     scores = np.empty((n_pairs, k + 1))
+    # Target and noise words of NOISE_BATCHES batches at a time. Nothing else
+    # draws from rng within an epoch, so the chunks' draws are the doubles of
+    # one (n_pairs, k) draw, in the same order.
+    chunk = NOISE_BATCHES * size
+    out_idx = np.empty((min(chunk, n_pairs), k + 1), dtype=np.intp)
     order = np.arange(n_pairs)
     epoch_losses = []
     with np.errstate(over="ignore"):
         for epoch in range(cfg.epochs):
             rng.shuffle(order)
-            noise = np.searchsorted(cdf, rng.random((n_pairs, k)), side="right")
-            out_idx = np.concatenate((targets[order, None], noise), axis=1)
             for b in range(n_batches):
                 lo, hi = b * size, min(n_pairs, (b + 1) * size)
+                if b % NOISE_BATCHES == 0:
+                    start, m = lo, min(chunk, n_pairs - lo)
+                    out_idx[:m, 0] = targets[order[lo : lo + m]]
+                    out_idx[:m, 1:] = np.searchsorted(cdf, rng.random((m, k)), side="right")
                 lr = cfg.lr_initial + lr_span * ((epoch * n_batches + b) / denom)
                 pick = order[lo:hi]
-                c, rows, out = ctx[pick], par_rows[pick], out_idx[lo:hi]
+                c, rows, out = ctx[pick], par_rows[pick], out_idx[lo - start : hi - start]
                 h = (word_in[c].sum(axis=1) + paragraph[rows]) / (n + 1)
                 scores[lo:hi], coef, grad_h = _output_step(word_out[out], h)
                 shared = (lr / (n + 1)) * grad_h
                 scatter_out(out.ravel(), out_col[: out.size], lr * coef.ravel(), h)
                 scatter_in(c.ravel(), ctx_col[: c.size], 1.0, shared)
                 scatter_par(rows, pair_col[: rows.size], 1.0, shared)
-            epoch_losses.append(float(np.logaddexp(0.0, sign * scores).sum()) / n_pairs)
+            # the loss in place: the operations of logaddexp(0, sign * scores)
+            np.multiply(scores, sign, out=scores)
+            np.logaddexp(0.0, scores, out=scores)
+            epoch_losses.append(float(scores.sum()) / n_pairs)
     return model, epoch_losses
 
 
@@ -321,31 +333,42 @@ def infer_vectors(model, token_seqs, seeds):
     positions at rate ``INFER_LR`` with ``step_gradients``' step math (no
     clipping), drawing its start vector, then all its sweeps' noise words, from
     its own ``default_rng(seed)``: the stream a one-sentence loop would take, so
-    the result does not depend on the batch. The word matrices never change, so
-    every (sentence, position) context sum is computed once; the sentences'
-    updates at one position run as a few array operations over all of them.
+    the result does not depend on the batch. The sentences run longest first,
+    ``INFER_CHUNK`` at a time, so the arrays of one chunk are alive at once.
     """
-    cfg = model.config
-    n, k, dim = cfg.window_n, cfg.negative_samples, cfg.vector_dim
     if len(token_seqs) != len(seeds):
         raise ValueError("need one seed per sentence")
     out = [None] * len(token_seqs)
-    ctx, targets, counts = _window_rows(model, token_seqs)
-    # Longest first, so the sentences active at position p form a prefix. A
-    # Python sort: numpy's stable sort would page in code nothing else runs.
-    n_rows = counts.tolist()
+    n_rows = [len(valid_positions(tokens, model.config.window_n)) for tokens in token_seqs]
+    # A Python sort: numpy's stable sort would page in code nothing else runs.
     order = sorted((i for i, c in enumerate(n_rows) if c), key=lambda i: -n_rows[i])
-    if not order:
-        return out
-    n_pos = counts[order]
+    for lo in range(0, len(order), INFER_CHUNK):
+        chunk = order[lo : lo + INFER_CHUNK]
+        vecs = _infer_longest_first(model, [token_seqs[i] for i in chunk],
+                                    [seeds[i] for i in chunk])
+        for i, vec in zip(chunk, vecs):
+            out[i] = vec
+    return out
+
+
+def _infer_longest_first(model, token_seqs, seeds):
+    """``infer_vectors``' matrix of vectors for sentences that each have a
+    position, longest first, so that the sentences active at position p form
+    a prefix. The word matrices never change, so every (sentence, position)
+    context sum is computed once; the sentences' updates at one position run
+    as a few array operations over all of them.
+    """
+    cfg = model.config
+    n, k, dim = cfg.window_n, cfg.negative_samples, cfg.vector_dim
+    ctx, targets, n_pos = _window_rows(model, token_seqs)
     # active[p]: number of sentences with more than p positions
     active = np.count_nonzero(n_pos[:, None] > np.arange(n_pos[0]), axis=0)
     # Position-major rows: position p is the block of rows block[p] ..
-    # block[p] + active[p] - 1, one per active sentence in ``order``.
+    # block[p] + active[p] - 1, one per sentence.
     block = np.cumsum(active) - active
     pos = np.repeat(np.arange(len(active)), active)
     rank = np.arange(len(pos)) - block[pos]
-    rows = (np.cumsum(counts) - counts)[order][rank] + pos
+    rows = (np.cumsum(n_pos) - n_pos)[rank] + pos
     ctx, targets = ctx[rows], targets[rows]
 
     # One context column at a time, in the order sum(axis=1) adds them.
@@ -357,17 +380,17 @@ def infer_vectors(model, token_seqs, seeds):
     # entries, so in the smallest integer type that holds a vocabulary index.
     cdf = model.noise_cdf()
     noise = np.empty((INFER_STEPS, len(rows), k), dtype=np.min_scalar_type(len(cdf) - 1))
-    vecs = np.empty((len(order), dim))
+    vecs = np.empty((len(token_seqs), dim))
     half = 0.5 / dim
-    for s, (i, c) in enumerate(zip(order, n_pos.tolist())):
-        rng = np.random.default_rng(seeds[i])
+    for s, (seed, c) in enumerate(zip(seeds, n_pos.tolist())):
+        rng = np.random.default_rng(seed)
         vecs[s] = rng.uniform(-half, half, size=dim)
         noise[:, block[:c] + s] = np.searchsorted(cdf, rng.random((INFER_STEPS, c, k)),
                                                   side="right")
 
     out_idx = np.empty((len(rows), k + 1), dtype=np.intp)
     out_idx[:, 0] = targets
-    u_buf = np.empty((len(order), k + 1, dim))
+    u_buf = np.empty((len(token_seqs), k + 1, dim))
     blocks = list(zip(block.tolist(), active.tolist()))
     with np.errstate(over="ignore"):
         for sweep in noise:
@@ -381,9 +404,7 @@ def infer_vectors(model, token_seqs, seeds):
                             mode="clip")
                 _, _, grad_h = _output_step(u, h)
                 vec -= INFER_LR * (grad_h / (n + 1))
-    for s, i in enumerate(order):
-        out[i] = vecs[s]
-    return out
+    return vecs
 
 
 def infer_vector(model, tokens, seed=0):

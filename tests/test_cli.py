@@ -402,9 +402,9 @@ def test_full_scope_embedding_sweep_runs_on_the_fused_rows(pipeline, monkeypatch
     tables = []
     run_repeated = experiment.run_repeated
 
-    def recording_run_repeated(table, events, config, sentences=None):
+    def recording_run_repeated(table, events, config):
         tables.append((config.pvdm["window_n"], table))
-        return run_repeated(table, events, config, sentences=sentences)
+        return run_repeated(table, events, config)
 
     monkeypatch.setattr(experiment, "run_repeated", recording_run_repeated)
     assert cli.main(["sweep", "--fused", str(fused),

@@ -278,7 +278,8 @@ def test_numeric_only_builds_no_fold_scoped_embedding(monkeypatch):
         config = quick_config(arm=arm, runs=2, embedding_scope="train_folds",
                               pvdm=pvdm_overrides)
         count = len(calls)
-        _, _, results = run_repeated(table, events, config, sentences=sentences)
+        results = [r for _, _, r in experiment.protocol_runs(table, events, {arm: config},
+                                                                 sentences)]
         urs[arm] = [r.test.relative_usefulness for r in results]
         assert len(calls) - count == (0 if arm == "numeric_only" else 2), arm
     # the MLP seeds from key 1 of the run seed, the embedding from key 2, so

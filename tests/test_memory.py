@@ -7,7 +7,9 @@ trains on), plus a fixed slack for ids, dicts and the model itself.
 """
 
 import json
+import sys
 import tracemalloc
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -126,6 +128,70 @@ def test_a_command_whose_runs_read_no_fused_vector_holds_none(text_pipeline, mon
     (table, _, _), peak = seen[0]
     assert peak < text_pipeline["rows"].nbytes, peak  # 5.65 MB
     assert table.semantic is None and len(table) == 1178
+
+
+def test_read_sentences_holds_one_string_per_distinct_token(tmp_path):
+    # 2,000 sentences of 20 tokens over a 10-word vocabulary: beyond the same
+    # sentences without tokens, each holds its tuple, not 20 strings of its own
+    rng = np.random.default_rng(0)
+    words = ["word%d" % i for i in range(10)]
+    paths = {}
+    for name, length in (("tokens", 20), ("empty", 0)):
+        paths[name] = str(tmp_path / ("%s.jsonl" % name))
+        corpus.write_sentences((corpus.Sentence(
+            sentence_id="s%d" % i, bank_id="b%d" % (i % 7),
+            published_at=datetime(2010, 1, 1 + i % 28, tzinfo=timezone.utc),
+            tokens=tuple(rng.choice(words, size=length).tolist())) for i in range(2000)),
+            paths[name])
+    sentences, peak, _ = traced(lambda: corpus.read_sentences(paths["tokens"]))
+    _, empty_peak, _ = traced(lambda: corpus.read_sentences(paths["empty"]))
+    tuples = len(sentences) * sys.getsizeof(sentences[0].tokens)  # 0.4 MB
+    assert peak - empty_peak <= 1.25 * tuples, (peak, empty_peak, tuples)
+    assert len({id(t) for s in sentences for t in s.tokens}) == len(words)
+    with open(paths["tokens"], encoding="utf-8") as fh:
+        assert [s.tokens for s in sentences] == [tuple(json.loads(line)["tokens"]) for line in fh]
+
+
+def pair_arrays_nbytes(model, sentences):
+    """Bytes of the arrays ``pvdm.train`` keeps for every (context, target)
+    pair: its context, target, paragraph row, shuffle slot and k + 1 scores."""
+    cfg = model.config
+    n_pairs = sum(len(pvdm.valid_positions(s.tokens, cfg.window_n)) for s in sentences)
+    return n_pairs * (cfg.window_n + 3 + cfg.negative_samples + 1) * 8
+
+
+def test_pvdm_train_holds_one_set_of_pair_arrays(text_pipeline):
+    # the text_pipeline benchmark's sentences and window, at a width where one
+    # batch's gathers are small next to the pair arrays: the noise words come
+    # NOISE_BATCHES batches at a time and the loss is taken in place
+    sentences = corpus.read_sentences(text_pipeline["sentences"])
+    config = pvdm.PvdmConfig(vector_dim=50, window_n=5, epochs=2, min_count=1)
+    model = pvdm.init_model(corpus.build_vocabulary(sentences, min_count=1), sentences, config)
+    pairs = pair_arrays_nbytes(model, sentences)
+    (_, losses), peak, _ = traced(lambda: pvdm.train(model, sentences))
+    assert pairs == 1186752  # 10,596 pairs
+    assert peak <= 1.25 * pairs + SLACK, peak
+    assert len(losses) == 2 and losses[1] < losses[0]
+
+
+def test_infer_vectors_holds_one_chunk_of_sentences(text_pipeline, monkeypatch):
+    # every sentence of the text_pipeline corpus at dimension 600, 16 at a
+    # time: beyond the vectors it returns, the call holds one chunk's context
+    # sums and output-row gathers, not those of the whole batch
+    sentences = corpus.read_sentences(text_pipeline["sentences"])
+    config = pvdm.PvdmConfig(vector_dim=600, window_n=5, min_count=1)
+    model = pvdm.init_model(corpus.build_vocabulary(sentences, min_count=1), sentences, config)
+    model.word_out[:] = np.random.default_rng(0).normal(0.0, 0.1, size=model.word_out.shape)
+    chunk = 16
+    monkeypatch.setattr(pvdm, "INFER_STEPS", 2)
+    monkeypatch.setattr(pvdm, "INFER_CHUNK", chunk)
+    seqs = [s.tokens for s in sentences]
+    vectors, peak, _ = traced(lambda: pvdm.infer_vectors(model, seqs, list(range(len(seqs)))))
+    held = sum(v.nbytes for v in vectors if v is not None)  # 5.65 MB
+    positions = sorted((len(pvdm.valid_positions(t, config.window_n)) for t in seqs),
+                       reverse=True)
+    chunk_rows = sum(positions[:chunk]) + chunk * (config.negative_samples + 1)
+    assert peak <= held + 2 * chunk_rows * config.vector_dim * 8 + SLACK, peak
 
 
 def test_save_model_writes_without_a_staging_copy(tmp_path):

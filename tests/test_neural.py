@@ -108,14 +108,19 @@ def test_forward_probabilities():
     assert probs.shape == (5, 2)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
     assert np.all(probs >= 0.0)
-    single = forward(model, x[0])
-    np.testing.assert_allclose(single, probs[0])
+    one_row = forward(model, x[:1])
+    np.testing.assert_allclose(one_row, probs[:1])
 
 
 def test_forward_input_validation():
     model = toy_model()
     with pytest.raises(ValueError, match="features"):
-        forward(model, np.zeros(5))
+        forward(model, np.zeros((1, 5)))
+    # one input is a batch of one row, not a 1-D vector
+    with pytest.raises(ValueError, match=r"2-D batch .*shape \(6,\)"):
+        forward(model, np.zeros(6))
+    with pytest.raises(ValueError, match=r"shape \(1, 1, 6\)"):
+        forward(model, np.zeros((1, 1, 6)))
 
 
 def test_dropout_scales_expectation():
@@ -125,7 +130,7 @@ def test_dropout_scales_expectation():
     masks = [neural_module._keep_scaled(np.random.default_rng(0).random((600, 4)), 0.5)]
     assert set(np.unique(masks[0])) == {0.0, 2.0}
     reps, _ = neural_module._forward_cached(model.weights, model.biases, x, masks)
-    infer = forward(model, x[0])
+    infer = forward(model, x[:1])[0]
     # inverted dropout keeps the expected activations near the infer pass
     np.testing.assert_allclose(reps.mean(axis=0), infer, atol=0.08)
 

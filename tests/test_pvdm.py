@@ -331,6 +331,22 @@ def test_train_matches_reference_train(monkeypatch, batch_pairs, repeated):
     np.testing.assert_allclose(got_losses, want_losses, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("noise_batches", [1, 5, 1000], ids=["one", "5", "more-than-all"])
+def test_noise_batches_leave_the_model_and_losses_unchanged(monkeypatch, noise_batches):
+    # 301 sentences of 8 pairs: 2,408 pairs in 75 batches of 32 and one of 8,
+    # so the default's second chunk of 64 batches is partial, as is the last
+    # of every 5
+    sents, vocab = toy_corpus(n_sentences=301, n_words=20, length=12, seed=5)
+    cfg = PvdmConfig(vector_dim=4, window_n=3, negative_samples=3, epochs=2, seed=1)
+    assert pvdm.BATCH_PAIRS == 32 and pvdm.NOISE_BATCHES == 64
+    default, default_losses = train(init_model(vocab, sents, cfg), sents)
+    monkeypatch.setattr(pvdm, "NOISE_BATCHES", noise_batches)
+    got, losses = train(init_model(vocab, sents, cfg), sents)
+    assert losses == default_losses
+    for name in ("word_in", "word_out", "paragraph"):
+        assert getattr(got, name).tobytes() == getattr(default, name).tobytes(), name
+
+
 def test_train_deterministic_and_loss_decreases():
     sents, vocab = toy_corpus(n_sentences=40, seed=2)
     cfg = PvdmConfig(vector_dim=12, window_n=2, epochs=5, lr_initial=0.05, seed=4)
@@ -509,6 +525,28 @@ def test_infer_vectors_batch_equals_each_sentence_alone(monkeypatch, dim, window
         else:
             np.testing.assert_array_equal(vec, alone)
     assert_matches_reference(model, batch, seeds, got)
+
+
+def test_infer_chunks_leave_the_vectors_unchanged(monkeypatch):
+    # the longest-first order cut into chunks of one, of three (the last one
+    # partial) and the default, which holds the whole batch
+    model, _ = randomized_model(dim=6, window=3, n_words=20)
+    rng = np.random.default_rng(8)
+    words = ["w%02d" % i for i in range(20)] + ["zzz"]
+    batch = [tuple(rng.choice(words, size=size)) for size in (12, 0, 5, 30, 4, 9, 5, 17, 6, 3,
+                                                               22)]
+    seeds = list(range(50, 50 + len(batch)))
+    set_infer_schedule(monkeypatch, 3, 0.05)
+    default = infer_vectors(model, batch, seeds)
+    assert sum(v is None for v in default) == 3 and pvdm.INFER_CHUNK > len(batch)
+    for chunk in (1, 3):
+        monkeypatch.setattr(pvdm, "INFER_CHUNK", chunk)
+        got = infer_vectors(model, batch, seeds)
+        assert [v is None for v in got] == [v is None for v in default]
+        for vec, want in zip(got, default):
+            if want is not None:
+                assert vec.tobytes() == want.tobytes()
+        assert_matches_reference(model, batch, seeds, got)
 
 
 def test_infer_vector_wraps_infer_vectors(monkeypatch):
