@@ -120,7 +120,7 @@ def init_model(config):
 
 
 class _Workspace:
-    """Buffers one ``train`` call reuses at every step.
+    """Buffers one ``train`` call reuses at every step, of ``dtype``.
 
     ``ahead`` (the lookahead point, one pass from the scaled velocity) and
     ``grad`` share the model's flat layout, with per-layer views and a view
@@ -129,14 +129,14 @@ class _Workspace:
     masks, one per hidden layer, or None to draw them from the step's rng.
     """
 
-    def __init__(self, config, batch_rows):
+    def __init__(self, config, batch_rows, dtype=np.float64):
         n_weights, size = _buffer_sizes(config)
-        self.ahead, self.grad = np.empty(size), np.empty(size)
+        self.ahead, self.grad = np.empty(size, dtype), np.empty(size, dtype)
         self.ahead_w, self.ahead_b = _layer_views(self.ahead, config)
         self.grad_w, self.grad_b = _layer_views(self.grad, config)
         self.ahead_region = self.ahead[:n_weights]
         self.grad_region = self.grad[:n_weights]
-        self.scratch = np.empty(n_weights)
+        self.scratch = np.empty(n_weights, dtype)
         self.rows = np.arange(batch_rows)
         self.masks = None
 
@@ -180,7 +180,11 @@ def _forward_cached(weights, biases, x, masks=None):
 
 
 def forward(model, x):
-    """Infer-mode class probabilities of a 2-D batch of inputs, one row each."""
+    """Infer-mode class probabilities of a 2-D batch of inputs, one row each.
+
+    The arithmetic is float64: numpy's type promotion upcasts float32
+    parameters (``train``'s working model, which the eval hook gets) exactly.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("input must be a 2-D batch (rows, features), got shape %s"
@@ -200,7 +204,8 @@ def loss(model, x, y):
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     probs, _ = _forward_cached(model.weights, model.biases, x)
-    nll = -np.log(np.clip(probs[np.arange(len(y)), y], 1e-300, None)).mean()
+    picked = np.clip(probs[np.arange(len(y)), y], np.finfo(probs.dtype).tiny, None)
+    nll = -np.log(picked).mean()
     penalty = model.config.l1 * sum(np.abs(w).sum() for w in model.weights)
     return nll + penalty
 
@@ -242,7 +247,9 @@ def _gradients(cfg, x, y, rng, workspace):
 
     rows = workspace.rows[:n]
     picked = probs[rows, y]
-    np.maximum(picked, 1e-300, out=picked)
+    # the smallest normal of the step's dtype: a clamp below it (1e-300 is 0
+    # in float32) would leave an underflowed probability at log(0)
+    np.maximum(picked, np.finfo(picked.dtype).tiny, out=picked)
     np.log(picked, out=picked)
     nll = -(np.add.reduce(picked) / n)
     # |w| summed per layer, in the gradient buffer before backprop fills it
@@ -262,8 +269,8 @@ def _gradients(cfg, x, y, rng, workspace):
                 delta *= masks[layer - 1]
             # AND delta's bits with ones where the unit is on, zeros where it is
             # off: np.putmask(delta, a <= 0, 0.0) bit for bit, but branch-free
-            keep = np.subtract(activations[layer] <= 0.0, 1, dtype=np.int64)
-            bits = delta.view(np.int64)
+            bits = delta.view("i%d" % delta.itemsize)
+            keep = np.subtract(activations[layer] <= 0.0, 1, dtype=bits.dtype)
             np.bitwise_and(bits, keep, out=bits)
     # into a buffer of its own: np.sign is several times slower in place
     penalty = np.sign(workspace.ahead_region, out=workspace.scratch)
@@ -309,7 +316,9 @@ def nesterov_step(model, x, y, lr, rng=None, ahead=None):
 def train(model, x_train, y_train, eval_hook=None):
     """Mini-batch Nesterov training with best-validation snapshotting.
 
-    ``eval_hook(model) -> score`` is called after every epoch; the parameter
+    The steps run in float32 (``_epochs``); the returned model is float64
+    and holds the float32 values exactly. ``eval_hook(model) -> score`` is
+    called after every epoch with the float32 working model; the parameter
     snapshot with the highest score is returned. Without a hook the final
     model is returned. The training curve rows are
     (epoch, mean step loss, validation score or nan).
@@ -335,62 +344,76 @@ def train(model, x_train, y_train, eval_hook=None):
         return model, curve
     # The epoch loop's buffers are freed by now; the best model takes the
     # snapshot as its parameters and a copy of the final velocities.
-    return MlpModel(copy.deepcopy(cfg), best_params, model.velocity.copy()), curve
+    return MlpModel(copy.deepcopy(cfg), best_params.astype(np.float64),
+                    model.velocity.copy()), curve
 
 
 def _epochs(model, x_train, y_train, eval_hook):
-    """``train``'s epoch loop on checked arrays.
+    """``train``'s epoch loop on checked arrays, in float32.
 
-    Returns the curve and the parameters of the best-scoring epoch (None
-    without a hook or without epochs).
+    The steps run on a float32 copy of the model, whose values the model's
+    own buffers take, upcast, at the end; the eval hook gets that copy.
+    Returns the curve and the float32 parameters of the best-scoring epoch
+    (None without a hook or without epochs).
     """
     cfg = model.config
     n = len(x_train)
     rng = np.random.default_rng([cfg.seed, 2])
+    work = MlpModel(cfg, model.params.astype(np.float32), model.velocity.astype(np.float32))
     order = np.arange(n)
     # Each minibatch is gathered into the front of these buffers, from its
-    # view of ``order``, which every epoch shuffles in place.
+    # view of ``order``, which every epoch shuffles in place; its rows are
+    # cast into batch_x, so no float32 copy of x_train is made.
     size = min(cfg.batch_size, n)
-    batch_x = np.empty((size, cfg.input_dim))
+    gather = np.empty((size, cfg.input_dim))
+    batch_x = np.empty((size, cfg.input_dim), dtype=np.float32)
     batch_y = np.empty(size, dtype=np.int64)
-    workspace = _Workspace(cfg, size)
-    # An epoch's dropout uniforms come from one draw after its shuffle: per
-    # minibatch in turn, a (rows, width) block per hidden layer, which is the
-    # stream that one draw per layer and step would take.
-    drops = None
+    workspace = _Workspace(cfg, size, np.float32)
+    # Each minibatch draws its dropout uniforms just before its step, into
+    # the front of ``drops``: a (rows, width) block per hidden layer, the
+    # stream that one draw per layer and step would take. Its float64 masks
+    # are cast into the front of ``masks32``.
+    drops = masks32 = None
     if cfg.dropout_p > 0.0 and cfg.hidden_layers:
-        drops = np.empty(n * sum(cfg.hidden_layers))
-    batches, offset = [], 0
+        drops = np.empty(size * sum(cfg.hidden_layers))
+        masks32 = np.empty(len(drops), dtype=np.float32)
+    batches = []
     for start in range(0, n, cfg.batch_size):
         rows = min(cfg.batch_size, n - start)
-        masks = None
+        masks = draw = None
         if drops is not None:
-            masks = []
+            masks, offset = [], 0
             for width in cfg.hidden_layers:
-                masks.append(drops[offset : offset + rows * width].reshape(rows, width))
+                masks.append(masks32[offset : offset + rows * width].reshape(rows, width))
                 offset += rows * width
-        batches.append((order[start : start + rows], batch_x[:rows], batch_y[:rows], masks))
+            draw = drops[:offset], masks32[:offset]
+        batches.append((order[start : start + rows], gather[:rows], batch_x[:rows],
+                        batch_y[:rows], masks, draw))
     curve = []
     best_score = None
     # overwritten in place, so one snapshot is alive at a time
-    snapshot = None if eval_hook is None else np.empty_like(model.params)
+    snapshot = None if eval_hook is None else np.empty_like(work.params)
     for epoch in range(cfg.epochs):
         rng.shuffle(order)
-        if drops is not None:
-            _keep_scaled(rng.random(out=drops), cfg.dropout_p)
         losses = []
-        for batch, x, y, masks in batches:
+        for batch, rows64, x, y, masks, draw in batches:
+            if draw is not None:
+                uniforms, cast = draw
+                np.copyto(cast, _keep_scaled(rng.random(out=uniforms), cfg.dropout_p))
             workspace.masks = masks
-            x_train.take(batch, axis=0, out=x, mode="clip")
+            x_train.take(batch, axis=0, out=rows64, mode="clip")
+            np.copyto(x, rows64)
             y_train.take(batch, out=y, mode="clip")
-            losses.append(nesterov_step(model, x, y, cfg.lr, rng=rng, ahead=workspace))
+            losses.append(nesterov_step(work, x, y, cfg.lr, rng=rng, ahead=workspace))
         score = float("nan")
         if eval_hook is not None:
-            score = eval_hook(model)
+            score = eval_hook(work)
             if best_score is None or score > best_score:
                 best_score = score
-                snapshot[...] = model.params
+                snapshot[...] = work.params
         curve.append((epoch, float(np.mean(losses)), score))
+    model.params[...] = work.params
+    model.velocity[...] = work.velocity
     return curve, None if best_score is None else snapshot
 
 

@@ -153,6 +153,35 @@ def test_run_once_fold_roles_partition_banks():
     assert sorted(b for banks in by_fold.values() for b in banks) == sorted(set(table.bank_ids))
 
 
+@pytest.mark.parametrize("sem_dim", [8, 64])
+def test_run_once_validation_report_scores_the_best_hook_score(monkeypatch, sem_dim):
+    # train steps in float32 and hands the hook its float32 working model; the
+    # float64 model it returns holds those values exactly, so the run's
+    # validation report scores what the hook scored at the best epoch
+    table, events = toy_table(sem_dim=sem_dim)
+    scores, returned = [], []
+    original = experiment_module.neural.train
+
+    def recording_train(model, x_train, y_train, eval_hook=None):
+        def hook(m):
+            scores.append(eval_hook(m))
+            return scores[-1]
+
+        best, curve = original(model, x_train, y_train, eval_hook=hook)
+        returned.append(best)
+        return best, curve
+
+    monkeypatch.setattr(experiment_module.neural, "train", recording_train)
+    config = quick_config(mlp={"epochs": 6, "hidden_layers": (6,)})
+    result = run_once(table, events, config, run_seed=42)
+    assert len(scores) == 6
+    assert result.validation.relative_usefulness == max(scores)
+    (best,) = returned
+    for values in (best.params, best.velocity):
+        assert values.dtype == np.float64
+        assert np.array_equal(values.astype(np.float32).astype(float), values)
+
+
 def test_run_once_arm_isolation():
     table, events = toy_table()
     cfg_text = quick_config(arm="text_only", runs=1)

@@ -249,6 +249,44 @@ def test_noise_cdf_ends_at_one():
     assert np.searchsorted(cdf, np.nextafter(1.0, 0.0), side="right") == 9
 
 
+def model_with_noise(probs):
+    """A one-sentence model whose vocabulary has the noise distribution ``probs``."""
+    sents = [make_sentence("s0", ["w%d" % i for i in range(len(probs))])]
+    vocab = replace(build_vocabulary(sents, min_count=1), noise_probs=np.asarray(probs))
+    return init_model(vocab, sents, PvdmConfig(vector_dim=4, window_n=2))
+
+
+def zipf_probs(n, zeros=0):
+    """Counts 1/rank over ``n`` words raised to the noise power, with the
+    last ``zeros`` of them at zero mass."""
+    weights = (1.0 / np.arange(1, n + 1)) ** corpus.NOISE_POWER
+    weights[n - zeros:] = 0.0
+    return weights / weights.sum()
+
+
+@pytest.mark.parametrize("probs", [
+    zipf_probs(163),
+    zipf_probs(40, zeros=6),
+    np.full(11, 0.1) * (np.arange(11) < 10),  # a cumsum that ends below 1.0
+    zipf_probs(10_000),  # more cdf steps than buckets
+    [1.0],
+], ids=["text-pipeline-vocabulary", "zero-mass-tail", "equal-weights", "large", "one-word"])
+def test_noise_words_equal_the_search(probs):
+    model = model_with_noise(probs)
+    cdf = model.noise_cdf()
+    below_one = np.nextafter(1.0, 0.0)
+    edges = np.arange(pvdm.NOISE_BUCKETS) / pvdm.NOISE_BUCKETS
+    special = np.concatenate([[0.0, below_one], cdf, np.nextafter(cdf, 0.0),
+                              np.nextafter(cdf, 1.0), edges, np.nextafter(edges, 1.0),
+                              np.nextafter(edges[1:], 0.0)])
+    special = special[special < 1.0]
+    draws = np.random.default_rng(0).random(1_000_000)
+    for u in (special, draws, draws[:999_990].reshape(-1, 5, 2)):
+        got = model.noise_words(u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, np.searchsorted(cdf, u, side="right"))
+
+
 # ---------------------------------------------------------------------------
 # Training
 
