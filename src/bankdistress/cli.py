@@ -1,7 +1,6 @@
 """Command-line entry point for the full pipeline and experiment protocol."""
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict, replace
@@ -197,7 +196,7 @@ def _cmd_report(args):
     path = os.path.join(args.results, "summary.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
+            summary = corpus.parse_json(fh.read())
         lines = ["mu=%s runs=%s" % (summary["config"]["mu"], summary["config"]["runs"])]
         for arm in sorted(summary["arms"]):
             entry = summary["arms"][arm]

@@ -163,6 +163,15 @@ def _registry_entity(row):
     return entity
 
 
+def parse_json(text):
+    """``json.loads(text)``; a value nested deeper than the decoder's recursion
+    limit raises ValueError instead of RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON value nested too deeply") from None
+
+
 def compile_registry(registry_file):
     """Load and validate a bank registry JSON file.
 
@@ -176,11 +185,13 @@ def compile_registry(registry_file):
     with open(registry_file, "r", encoding="utf-8") as fh:
         raw = fh.read()
     try:
-        rows = json.loads(raw)
+        rows = parse_json(raw)
     except json.JSONDecodeError as exc:
         raise RegistryError(
             "malformed registry %s: line %d: %s" % (registry_file, exc.lineno, exc.msg)
         ) from exc
+    except ValueError as exc:
+        raise RegistryError("malformed registry %s: %s" % (registry_file, exc)) from None
     if not isinstance(rows, list):
         raise RegistryError("registry %s: expected a JSON list" % registry_file)
 
@@ -336,7 +347,7 @@ def _loads_with_spans(line):
 
     The object is parsed by the stdlib's ``JSONObject`` around the stdlib
     scanner, which is told to record where each top-level value starts and
-    ends. A line that does not parse that way goes to ``json.loads``, so its
+    ends. A line that does not parse that way goes to ``parse_json``, so its
     errors and non-object values are json's own.
     """
     spans = []
@@ -349,11 +360,11 @@ def _loads_with_spans(line):
     if line.startswith("{"):
         try:
             pairs, end = json.decoder.JSONObject((line, 1), True, scan_once, None, list, {})
-        except ValueError:
+        except (ValueError, RecursionError):
             end = None
         if end == len(line):
             return dict(pairs), {key: span for (key, _), span in zip(pairs, spans)}
-    return json.loads(line), {}
+    return parse_json(line), {}
 
 
 def read_jsonl(path, parse, unique=None, span=None):
@@ -371,7 +382,7 @@ def read_jsonl(path, parse, unique=None, span=None):
     for line_no, offset, line in _nonblank_lines(path):
         try:
             if span is None:
-                row = json.loads(line)
+                row = parse_json(line)
             else:
                 row, spans = _loads_with_spans(line)
             if not isinstance(row, dict):

@@ -1,15 +1,14 @@
 """Repeated-run protocol: grouped folds, per-run normalization, arms, sweeps."""
 
-import json
 import numbers
 from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
 from . import evaluation, neural, pvdm
-from .corpus import build_vocabulary, require_int, write_json
-from .fusion import (ARMS, TEXT_ARMS, apply_normalization, assign_folds, fit_normalization,
-                     project_arm, semantic_rows)
+from .corpus import build_vocabulary, parse_json, require_int, write_json
+from .fusion import (ARMS, TEXT_ARMS, apply_normalization, arm_blocks, assign_folds,
+                     fit_normalization, project_arm, semantic_rows)
 
 TRAIN_FOLDS = (0, 1, 2)
 VALIDATION_FOLD = 3
@@ -87,7 +86,7 @@ def read_config(path):
     checks them; every error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            settings = json.load(fh)
+            settings = parse_json(fh.read())
         _check_keys("config", settings, [f.name for f in fields(ExperimentConfig)])
         ExperimentConfig(**settings)
     except ValueError as exc:
@@ -220,14 +219,16 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None, share
             shared[key] = semantic_rows(table.sentence_ids, vectors, "sentences"), zeros
         semantic, zero_vectors = shared[key]
 
-    def arm_inputs(rows):
+    def numeric(rows):
         # z-scoring is elementwise, so each role's rows take the same values
         # as rows of a z-scored whole table would
-        numeric = apply_normalization(stats, table.numeric_raw[rows])
-        return project_arm(semantic, numeric, rows, config.arm)
+        return apply_normalization(stats, table.numeric_raw[rows])
 
-    # Each role's inputs are built as they are needed: the test rows only
-    # once the training rows are freed.
+    def arm_inputs(rows):
+        return project_arm(semantic, numeric(rows), rows, config.arm)
+
+    # Training reads its rows from the table minibatch by minibatch; the
+    # validation inputs are freed before the test inputs are built.
     x_val = arm_inputs(val_rows)
     model = neural.init_model(neural.MlpConfig(**dict(
         config.mlp, input_dim=x_val.shape[1], seed=derive_run_seed(run_seed, 1))))
@@ -238,10 +239,12 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None, share
         tau = evaluation.pick_threshold(scores, config.mu)
         return evaluation.usefulness_report(scores, config.mu, tau)
 
-    best, _curve = neural.train(model, arm_inputs(train_rows), table.labels[train_rows],
-                                eval_hook=lambda m: val_report(m).relative_usefulness)
+    best, _curve = neural.train(
+        model, arm_blocks(semantic, numeric(train_rows), train_rows, config.arm),
+        table.labels[train_rows], eval_hook=lambda m: val_report(m).relative_usefulness)
     validation = val_report(best)
     tau = validation.threshold
+    del x_val
 
     test_scores = evaluation.aggregate_monthly(neural.predict(best, arm_inputs(test_rows)),
                                                test_groups)

@@ -173,30 +173,40 @@ def assign_folds(bank_ids, k=5, seed=0):
     return FoldAssignment(fold_of={b: i % k for i, b in enumerate(order)})
 
 
-ARM_ROW_CHUNK = 256  # rows gathered at a time into a combined arm's inputs
+ARM_ROW_CHUNK = 256  # rows gathered at a time into an arm's inputs
+
+
+def arm_blocks(semantic, numeric, rows, arm):
+    """Experiment arm ``arm``'s input columns for the samples ``rows``, left to
+    right, as (matrix, row indices) blocks: ``semantic`` read at ``rows``,
+    then the z-scored indicator block ``numeric`` (one row per entry of
+    ``rows``) read in order. Only the arms that read ``semantic`` touch it.
+    """
+    if arm not in ARMS:
+        raise ValueError("unknown arm %r" % arm)
+    blocks = [(semantic, rows)] if arm in TEXT_ARMS else []
+    if arm != "text_only":
+        blocks.append((numeric, np.arange(len(rows))))
+    return blocks
 
 
 def project_arm(semantic, numeric, rows, arm):
-    """Experiment arm ``arm``'s inputs for the samples ``rows``: their rows of
-    ``semantic`` (one row per sample), the z-scored indicator block
-    ``numeric`` (one row per entry of ``rows``), or both side by side.
+    """``arm_blocks``' columns side by side, as a new C-ordered matrix, or
+    ``numeric`` itself for ``numeric_only``.
 
-    The result is a new C-ordered matrix, or ``numeric`` itself. Only the
-    arms that read ``semantic`` touch it, and a combined arm's semantic
-    columns are gathered into place ARM_ROW_CHUNK rows at a time, so no
-    full-size block is built twice.
+    Each block's rows are gathered into place ARM_ROW_CHUNK rows at a time,
+    so no full-size block is built twice.
     """
+    blocks = arm_blocks(semantic, numeric, rows, arm)
     if arm == "numeric_only":
         return numeric
-    if arm == "text_only":
-        return semantic[rows]
-    if arm != "combined":
-        raise ValueError("unknown arm %r" % arm)
-    width = semantic.shape[1]
-    out = np.empty((len(rows), width + numeric.shape[1]))
-    out[:, width:] = numeric
+    out = np.empty((len(rows), sum(matrix.shape[1] for matrix, _ in blocks)))
     for lo in range(0, len(rows), ARM_ROW_CHUNK):
-        out[lo:lo + ARM_ROW_CHUNK, :width] = semantic[rows[lo:lo + ARM_ROW_CHUNK]]
+        col = 0
+        for matrix, at in blocks:
+            width = matrix.shape[1]
+            out[lo:lo + ARM_ROW_CHUNK, col:col + width] = matrix[at[lo:lo + ARM_ROW_CHUNK]]
+            col += width
     return out
 
 
@@ -261,16 +271,19 @@ def build_sample_table(sentences, vectors_by_id, indicators, events):
 
 
 def _read_csv(path, parse):
-    """``parse(row)`` of every row of a CSV file with a header line; a row
-    that ``parse`` rejects with ValueError raises ValueError naming path:line."""
+    """``parse(row)`` of every row of a CSV file with a header line; a line
+    that the csv module cannot read (a field over its size limit, say), or
+    a row that ``parse`` rejects with ValueError, raises ValueError naming
+    path:line."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            try:
+        try:
+            for row in reader:
                 out.append(parse(row))
-            except ValueError as exc:
-                raise ValueError("%s:%d: %s" % (path, reader.line_num, exc)) from None
+        except (csv.Error, ValueError) as exc:
+            # the csv reader's own count: DictReader's is the last good row's
+            raise ValueError("%s:%d: %s" % (path, reader.reader.line_num, exc)) from None
     return out
 
 
@@ -281,6 +294,8 @@ def _parse_indicators(row):
     cells = [row.get(name) for name in INDICATOR_NAMES]
     if None in cells:
         raise ValueError("row has fewer than %d indicator columns" % NUMERIC_DIM)
+    if row.get("bank_id") is None:
+        raise ValueError("row has no bank_id column")
     return QuarterlyIndicators(
         bank_id=row["bank_id"],
         year=int(q[:4]),

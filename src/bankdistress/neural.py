@@ -313,23 +313,63 @@ def nesterov_step(model, x, y, lr, rng=None, ahead=None):
     return value
 
 
+def _row_blocks(x_train, input_dim):
+    """``train``'s inputs as checked (matrix, row indices) column blocks.
+
+    A 2-D array is one block read at rows 0..n-1. A list holds (matrix,
+    rows) pairs: row i of the inputs is row ``rows[i]`` of each block's
+    matrix, the blocks' columns side by side, left to right.
+    """
+    if not isinstance(x_train, list):
+        x = np.asarray(x_train, dtype=float)
+        if x.ndim != 2 or x.shape[1] != input_dim:
+            raise ValueError("x_train must be 2-D with %d columns, got shape %s"
+                             % (input_dim, x.shape))
+        return [(x, np.arange(len(x)))]
+    if not x_train:
+        raise ValueError("x_train holds no column blocks")
+    blocks = []
+    for i, (matrix, rows) in enumerate(x_train):
+        matrix, rows = np.asarray(matrix, dtype=float), np.asarray(rows)
+        if matrix.ndim != 2:
+            raise ValueError("x_train block %d must be 2-D, got shape %s" % (i, matrix.shape))
+        if rows.ndim != 1 or rows.dtype.kind not in "iu":
+            raise ValueError("x_train block %d must be read at a 1-D array of integer "
+                             "row indices, got %s of shape %s" % (i, rows.dtype, rows.shape))
+        # the minibatch gathers clip, so an index outside the matrix is caught here
+        outside = rows[(rows < 0) | (rows >= len(matrix))]
+        if len(outside):
+            raise ValueError("x_train block %d reads row %d of a %d-row matrix"
+                             % (i, outside[0], len(matrix)))
+        blocks.append((matrix, rows.astype(np.intp, copy=False)))
+    counts = [len(rows) for _, rows in blocks]
+    if len(set(counts)) > 1:
+        raise ValueError("x_train blocks are read at different numbers of rows: %s"
+                         % ", ".join(map(str, counts)))
+    widths = [matrix.shape[1] for matrix, _ in blocks]
+    if sum(widths) != input_dim:
+        raise ValueError("x_train blocks are %s columns wide, %d in all; the model "
+                         "expects %d" % (" + ".join(map(str, widths)), sum(widths), input_dim))
+    return blocks
+
+
 def train(model, x_train, y_train, eval_hook=None):
     """Mini-batch Nesterov training with best-validation snapshotting.
 
-    The steps run in float32 (``_epochs``); the returned model is float64
-    and holds the float32 values exactly. ``eval_hook(model) -> score`` is
-    called after every epoch with the float32 working model; the parameter
+    ``x_train`` is a 2-D array, or a list of (matrix, row indices) column
+    blocks (``_row_blocks``), from which each minibatch is gathered as it is
+    trained on, so no matrix of all the training inputs is built. The steps
+    run in float32 (``_epochs``); the returned model is float64 and holds
+    the float32 values exactly. ``eval_hook(model) -> score`` is called
+    after every epoch with the float32 working model; the parameter
     snapshot with the highest score is returned. Without a hook the final
     model is returned. The training curve rows are
     (epoch, mean step loss, validation score or nan).
     """
     cfg = model.config
-    x_train = np.asarray(x_train, dtype=float)
+    blocks = _row_blocks(x_train, cfg.input_dim)
     y_train = np.asarray(y_train)
-    if x_train.ndim != 2 or x_train.shape[1] != cfg.input_dim:
-        raise ValueError("x_train must be 2-D with %d columns, got shape %s"
-                         % (cfg.input_dim, x_train.shape))
-    n = len(x_train)
+    n = len(blocks[0][1])
     if n == 0:
         raise ValueError("empty training set")
     if y_train.shape != (n,):
@@ -339,7 +379,7 @@ def train(model, x_train, y_train, eval_hook=None):
             or y_train.max() >= N_CLASSES):
         raise ValueError("labels must be integers in [0, %d)" % N_CLASSES)
     y_train = y_train.astype(np.int64, copy=False)
-    curve, best_params = _epochs(model, x_train, y_train, eval_hook)
+    curve, best_params = _epochs(model, blocks, y_train, eval_hook)
     if best_params is None:
         return model, curve
     # The epoch loop's buffers are freed by now; the best model takes the
@@ -348,8 +388,8 @@ def train(model, x_train, y_train, eval_hook=None):
                     model.velocity.copy()), curve
 
 
-def _epochs(model, x_train, y_train, eval_hook):
-    """``train``'s epoch loop on checked arrays, in float32.
+def _epochs(model, blocks, y_train, eval_hook):
+    """``train``'s epoch loop on checked column blocks, in float32.
 
     The steps run on a float32 copy of the model, whose values the model's
     own buffers take, upcast, at the end; the eval hook gets that copy.
@@ -357,15 +397,18 @@ def _epochs(model, x_train, y_train, eval_hook):
     (None without a hook or without epochs).
     """
     cfg = model.config
-    n = len(x_train)
+    n = len(y_train)
     rng = np.random.default_rng([cfg.seed, 2])
     work = MlpModel(cfg, model.params.astype(np.float32), model.velocity.astype(np.float32))
     order = np.arange(n)
-    # Each minibatch is gathered into the front of these buffers, from its
-    # view of ``order``, which every epoch shuffles in place; its rows are
-    # cast into batch_x, so no float32 copy of x_train is made.
+    # Every epoch shuffles ``order`` in place and reads each block's row
+    # indices through it into ``epoch_rows``. Each minibatch gathers its
+    # view of those indices from each block's matrix into the front of the
+    # block's ``gathers`` buffer, whose rows are cast into the block's
+    # columns of batch_x, so no (n, input_dim) matrix is built.
     size = min(cfg.batch_size, n)
-    gather = np.empty((size, cfg.input_dim))
+    epoch_rows = [np.empty(n, dtype=np.intp) for _ in blocks]
+    gathers = [np.empty((size, matrix.shape[1])) for matrix, _ in blocks]
     batch_x = np.empty((size, cfg.input_dim), dtype=np.float32)
     batch_y = np.empty(size, dtype=np.int64)
     workspace = _Workspace(cfg, size, np.float32)
@@ -387,22 +430,32 @@ def _epochs(model, x_train, y_train, eval_hook):
                 masks.append(masks32[offset : offset + rows * width].reshape(rows, width))
                 offset += rows * width
             draw = drops[:offset], masks32[:offset]
-        batches.append((order[start : start + rows], gather[:rows], batch_x[:rows],
-                        batch_y[:rows], masks, draw))
+        reads, col = [], 0
+        for (matrix, _), at, gather in zip(blocks, epoch_rows, gathers):
+            width = matrix.shape[1]
+            reads.append((matrix, at[start : start + rows], gather[:rows],
+                          batch_x[:rows, col : col + width]))
+            col += width
+        batches.append((order[start : start + rows], reads, batch_x[:rows], batch_y[:rows],
+                        masks, draw))
     curve = []
     best_score = None
     # overwritten in place, so one snapshot is alive at a time
     snapshot = None if eval_hook is None else np.empty_like(work.params)
     for epoch in range(cfg.epochs):
         rng.shuffle(order)
+        for (_, rows), at in zip(blocks, epoch_rows):
+            rows.take(order, out=at, mode="clip")  # order is a permutation of 0..n-1
         losses = []
-        for batch, rows64, x, y, masks, draw in batches:
+        for batch, reads, x, y, masks, draw in batches:
             if draw is not None:
                 uniforms, cast = draw
                 np.copyto(cast, _keep_scaled(rng.random(out=uniforms), cfg.dropout_p))
             workspace.masks = masks
-            x_train.take(batch, axis=0, out=rows64, mode="clip")
-            np.copyto(x, rows64)
+            # _row_blocks checked every row index, so clipping moves none
+            for matrix, at, rows64, columns in reads:
+                matrix.take(at, axis=0, out=rows64, mode="clip")
+                np.copyto(columns, rows64)
             y_train.take(batch, out=y, mode="clip")
             losses.append(nesterov_step(work, x, y, cfg.lr, rng=rng, ahead=workspace))
         score = float("nan")

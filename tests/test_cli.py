@@ -900,6 +900,73 @@ def test_report_names_the_summary_file(capsys, tmp_path, text, fragment):
     assert_one_error_line(capsys, rc, "error: %s: " % (tmp_path / "summary.json"), fragment)
 
 
+def csv_argv(pipeline, d, events=None, indicators=None, command="fuse"):
+    """``fuse``, or ``experiment`` (one small run), on the pipeline's inputs
+    with ``events`` or ``indicators`` in place of its own."""
+    data = pipeline["data"]
+    events = events or os.path.join(data, "events.csv")
+    if command == "experiment":
+        return ["experiment", "--fused", pipeline["fused"], "--events", events,
+                "--config", pipeline["config"], "--runs", "1", "--out", os.path.join(d, "out")]
+    return ["fuse", "--sentences", pipeline["sentences"], "--vectors", pipeline["vectors"],
+            "--indicators", indicators or os.path.join(data, "indicators.csv"),
+            "--events", events, "--out", os.path.join(d, "fused.jsonl")]
+
+
+@pytest.mark.parametrize("reader,command", [("events", "experiment"), ("indicators", "fuse")])
+def test_an_oversized_csv_field_names_file_and_line(pipeline, capsys, tmp_path, reader,
+                                                    command):
+    src = os.path.join(pipeline["data"], reader + ".csv")
+    with open(src, encoding="utf-8") as fh:
+        second = fh.read().splitlines()[1]
+    bad = replace_line(src, tmp_path / "bad.csv", 2, second + "x" * 200_000)
+    rc = cli.main(csv_argv(pipeline, str(tmp_path), command=command, **{reader: bad}))
+    assert_one_error_line(capsys, rc, "error: %s:2: field larger than field limit" % bad)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # past any decoder's recursion limit
+
+
+@pytest.mark.parametrize("reader", ["articles", "sentences", "vectors", "fused", "registry",
+                                    "config", "summary"])
+def test_deeply_nested_json_names_the_file(pipeline, capsys, tmp_path, reader):
+    data = pipeline["data"]
+    inputs = {"articles": os.path.join(data, "articles.jsonl"),
+              "registry": os.path.join(data, "registry.json"),
+              "sentences": pipeline["sentences"], "vectors": pipeline["vectors"],
+              "fused": pipeline["fused"], "config": pipeline["config"]}
+    if reader in ("registry", "config", "summary"):
+        bad = tmp_path / ("summary.json" if reader == "summary" else reader + ".json")
+        bad.write_text(DEEP, encoding="utf-8")
+        want = "error: %s: JSON value nested too deeply" % bad
+        if reader == "registry":
+            want = "error: malformed registry %s: JSON value nested too deeply" % bad
+    else:
+        # an object whose value nests: the vectors reader records where each
+        # value's text lies, and decodes such a line its own way
+        bad = tmp_path / (reader + ".jsonl")
+        replace_line(inputs[reader], bad, 2, '{"sentence_id": %s}' % DEEP)
+        want = "error: %s:2: JSON value nested too deeply" % bad
+    inputs[reader] = str(bad)
+    out = str(tmp_path / "out")
+    if reader in ("articles", "registry"):
+        argv = ["ingest", "--articles", inputs["articles"], "--registry", inputs["registry"],
+                "--out", out]
+    elif reader == "sentences":
+        argv = ["embed", "--sentences", inputs["sentences"], "--out", out + ".npz",
+                "--dim", "4", "--window", "2", "--epochs", "1"]
+    elif reader == "vectors":
+        argv = ["fuse", "--sentences", inputs["sentences"], "--vectors", inputs["vectors"],
+                "--indicators", os.path.join(data, "indicators.csv"),
+                "--events", os.path.join(data, "events.csv"), "--out", out]
+    elif reader == "summary":
+        argv = ["report", "--results", str(tmp_path)]
+    else:
+        argv = ["experiment", "--fused", inputs["fused"], "--config", inputs["config"],
+                "--events", os.path.join(data, "events.csv"), "--runs", "1", "--out", out]
+    assert_one_error_line(capsys, cli.main(argv), want)
+
+
 @pytest.mark.parametrize("grid,bad", [("a,b", "'a'"), ("0.1,1e-x", "'1e-x'"), ("", "''")])
 def test_sweep_rejects_a_grid_value_that_is_not_a_number(pipeline, capsys, grid, bad):
     rc = cli.main(["sweep", "--fused", pipeline["fused"],
@@ -1045,3 +1112,50 @@ def test_any_edited_ingest_field_exits_cleanly(pipeline, target, row_no, value):
         assert_exits_cleanly(["ingest", "--articles", inputs["articles"],
                               "--registry", inputs["registry"],
                               "--out", os.path.join(d, "sentences.jsonl")])
+
+
+def corrupt_csv_line(line, edit, at, text):
+    """``line`` of a CSV file with one corruption ``edit`` at character or
+    field position ``at``, with ``text`` where the edit inserts any."""
+    fields = line.split(",")
+    field = at % len(fields)
+    if edit == "quote":
+        return line[:at % (len(line) + 1)] + '"' + line[at % (len(line) + 1):]
+    if edit == "nul":
+        return line[:at % (len(line) + 1)] + "\x00" + line[at % (len(line) + 1):]
+    if edit == "oversized":
+        fields[field] += "z" * 140_000
+    elif edit == "missing":
+        del fields[field]
+    elif edit == "extra":
+        fields.insert(field, text)
+    else:  # a field, often a number, replaced by text
+        fields[field] = text
+    return ",".join(fields)
+
+
+@settings(max_examples=40, deadline=None)
+@given(target=st.sampled_from([("events", "fuse"), ("events", "experiment"),
+                               ("indicators", "fuse")]),
+       line_no=st.integers(min_value=0, max_value=3),
+       edit=st.sampled_from(["quote", "nul", "oversized", "missing", "extra", "text"]),
+       at=st.integers(min_value=0, max_value=400),
+       text=st.text(max_size=8) | st.sampled_from(["nan", "inf", "-1e999", "1e5x", ""]))
+@example(target=("events", "experiment"), line_no=1, edit="oversized", at=3, text="")
+@example(target=("indicators", "fuse"), line_no=0, edit="missing", at=0, text="")
+@example(target=("indicators", "fuse"), line_no=0, edit="text", at=0, text="bank")
+def test_any_corrupted_csv_line_exits_cleanly(pipeline, target, line_no, edit, at, text):
+    """One line of the events or indicators file, given a stray quote, a NUL
+    byte, an oversized field, a missing or extra column or text in place of
+    a field (the header included), either leaves the command working or
+    ends it with one ``error:`` line."""
+    reader, command = target
+    with tempfile.TemporaryDirectory() as d:
+        src = os.path.join(pipeline["data"], reader + ".csv")
+        with open(src, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[line_no] = corrupt_csv_line(lines[line_no], edit, at, text)
+        bad = os.path.join(d, reader + ".csv")
+        with open(bad, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert_exits_cleanly(csv_argv(pipeline, d, command=command, **{reader: bad}))

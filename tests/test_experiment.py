@@ -240,6 +240,13 @@ def fused_table_oracle(table, semantic, fold_of, arm):
     return [projected[mask] for mask in masks]
 
 
+def sorted_rows(x, y):
+    """The rows of ``x`` (as float64) with their labels ``y`` appended, in
+    lexicographic order: a multiset of labelled rows, whatever their order."""
+    rows = np.column_stack([np.asarray(x, dtype=np.float64), y])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 @pytest.mark.parametrize("scope", ["full", "train_folds"])
 @pytest.mark.parametrize("run_seed", [11, 12])
 @pytest.mark.parametrize("arm", ["combined", "text_only", "numeric_only"])
@@ -249,12 +256,18 @@ def test_run_once_role_inputs_match_the_fused_table_oracle(monkeypatch, arm, run
     # 300 training rows: more than one of project_arm's gathering chunks
     table, events = toy_table(n_banks=10, n_months=25, per_month=2)
     sentences = toy_sentences(table)
-    fed = {"train": [], "predict": [], "vectors": []}
-    train, predict, scoped = neural.train, neural.predict, experiment.fold_scoped_vectors
+    fed = {"train": [], "steps": [], "predict": [], "vectors": []}
+    train, step = neural.train, neural.nesterov_step
+    predict, scoped = neural.predict, experiment.fold_scoped_vectors
 
     def record_train(model, x, y, eval_hook=None):
-        fed["train"].append(x)
+        fed["train"].append((x, y))
         return train(model, x, y, eval_hook=eval_hook)
+
+    def record_step(model, x, y, lr, rng=None, ahead=None):
+        # the minibatch buffers are reused, so each step's rows are copied
+        fed["steps"].append((x.copy(), y.copy()))
+        return step(model, x, y, lr, rng=rng, ahead=ahead)
 
     def record_predict(model, x):
         fed["predict"].append(x)
@@ -266,6 +279,7 @@ def test_run_once_role_inputs_match_the_fused_table_oracle(monkeypatch, arm, run
         return vectors, zero_vectors
 
     monkeypatch.setattr(neural, "train", record_train)
+    monkeypatch.setattr(neural, "nesterov_step", record_step)
     monkeypatch.setattr(neural, "predict", record_predict)
     monkeypatch.setattr(experiment, "fold_scoped_vectors", record_scoped)
     config = quick_config(arm=arm, runs=1, embedding_scope=scope,
@@ -280,12 +294,29 @@ def test_run_once_role_inputs_match_the_fused_table_oracle(monkeypatch, arm, run
         semantic = np.vstack([vectors[sid] for sid in table.sentence_ids])
     else:
         assert not fed["vectors"]  # full scope, or an arm that reads no semantic vectors
+    want_train, want_val, want_test = fused_table_oracle(table, semantic, result.fold_of, arm)
+    fold = np.array([result.fold_of[b] for b in table.bank_ids])
+    want_labels = table.labels[np.isin(fold, TRAIN_FOLDS)]
+
+    # train gets column blocks whose rows, side by side, are the oracle's
+    ((blocks, labels),) = fed["train"]
+    assert np.array_equal(np.hstack([matrix[rows] for matrix, rows in blocks]), want_train)
+    assert np.array_equal(labels, want_labels)
+    # every epoch's minibatches are the oracle's rows, cast to float32, with
+    # their labels, each once
+    epochs, batches = config.mlp["epochs"], -(-len(want_train) // 64)
+    assert len(fed["steps"]) == epochs * batches
+    for epoch in range(epochs):
+        steps = fed["steps"][epoch * batches : (epoch + 1) * batches]
+        assert all(x.dtype == np.float32 for x, _ in steps)
+        got = sorted_rows(np.concatenate([x for x, _ in steps]),
+                          np.concatenate([y for _, y in steps]))
+        assert np.array_equal(got, sorted_rows(want_train.astype(np.float32), want_labels))
+
     # the eval hook predicts on the validation inputs; the last call is the test
-    got = [fed["train"][0], fed["predict"][0], fed["predict"][-1]]
-    assert len(fed["train"]) == 1
-    assert all(x is got[1] for x in fed["predict"][:-1])
-    for role, x, want in zip(("train", "validation", "test"), got,
-                             fused_table_oracle(table, semantic, result.fold_of, arm)):
+    got = [fed["predict"][0], fed["predict"][-1]]
+    assert all(x is got[0] for x in fed["predict"][:-1])
+    for role, x, want in zip(("validation", "test"), got, (want_val, want_test)):
         assert np.array_equal(x, want), role
         assert x.dtype == want.dtype and x.flags.c_contiguous, role
 

@@ -212,3 +212,17 @@ def test_run_once_holds_one_copy_of_the_rows(arm):
     _, peak, _ = traced(lambda: experiment.run_once(table, events, config, run_seed=5))
     one_copy = len(table) * (table.semantic_dim + fusion.NUMERIC_DIM) * 8
     assert peak <= 1.25 * one_copy, peak
+
+
+def test_run_once_builds_no_training_matrix():
+    # a wide table, 600 training rows of 612 inputs: training reads its rows
+    # from the table minibatch by minibatch, and the validation inputs are
+    # freed before the test inputs are built, so beyond the table a run holds
+    # less than one (training rows, inputs) matrix
+    table, events = toy_table(n_banks=10, n_months=50, per_month=2, sem_dim=600)
+    config = experiment.ExperimentConfig(mlp={"epochs": 2, "hidden_layers": (8,)})
+    result, peak, _ = traced(lambda: experiment.run_once(table, events, config, run_seed=5))
+    n_train = sum(result.fold_of[b] in experiment.TRAIN_FOLDS for b in table.bank_ids)
+    training_matrix = n_train * (table.semantic_dim + fusion.NUMERIC_DIM) * 8
+    assert n_train == 600 and training_matrix == 2937600
+    assert peak < training_matrix, peak

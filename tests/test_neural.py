@@ -588,6 +588,55 @@ def test_train_checks_its_arrays(x_shape, y, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize("dropout,batch_size", [(0.0, 64), (0.5, 7), (0.5, 200)],
+                         ids=["no-dropout", "many-minibatches", "one-minibatch"])
+def test_train_on_column_blocks_equals_train_on_their_matrix(dropout, batch_size):
+    # rows read out of order and more than once, across two blocks of
+    # different heights; a hook makes train snapshot and return the best epoch
+    rng = np.random.default_rng(5)
+    semantic, numeric = rng.normal(size=(90, 5)), rng.normal(size=(40, 3))
+    at = rng.integers(0, 90, size=40)
+    y = rng.integers(0, 2, size=40)
+    blocks = [(semantic, at), (numeric, np.arange(40))]
+    x = np.hstack([semantic[at], numeric])
+    cfg = MlpConfig(input_dim=8, hidden_layers=(6,), dropout_p=dropout, epochs=4,
+                    batch_size=batch_size, seed=1)
+
+    def hook(m):
+        return float(predict(m, x).sum())
+
+    got, got_curve = train(init_model(cfg), blocks, y, eval_hook=hook)
+    want, want_curve = train(init_model(cfg), x, y, eval_hook=hook)
+    assert got_curve == want_curve
+    assert got.params.tobytes() == want.params.tobytes()
+    assert got.velocity.tobytes() == want.velocity.tobytes()
+
+
+@pytest.mark.parametrize("blocks,fragment", [
+    ([], "x_train holds no column blocks"),
+    ([(np.zeros(24), np.arange(4)), (np.zeros((4, 2)), np.arange(4))],
+     "x_train block 0 must be 2-D, got shape (24,)"),
+    ([(np.zeros((4, 4)), np.arange(4)), (np.zeros((4, 2)), np.arange(3))],
+     "x_train blocks are read at different numbers of rows: 4, 3"),
+    ([(np.zeros((4, 4)), np.arange(4)), (np.zeros((4, 3)), np.arange(4))],
+     "x_train blocks are 4 + 3 columns wide, 7 in all; the model expects 6"),
+    ([(np.zeros((4, 4)), np.array([0, 1, 4, 2])), (np.zeros((4, 2)), np.arange(4))],
+     "x_train block 0 reads row 4 of a 4-row matrix"),
+    ([(np.zeros((4, 4)), np.arange(4)), (np.zeros((4, 2)), np.array([0, -1, 2, 3]))],
+     "x_train block 1 reads row -1 of a 4-row matrix"),
+    ([(np.zeros((4, 6)), np.arange(4.0))], "x_train block 0 must be read at a 1-D array "
+                                           "of integer row indices, got float64"),
+    ([(np.zeros((4, 6)), np.arange(4).reshape(2, 2))],
+     "x_train block 0 must be read at a 1-D array of integer row indices"),
+], ids=["no-blocks", "1d-block", "row-counts", "widths", "row-past-the-end", "negative-row",
+        "float-rows", "2d-rows"])
+def test_train_checks_its_column_blocks(blocks, fragment):
+    cfg = MlpConfig(input_dim=6, epochs=1)
+    with pytest.raises(ValueError) as info:
+        train(init_model(cfg), blocks, np.zeros(4, dtype=int))
+    assert fragment in str(info.value)
+
+
 def test_gradients_return_fresh_arrays():
     model = toy_model(dropout=0.5, hidden=(4, 3))
     x, y = toy_batch()
