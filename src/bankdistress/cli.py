@@ -31,6 +31,15 @@ def _experiment_settings(args, **defaults):
     return settings
 
 
+def _distinct_files(paths):
+    """Raise CliError if two of ``paths`` (name -> path or None) are one file."""
+    seen = {}
+    for what, path in paths.items():
+        first = seen.setdefault(path and os.path.realpath(path), what)
+        if path and first != what:
+            raise CliError("%s and %s are the same file: %s" % (first, what, path))
+
+
 # the commands that read pvdm and --sentences: a run's vector_source embeds
 _EMBEDDING_READERS = "embedding scope 'train_folds' or a full-scope window_n or vector_dim sweep"
 
@@ -94,6 +103,9 @@ def _cmd_ingest(args):
 
 
 def _cmd_embed(args):
+    _distinct_files({"--sentences": args.sentences, "--vectors": args.vectors,
+                     "--out": args.out + ("" if args.out.endswith(".npz") else ".npz"),
+                     "the twin of --vectors": args.vectors and corpus.twin_path(args.vectors)})
     sentences = corpus.read_sentences(args.sentences)
     cfg = pvdm.PvdmConfig(vector_dim=args.dim, window_n=args.window, epochs=args.epochs,
                           seed=args.seed, min_count=args.min_count)
@@ -108,6 +120,10 @@ def _cmd_embed(args):
 
 
 def _cmd_fuse(args):
+    _distinct_files({"--sentences": args.sentences, "--vectors": args.vectors,
+                     "the twin of --vectors": corpus.twin_path(args.vectors),
+                     "--indicators": args.indicators, "--events": args.events,
+                     "--out": args.out, "the twin of --out": corpus.twin_path(args.out)})
     sentences = corpus.read_sentences(args.sentences)
     vector_spans = pvdm.read_vector_spans(args.vectors)
     indicators = fusion.read_indicators(args.indicators)

@@ -1,15 +1,19 @@
 """News corpus handling: bank registries, sentence extraction and vocabulary."""
 
 import functools
+import hashlib
 import json
 import json.decoder
 import json.scanner
 import numbers
+import os
 import re
+import zipfile
 from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 try:  # the parser behind re.compile: re._parser from Python 3.11, sre_parse before
     from re import _parser as _regex_parser
@@ -31,6 +35,7 @@ _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 # Negative sampling draws a word with probability proportional to its count
 # to this power (Mikolov et al. 2013).
 NOISE_POWER = 0.75
+NPZ_ROW_CHUNK = 64  # rows gathered at a time into an .npz entry given as (matrix, rows)
 
 
 class RegistryError(ValueError):
@@ -403,14 +408,21 @@ def read_jsonl(path, parse, unique=None, span=None):
     return out
 
 
-def write_jsonl(rows, path):
+def write_jsonl(rows, path, span=None):
     """Write each row of ``rows`` as one line of JSON with sorted keys, the
     format ``read_jsonl`` reads; rows are encoded one at a time, so a
-    generator of rows is never held whole."""
-    with open(path, "w", encoding="utf-8") as fh:
+    generator of rows is never held whole. With ``span``, every row's last
+    key, whose value holds no string, returns its spans as ``read_jsonl``."""
+    spans, offset, key = [], 0, '"%s": ' % span
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
+            line = json.dumps(row, sort_keys=True)  # ASCII: its bytes are its characters
+            fh.write(line + "\n")
+            if span is not None:
+                start = line.rindex(key) + len(key)
+                spans.append((offset + start, len(line) - 1 - start))
+            offset += len(line) + 1
+    return spans
 
 
 def write_json(value, path):
@@ -418,6 +430,84 @@ def write_json(value, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def json_entry(value):
+    """``value`` as JSON text in a uint8 array, an .npz entry (a header, ids)."""
+    return np.frombuffer(json.dumps(value, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+
+
+def write_npz(path, arrays):
+    """Write the file ``np.savez(path, **arrays)`` writes for C-contiguous
+    arrays, byte for byte, without its staging copy: ``np.savez`` copies each
+    array with ``tobytes`` because a zip entry is not a real file, while a
+    memoryview of the array goes into the entry as it is. An entry given as
+    (matrix, rows) is ``matrix[rows]``, gathered NPZ_ROW_CHUNK rows at a time."""
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"  # as np.savez names it
+    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
+        for name, arr in arrays.items():
+            matrix, rows = arr if isinstance(arr, tuple) else (np.ascontiguousarray(arr), None)
+            shape = matrix.shape if rows is None else (len(rows),) + matrix.shape[1:]
+            with zf.open(name + ".npy", "w", force_zip64=True) as fid:
+                npy_format.write_array_header_1_0(fid, {
+                    "descr": npy_format.dtype_to_descr(matrix.dtype), "fortran_order": False,
+                    "shape": shape})
+                for lo in range(0, len(rows), NPZ_ROW_CHUNK) if rows is not None else [None]:
+                    fid.write(memoryview(matrix if lo is None else  # one gathered chunk at a time
+                                         matrix[rows[lo:lo + NPZ_ROW_CHUNK]]).cast("B"))
+
+
+def twin_path(path):
+    """Where the binary twin of the JSON-lines file ``path`` lies."""
+    return os.fspath(path) + ".twin.npz"
+
+
+def file_sha256(path):
+    """The sha256 digest of the file ``path``, read 64 KiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(functools.partial(fh.read, 1 << 16), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+def write_twin(path, columns):
+    """Write the twin of the file ``path``, just written: its sha256 and
+    ``columns``, name -> a list of strings, an array or a ``write_npz`` pair."""
+    entries = {"sha256": np.frombuffer(file_sha256(path), dtype=np.uint8)}
+    entries.update((name, json_entry(column) if isinstance(column, list) else column)
+                   for name, column in columns.items())
+    write_npz(twin_path(path), entries)
+
+
+def read_twin(path, columns):
+    """The columns ``columns`` names of the twin of the file ``path``, or None
+    if that twin is missing, does not load, holds another digest than the
+    sha256 of ``path`` or holds a column in another form: ``str`` (a list of
+    strings) or (dtype, shape), None in a shape being any length. The columns
+    have one length; only the named entries are read."""
+    try:  # a twin only mirrors its file, so one that does not load is not taken
+        with np.load(twin_path(path), allow_pickle=False) as data:
+            if data["sha256"].tobytes() != file_sha256(path):
+                return None
+            twin = {name: parse_json(data[name].tobytes().decode("utf-8")) if form is str
+                    else data[name] for name, form in columns.items()}
+    except Exception:
+        return None
+    for name, form in columns.items():
+        value = twin[name]
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value) if form is str
+                else value.dtype == form[0] and value.ndim == len(form[1]) and all(
+                    want in (None, got) for want, got in zip(form[1], value.shape))):
+            return None
+    return twin if len({len(value) for value in twin.values()}) <= 1 else None
+
+
+def all_finite(matrix):
+    """Whether ``matrix`` holds no NaN or infinite entry, with no temporary of its size."""
+    return -np.inf < matrix.min(initial=0.0) and matrix.max(initial=0.0) < np.inf
 
 
 class VectorRows:

@@ -9,7 +9,8 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import VectorRows, count_rows, read_jsonl, require_str, write_jsonl
+from .corpus import (VectorRows, all_finite, count_rows, read_jsonl, read_twin, require_str,
+                     write_jsonl, write_twin)
 
 NUMERIC_DIM = 12
 
@@ -387,7 +388,24 @@ def read_sample_table(path, keep_semantic=True):
     The rows are counted first, so that each vector column is read into one
     preallocated matrix. Without ``keep_semantic`` the semantic vectors are
     checked as strictly but not stored, and the table's ``semantic`` is None.
+    The file's valid twin (``corpus.read_twin``) is read instead, if there is
+    one, with the same checks; without ``keep_semantic``, all but ``semantic``.
     """
+    columns = {"sentence_ids": str, "bank_ids": str, "months": (np.int64, (None, 2)),
+               "numeric_raw": (np.float64, (None, NUMERIC_DIM)), "labels": (np.int64, (None,))}
+    if keep_semantic:
+        columns["semantic"] = (np.float64, (None, None))
+    twin = read_twin(path, columns)
+    if twin is not None:  # _parse_sample's checks on whole columns
+        months, labels, numeric, semantic = (twin.get(name) for name in
+                                             ("months", "labels", "numeric_raw", "semantic"))
+        # else the JSON is read, and names the row a check rejects
+        if (len(labels) and ((months >= (0, 1)) & (months <= (9999, 12))).all()
+                and np.isin(labels, (0, 1)).all() and all_finite(numeric)
+                and (semantic is None or semantic.shape[1] and all_finite(semantic))):
+            return SampleTable(sentence_ids=twin["sentence_ids"], bank_ids=twin["bank_ids"],
+                               months=[tuple(m) for m in months.tolist()], semantic=semantic,
+                               numeric_raw=numeric, labels=labels)
     n = count_rows(path)
     if not n:
         raise ValueError("empty fused dataset %s" % path)
@@ -404,28 +422,31 @@ def read_sample_table(path, keep_semantic=True):
 def write_fused(sentences, vectors_path, vector_spans, indicators, events, path):
     """Align and label the sentences and write the fused dataset to ``path``.
 
-    ``vector_spans`` maps a sentence id to where the text of its vector lies
-    in the vectors file ``vectors_path`` (``pvdm.read_vector_spans``). Each
-    row's ``semantic`` is that text, copied as written, so no vector is
+    ``vector_spans`` is ``pvdm.read_vector_spans(vectors_path)``. Each row's
+    ``semantic`` is its vector's text, copied as written, so no vector is
     parsed or printed again; for a file ``pvdm.export_vectors`` wrote, the
-    file holds the bytes that ``write_sample_table`` writes of
-    ``build_sample_table``'s table. An aligned sentence without a vector
-    raises ValueError naming ``vectors_path`` and the sentence, before
-    ``path`` is opened. Returns the labels, in row order, and the DropReport.
+    file holds the bytes ``write_sample_table`` writes of
+    ``build_sample_table``'s table. Vectors taken from a twin also give the
+    fused file a twin, its ``semantic`` gathered in row chunks. An aligned
+    sentence without a vector raises ValueError naming ``vectors_path`` and
+    the sentence, before ``path`` is opened. Returns the labels, in row
+    order, and the DropReport.
     """
+    vector_rows, vector_text, vectors = vector_spans
     sents, recs, labels, report = _labelled_samples(sentences, indicators, events)
-    spans = []
-    for sent in sents:
-        span = vector_spans.get(sent.sentence_id)
-        if span is None:
+    rows = np.empty(len(sents), dtype=np.intp)
+    for i, sent in enumerate(sents):
+        row = vector_rows.get(sent.sentence_id)
+        if row is None:
             raise ValueError("%s: no semantic vector for sentence %r"
                              % (vectors_path, sent.sentence_id))
-        spans.append(span)
+        rows[i] = row
     if os.path.exists(path) and os.path.samefile(path, vectors_path):
         raise ValueError("%s: the fused dataset would overwrite the vectors it copies"
                          % path)
-    with open(vectors_path, "rb") as vectors, open(path, "w", encoding="utf-8") as fh:
-        for sent, rec, lab, (offset, length) in zip(sents, recs, labels, spans):
+    with open(vectors_path, "rb") as text, open(path, "w", encoding="utf-8") as fh:
+        for sent, rec, lab, (offset, length) in zip(sents, recs, labels,
+                                                    vector_text[rows].tolist()):
             # the row corpus.write_jsonl writes, encoded here so that the
             # vector's text is copied as written, not parsed and printed
             # again, which took most of fuse's time; semantic sorts between
@@ -433,8 +454,15 @@ def write_fused(sentences, vectors_path, vector_spans, indicators, events, path)
             head = json.dumps({"bank_id": sent.bank_id, "label": lab,
                                "month": "%04d-%02d" % month_of(sent.published_at),
                                "numeric_raw": rec.values.tolist()}, sort_keys=True)
-            vectors.seek(offset)
+            text.seek(offset)
             fh.write('%s, "semantic": %s, "sentence_id": %s}\n'
-                     % (head[:-1], vectors.read(length).decode("utf-8"),
+                     % (head[:-1], text.read(length).decode("utf-8"),
                         json.dumps(sent.sentence_id)))
+    if vectors is not None:
+        write_twin(path, {
+            "sentence_ids": [s.sentence_id for s in sents],
+            "bank_ids": [s.bank_id for s in sents],
+            "months": np.array([month_of(s.published_at) for s in sents], dtype=np.int64),
+            "semantic": (vectors, rows), "numeric_raw": np.vstack([r.values for r in recs]),
+            "labels": np.array(labels, dtype=np.int64)})
     return labels, report

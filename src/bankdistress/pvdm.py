@@ -1,16 +1,14 @@
 """Distributed-memory paragraph vectors trained with negative sampling."""
 
 import json
-import os
-import zipfile
 from dataclasses import dataclass, field, asdict
 from itertools import chain, repeat
 
 import numpy as np
-from numpy.lib import format as npy_format
 
-from .corpus import (Vocabulary, VectorRows, count_rows, read_jsonl, require_float, require_int,
-                     require_str, write_jsonl)
+from .corpus import (Vocabulary, VectorRows, all_finite, count_rows, json_entry, read_jsonl,
+                     read_twin, require_float, require_int, require_str, write_jsonl, write_npz,
+                     write_twin)
 
 MODEL_FORMAT = "pvdm-v1"
 BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
@@ -448,9 +446,7 @@ def infer_vector(model, tokens, seed=0):
 
 def save_model(model, path):
     """Persist config, vocabulary and matrices; matrix round-trip is bit-exact."""
-    ids = [None] * len(model.sentence_index)
-    for sid, row in model.sentence_index.items():
-        ids[row] = sid
+    ids = sorted(model.sentence_index, key=model.sentence_index.get)  # row order
     header = {
         "format": MODEL_FORMAT,
         "config": asdict(model.config),
@@ -462,32 +458,13 @@ def save_model(model, path):
         },
         "sentence_ids": ids,
     }
-    # the header is encoded here, not by corpus.write_json: it is an entry of
-    # the .npz, not a file of its own
-    _write_npz(path, {
-        "header": np.frombuffer(json.dumps(header, sort_keys=True).encode("utf-8"),
-                                dtype=np.uint8),
+    write_npz(path, {
+        "header": json_entry(header),
         "word_in": model.word_in,
         "word_out": model.word_out,
         "paragraph": model.paragraph,
         "noise_probs": model.vocab.noise_probs,
     })
-
-
-def _write_npz(path, arrays):
-    """Write the file ``np.savez(path, **arrays)`` writes for C-contiguous
-    arrays, byte for byte, without its staging copy: ``np.savez`` copies each
-    array with ``tobytes`` because a zip entry is not a real file, while a
-    memoryview of the array goes into the entry as it is."""
-    path = os.fspath(path)
-    if not path.endswith(".npz"):
-        path += ".npz"  # as np.savez names it
-    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            with zf.open(name + ".npy", "w", force_zip64=True) as fid:
-                npy_format.write_array_header_1_0(fid, npy_format.header_data_from_array_1_0(arr))
-                fid.write(memoryview(arr).cast("B"))
 
 
 def load_model(path):
@@ -515,10 +492,13 @@ def load_model(path):
 
 
 def export_vectors(model, path):
-    """JSON-lines export of all trained paragraph vectors."""
-    rows = sorted(model.sentence_index.items(), key=lambda item: item[1])
-    write_jsonl(({"sentence_id": sid, "values": model.paragraph[row].tolist()}
-                 for sid, row in rows), path)
+    """JSON-lines export of all trained paragraph vectors, in row order, and
+    its twin: the ids, the vectors and the byte span of each ``values`` text."""
+    ids, rows = zip(*sorted(model.sentence_index.items(), key=lambda item: item[1]))
+    spans = write_jsonl(({"sentence_id": sid, "values": model.paragraph[row].tolist()}
+                         for sid, row in zip(ids, rows)), path, span="values")
+    write_twin(path, {"ids": list(ids), "values": (model.paragraph, np.array(rows, dtype=np.intp)),
+                      "spans": np.array(spans, dtype=np.int64).reshape(-1, 2)})
 
 
 def read_vectors(path):
@@ -536,12 +516,16 @@ def read_vectors(path):
 
 
 def read_vector_spans(path):
-    """sentence_id -> (offset, length): where the text of each row's
-    ``values`` lies in the vectors file ``path``, in bytes.
-
-    Each row is checked as ``read_vectors`` checks it, with the same errors,
-    but no vector is kept.
+    """(rows, spans, values) of the vectors file ``path``: sentence_id -> row;
+    where each row's ``values`` text lies in the file, an (offset, length)
+    row of ``spans`` in bytes; and the vectors, if taken from a valid twin
+    (``corpus.read_twin``), else None. Rows are checked as by ``read_vectors``.
     """
+    twin = read_twin(path, {"ids": str, "values": (np.float64, (None, None)),
+                            "spans": (np.int64, (None, 2))})
+    ids = twin and twin["ids"]  # a row the checks reject is left to the JSON, which names it
+    if twin is not None and len(set(ids)) == len(ids) and all_finite(twin["values"]):
+        return {sid: row for row, sid in enumerate(ids)}, twin["spans"], twin["values"]
     values = VectorRows("values")
 
     def checked_id(row):
@@ -549,4 +533,6 @@ def read_vector_spans(path):
         values.check(row["values"])
         return sentence_id
 
-    return dict(read_jsonl(path, checked_id, unique="sentence_id", span="values"))
+    pairs = read_jsonl(path, checked_id, unique="sentence_id", span="values")
+    return ({sid: row for row, (sid, _) in enumerate(pairs)},
+            np.array([span for _, span in pairs], dtype=np.int64).reshape(-1, 2), None)

@@ -189,7 +189,8 @@ JSON_ENCODERS = {
     "corpus.write_json": "writes every JSON document",
     "fusion.write_fused": "copies each vector's text from the vectors file into its row "
                           "instead of parsing and printing it again, the bulk of fuse's time",
-    "pvdm.save_model": "encodes the model header into an entry of the .npz, not a file",
+    "corpus.json_entry": "encodes the model header and a twin's ids into an entry of an "
+                         ".npz, not a file",
 }
 
 

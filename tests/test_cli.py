@@ -1,9 +1,11 @@
 """End-to-end command-line pipeline tests."""
 
 import contextlib
+import glob
 import io
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import fields
 
@@ -716,8 +718,9 @@ def test_a_negative_seed_ends_the_command_before_any_output(pipeline, capsys, tm
                  "--events", os.path.join(pipeline["data"], "events.csv")]
     if "train_folds" in command:
         argv += ["--sentences", pipeline["sentences"]]
-    if command[0] == "embed":
-        argv += ["--sentences", pipeline["sentences"], "--dim", "4", "--epochs", "1"]
+    if command[0] == "embed":  # nor the vectors file, nor its twin
+        argv += ["--sentences", pipeline["sentences"], "--dim", "4", "--epochs", "1",
+                 "--vectors", str(tmp_path / "vectors.jsonl")]
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -725,6 +728,49 @@ def test_a_negative_seed_ends_the_command_before_any_output(pipeline, capsys, tm
         fragment = "%s: %s" % (cfg_path, fragment)
     assert_one_error_line(capsys, cli.main(argv), "error: " + fragment)
     assert os.listdir(tmp_path) == (["cfg.json"] if config is not None else [])
+
+
+def twin_collisions():
+    """(command, flags, fragment): flags whose paths make a twin (the file
+    ``<path>.twin.npz``) another input or output of the command."""
+    return [
+        ("embed", {"--out": "v.jsonl.twin.npz", "--vectors": "v.jsonl"},
+         "--out and the twin of --vectors are the same file"),
+        ("embed", {"--out": "v.jsonl.twin.npz", "--vectors": "./v.jsonl"},
+         "--out and the twin of --vectors are the same file"),
+        ("embed", {"--out": "m", "--vectors": "m.npz"},  # the model goes to m.npz
+         "--vectors and --out are the same file"),
+        ("fuse", {"--vectors": "f.jsonl.twin.npz", "--out": "f.jsonl"},
+         "--vectors and the twin of --out are the same file"),
+        ("fuse", {"--vectors": "v.jsonl", "--out": "v.jsonl.twin.npz"},
+         "the twin of --vectors and --out are the same file"),
+        ("fuse", {"--vectors": "v.jsonl", "--out": "v.jsonl"},
+         "--vectors and --out are the same file"),
+    ]
+
+
+@pytest.mark.parametrize("command,flags,fragment", twin_collisions(),
+                         ids=["embed-out", "embed-out-dot", "embed-model-name", "fuse-out-twin",
+                              "fuse-vectors-twin", "fuse-out"])
+def test_a_twin_path_that_is_another_file_of_the_command_ends_it_first(
+        pipeline, capsys, tmp_path, monkeypatch, command, flags, fragment):
+    # the inputs are copied in, each under the name the case gives it
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(pipeline["data"], "data")
+    argv = {"--sentences": "sentences.jsonl", "--indicators": "data/indicators.csv",
+            "--events": "data/events.csv", **flags}
+    shutil.copy(pipeline["sentences"], argv["--sentences"])
+    if command == "fuse":
+        shutil.copy(pipeline["vectors"], argv["--vectors"])
+        shutil.copy(corpus.twin_path(pipeline["vectors"]), corpus.twin_path(argv["--vectors"]))
+    else:
+        del argv["--indicators"], argv["--events"]
+        argv.update({"--dim": "4", "--epochs": "1"})
+    before = {p: os.path.getmtime(p) for p in glob.glob("**", recursive=True)}
+    rc = cli.main([command] + [v for flag in argv.items() for v in flag])
+    assert_one_error_line(capsys, rc, "error: " + fragment)
+    # nothing was written: no new file, and no file changed
+    assert {p: os.path.getmtime(p) for p in glob.glob("**", recursive=True)} == before
 
 
 def test_fuse_rejects_a_repeated_indicators_row(pipeline, capsys, tmp_path):
@@ -1159,3 +1205,87 @@ def test_any_corrupted_csv_line_exits_cleanly(pipeline, target, line_no, edit, a
         with open(bad, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
         assert_exits_cleanly(csv_argv(pipeline, d, command=command, **{reader: bad}))
+
+
+@pytest.fixture(scope="module")
+def twinless_outputs(pipeline, tmp_path_factory):
+    """The bytes fuse and experiment write from inputs that have no twin."""
+    d = str(tmp_path_factory.mktemp("twinless"))
+    for name in ("vectors", "fused"):
+        shutil.copy(pipeline[name], os.path.join(d, name + ".jsonl"))
+    outputs = {}
+    for command in ("fuse", "experiment"):
+        out = os.path.join(d, command)
+        assert cli.main(twin_fuzz_argv(pipeline, d, command, out)) == 0
+        outputs[command] = result_bytes(command, out)
+    return outputs
+
+
+def twin_fuzz_argv(pipeline, d, command, out):
+    data = pipeline["data"]
+    if command == "fuse":
+        return ["fuse", "--sentences", pipeline["sentences"],
+                "--vectors", os.path.join(d, "vectors.jsonl"),
+                "--indicators", os.path.join(data, "indicators.csv"),
+                "--events", os.path.join(data, "events.csv"), "--out", out]
+    return ["experiment", "--fused", os.path.join(d, "fused.jsonl"),
+            "--events", os.path.join(data, "events.csv"), "--config", pipeline["config"],
+            "--arm", "combined", "--runs", "1", "--seed", "3", "--out", out]
+
+
+def result_bytes(command, out):
+    names = [out] if command == "fuse" else [os.path.join(out, "runs.csv"),
+                                             os.path.join(out, "summary.json")]
+    result = []
+    for name in names:
+        with open(name, "rb") as fh:
+            result.append(fh.read())
+    return result
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["fuse", "experiment"]),
+       damage=st.sampled_from(["truncated", "bit-flipped", "other-digest", "other-twin"]),
+       at=st.integers(min_value=0, max_value=1 << 20), bit=st.integers(min_value=0, max_value=7))
+@example(command="experiment", damage="truncated", at=0, bit=0)
+@example(command="fuse", damage="other-digest", at=0, bit=0)
+def test_a_damaged_twin_gives_the_twinless_outputs_or_one_error_line(
+        pipeline, twinless_outputs, command, damage, at, bit):
+    """fuse given a damaged vectors twin, and experiment a damaged fused twin,
+    write what they write without any twin, or end with one ``error:`` line."""
+    own, other = ("vectors", "fused") if command == "fuse" else ("fused", "vectors")
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, own + ".jsonl")
+        shutil.copy(pipeline[own], path)
+        with open(corpus.twin_path(pipeline[own if damage != "other-twin" else other]),
+                  "rb") as fh:
+            raw = fh.read()
+        at %= len(raw)
+        if damage == "truncated":
+            raw = raw[:at]
+        elif damage == "bit-flipped":
+            raw = raw[:at] + bytes([raw[at] ^ (1 << bit)]) + raw[at + 1:]
+        elif damage == "other-digest":  # the digest of the other file of the chain
+            with np.load(corpus.twin_path(pipeline[own])) as data:
+                entries = {name: data[name] for name in data.files}
+            entries["sha256"] = np.frombuffer(corpus.file_sha256(pipeline[other]), dtype=np.uint8)
+            corpus.write_npz(corpus.twin_path(path), entries)
+        if damage != "other-digest":
+            with open(corpus.twin_path(path), "wb") as fh:
+                fh.write(raw)
+        out = os.path.join(d, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(twin_fuzz_argv(pipeline, d, command, out))
+        if rc == 1:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert err.getvalue().startswith("error: "), err.getvalue()
+            return
+        assert rc == 0, err.getvalue()
+        assert result_bytes(command, out) == twinless_outputs[command]
+        if command == "fuse" and os.path.exists(corpus.twin_path(out)):
+            twinned = fusion.read_sample_table(out)
+            os.remove(corpus.twin_path(out))
+            from_json = fusion.read_sample_table(out)
+            assert twinned.sentence_ids == from_json.sentence_ids
+            assert twinned.semantic.tobytes() == from_json.semantic.tobytes()

@@ -7,6 +7,7 @@ trains on), plus a fixed slack for ids, dicts and the model itself.
 """
 
 import json
+import os
 import sys
 import tracemalloc
 from datetime import datetime, timezone
@@ -97,6 +98,41 @@ def test_fuse_holds_no_vector_matrix(text_pipeline):
     assert rc == 0
     assert peak < rows.nbytes, peak  # 5.65 MB
     np.testing.assert_array_equal(fusion.read_sample_table(fused).semantic, rows)
+
+
+def test_fuse_from_a_vectors_twin_holds_one_vector_matrix(text_pipeline):
+    # the twin's vectors, in file order, are the one matrix fuse holds; the
+    # fused twin's semantic column is gathered from it in row chunks
+    d = text_pipeline["dir"]
+    rows = text_pipeline["rows"]
+    ids = [s.sentence_id for s in corpus.read_sentences(text_pipeline["sentences"])]
+    vectors = str(d / "twinned-vectors.jsonl")
+    pvdm.export_vectors(pvdm.PvdmModel(word_in=None, word_out=None, paragraph=rows,
+                                       sentence_index={sid: i for i, sid in enumerate(ids)},
+                                       vocab=None, config=None), vectors)
+    fused = str(d / "fused-twinned.jsonl")
+    rc, peak, _ = traced(lambda: cli.main(fuse_argv(dict(text_pipeline, vectors=vectors), fused)))
+    assert rc == 0 and os.path.exists(corpus.twin_path(fused))
+    assert peak <= 1.5 * rows.nbytes, peak  # one matrix (5.65 MB), well short of a second
+    with open(fused, "rb") as got, open(text_pipeline["fused"], "rb") as want:
+        assert got.read() == want.read()
+    np.testing.assert_array_equal(fusion.read_sample_table(fused).semantic, rows)
+
+
+def test_read_sample_table_from_a_twin_fills_one_matrix_per_column(tmp_path):
+    table, _ = toy_table(n_banks=10, n_months=20, per_month=2, sem_dim=600)
+    path = str(tmp_path / "fused.jsonl")
+    fusion.write_sample_table(table, path)
+    corpus.write_twin(path, {
+        "sentence_ids": table.sentence_ids, "bank_ids": table.bank_ids,
+        "months": np.array(table.months, dtype=np.int64), "semantic": table.semantic,
+        "numeric_raw": table.numeric_raw, "labels": table.labels})
+    read, peak, _ = traced(lambda: fusion.read_sample_table(path))
+    matrices = table.semantic.nbytes + table.numeric_raw.nbytes
+    assert peak <= 1.25 * matrices + SLACK, peak
+    np.testing.assert_array_equal(read.semantic, table.semantic)
+    _, peak, _ = traced(lambda: fusion.read_sample_table(path, keep_semantic=False))
+    assert peak <= 1.25 * table.numeric_raw.nbytes + SLACK, peak
 
 
 class InputsRead(Exception):
@@ -202,6 +238,20 @@ def test_save_model_writes_without_a_staging_copy(tmp_path):
     _, peak, _ = traced(lambda: pvdm.save_model(model, str(tmp_path / "model.npz")))
     assert model.paragraph.nbytes == 4.8 * MB
     assert peak <= 0.5 * MB, peak
+
+
+def test_export_vectors_writes_its_twin_without_a_copy_of_the_vectors(tmp_path):
+    # 1,000 x 600 vectors (4.8 MB): beyond them, the export holds one row's
+    # text and its spans, and the twin one chunk of gathered rows
+    rows = np.random.default_rng(0).standard_normal((1000, 600))
+    model = pvdm.PvdmModel(word_in=None, word_out=None, paragraph=rows,
+                           sentence_index={"s%d" % i: i for i in range(1000)},
+                           vocab=None, config=None)
+    path = str(tmp_path / "vectors.jsonl")
+    _, peak, _ = traced(lambda: pvdm.export_vectors(model, path))
+    chunk = corpus.NPZ_ROW_CHUNK * 600 * 8  # 0.31 MB
+    assert peak <= chunk + 2 * SLACK, peak
+    np.testing.assert_array_equal(np.load(corpus.twin_path(path))["values"], rows)
 
 
 @pytest.mark.parametrize("arm", ["combined", "text_only", "numeric_only"])
