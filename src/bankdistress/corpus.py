@@ -3,8 +3,6 @@
 import functools
 import hashlib
 import json
-import json.decoder
-import json.scanner
 import numbers
 import os
 import re
@@ -125,10 +123,11 @@ class Vocabulary:
 
 
 def _string_list(value, what):
-    """``value`` as a tuple, if it is a JSON list of strings."""
+    """``value``, after raising ValueError naming ``what`` unless it is a JSON
+    list of strings."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ValueError("%s must be a list of strings, got %r" % (what, value))
-    return tuple(value)
+    return value
 
 
 def _registry_entity(row):
@@ -137,7 +136,7 @@ def _registry_entity(row):
     for key in ("bank_id", "canonical_name", "country"):
         require_str(key, row[key])
     bank_id = row["bank_id"]
-    patterns = _string_list(row["name_patterns"], "name_patterns")
+    patterns = tuple(_string_list(row["name_patterns"], "name_patterns"))
     if not patterns:
         raise RegistryError("bank %r has no name_patterns" % bank_id)
     if not row["canonical_name"]:
@@ -317,24 +316,13 @@ def build_vocabulary(sentences, min_count=5):
     )
 
 
-def _utf8_size(text):
-    """The number of bytes ``text`` takes in UTF-8."""
-    return len(text) if text.isascii() else len(text.encode("utf-8"))
-
-
 def _nonblank_lines(path):
-    """(line number, byte offset, stripped text) of each non-blank line of a
-    text file; the offset is where the stripped text starts in the file."""
-    offset = 0
-    # newline="" splits lines where universal newlines do, but keeps each
-    # line's own ending, so the bytes of every line can be counted
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """(line number, stripped text) of each non-blank line of a text file."""
+    with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             text = line.strip()
             if text:
-                lead = line[:line.index(text[0])]  # the blanks before the text
-                yield line_no, offset + _utf8_size(lead), text
-            offset += _utf8_size(line)
+                yield line_no, text
 
 
 def count_rows(path):
@@ -342,61 +330,22 @@ def count_rows(path):
     return sum(1 for _ in _nonblank_lines(path))
 
 
-_scan_value = json.scanner.make_scanner(json.JSONDecoder())
-
-
-def _loads_with_spans(line):
-    """``json.loads(line)``, and for an object the (start, end) character span
-    of each of its values' text, by key (the last of a repeated key, as the
-    object keeps it).
-
-    The object is parsed by the stdlib's ``JSONObject`` around the stdlib
-    scanner, which is told to record where each top-level value starts and
-    ends. A line that does not parse that way goes to ``parse_json``, so its
-    errors and non-object values are json's own.
-    """
-    spans = []
-
-    def scan_once(s, idx):
-        value, end = _scan_value(s, idx)
-        spans.append((idx, end))
-        return value, end
-
-    if line.startswith("{"):
-        try:
-            pairs, end = json.decoder.JSONObject((line, 1), True, scan_once, None, list, {})
-        except (ValueError, RecursionError):
-            end = None
-        if end == len(line):
-            return dict(pairs), {key: span for (key, _), span in zip(pairs, spans)}
-    return parse_json(line), {}
-
-
-def read_jsonl(path, parse, unique=None, span=None):
+def read_jsonl(path, parse, unique=None):
     """``parse(row)`` of every non-blank line of a JSON-lines file, in order.
 
     A line that is not a JSON object, or whose object ``parse`` rejects
     (a missing key, a value of the wrong type or form), raises ValueError
     naming path:line. So does a line that repeats an earlier line's value
-    of the key ``unique``, when given. With ``span``, each item is
-    ``(parse(row), (offset, length))``: where the text of the row's ``span``
-    value lies in the file, in bytes.
+    of the key ``unique``, when given.
     """
     out = []
     seen = set()
-    for line_no, offset, line in _nonblank_lines(path):
+    for line_no, line in _nonblank_lines(path):
         try:
-            if span is None:
-                row = parse_json(line)
-            else:
-                row, spans = _loads_with_spans(line)
+            row = parse_json(line)
             if not isinstance(row, dict):
                 raise ValueError("expected a JSON object, got %s" % type(row).__name__)
-            item = parse(row)
-            if span is not None:
-                start, end = spans[span]
-                item = (item, (offset + _utf8_size(line[:start]), _utf8_size(line[start:end])))
-            out.append(item)
+            out.append(parse(row))
             if unique is not None:
                 if row[unique] in seen:
                     raise ValueError("duplicate %s %r" % (unique, row[unique]))
@@ -412,7 +361,8 @@ def write_jsonl(rows, path, span=None):
     """Write each row of ``rows`` as one line of JSON with sorted keys, the
     format ``read_jsonl`` reads; rows are encoded one at a time, so a
     generator of rows is never held whole. With ``span``, every row's last
-    key, whose value holds no string, returns its spans as ``read_jsonl``."""
+    key, whose value holds no string, returns where that value's text lies
+    in the file: an (offset, length) pair in bytes per row."""
     spans, offset, key = [], 0, '"%s": ' % span
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for row in rows:

@@ -254,14 +254,14 @@ def _labelled_samples(sentences, indicators, events):
     return sents, recs, [label(s, events) for s in sents], report
 
 
-def build_sample_table(sentences, vectors_by_id, indicators, events):
+def build_sample_table(sentences, vectors_by_id, indicators, events, source="vectors"):
     """Align, label and stack everything the experiment harness consumes; an
-    aligned sentence without a vector raises ValueError naming it."""
+    aligned sentence without a vector raises ValueError naming ``source`` and it."""
     sents, recs, labels, report = _labelled_samples(sentences, indicators, events)
     sids = [s.sentence_id for s in sents]
     table = SampleTable(sentence_ids=sids, bank_ids=[s.bank_id for s in sents],
                         months=[month_of(s.published_at) for s in sents],
-                        semantic=semantic_rows(sids, vectors_by_id, "vectors"),
+                        semantic=semantic_rows(sids, vectors_by_id, source),
                         numeric_raw=np.vstack([r.values for r in recs]),
                         labels=np.array(labels, dtype=np.int64))
     return table, report
@@ -356,8 +356,8 @@ def write_events(events, path):
 
 def write_sample_table(table, path):
     """JSON-lines fused dataset, one row per sample and one key per
-    SampleTable column; ``read_sample_table`` reads it back. The byte oracle
-    of ``write_fused``."""
+    SampleTable column; ``read_sample_table`` reads it back. Twin-less
+    ``fuse`` writes with it; the byte oracle of ``write_fused``."""
     write_jsonl(({"sentence_id": sid, "bank_id": table.bank_ids[i],
                   "month": "%04d-%02d" % table.months[i], "label": int(table.labels[i]),
                   "semantic": table.semantic[i].tolist(),
@@ -419,20 +419,20 @@ def read_sample_table(path, keep_semantic=True):
                        labels=np.array(labels, dtype=np.int64))
 
 
-def write_fused(sentences, vectors_path, vector_spans, indicators, events, path):
-    """Align and label the sentences and write the fused dataset to ``path``.
+def write_fused(sentences, vectors_path, vector_twin, indicators, events, path):
+    """Align and label the sentences; write the fused dataset to ``path`` and its twin.
 
-    ``vector_spans`` is ``pvdm.read_vector_spans(vectors_path)``. Each row's
-    ``semantic`` is its vector's text, copied as written, so no vector is
-    parsed or printed again; for a file ``pvdm.export_vectors`` wrote, the
-    file holds the bytes ``write_sample_table`` writes of
-    ``build_sample_table``'s table. Vectors taken from a twin also give the
-    fused file a twin, its ``semantic`` gathered in row chunks. An aligned
-    sentence without a vector raises ValueError naming ``vectors_path`` and
-    the sentence, before ``path`` is opened. Returns the labels, in row
-    order, and the DropReport.
+    ``vector_twin`` is ``pvdm.read_vector_twin(vectors_path)``. Each row's
+    ``semantic`` is its vector's text, copied from the vectors file that
+    ``pvdm.export_vectors`` wrote with the twin, so no vector is printed
+    again and the file holds the bytes ``write_sample_table`` writes of
+    ``build_sample_table``'s table. The fused twin's ``semantic`` is
+    gathered from the twin's vectors in row chunks. An aligned sentence
+    without a vector raises ValueError naming ``vectors_path`` and the
+    sentence, before ``path`` is opened. Returns the labels, in row order,
+    and the DropReport.
     """
-    vector_rows, vector_text, vectors = vector_spans
+    vector_rows, vector_text, vectors = vector_twin
     sents, recs, labels, report = _labelled_samples(sentences, indicators, events)
     rows = np.empty(len(sents), dtype=np.intp)
     for i, sent in enumerate(sents):
@@ -458,11 +458,10 @@ def write_fused(sentences, vectors_path, vector_spans, indicators, events, path)
             fh.write('%s, "semantic": %s, "sentence_id": %s}\n'
                      % (head[:-1], text.read(length).decode("utf-8"),
                         json.dumps(sent.sentence_id)))
-    if vectors is not None:
-        write_twin(path, {
-            "sentence_ids": [s.sentence_id for s in sents],
-            "bank_ids": [s.bank_id for s in sents],
-            "months": np.array([month_of(s.published_at) for s in sents], dtype=np.int64),
-            "semantic": (vectors, rows), "numeric_raw": np.vstack([r.values for r in recs]),
-            "labels": np.array(labels, dtype=np.int64)})
+    write_twin(path, {
+        "sentence_ids": [s.sentence_id for s in sents],
+        "bank_ids": [s.bank_id for s in sents],
+        "months": np.array([month_of(s.published_at) for s in sents], dtype=np.int64),
+        "semantic": (vectors, rows), "numeric_raw": np.vstack([r.values for r in recs]),
+        "labels": np.array(labels, dtype=np.int64)})
     return labels, report

@@ -506,7 +506,8 @@ def read_vectors(path):
     or a repeated sentence_id raises ValueError naming path:line.
 
     The vectors are the rows of one matrix, read in file order: each map
-    value is a view of its row. The float oracle of ``read_vector_spans``.
+    value is a view of its row. ``fuse`` reads the vectors with it when
+    ``read_vector_twin`` finds no twin to take.
     """
     values = VectorRows("values", count_rows(path))
     return dict(read_jsonl(
@@ -515,24 +516,16 @@ def read_vectors(path):
         unique="sentence_id"))
 
 
-def read_vector_spans(path):
-    """(rows, spans, values) of the vectors file ``path``: sentence_id -> row;
-    where each row's ``values`` text lies in the file, an (offset, length)
-    row of ``spans`` in bytes; and the vectors, if taken from a valid twin
-    (``corpus.read_twin``), else None. Rows are checked as by ``read_vectors``.
+def read_vector_twin(path):
+    """(rows, spans, values) of the vectors file ``path``, from its valid twin
+    (``corpus.read_twin``): sentence_id -> row; where each row's ``values``
+    text lies in the file, an (offset, length) row of ``spans`` in bytes; and
+    the vectors, in file order. None if there is no valid twin, or if its
+    ids repeat or a vector is not finite: ``read_vectors`` names the row.
     """
     twin = read_twin(path, {"ids": str, "values": (np.float64, (None, None)),
                             "spans": (np.int64, (None, 2))})
-    ids = twin and twin["ids"]  # a row the checks reject is left to the JSON, which names it
-    if twin is not None and len(set(ids)) == len(ids) and all_finite(twin["values"]):
-        return {sid: row for row, sid in enumerate(ids)}, twin["spans"], twin["values"]
-    values = VectorRows("values")
-
-    def checked_id(row):
-        sentence_id = require_str("sentence_id", row["sentence_id"])
-        values.check(row["values"])
-        return sentence_id
-
-    pairs = read_jsonl(path, checked_id, unique="sentence_id", span="values")
-    return ({sid: row for row, (sid, _) in enumerate(pairs)},
-            np.array([span for _, span in pairs], dtype=np.int64).reshape(-1, 2), None)
+    ids = twin and twin["ids"]
+    if twin is None or len(set(ids)) != len(ids) or not all_finite(twin["values"]):
+        return None
+    return {sid: row for row, sid in enumerate(ids)}, twin["spans"], twin["values"]

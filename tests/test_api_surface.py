@@ -24,13 +24,6 @@ ALLOWED = {
     "pvdm.step_gradients": "step-math oracle of pvdm.train and pvdm.infer_vectors "
                            "(criterion 3, reference_train, reference_infer_vector)",
     "pvdm.infer_vector": "wrapped by perfbench/tracing.py as pvdm.infer",
-    "pvdm.read_vectors": "float oracle of pvdm.read_vector_spans and fusion.write_fused; "
-                         "wrapped by perfbench/tracing.py as pvdm.io",
-    "fusion.build_sample_table": "with write_sample_table, the byte oracle of "
-                                 "fusion.write_fused; wrapped by perfbench/tracing.py as "
-                                 "fusion.build",
-    "fusion.write_sample_table": "byte oracle of fusion.write_fused; wrapped by "
-                                 "perfbench/tracing.py as fusion.io",
     "pvdm.load_model": "the reader of the model file `bankdistress embed` writes; "
                        "no command reads that file yet",
     "fusion.FoldAssignment.banks_in": "acceptance criterion 6 reads the banks of each fold",

@@ -1,5 +1,7 @@
 """Alignment, labeling, normalization, folds and fused-dataset format tests."""
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bankdistress import corpus, pvdm
+from bankdistress import cli, corpus, pvdm
 from bankdistress.corpus import Sentence
 from bankdistress.fusion import (
     ARM_ROW_CHUNK,
@@ -354,12 +356,34 @@ def test_read_sample_table_without_the_semantic_column(tmp_path):
 def fuse_both_ways(sentences, vectors_path, recs, events, d):
     """The bytes write_fused writes, and the bytes of its float oracle."""
     fused, oracle = os.path.join(d, "fused.jsonl"), os.path.join(d, "oracle.jsonl")
-    write_fused(sentences, vectors_path, pvdm.read_vector_spans(vectors_path), recs, events,
+    write_fused(sentences, vectors_path, pvdm.read_vector_twin(vectors_path), recs, events,
                 fused)
     table, _ = build_sample_table(sentences, pvdm.read_vectors(vectors_path), recs, events)
     write_sample_table(table, oracle)
     with open(fused, "rb") as fh, open(oracle, "rb") as gh:
         return fh.read(), gh.read()
+
+
+def fuse_argv(sentences, vectors_path, recs, events, out):
+    """``bankdistress fuse`` flags for ``vectors_path`` and these sentences,
+    indicators and events, which are written beside ``out``."""
+    d = os.path.dirname(out)
+    inputs = {name: os.path.join(d, name)
+              for name in ("sentences.jsonl", "indicators.csv", "events.csv")}
+    corpus.write_sentences(sentences, inputs["sentences.jsonl"])
+    write_indicators(recs, inputs["indicators.csv"])
+    write_events(events, inputs["events.csv"])
+    return ["fuse", "--sentences", inputs["sentences.jsonl"], "--vectors", vectors_path,
+            "--indicators", inputs["indicators.csv"], "--events", inputs["events.csv"],
+            "--out", out]
+
+
+def cli_fuse(sentences, vectors_path, recs, events, out):
+    """The bytes ``bankdistress fuse`` writes to ``out`` (see ``fuse_argv``)."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(fuse_argv(sentences, vectors_path, recs, events, out)) == 0
+    with open(out, "rb") as fh:
+        return fh.read()
 
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e22, 1e-5,
@@ -385,13 +409,11 @@ def assert_fused_matches_the_oracle(ids, months, matrix, order):
         pvdm.export_vectors(model, vectors_path)
         if not align(sentences, recs)[0]:
             with pytest.raises(ValueError, match="no aligned samples"):
-                write_fused(sentences, vectors_path, pvdm.read_vector_spans(vectors_path),
+                write_fused(sentences, vectors_path, pvdm.read_vector_twin(vectors_path),
                             recs, events, os.path.join(d, "fused.jsonl"))
             return
         fused, oracle = fuse_both_ways(sentences, vectors_path, recs, events, d)
-        os.remove(corpus.twin_path(vectors_path))  # the spans from the JSON instead
-        from_json, _ = fuse_both_ways(sentences, vectors_path, recs, events, d)
-    assert fused == oracle == from_json
+    assert fused == oracle
 
 
 def test_write_fused_writes_the_oracle_bytes_of_edge_floats():
@@ -424,27 +446,90 @@ HAND_WRITTEN = [
 ]
 
 
-def test_write_fused_copies_hand_written_numerals_as_written(tmp_path):
+def test_fuse_writes_hand_written_numerals_as_the_oracle_does(tmp_path):
+    # without a twin, fuse parses the vectors and prints the floats again
     vectors_path = tmp_path / "vectors.jsonl"
     vectors_path.write_bytes("\r\n".join(HAND_WRITTEN + [""]).encode("utf-8"))
     ids = ["s0", "s1", "s2", "b\u00e4nk\u20ac\U0001d11e", "\u00fc\u00fc"]
     sentences = [make_sentence(sid, "ab"[i % 2], ts(2010, 1 + i)) for i, sid in enumerate(ids)]
     recs = [make_indicators(b, 2010, q, base=q) for b in "ab" for q in (1, 2)]
     events = [DistressEvent("a", date(2010, 2, 1), date(2010, 4, 30), "state_aid")]
-    fused, _ = fuse_both_ways(sentences, str(vectors_path), recs, events, str(tmp_path))
-    written = ["[1, 2.5, -3]", "[1e-3,2E2,-0]", "[ 4 , 5.0 ,6e0 ]", "[7,8,1E+1]",
-               "[0.5, 0.25, 0.125]"]
+    fused = cli_fuse(sentences, str(vectors_path), recs, events, str(tmp_path / "fused.jsonl"))
+    assert not os.path.exists(corpus.twin_path(str(tmp_path / "fused.jsonl")))
+    values = [[1.0, 2.5, -3.0], [1e-3, 200.0, 0.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0],
+              [0.5, 0.25, 0.125]]
+    table, _ = build_sample_table(sentences, dict(zip(ids, np.array(values))), recs, events)
+    write_sample_table(table, str(tmp_path / "oracle.jsonl"))
+    assert fused == (tmp_path / "oracle.jsonl").read_bytes()
     lines = fused.decode("utf-8").splitlines()
-    assert len(lines) == len(written)
-    for line, text in zip(lines, written):
-        assert '"semantic": %s, "sentence_id": ' % text in line
+    assert len(lines) == len(values)
+    for line, row in zip(lines, values):
+        assert '"semantic": %s, "sentence_id": ' % json.dumps(row) in line
     got = read_sample_table(str(tmp_path / "fused.jsonl"))
-    want = read_sample_table(str(tmp_path / "oracle.jsonl"))
-    assert got.sentence_ids == want.sentence_ids == ids
-    np.testing.assert_array_equal(got.semantic, want.semantic)
-    np.testing.assert_array_equal(got.numeric_raw, want.numeric_raw)
-    np.testing.assert_array_equal(got.labels, want.labels)
-    np.testing.assert_array_equal(got.semantic[1], [1e-3, 200.0, 0.0])
+    assert got.sentence_ids == ids
+    assert got.semantic.tobytes() == np.array(values).tobytes()
+
+
+def respell(value, how):
+    """One float of a vectors row as another numeral that parses back to it."""
+    if how == "int" and value == int(value) and repr(value) != "-0.0":
+        return "%d" % value  # json reads an int; VectorRows makes it this float
+    if how == "exponent":
+        return "%.17e" % value
+    if how == "EXPONENT":
+        return "%.17E" % value
+    if how == "e0" and "e" not in repr(value):
+        return repr(value) + "e0"
+    return repr(value)
+
+
+@st.composite
+def respelled_rows(draw, ids, matrix):
+    """The lines of a vectors file holding ``matrix``'s rows for ``ids``,
+    spelled as the JSON of no export is: other separators and blanks,
+    either key order, other numerals, CRLF or LF, and blank lines."""
+    blanks = st.sampled_from(["", " ", "  ", "\t", " \t "])
+    lines = []
+    for sid, row in zip(ids, matrix.tolist()):
+        numerals = [respell(v, draw(st.sampled_from(["repr", "int", "exponent", "EXPONENT",
+                                                     "e0"]))) for v in row]
+        comma = draw(blanks) + "," + draw(blanks)
+        values = "[%s%s%s]" % (draw(blanks), comma.join(numerals), draw(blanks))
+        colon = draw(blanks) + ":" + draw(blanks)
+        pairs = ['"sentence_id"%s%s' % (colon, json.dumps(sid)),
+                 '"values"%s%s' % (colon, values)]
+        if draw(st.booleans()):
+            pairs.reverse()
+        lines.append("%s{%s%s}%s" % (draw(blanks), draw(blanks), comma.join(pairs),
+                                     draw(blanks)))
+        lines.extend(draw(st.lists(blanks, max_size=2)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(min_value=1, max_value=5),
+       dim=st.integers(min_value=1, max_value=4))
+def test_fuse_of_a_respelled_vectors_file_writes_the_bytes_of_the_export(data, n, dim):
+    ids = data.draw(st.lists(SENTENCE_IDS, min_size=n, max_size=n, unique=True))
+    matrix = np.array(data.draw(st.lists(FLOATS, min_size=n * dim, max_size=n * dim)))
+    matrix = matrix.reshape(n, dim)
+    sentences = [make_sentence(sid, "ab"[i % 2], ts(2010, 1 + i % 6)) for i, sid in
+                 enumerate(ids)]
+    recs = [make_indicators(b, 2010, q, base=0.1 * q) for b in "ab" for q in (1, 2)]
+    events = [DistressEvent("a", date(2010, 2, 1), date(2010, 4, 30), "state_aid")]
+    text = data.draw(respelled_rows(ids, matrix))
+    with tempfile.TemporaryDirectory() as d:
+        export = os.path.join(d, "export.jsonl")
+        pvdm.export_vectors(pvdm.PvdmModel(word_in=None, word_out=None, paragraph=matrix,
+                                           sentence_index={sid: i for i, sid in enumerate(ids)},
+                                           vocab=None, config=None), export)
+        respelled = os.path.join(d, "respelled.jsonl")
+        with open(respelled, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        from_twin = cli_fuse(sentences, export, recs, events, os.path.join(d, "twinned.jsonl"))
+        assert cli_fuse(sentences, respelled, recs, events,
+                        os.path.join(d, "twinless.jsonl")) == from_twin
+        assert not os.path.exists(corpus.twin_path(os.path.join(d, "twinless.jsonl")))
 
 
 def test_write_fused_does_not_overwrite_its_vectors_file(tmp_path):
@@ -456,5 +541,5 @@ def test_write_fused_does_not_overwrite_its_vectors_file(tmp_path):
     pvdm.export_vectors(model, path)
     before = (tmp_path / "vectors.jsonl").read_bytes()
     with pytest.raises(ValueError, match="would overwrite the vectors it copies"):
-        write_fused(sents, path, pvdm.read_vector_spans(path), recs, events, path)
+        write_fused(sents, path, pvdm.read_vector_twin(path), recs, events, path)
     assert (tmp_path / "vectors.jsonl").read_bytes() == before

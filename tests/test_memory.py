@@ -6,6 +6,7 @@ bytes the call must hold (the matrix it returns, or one copy of the rows it
 trains on), plus a fixed slack for ids, dicts and the model itself.
 """
 
+import gc
 import json
 import os
 import sys
@@ -23,7 +24,16 @@ SLACK = 0.25 * MB
 
 
 def traced(call):
-    """(result, peak bytes allocated by ``call``, snapshot at its return)."""
+    """(result, peak bytes allocated by ``call``, snapshot at its return).
+
+    Garbage left by earlier code is collected before the window opens, and
+    the collector stays off inside it, so a collection cannot run there. The
+    full collection also empties CPython's free lists, whose parked objects
+    ``tracemalloc`` counts as allocated, so no peak depends on what earlier
+    tests left there."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     tracemalloc.start()
     try:
         result = call()
@@ -31,6 +41,8 @@ def traced(call):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        if enabled:
+            gc.enable()
     return result, peak, snapshot
 
 
@@ -91,12 +103,22 @@ def fuse_argv(paths, out):
             "--indicators", paths["indicators"], "--events", paths["events"], "--out", out]
 
 
-def test_fuse_holds_no_vector_matrix(text_pipeline):
+def test_fuse_without_a_vectors_twin_holds_two_vector_matrices(text_pipeline, monkeypatch):
+    # without a twin, fuse parses the vectors into one matrix in file order,
+    # stacks the table's in sample order and prints the floats again
+    calls = []
+    for module, name in ((pvdm, "read_vectors"), (fusion, "build_sample_table"),
+                         (fusion, "write_sample_table")):
+        def recording(*args, _call=getattr(module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(module, name, recording)
     fused = str(text_pipeline["dir"] / "fused-traced.jsonl")
     rc, peak, _ = traced(lambda: cli.main(fuse_argv(text_pipeline, fused)))
     rows = text_pipeline["rows"]
-    assert rc == 0
-    assert peak < rows.nbytes, peak  # 5.65 MB
+    assert rc == 0 and calls == ["read_vectors", "build_sample_table", "write_sample_table"]
+    assert not os.path.exists(corpus.twin_path(fused))
+    assert peak <= 2.5 * rows.nbytes, peak  # two matrices (11.3 MB), short of a third
     np.testing.assert_array_equal(fusion.read_sample_table(fused).semantic, rows)
 
 

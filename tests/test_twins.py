@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bankdistress import corpus, fusion, pvdm
+from bankdistress import cli, corpus, fusion, pvdm
 from bankdistress.fusion import DistressEvent
 from conftest import toy_table
-from test_fusion import EDGE_FLOATS, FLOATS, SENTENCE_IDS, make_indicators, make_sentence, ts
+from test_fusion import (EDGE_FLOATS, FLOATS, SENTENCE_IDS, cli_fuse, fuse_argv, make_indicators,
+                         make_sentence, ts)
 
 VECTOR_COLUMNS = {"ids": str, "values": (np.float64, (None, None)),
                   "spans": (np.int64, (None, 2))}
@@ -35,6 +36,12 @@ def export(path, matrix, ids, order=None):
     return str(path)
 
 
+def small_fuse_inputs(ids):
+    """Sentences of bank a, one a month from January, and its indicators."""
+    sentences = [make_sentence(sid, "a", ts(2010, 1 + i)) for i, sid in enumerate(ids)]
+    return sentences, [make_indicators("a", 2010, q) for q in (1, 2)]
+
+
 def write_table_twin(table, path):
     """The twin ``fusion.write_fused`` writes beside a fused file of ``table``."""
     corpus.write_twin(path, {
@@ -42,6 +49,19 @@ def write_table_twin(table, path):
         "months": np.array(table.months, dtype=np.int64).reshape(-1, 2),
         "semantic": table.semantic, "numeric_raw": table.numeric_raw,
         "labels": np.asarray(table.labels, dtype=np.int64)})
+
+
+def assert_spans_hold_the_values(path, spans, rows):
+    """Span i of ``spans`` is the JSON text of ``rows[i]``, the last value on
+    line i of the file ``path``."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    text = b"".join(lines)
+    assert len(lines) == len(spans) == len(rows)
+    for row, end, (offset, length) in zip(rows, np.cumsum([len(x) for x in lines]).tolist(),
+                                          spans):
+        assert text[offset:offset + length] == json.dumps(row).encode("ascii")
+        assert offset + length == end - len(b"}\n")
 
 
 def assert_tables_bit_equal(got, want):
@@ -70,17 +90,12 @@ def test_write_npz_gathers_rows_into_the_bytes_of_np_savez(tmp_path):
     assert (tmp_path / "got.npz").read_bytes() == (tmp_path / "want.npz").read_bytes()
 
 
-def test_write_jsonl_spans_are_the_spans_read_jsonl_finds(tmp_path):
+def test_write_jsonl_spans_are_the_bytes_of_each_value(tmp_path):
     path = str(tmp_path / "v.jsonl")
     ids = ['q"\\[0]', "é€\U0001d11e", '"values": [', "\ud800"]
     rows = [{"sentence_id": sid, "values": EDGE_FLOATS[i:i + 3 + i]} for i, sid in enumerate(ids)]
     spans = corpus.write_jsonl(rows, path, span="values")
-    read = corpus.read_jsonl(path, lambda row: row["sentence_id"], span="values")
-    assert [sid for sid, _ in read] == ids and [span for _, span in read] == spans
-    with open(path, "rb") as fh:
-        text = fh.read()
-    for row, (offset, length) in zip(rows, spans):
-        assert json.loads(text[offset:offset + length]) == row["values"]
+    assert_spans_hold_the_values(path, spans, [row["values"] for row in rows])
 
 
 def test_a_twin_round_trips_ids_and_columns(tmp_path):
@@ -165,8 +180,14 @@ def test_twin_and_json_give_bit_equal_vectors_spans_and_tables(tmp_path_factory,
     matrix = np.array(data.draw(st.lists(FLOATS, min_size=n * dim, max_size=n * dim)))
     order = data.draw(st.permutations(range(n)))
     vectors = export(d / "vectors.jsonl", matrix.reshape(n, dim), ids, order)
-    rows, spans, values = pvdm.read_vector_spans(vectors)
+    rows, spans, values = pvdm.read_vector_twin(vectors)
     assert values.tobytes() == matrix.tobytes()
+    # the twin's ids, in file order, and vectors are those read_vectors parses
+    from_json = pvdm.read_vectors(vectors)
+    assert list(rows) == list(from_json)
+    assert values.tobytes() == np.array(list(from_json.values())).tobytes()
+    assert spans.dtype == np.int64
+    assert_spans_hold_the_values(vectors, spans.tolist(), values.tolist())
     # the sentences in another order than the vectors; bank b has no
     # indicators for quarter 2, so its sentences there are dropped
     months = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
@@ -180,11 +201,7 @@ def test_twin_and_json_give_bit_equal_vectors_spans_and_tables(tmp_path_factory,
         return
     fusion.write_fused(sentences, vectors, (rows, spans, values), recs, events, fused)
     twinned = [fusion.read_sample_table(fused, keep) for keep in (True, False)]
-    os.remove(corpus.twin_path(vectors))
     os.remove(corpus.twin_path(fused))
-    json_rows, json_spans, json_values = pvdm.read_vector_spans(vectors)
-    assert json_rows == rows and json_values is None
-    assert json_spans.dtype == spans.dtype and json_spans.tobytes() == spans.tobytes()
     for keep, table in zip((True, False), twinned):
         assert_tables_bit_equal(table, fusion.read_sample_table(fused, keep))
     want = [matrix.reshape(n, dim)[order[ids.index(sid)]] for sid in twinned[0].sentence_ids]
@@ -232,17 +249,23 @@ def test_a_twin_whose_rows_fail_the_checks_leaves_the_reading_to_the_json(tmp_pa
         getattr(bad, column)[3] = value
         write_table_twin(bad, path)
         assert_tables_bit_equal(fusion.read_sample_table(path), table)
+    # fuse takes no vectors twin that repeats an id or holds a NaN, and
+    # writes the fused file from the JSON, and no fused twin
     matrix = np.arange(6.0).reshape(3, 2)
     vectors = export(tmp_path / "v.jsonl", matrix, ["a", "b", "c"])
+    sentences, recs = small_fuse_inputs(["a", "b", "c"])
+    want = cli_fuse(sentences, vectors, recs, [], str(tmp_path / "want.jsonl"))
+    spans = corpus.read_twin(vectors, VECTOR_COLUMNS)["spans"]
     for ids, values in ((["a", "b", "c"], np.where(matrix > 4, np.nan, matrix)),
                         (["a", "b", "a"], matrix)):
-        corpus.write_twin(vectors, {"ids": ids, "values": values,
-                                    "spans": pvdm.read_vector_spans(vectors)[1]})
-        rows, _, values = pvdm.read_vector_spans(vectors)
-        assert values is None and rows == {"a": 0, "b": 1, "c": 2}
+        corpus.write_twin(vectors, {"ids": ids, "values": values, "spans": spans})
+        assert pvdm.read_vector_twin(vectors) is None
+        out = str(tmp_path / "fused-from-vectors.jsonl")
+        assert cli_fuse(sentences, vectors, recs, [], out) == want
+        assert not os.path.exists(corpus.twin_path(out))
 
 
-def test_a_bad_row_in_file_and_twin_raises_the_json_error(tmp_path):
+def test_a_bad_row_in_file_and_twin_raises_the_json_error(tmp_path, capsys):
     table, _ = toy_table(n_banks=5, n_months=4, sem_dim=6)
     table.labels[2] = 2
     path = str(tmp_path / "fused.jsonl")
@@ -251,32 +274,34 @@ def test_a_bad_row_in_file_and_twin_raises_the_json_error(tmp_path):
     with pytest.raises(ValueError, match=r"fused\.jsonl:3: label must be the integer 0 or 1, "
                                          r"got 2"):
         fusion.read_sample_table(path)
+    # fuse reads no vector from a twin whose file fails the checks: the
+    # JSON's error ends the command
     matrix = np.arange(6.0).reshape(3, 2)
     matrix[1, 0] = np.nan
     vectors = export(tmp_path / "v.jsonl", matrix, ["a", "b", "c"])
-    with pytest.raises(ValueError, match=r"v\.jsonl:2: values holds a NaN or infinite entry"):
-        pvdm.read_vector_spans(vectors)
+    sentences, recs = small_fuse_inputs(["a", "b", "c"])
+    out = str(tmp_path / "fused-from-vectors.jsonl")
+    assert cli.main(fuse_argv(sentences, vectors, recs, [], out)) == 1
+    assert capsys.readouterr().err == "error: %s:2: values holds a NaN or infinite entry\n" % (
+        vectors)
     vectors = str(tmp_path / "w.jsonl")
     ids = ["a", "b", "a"]
     spans = corpus.write_jsonl(({"sentence_id": sid, "values": [0.5]} for sid in ids), vectors,
                                span="values")
     corpus.write_twin(vectors, {"ids": ids, "values": np.full((3, 1), 0.5),
                                 "spans": np.array(spans, dtype=np.int64)})
-    with pytest.raises(ValueError, match=r"w\.jsonl:3: duplicate sentence_id 'a'"):
-        pvdm.read_vector_spans(vectors)
+    assert cli.main(fuse_argv(sentences, vectors, recs, [], out)) == 1
+    assert capsys.readouterr().err == "error: %s:3: duplicate sentence_id 'a'\n" % vectors
+    assert not os.path.exists(out)
 
 
 def test_fused_twin_is_written_only_beside_vectors_taken_from_a_twin(tmp_path):
     ids = ["s%d" % i for i in range(4)]
     vectors = export(tmp_path / "v.jsonl", np.ones((4, 3)), ids)
-    sentences = [make_sentence(sid, "a", ts(2010, 1 + i)) for i, sid in enumerate(ids)]
-    recs = [make_indicators("a", 2010, q) for q in (1, 2)]
-    fused = str(tmp_path / "fused.jsonl")
-    fusion.write_fused(sentences, vectors, pvdm.read_vector_spans(vectors), recs, [], fused)
-    assert os.path.exists(corpus.twin_path(fused))
-    shutil.copy(vectors, str(tmp_path / "copy.jsonl"))
+    sentences, recs = small_fuse_inputs(ids)
+    fused = cli_fuse(sentences, vectors, recs, [], str(tmp_path / "fused.jsonl"))
+    assert os.path.exists(corpus.twin_path(str(tmp_path / "fused.jsonl")))
     copy = str(tmp_path / "copy.jsonl")
-    fusion.write_fused(sentences, copy, pvdm.read_vector_spans(copy), recs, [],
-                       str(tmp_path / "fused2.jsonl"))
+    shutil.copy(vectors, copy)
+    assert cli_fuse(sentences, copy, recs, [], str(tmp_path / "fused2.jsonl")) == fused
     assert not os.path.exists(corpus.twin_path(str(tmp_path / "fused2.jsonl")))
-    assert (tmp_path / "fused.jsonl").read_bytes() == (tmp_path / "fused2.jsonl").read_bytes()
