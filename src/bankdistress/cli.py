@@ -32,11 +32,11 @@ def _experiment_settings(args, **defaults):
 
 
 def _distinct_files(paths):
-    """Raise CliError if two of ``paths`` (name -> path or None) are one file."""
+    """Raise CliError if two of ``paths`` (name -> path) are one file."""
     seen = {}
     for what, path in paths.items():
-        first = seen.setdefault(path and os.path.realpath(path), what)
-        if path and first != what:
+        first = seen.setdefault(os.path.realpath(path), what)
+        if first != what:
             raise CliError("%s and %s are the same file: %s" % (first, what, path))
 
 
@@ -103,16 +103,14 @@ def _cmd_ingest(args):
 
 
 def _cmd_embed(args):
-    _distinct_files({"--sentences": args.sentences, "--vectors": args.vectors,
-                     "--out": args.out + ("" if args.out.endswith(".npz") else ".npz"),
-                     "the twin of --vectors": args.vectors and corpus.twin_path(args.vectors)})
+    _distinct_files({"--sentences": args.sentences, "--vectors": args.vectors, "--out": args.out,
+                     "the twin of --vectors": corpus.twin_path(args.vectors)})
     sentences = corpus.read_sentences(args.sentences)
     cfg = pvdm.PvdmConfig(vector_dim=args.dim, window_n=args.window, epochs=args.epochs,
                           seed=args.seed, min_count=args.min_count)
     model, losses = experiment.embed_sentences(sentences, cfg)
     pvdm.save_model(model, args.out)
-    if args.vectors:
-        pvdm.export_vectors(model, args.vectors)
+    pvdm.export_vectors(model, args.vectors)
     tail = (" final epoch loss %.4f" % losses[-1]) if losses else ""
     print("wrote %s: |V|=%d, %d sentences%s"
           % (args.out, len(model.vocab), len(sentences), tail))
@@ -259,7 +257,7 @@ def build_parser():
     p = sub.add_parser("embed", help="train paragraph vectors")
     p.add_argument("--sentences", required=True)
     p.add_argument("--out", required=True, help="model file (.npz)")
-    p.add_argument("--vectors", help="optional JSON-lines vector export")
+    p.add_argument("--vectors", required=True, help="JSON-lines sentence vectors output")
     p.add_argument("--dim", type=int, default=600)
     p.add_argument("--window", type=int, default=5)
     p.add_argument("--epochs", type=int, default=10)
@@ -320,7 +318,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, KeyError) as exc:
+    except (CliError, ValueError, KeyError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except OSError as exc:

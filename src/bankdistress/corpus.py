@@ -388,14 +388,12 @@ def json_entry(value):
 
 
 def write_npz(path, arrays):
-    """Write the file ``np.savez(path, **arrays)`` writes for C-contiguous
-    arrays, byte for byte, without its staging copy: ``np.savez`` copies each
-    array with ``tobytes`` because a zip entry is not a real file, while a
-    memoryview of the array goes into the entry as it is. An entry given as
-    (matrix, rows) is ``matrix[rows]``, gathered NPZ_ROW_CHUNK rows at a time."""
-    path = os.fspath(path)
-    if not path.endswith(".npz"):
-        path += ".npz"  # as np.savez names it
+    """Write to ``path`` (an .npz name) the bytes ``np.savez(path, **arrays)``
+    writes for C-contiguous arrays, without its staging copy: ``np.savez``
+    copies each array with ``tobytes`` because a zip entry is not a real file,
+    while a memoryview of the array goes into the entry as it is. An entry
+    given as (matrix, rows) is ``matrix[rows]``, gathered NPZ_ROW_CHUNK rows at
+    a time."""
     with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
         for name, arr in arrays.items():
             matrix, rows = arr if isinstance(arr, tuple) else (np.ascontiguousarray(arr), None)

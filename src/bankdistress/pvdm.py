@@ -1,6 +1,5 @@
 """Distributed-memory paragraph vectors trained with negative sampling."""
 
-import json
 from dataclasses import dataclass, field, asdict
 from itertools import chain, repeat
 
@@ -10,7 +9,7 @@ from .corpus import (Vocabulary, VectorRows, all_finite, count_rows, json_entry,
                      read_twin, require_float, require_int, require_str, write_jsonl, write_npz,
                      write_twin)
 
-MODEL_FORMAT = "pvdm-v1"
+MODEL_FORMAT = "pvdm-v2"
 BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
 NOISE_BATCHES = 64  # batches whose noise words train draws in one call
 INFER_CHUNK = 256  # held-out sentences infer_vectors runs at a time
@@ -445,8 +444,8 @@ def infer_vector(model, tokens, seed=0):
 
 
 def save_model(model, path):
-    """Persist config, vocabulary and matrices; matrix round-trip is bit-exact."""
-    ids = sorted(model.sentence_index, key=model.sentence_index.get)  # row order
+    """Persist config, vocabulary and word matrices: the model that infers a
+    sentence's vector. The trained sentences' vectors go to ``export_vectors``."""
     header = {
         "format": MODEL_FORMAT,
         "config": asdict(model.config),
@@ -456,48 +455,24 @@ def save_model(model, path):
             "min_count": model.vocab.min_count,
             "noise_power": model.vocab.noise_power,
         },
-        "sentence_ids": ids,
     }
     write_npz(path, {
         "header": json_entry(header),
         "word_in": model.word_in,
         "word_out": model.word_out,
-        "paragraph": model.paragraph,
         "noise_probs": model.vocab.noise_probs,
     })
 
 
-def load_model(path):
-    with np.load(path, allow_pickle=False) as data:
-        header = json.loads(bytes(data["header"].tobytes()).decode("utf-8"))
-        if header.get("format") != MODEL_FORMAT:
-            raise ValueError("unsupported model format: %r" % header.get("format"))
-        vocab_meta = header["vocab"]
-        vocab = Vocabulary(
-            token_to_index={t: i for i, t in enumerate(vocab_meta["tokens"])},
-            index_to_token=list(vocab_meta["tokens"]),
-            counts=dict(zip(vocab_meta["tokens"], vocab_meta["counts"])),
-            min_count=vocab_meta["min_count"],
-            noise_power=vocab_meta["noise_power"],
-            noise_probs=data["noise_probs"].copy(),
-        )
-        return PvdmModel(
-            word_in=data["word_in"].copy(),
-            word_out=data["word_out"].copy(),
-            paragraph=data["paragraph"].copy(),
-            sentence_index={sid: i for i, sid in enumerate(header["sentence_ids"])},
-            vocab=vocab,
-            config=PvdmConfig(**header["config"]),
-        )
-
-
 def export_vectors(model, path):
     """JSON-lines export of all trained paragraph vectors, in row order, and
-    its twin: the ids, the vectors and the byte span of each ``values`` text."""
-    ids, rows = zip(*sorted(model.sentence_index.items(), key=lambda item: item[1]))
-    spans = write_jsonl(({"sentence_id": sid, "values": model.paragraph[row].tolist()}
-                         for sid, row in zip(ids, rows)), path, span="values")
-    write_twin(path, {"ids": list(ids), "values": (model.paragraph, np.array(rows, dtype=np.intp)),
+    its twin: the ids, the vectors and the byte span of each ``values`` text.
+    ``init_model`` gives each sentence its own row, so row order is the
+    paragraph matrix as it is."""
+    ids = sorted(model.sentence_index, key=model.sentence_index.get)
+    spans = write_jsonl(({"sentence_id": sid, "values": row.tolist()}
+                         for sid, row in zip(ids, model.paragraph)), path, span="values")
+    write_twin(path, {"ids": ids, "values": model.paragraph,
                       "spans": np.array(spans, dtype=np.int64).reshape(-1, 2)})
 
 

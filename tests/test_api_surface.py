@@ -24,8 +24,6 @@ ALLOWED = {
     "pvdm.step_gradients": "step-math oracle of pvdm.train and pvdm.infer_vectors "
                            "(criterion 3, reference_train, reference_infer_vector)",
     "pvdm.infer_vector": "wrapped by perfbench/tracing.py as pvdm.infer",
-    "pvdm.load_model": "the reader of the model file `bankdistress embed` writes; "
-                       "no command reads that file yet",
     "fusion.FoldAssignment.banks_in": "acceptance criterion 6 reads the banks of each fold",
     "fusion.SampleTable.semantic_dim": "acceptance criterion 7b checks the fused "
                                        "semantic width",

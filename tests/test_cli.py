@@ -68,11 +68,27 @@ def test_ingest_output(pipeline):
 
 
 def test_embed_output(pipeline):
-    model = pvdm.load_model(pipeline["model"])
-    assert model.config.vector_dim == 16
+    with np.load(pipeline["model"]) as data:
+        header = corpus.parse_json(data["header"].tobytes().decode("utf-8"))
+        assert data.files == ["header", "word_in", "word_out", "noise_probs"]
+        assert data["word_in"].shape == (len(header["vocab"]["tokens"]), 16)
+    assert header["format"] == "pvdm-v2" and header["config"]["vector_dim"] == 16
     vectors = pvdm.read_vectors(pipeline["vectors"])
-    assert set(vectors) == set(model.sentence_index)
+    assert list(vectors) == [s.sentence_id for s in corpus.read_sentences(pipeline["sentences"])]
     assert all(v.shape == (16,) for v in vectors.values())
+
+
+def test_the_vectors_twin_holds_the_paragraph_matrix_embed_trained(pipeline):
+    # the fixture's embed, run in-process: its paragraph matrix is the
+    # twin's values, bit for bit, and the model file holds no copy of it
+    config = pvdm.PvdmConfig(vector_dim=16, window_n=2, epochs=2, seed=1)
+    model, _ = experiment.embed_sentences(corpus.read_sentences(pipeline["sentences"]), config)
+    with np.load(corpus.twin_path(pipeline["vectors"])) as twin:
+        assert twin["values"].tobytes() == model.paragraph.tobytes()
+    with np.load(pipeline["model"]) as data:
+        assert "paragraph" not in data.files
+        assert data["word_in"].tobytes() == model.word_in.tobytes()
+        assert data["word_out"].tobytes() == model.word_out.tobytes()
 
 
 def test_fuse_output(pipeline):
@@ -693,11 +709,31 @@ def test_experiment_prints_zero_vector_fallbacks(pipeline, capsys, tmp_path):
 
 
 def test_embed_rejects_negative_epochs(pipeline, capsys, tmp_path):
-    out = tmp_path / "model.npz"
+    out, vectors = tmp_path / "model.npz", tmp_path / "vectors.jsonl"
     rc = cli.main(["embed", "--sentences", pipeline["sentences"], "--out", str(out),
-                   "--dim", "4", "--epochs", "-2"])
+                   "--vectors", str(vectors), "--dim", "4", "--epochs", "-2"])
     assert_one_error_line(capsys, rc, "epochs must be >= 0")
-    assert not out.exists()
+    assert os.listdir(tmp_path) == []
+
+
+def test_embed_without_vectors_ends_before_any_output(pipeline, capsys, tmp_path):
+    # the vectors file is the one copy of the sentence vectors embed trains
+    rc = cli.main(["embed", "--sentences", pipeline["sentences"],
+                   "--out", str(tmp_path / "model.npz"), "--dim", "4", "--epochs", "1"])
+    assert_one_error_line(capsys, rc, "the following arguments are required: --vectors")
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_allocation_the_system_refuses_ends_in_one_error_line(pipeline, capsys, tmp_path):
+    # a word matrix of petabytes, far past any address space: refused at once
+    dim = 10 ** 13
+    vocab = corpus.build_vocabulary(corpus.read_sentences(pipeline["sentences"]), min_count=5)
+    assert len(vocab) * dim * 8 > 2 ** 50
+    rc = cli.main(["embed", "--sentences", pipeline["sentences"],
+                   "--out", str(tmp_path / "model.npz"), "--vectors", str(tmp_path / "v.jsonl"),
+                   "--dim", str(dim), "--epochs", "1"])
+    assert_one_error_line(capsys, rc, "error: Unable to allocate", "PiB")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("command,config,fragment", [
@@ -738,8 +774,6 @@ def twin_collisions():
          "--out and the twin of --vectors are the same file"),
         ("embed", {"--out": "v.jsonl.twin.npz", "--vectors": "./v.jsonl"},
          "--out and the twin of --vectors are the same file"),
-        ("embed", {"--out": "m", "--vectors": "m.npz"},  # the model goes to m.npz
-         "--vectors and --out are the same file"),
         ("fuse", {"--vectors": "f.jsonl.twin.npz", "--out": "f.jsonl"},
          "--vectors and the twin of --out are the same file"),
         ("fuse", {"--vectors": "v.jsonl", "--out": "v.jsonl.twin.npz"},
@@ -750,7 +784,7 @@ def twin_collisions():
 
 
 @pytest.mark.parametrize("command,flags,fragment", twin_collisions(),
-                         ids=["embed-out", "embed-out-dot", "embed-model-name", "fuse-out-twin",
+                         ids=["embed-out", "embed-out-dot", "fuse-out-twin",
                               "fuse-vectors-twin", "fuse-out"])
 def test_a_twin_path_that_is_another_file_of_the_command_ends_it_first(
         pipeline, capsys, tmp_path, monkeypatch, command, flags, fragment):
@@ -889,7 +923,7 @@ def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, t
                 "--out", str(tmp_path / "results")]
     elif reader == "sentences":
         argv = ["embed", "--sentences", bad, "--out", str(tmp_path / "model.npz"),
-                "--dim", "4", "--window", "2", "--epochs", "1"]
+                "--vectors", out, "--dim", "4", "--window", "2", "--epochs", "1"]
     else:
         argv = ["fuse", "--sentences", inputs["sentences"], "--vectors", inputs["vectors"],
                 "--indicators", os.path.join(data, "indicators.csv"),
@@ -1000,7 +1034,7 @@ def test_deeply_nested_json_names_the_file(pipeline, capsys, tmp_path, reader):
                 "--out", out]
     elif reader == "sentences":
         argv = ["embed", "--sentences", inputs["sentences"], "--out", out + ".npz",
-                "--dim", "4", "--window", "2", "--epochs", "1"]
+                "--vectors", out + ".jsonl", "--dim", "4", "--window", "2", "--epochs", "1"]
     elif reader == "vectors":
         argv = ["fuse", "--sentences", inputs["sentences"], "--vectors", inputs["vectors"],
                 "--indicators", os.path.join(data, "indicators.csv"),
@@ -1289,3 +1323,59 @@ def test_a_damaged_twin_gives_the_twinless_outputs_or_one_error_line(
             from_json = fusion.read_sample_table(out)
             assert twinned.sentence_ids == from_json.sentence_ids
             assert twinned.semantic.tobytes() == from_json.semantic.tobytes()
+
+
+# embed's flags, each with the value of a small valid run; the integers' upper
+# bounds keep a run that succeeds small
+EMBED_FLAGS = {"--sentences": "sentences.jsonl", "--out": "model.npz",
+               "--vectors": "vectors.jsonl", "--dim": "4", "--window": "2", "--epochs": "1",
+               "--min-count": "1", "--seed": "0"}
+EMBED_INT_MAX = {"--dim": 16, "--window": 8, "--epochs": 2, "--min-count": 4, "--seed": 2 ** 64}
+# each input and output of the command, its twins, another spelling of one,
+# the directory itself and the empty path
+EMBED_PATHS = ["sentences.jsonl", "model.npz", "vectors.jsonl", "sentences.jsonl.twin.npz",
+               "vectors.jsonl.twin.npz", "model.npz.twin.npz", "./vectors.jsonl", ".", ""]
+
+
+def embed_flag_value(flag):
+    if flag in EMBED_INT_MAX:
+        return (st.integers(min_value=-3, max_value=EMBED_INT_MAX[flag]).map(str)
+                | st.sampled_from(["x", "1.5", "", "1e3", "0x4", "+2", " 3"]))
+    return st.sampled_from(EMBED_PATHS)
+
+
+# per flag: kept (drawn twice as often as each other branch), dropped, given
+# another value, or given twice (the last wins)
+EMBED_ARGS = st.tuples(*[
+    st.just([(flag, value)]) | st.just([(flag, value)]) | st.just([])
+    | embed_flag_value(flag).map(lambda other, flag=flag: [(flag, other)])
+    | embed_flag_value(flag).map(lambda other, flag=flag, value=value: [(flag, value),
+                                                                        (flag, other)])
+    for flag, value in EMBED_FLAGS.items()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(args=EMBED_ARGS, order=st.randoms(use_true_random=False))
+def test_embed_argument_lists_exit_cleanly(pipeline, args, order):
+    """embed, given its flags dropped, repeated, or set to a bad number or
+    to one of its own files, exits 0, or with exactly one ``error:`` line
+    (1) or ``i/o error:`` line (2), and never with a traceback."""
+    flags = [pair for pairs in args for pair in pairs]
+    order.shuffle(flags)
+    with tempfile.TemporaryDirectory() as d:
+        with open(pipeline["sentences"], encoding="utf-8") as src:
+            head = src.readlines()[:20]
+        with open(os.path.join(d, "sentences.jsonl"), "w", encoding="utf-8") as dst:
+            dst.writelines(head)
+        argv = ["embed"] + [v for flag, value in flags for v in (
+            flag, os.path.join(d, value) if flag not in EMBED_INT_MAX and value else value)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+    text = err.getvalue()
+    assert "Traceback" not in text, text
+    if rc == 0:
+        assert text == "", text
+    else:
+        assert (rc, len(text.splitlines())) in ((1, 1), (2, 1)), (rc, text)
+        assert text.startswith("error: " if rc == 1 else "i/o error: "), text

@@ -253,26 +253,26 @@ def test_infer_vectors_holds_one_chunk_of_sentences(text_pipeline, monkeypatch):
 
 
 def test_save_model_writes_without_a_staging_copy(tmp_path):
-    sentences = [corpus.Sentence(sentence_id="s%d" % i, bank_id="b", published_at=None,
-                                 tokens=("a", "b")) for i in range(1000)]
+    # 499 words and <unk>: two 500 x 600 word matrices, 4.8 MB in all
+    sentences = [corpus.Sentence(sentence_id="s", bank_id="b", published_at=None,
+                                 tokens=tuple("w%d" % i for i in range(499)))]
     vocab = corpus.build_vocabulary(sentences, min_count=1)
     model = pvdm.init_model(vocab, sentences, pvdm.PvdmConfig(vector_dim=600))
     _, peak, _ = traced(lambda: pvdm.save_model(model, str(tmp_path / "model.npz")))
-    assert model.paragraph.nbytes == 4.8 * MB
+    assert model.word_in.nbytes + model.word_out.nbytes == 4.8 * MB
     assert peak <= 0.5 * MB, peak
 
 
 def test_export_vectors_writes_its_twin_without_a_copy_of_the_vectors(tmp_path):
     # 1,000 x 600 vectors (4.8 MB): beyond them, the export holds one row's
-    # text and its spans, and the twin one chunk of gathered rows
+    # text and its spans, and the twin takes the paragraph matrix as it is
     rows = np.random.default_rng(0).standard_normal((1000, 600))
     model = pvdm.PvdmModel(word_in=None, word_out=None, paragraph=rows,
                            sentence_index={"s%d" % i: i for i in range(1000)},
                            vocab=None, config=None)
     path = str(tmp_path / "vectors.jsonl")
     _, peak, _ = traced(lambda: pvdm.export_vectors(model, path))
-    chunk = corpus.NPZ_ROW_CHUNK * 600 * 8  # 0.31 MB
-    assert peak <= chunk + 2 * SLACK, peak
+    assert peak <= 2 * SLACK, peak
     np.testing.assert_array_equal(np.load(corpus.twin_path(path))["values"], rows)
 
 

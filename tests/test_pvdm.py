@@ -16,7 +16,6 @@ from bankdistress.pvdm import (
     infer_vector,
     infer_vectors,
     init_model,
-    load_model,
     save_model,
     step_gradients,
     step_loss,
@@ -606,40 +605,37 @@ def test_infer_vector_needs_trainable_context():
 # Persistence
 
 
-def test_save_load_round_trip_bit_exact(tmp_path):
-    sents, vocab = toy_corpus(n_sentences=20, seed=9)
-    cfg = PvdmConfig(vector_dim=10, window_n=2, epochs=2, lr_initial=0.05, seed=1)
-    model, _ = train(init_model(vocab, sents, cfg), sents)
-    path = str(tmp_path / "model.npz")
-    save_model(model, path)
-    loaded = load_model(path)
-    np.testing.assert_array_equal(loaded.word_in, model.word_in)
-    np.testing.assert_array_equal(loaded.word_out, model.word_out)
-    np.testing.assert_array_equal(loaded.paragraph, model.paragraph)
-    np.testing.assert_array_equal(loaded.vocab.noise_probs, model.vocab.noise_probs)
-    assert loaded.sentence_index == model.sentence_index
-    assert loaded.vocab.token_to_index == model.vocab.token_to_index
-    assert loaded.vocab.counts == model.vocab.counts
-    assert loaded.config == model.config
-
-
 def test_save_model_writes_the_bytes_of_np_savez(tmp_path):
     sents, vocab = toy_corpus(n_sentences=20, seed=9)
     model = init_model(vocab, sents, PvdmConfig(vector_dim=10, window_n=2, seed=1))
-    save_model(model, str(tmp_path / "model"))  # np.savez's name: ".npz" added
+    save_model(model, str(tmp_path / "model.npz"))
     with np.load(str(tmp_path / "model.npz")) as data:
         arrays = {name: data[name] for name in data.files}
-    assert list(arrays) == ["header", "word_in", "word_out", "paragraph", "noise_probs"]
+    assert list(arrays) == ["header", "word_in", "word_out", "noise_probs"]
     np.savez(str(tmp_path / "oracle.npz"), **arrays)
     assert (tmp_path / "model.npz").read_bytes() == (tmp_path / "oracle.npz").read_bytes()
 
 
-def test_load_rejects_unknown_format(tmp_path):
-    path = str(tmp_path / "bad.npz")
-    header = np.frombuffer(b'{"format": "other-v9"}', dtype=np.uint8)
-    np.savez(path, header=header)
-    with pytest.raises(ValueError, match="format"):
-        load_model(path)
+def test_the_model_file_holds_the_word_model_and_the_twin_the_trained_vectors(tmp_path):
+    # the sentence vectors live in the export alone: the model file keeps
+    # what inferring a new sentence's vector reads
+    sents, vocab = toy_corpus(n_sentences=20, seed=9)
+    cfg = PvdmConfig(vector_dim=10, window_n=2, epochs=2, lr_initial=0.05, seed=1)
+    model, _ = train(init_model(vocab, sents, cfg), sents)
+    save_model(model, str(tmp_path / "model.npz"))
+    pvdm.export_vectors(model, str(tmp_path / "vectors.jsonl"))
+    with np.load(str(tmp_path / "model.npz")) as data:
+        header = json.loads(data["header"].tobytes().decode("utf-8"))
+        assert data.files == ["header", "word_in", "word_out", "noise_probs"]
+        for name in ("word_in", "word_out"):
+            assert data[name].tobytes() == getattr(model, name).tobytes()
+        assert data["noise_probs"].tobytes() == vocab.noise_probs.tobytes()
+    assert header["format"] == "pvdm-v2" and "sentence_ids" not in header
+    assert PvdmConfig(**header["config"]) == cfg
+    assert header["vocab"]["tokens"] == vocab.index_to_token
+    with np.load(corpus.twin_path(str(tmp_path / "vectors.jsonl"))) as twin:
+        assert twin["values"].tobytes() == model.paragraph.tobytes()
+        assert json.loads(twin["ids"].tobytes()) == [s.sentence_id for s in sents]
 
 
 def test_vector_export_round_trip(tmp_path):
