@@ -1,6 +1,7 @@
 """Command-line entry point for the full pipeline and experiment protocol."""
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, replace
@@ -231,7 +232,11 @@ def _cmd_report(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on the first call and shared by every
+    later one: ``parse_args`` keeps no state between calls, so ``main`` may
+    run any number of commands in one process."""
     parser = _Parser(prog="bankdistress",
                      description="Bank-distress pipeline: news embeddings, "
                                  "indicator fusion, classification, evaluation.")

@@ -179,7 +179,8 @@ def parse_json(text):
 def compile_registry(registry_file):
     """Load and validate a bank registry JSON file.
 
-    Returns entities in file order, each with its matcher compiled. Raises
+    Returns a ``Registry`` of the entities in file order, each with its
+    matcher compiled. Raises
     RegistryError on malformed JSON, and naming the file and the 1-based row
     on a row that is not an object, lacks a key, holds a value of the wrong
     type, repeats a bank_id, has a pattern that does not compile or that
@@ -213,7 +214,7 @@ def compile_registry(registry_file):
             raise RegistryError("%s: row %d: %s" % (registry_file, row_no, exc)) from None
         seen.add(entity.bank_id)
         entities.append(entity)
-    return entities
+    return Registry(entities)
 
 
 def split_into_sentences(body):
@@ -241,18 +242,35 @@ def tokenize(text):
     return _TOKEN_RE.findall(lowered)
 
 
+class Registry(tuple):
+    """Bank entities in file order, as ``compile_registry`` returns them, with
+    the screen ``extract_sentences`` runs over them built on first use and
+    kept: a tuple, so that screen cannot go stale."""
+
+    @functools.cached_property
+    def screen(self):
+        """(entity, matcher) of each bank; (needle, bank index) of every
+        needle, in one list, so a sentence costs one pass over it; and the
+        indices of the banks without needles."""
+        matchers = [(entity, entity.matcher()) for entity in self]
+        pairs = [(needle, i) for i, entity in enumerate(self) for needle in entity.needles or ()]
+        unscreened = {i for i, entity in enumerate(self) if entity.needles is None}
+        return matchers, pairs, unscreened
+
+
 def extract_sentences(article, registry):
     """Entity-bearing sentences of one article, duplicated per matched bank.
 
     A bank's matcher decides each match; on an ASCII sentence it runs only if
     the lowercased sentence holds one of the bank's ``needles``, or it has none.
+    A ``Registry`` keeps its screen across calls; any other sequence of
+    entities is screened anew on each call.
     """
     if not registry:
         raise ValueError("registry must be non-empty")
-    matchers = [(entity, entity.matcher()) for entity in registry]
-    # one list for the whole registry, so a sentence costs one pass over it
-    pairs = [(needle, i) for i, entity in enumerate(registry) for needle in entity.needles or ()]
-    unscreened = {i for i, entity in enumerate(registry) if entity.needles is None}
+    if not isinstance(registry, Registry):
+        registry = Registry(registry)
+    matchers, pairs, unscreened = registry.screen
     out = []
     for ordinal, raw in enumerate(split_into_sentences(article.body)):
         tokens = tuple(tokenize(raw))
@@ -357,21 +375,25 @@ def read_jsonl(path, parse, unique=None):
     return out
 
 
-def write_jsonl(rows, path, span=None):
+def write_jsonl(rows, path, span=None, digest=None):
     """Write each row of ``rows`` as one line of JSON with sorted keys, the
     format ``read_jsonl`` reads; rows are encoded one at a time, so a
     generator of rows is never held whole. With ``span``, every row's last
     key, whose value holds no string, returns where that value's text lies
-    in the file: an (offset, length) pair in bytes per row."""
+    in the file: an (offset, length) pair in bytes per row. With ``digest``,
+    a hashlib object, every byte written also updates it."""
     spans, offset, key = [], 0, '"%s": ' % span
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "wb") as fh:
         for row in rows:
             line = json.dumps(row, sort_keys=True)  # ASCII: its bytes are its characters
-            fh.write(line + "\n")
+            data = (line + "\n").encode("utf-8")
+            fh.write(data)
+            if digest is not None:
+                digest.update(data)
             if span is not None:
                 start = line.rindex(key) + len(key)
                 spans.append((offset + start, len(line) - 1 - start))
-            offset += len(line) + 1
+            offset += len(data)
     return spans
 
 
@@ -421,10 +443,11 @@ def file_sha256(path):
     return digest.digest()
 
 
-def write_twin(path, columns):
-    """Write the twin of the file ``path``, just written: its sha256 and
-    ``columns``, name -> a list of strings, an array or a ``write_npz`` pair."""
-    entries = {"sha256": np.frombuffer(file_sha256(path), dtype=np.uint8)}
+def write_twin(path, sha256, columns):
+    """Write the twin of the file ``path``, just written: ``sha256``, the
+    digest of the bytes written, taken as they were written, and ``columns``,
+    name -> a list of strings, an array or a ``write_npz`` pair."""
+    entries = {"sha256": np.frombuffer(sha256, dtype=np.uint8)}
     entries.update((name, json_entry(column) if isinstance(column, list) else column)
                    for name, column in columns.items())
     write_npz(twin_path(path), entries)

@@ -1,6 +1,7 @@
 """Alignment of sentences with quarterly indicators, labels, folds and fusion."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -52,7 +53,7 @@ class QuarterlyIndicators:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (NUMERIC_DIM,):
             raise ValueError("expected %d indicator values, got %s" % (NUMERIC_DIM, vals.shape))
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("indicator values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -429,8 +430,9 @@ def write_fused(sentences, vectors_path, vector_twin, indicators, events, path):
     ``build_sample_table``'s table. The fused twin's ``semantic`` is
     gathered from the twin's vectors in row chunks. An aligned sentence
     without a vector raises ValueError naming ``vectors_path`` and the
-    sentence, before ``path`` is opened. Returns the labels, in row order,
-    and the DropReport.
+    sentence, before ``path`` is opened. The fused twin's digest is taken
+    as the file is written. Returns the labels, in row order, and the
+    DropReport.
     """
     vector_rows, vector_text, vectors = vector_twin
     sents, recs, labels, report = _labelled_samples(sentences, indicators, events)
@@ -444,7 +446,8 @@ def write_fused(sentences, vectors_path, vector_twin, indicators, events, path):
     if os.path.exists(path) and os.path.samefile(path, vectors_path):
         raise ValueError("%s: the fused dataset would overwrite the vectors it copies"
                          % path)
-    with open(vectors_path, "rb") as text, open(path, "w", encoding="utf-8") as fh:
+    digest = hashlib.sha256()
+    with open(vectors_path, "rb") as text, open(path, "wb") as fh:
         for sent, rec, lab, (offset, length) in zip(sents, recs, labels,
                                                     vector_text[rows].tolist()):
             # the row corpus.write_jsonl writes, encoded here so that the
@@ -455,10 +458,12 @@ def write_fused(sentences, vectors_path, vector_twin, indicators, events, path):
                                "month": "%04d-%02d" % month_of(sent.published_at),
                                "numeric_raw": rec.values.tolist()}, sort_keys=True)
             text.seek(offset)
-            fh.write('%s, "semantic": %s, "sentence_id": %s}\n'
-                     % (head[:-1], text.read(length).decode("utf-8"),
-                        json.dumps(sent.sentence_id)))
-    write_twin(path, {
+            line = ('%s, "semantic": %s, "sentence_id": %s}\n'
+                    % (head[:-1], text.read(length).decode("utf-8"),
+                       json.dumps(sent.sentence_id))).encode("utf-8")
+            fh.write(line)
+            digest.update(line)
+    write_twin(path, digest.digest(), {
         "sentence_ids": [s.sentence_id for s in sents],
         "bank_ids": [s.bank_id for s in sents],
         "months": np.array([month_of(s.published_at) for s in sents], dtype=np.int64),

@@ -1,5 +1,6 @@
 """Distributed-memory paragraph vectors trained with negative sampling."""
 
+import hashlib
 from dataclasses import dataclass, field, asdict
 from itertools import chain, repeat
 
@@ -468,12 +469,16 @@ def export_vectors(model, path):
     """JSON-lines export of all trained paragraph vectors, in row order, and
     its twin: the ids, the vectors and the byte span of each ``values`` text.
     ``init_model`` gives each sentence its own row, so row order is the
-    paragraph matrix as it is."""
+    paragraph matrix as it is. The twin's digest is taken as the file is
+    written."""
     ids = sorted(model.sentence_index, key=model.sentence_index.get)
+    digest = hashlib.sha256()
     spans = write_jsonl(({"sentence_id": sid, "values": row.tolist()}
-                         for sid, row in zip(ids, model.paragraph)), path, span="values")
-    write_twin(path, {"ids": ids, "values": model.paragraph,
-                      "spans": np.array(spans, dtype=np.int64).reshape(-1, 2)})
+                         for sid, row in zip(ids, model.paragraph)), path, span="values",
+                        digest=digest)
+    write_twin(path, digest.digest(), {
+        "ids": ids, "values": model.paragraph,
+        "spans": np.array(spans, dtype=np.int64).reshape(-1, 2)})
 
 
 def read_vectors(path):

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 
@@ -89,6 +91,53 @@ def test_the_vectors_twin_holds_the_paragraph_matrix_embed_trained(pipeline):
         assert "paragraph" not in data.files
         assert data["word_in"].tobytes() == model.word_in.tobytes()
         assert data["word_out"].tobytes() == model.word_out.tobytes()
+
+
+def test_each_twin_holds_the_sha256_of_the_file_beside_it(pipeline):
+    # embed and fuse take each digest as they write the file
+    for name in ("vectors", "fused"):
+        with np.load(corpus.twin_path(pipeline[name])) as twin:
+            assert twin["sha256"].tobytes() == corpus.file_sha256(pipeline[name])
+
+
+def fresh_process(argv, cwd):
+    """(exit status, stdout, stderr) of ``bankdistress <argv>`` run in a new process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "bankdistress.cli"] + argv, cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_commands_in_one_process_write_what_each_writes_in_a_fresh_one(pipeline, tmp_path,
+                                                                       monkeypatch):
+    # main parses every call with one parser; no call changes a later one,
+    # neither one that sets a flag the next leaves out nor one that ends in
+    # an error line
+    assert cli.build_parser() is cli.build_parser()
+    embed = ["embed", "--sentences", pipeline["sentences"], "--out", "model.npz",
+             "--vectors", "vectors.jsonl", "--dim", "4", "--min-count", "1"]
+    calls = [embed + ["--epochs", "0"], embed, embed + ["--epochs", "2", "--bogus"],
+             embed + ["--epochs", "-2"], embed, embed + ["--epochs", "10"]]
+    results = []
+    for k, argv in enumerate(calls):
+        here, fresh = tmp_path / ("here%d" % k), tmp_path / ("fresh%d" % k)
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        assert (rc, out.getvalue(), err.getvalue()) == fresh_process(argv, fresh)
+        written = {}
+        for name in sorted(os.listdir(here)):
+            written[name] = (here / name).read_bytes()
+            assert written[name] == (fresh / name).read_bytes(), name
+        assert sorted(os.listdir(fresh)) == sorted(written)
+        results.append((rc, written))
+    assert [rc for rc, _ in results] == [0, 0, 1, 1, 0, 0]
+    assert not results[2][1] and not results[3][1]
+    # embed without --epochs trains the default 10 epochs, after a call that set 0
+    assert results[1] == results[4] == results[5] != results[0]
 
 
 def test_fuse_output(pipeline):

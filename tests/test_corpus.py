@@ -229,6 +229,47 @@ def test_extract_sentences_matches_the_per_bank_loop(registry, sentences):
     assert extract_sentences(article, registry) == reference_extract_sentences(article, registry)
 
 
+@settings(max_examples=200, deadline=None)
+@given(registry_lists=st.lists(registries(), min_size=2, max_size=3),
+       sentences=st.lists(SENTENCES, min_size=1, max_size=2), other=registries(),
+       at=st.integers(min_value=0, max_value=1))
+def test_each_registry_is_screened_as_it_stands_at_the_call(registry_lists, sentences, other,
+                                                            at):
+    # several registries in one process, each as a Registry, which keeps its
+    # screen across calls, and as a plain list, which is screened anew
+    article = Article("art", TS, " ".join(sentences))
+    kept = [corpus.Registry(entities) for entities in registry_lists]
+    for _ in range(2):
+        for registry, entities in zip(kept, registry_lists):
+            want = reference_extract_sentences(article, entities)
+            assert extract_sentences(article, registry) == want
+            assert extract_sentences(article, entities) == want
+    # a list changed between calls is screened as it is at the second call
+    entities = registry_lists[0]
+    extract_sentences(article, entities)
+    entities[at % len(entities)] = other[0]
+    entities.extend(other[1:])
+    assert extract_sentences(article, entities) == reference_extract_sentences(article, entities)
+
+
+def test_a_compiled_registry_is_screened_once_across_articles(monkeypatch):
+    import bankdistress
+
+    registry = compile_registry(bankdistress.__path__[0] + "/data/registry_sample.json")
+    assert isinstance(registry, corpus.Registry)
+    screened = []
+    matcher = BankEntity.matcher
+    monkeypatch.setattr(BankEntity, "matcher",
+                        lambda entity: screened.append(entity.bank_id) or matcher(entity))
+    for i in range(3):
+        article = Article("art%d" % i, TS, "Shares of Aareal Bank fell. Markets were calm.")
+        assert [s.bank_id for s in extract_sentences(article, registry)] == ["aareal_bank"]
+    assert screened == [entity.bank_id for entity in registry]
+    # a plain list of the same entities is screened on each call
+    extract_sentences(article, list(registry))
+    assert len(screened) == 2 * len(registry)
+
+
 @pytest.mark.parametrize("patterns,canonical,needles", [
     (("Nordia",), "Nordia Bank", ("nordia", "nordia bank")),
     ((r"ABN\ Amro", r"ABN\-Amro"), "ABN Amro", ("abn amro", "abn-amro")),

@@ -1,5 +1,6 @@
 """Alignment, labeling, normalization, folds and fused-dataset format tests."""
 
+import _pyio
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bankdistress import cli, corpus, pvdm
+from bankdistress import cli, corpus, fusion, pvdm
 from bankdistress.corpus import Sentence
 from bankdistress.fusion import (
     ARM_ROW_CHUNK,
@@ -431,6 +432,29 @@ def test_write_fused_writes_the_oracle_bytes_of_an_export(data, n, dim):
     values = data.draw(st.lists(FLOATS, min_size=n * dim, max_size=n * dim))
     order = data.draw(st.permutations(range(n)))
     assert_fused_matches_the_oracle(ids, months, np.array(values).reshape(n, dim), order)
+
+
+def test_write_fused_ends_its_lines_as_the_twinless_path_does_where_the_platform_writes_crlf(
+        tmp_path, monkeypatch):
+    # a text file opened without newline="" ends each line in os.linesep;
+    # _pyio.open reads os.linesep when it opens a file, so with "\r\n" there
+    # the files are written as on a platform whose line separator is CRLF
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    for module in (corpus, fusion):
+        monkeypatch.setattr(module, "open", _pyio.open, raising=False)
+    ids = ["a0", "a1", "a2"]
+    sentences = [make_sentence(sid, "a", ts(2010, 1 + i)) for i, sid in enumerate(ids)]
+    recs = [make_indicators("a", 2010, 1)]
+    model = pvdm.PvdmModel(word_in=None, word_out=None, paragraph=np.arange(6.0).reshape(3, 2),
+                           sentence_index={sid: i for i, sid in enumerate(ids)}, vocab=None,
+                           config=None)
+    vectors_path = str(tmp_path / "vectors.jsonl")
+    pvdm.export_vectors(model, vectors_path)
+    fused, oracle = fuse_both_ways(sentences, vectors_path, recs, [], str(tmp_path))
+    assert b"\r" not in fused and fused == oracle
+    # the twin's digest, taken as the file was written, is that of the file
+    with np.load(corpus.twin_path(str(tmp_path / "fused.jsonl"))) as twin:
+        assert twin["sha256"].tobytes() == corpus.file_sha256(str(tmp_path / "fused.jsonl"))
 
 
 # Hand-written rows: CRLF endings, a blank line, leading blanks, values

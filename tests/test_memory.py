@@ -145,7 +145,7 @@ def test_read_sample_table_from_a_twin_fills_one_matrix_per_column(tmp_path):
     table, _ = toy_table(n_banks=10, n_months=20, per_month=2, sem_dim=600)
     path = str(tmp_path / "fused.jsonl")
     fusion.write_sample_table(table, path)
-    corpus.write_twin(path, {
+    corpus.write_twin(path, corpus.file_sha256(path), {
         "sentence_ids": table.sentence_ids, "bank_ids": table.bank_ids,
         "months": np.array(table.months, dtype=np.int64), "semantic": table.semantic,
         "numeric_raw": table.numeric_raw, "labels": table.labels})

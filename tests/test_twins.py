@@ -44,7 +44,7 @@ def small_fuse_inputs(ids):
 
 def write_table_twin(table, path):
     """The twin ``fusion.write_fused`` writes beside a fused file of ``table``."""
-    corpus.write_twin(path, {
+    corpus.write_twin(path, corpus.file_sha256(path), {
         "sentence_ids": list(table.sentence_ids), "bank_ids": list(table.bank_ids),
         "months": np.array(table.months, dtype=np.int64).reshape(-1, 2),
         "semantic": table.semantic, "numeric_raw": table.numeric_raw,
@@ -118,7 +118,7 @@ def damaged_twins():
         def apply(path, matrix, ids):
             base = {"ids": ids, "values": matrix,
                     "spans": corpus.read_twin(path, VECTOR_COLUMNS)["spans"]}
-            corpus.write_twin(path, dict(base, **columns))
+            corpus.write_twin(path, corpus.file_sha256(path), dict(base, **columns))
         return apply
 
     def replace_bytes(make):
@@ -258,7 +258,8 @@ def test_a_twin_whose_rows_fail_the_checks_leaves_the_reading_to_the_json(tmp_pa
     spans = corpus.read_twin(vectors, VECTOR_COLUMNS)["spans"]
     for ids, values in ((["a", "b", "c"], np.where(matrix > 4, np.nan, matrix)),
                         (["a", "b", "a"], matrix)):
-        corpus.write_twin(vectors, {"ids": ids, "values": values, "spans": spans})
+        corpus.write_twin(vectors, corpus.file_sha256(vectors),
+                          {"ids": ids, "values": values, "spans": spans})
         assert pvdm.read_vector_twin(vectors) is None
         out = str(tmp_path / "fused-from-vectors.jsonl")
         assert cli_fuse(sentences, vectors, recs, [], out) == want
@@ -288,8 +289,9 @@ def test_a_bad_row_in_file_and_twin_raises_the_json_error(tmp_path, capsys):
     ids = ["a", "b", "a"]
     spans = corpus.write_jsonl(({"sentence_id": sid, "values": [0.5]} for sid in ids), vectors,
                                span="values")
-    corpus.write_twin(vectors, {"ids": ids, "values": np.full((3, 1), 0.5),
-                                "spans": np.array(spans, dtype=np.int64)})
+    corpus.write_twin(vectors, corpus.file_sha256(vectors),
+                      {"ids": ids, "values": np.full((3, 1), 0.5),
+                       "spans": np.array(spans, dtype=np.int64)})
     assert cli.main(fuse_argv(sentences, vectors, recs, [], out)) == 1
     assert capsys.readouterr().err == "error: %s:3: duplicate sentence_id 'a'\n" % vectors
     assert not os.path.exists(out)
