@@ -33,12 +33,27 @@ def _experiment_settings(args, **defaults):
 
 
 def _distinct_files(paths):
-    """Raise CliError if two of ``paths`` (name -> path) are one file."""
+    """Raise CliError if two of ``paths`` (name -> path, or None) are one file:
+    an existing file by its inode and device, as ``os.path.samefile`` tells
+    hard links apart, any other by the name its path resolves to."""
     seen = {}
     for what, path in paths.items():
-        first = seen.setdefault(os.path.realpath(path), what)
+        if path is None:  # a flag left out
+            continue
+        try:
+            key = os.stat(path)[1:3]  # (st_ino, st_dev)
+        except OSError:
+            key = os.path.realpath(path)
+        first = seen.setdefault(key, what)
         if first != what:
             raise CliError("%s and %s are the same file: %s" % (first, what, path))
+
+
+def _distinct_experiment_files(args, outputs):
+    """``_distinct_files`` of the inputs of train, experiment or sweep and ``outputs``."""
+    _distinct_files({"--fused": args.fused, "the twin of --fused": corpus.twin_path(args.fused),
+                     "--events": args.events, "--config": args.config,
+                     "--sentences": args.sentences, **outputs})
 
 
 # the commands that read pvdm and --sentences: a run's vector_source embeds
@@ -91,6 +106,7 @@ def _cmd_synth(args):
 
 
 def _cmd_ingest(args):
+    _distinct_files({"--articles": args.articles, "--registry": args.registry, "--out": args.out})
     registry = corpus.compile_registry(args.registry)
     articles = corpus.read_articles(args.articles)
     sentences = []
@@ -148,6 +164,7 @@ def _cmd_train(args):
     if settings["runs"] != 1:
         raise CliError("%s: train makes one run, got runs %r" % (args.config, settings["runs"]))
     config = experiment.ExperimentConfig(**settings)
+    _distinct_experiment_files(args, {"--out": args.out})
     table, events, sentences = _read_inputs(args, config, [config.arm])
     [(_, _, result)] = experiment.protocol_runs(table, events, {config.arm: config}, sentences)
     report = {"arm": config.arm, "mu": config.mu, "seed": result.seed,
@@ -165,6 +182,9 @@ def _cmd_experiment(args):
         del settings["arm"]
     config = experiment.ExperimentConfig(**settings)
     arms = [config.arm] if "arm" in settings else list(fusion.ARMS)
+    runs_csv, summary_json = (os.path.join(args.out, name) for name in ("runs.csv", "summary.json"))
+    _distinct_experiment_files(args, {"--out's runs.csv": runs_csv,
+                                      "--out's summary.json": summary_json})
     table, events, sentences = _read_inputs(args, config, arms)
     os.makedirs(args.out, exist_ok=True)
     results_by_arm = {arm: [] for arm in arms}
@@ -182,8 +202,8 @@ def _cmd_experiment(args):
         if zero_vectors:
             print("%s: %d held-out sentences too short to infer took zero vectors"
                   % (arm, zero_vectors))
-    experiment.write_runs_csv(results_by_arm, os.path.join(args.out, "runs.csv"))
-    experiment.write_summary_json(results_by_arm, config, os.path.join(args.out, "summary.json"))
+    experiment.write_runs_csv(results_by_arm, runs_csv)
+    experiment.write_summary_json(results_by_arm, config, summary_json)
     return 0
 
 
@@ -200,13 +220,14 @@ def _cmd_sweep(args):
     config = experiment.ExperimentConfig(
         **_experiment_settings(args, runs=experiment.SWEEP_RUNS))
     grid = [_grid_value(v) for v in args.grid.split(",")]
-    # a bad grid ends the command before any input is read
+    # a bad grid, or a parameter no run reads, ends the command before any input is read
     experiment.sweep_configs(config, args.parameter, grid)
+    path = os.path.join(args.out, "sweep_%s.csv" % args.parameter)
+    _distinct_experiment_files(args, {"--out's sweep file": path})
     table, events, sentences = _read_inputs(args, config, [config.arm], args.parameter)
     result = experiment.sweep(lambda _: table, events, config, args.parameter, grid,
                               runs=config.runs, sentences=sentences)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "sweep_%s.csv" % args.parameter)
     experiment.write_sweep_csv(result, path)
     for value, mean in zip(result.grid, result.mean_ur):
         print("%s=%s: mean U_r %.4f" % (args.parameter, value, mean))

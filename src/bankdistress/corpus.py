@@ -261,15 +261,13 @@ class Registry(tuple):
 def extract_sentences(article, registry):
     """Entity-bearing sentences of one article, duplicated per matched bank.
 
-    A bank's matcher decides each match; on an ASCII sentence it runs only if
-    the lowercased sentence holds one of the bank's ``needles``, or it has none.
-    A ``Registry`` keeps its screen across calls; any other sequence of
-    entities is screened anew on each call.
+    ``registry`` is a ``Registry`` (``compile_registry``'s, or a synthetic
+    dataset's), which keeps its screen across calls. A bank's matcher decides
+    each match; on an ASCII sentence it runs only if the lowercased sentence
+    holds one of the bank's ``needles``, or it has none.
     """
     if not registry:
         raise ValueError("registry must be non-empty")
-    if not isinstance(registry, Registry):
-        registry = Registry(registry)
     matchers, pairs, unscreened = registry.screen
     out = []
     for ordinal, raw in enumerate(split_into_sentences(article.body)):
@@ -302,8 +300,7 @@ def build_vocabulary(sentences, min_count=5):
     ``<unk>`` slot. The noise distribution is counts raised to
     ``NOISE_POWER``, normalized.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be positive")
+    require_int("min_count", min_count, 1)
     counts = {}
     empty = True
     for sent in sentences:
@@ -453,12 +450,18 @@ def write_twin(path, sha256, columns):
     write_npz(twin_path(path), entries)
 
 
+def all_finite(matrix):
+    """Whether ``matrix`` holds no NaN or infinite entry, with no temporary of its size."""
+    return -np.inf < matrix.min(initial=0.0) and matrix.max(initial=0.0) < np.inf
+
+
 def read_twin(path, columns):
     """The columns ``columns`` names of the twin of the file ``path``, or None
     if that twin is missing, does not load, holds another digest than the
     sha256 of ``path`` or holds a column in another form: ``str`` (a list of
-    strings) or (dtype, shape), None in a shape being any length. The columns
-    have one length; only the named entries are read."""
+    strings) or (dtype, shape), None in a shape being any length, with no NaN
+    or infinity in a float column. The columns have one length; only the
+    named entries are read."""
     try:  # a twin only mirrors its file, so one that does not load is not taken
         with np.load(twin_path(path), allow_pickle=False) as data:
             if data["sha256"].tobytes() != file_sha256(path):
@@ -471,14 +474,10 @@ def read_twin(path, columns):
         value = twin[name]
         if not (isinstance(value, list) and all(isinstance(v, str) for v in value) if form is str
                 else value.dtype == form[0] and value.ndim == len(form[1]) and all(
-                    want in (None, got) for want, got in zip(form[1], value.shape))):
+                    want in (None, got) for want, got in zip(form[1], value.shape))
+                and (value.dtype.kind != "f" or all_finite(value))):
             return None
     return twin if len({len(value) for value in twin.values()}) <= 1 else None
-
-
-def all_finite(matrix):
-    """Whether ``matrix`` holds no NaN or infinite entry, with no temporary of its size."""
-    return -np.inf < matrix.min(initial=0.0) and matrix.max(initial=0.0) < np.inf
 
 
 class VectorRows:
@@ -526,10 +525,12 @@ class VectorRows:
         return row
 
 
-def require_int(name, value):
-    """Raise ValueError naming ``name`` unless ``value`` is an integer (not a bool)."""
+def require_int(name, value, minimum):
+    """Raise ValueError naming ``name`` unless ``value`` is an int (not a bool) >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < minimum:
+        raise ValueError("%s must be >= %d, got %d" % (name, minimum, value))
 
 
 def require_float(name, value):

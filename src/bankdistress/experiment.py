@@ -46,14 +46,10 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("runs", "master_seed"):
-            require_int(name, getattr(self, name))
+        for name, minimum in (("runs", 1), ("master_seed", 0)):
+            require_int(name, getattr(self, name), minimum)
         if self.arm not in ARMS:
             raise ValueError("unknown arm %r" % self.arm)
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0, got %d" % self.master_seed)
         if not (isinstance(self.mu, numbers.Real) and 0.0 < self.mu < 1.0):
             raise ValueError("mu must lie strictly in (0, 1), got %r" % (self.mu,))
         if self.embedding_scope not in ("full", "train_folds"):
@@ -314,10 +310,19 @@ def _apply_sweep_value(config, parameter, value):
 def sweep_configs(base_config, parameter, grid):
     """The config of each grid point: ``base_config`` with ``parameter`` set
     to the grid value. Raises ValueError for an empty grid, an unknown
-    parameter, a config that sets the parameter itself, or a fractional value
-    of an integer parameter."""
+    parameter, a config that sets the parameter itself, a fractional value
+    of an integer parameter, or a parameter no run reads: a PV-DM setting
+    where the arm reads no sentence vector, or a hidden-layer setting where
+    the network has no hidden layer."""
     if not len(grid):
         raise ValueError("sweep grid must be non-empty")
+    if parameter in EMBEDDING_SWEEPS and base_config.arm not in TEXT_ARMS:
+        raise ValueError("no run reads %s: arm %s reads no sentence vector"
+                         % (parameter, base_config.arm))
+    if (parameter in ("hidden_width", "hidden_layer_count", "dropout_p")
+            and not base_config.mlp.get("hidden_layers", neural.MlpConfig.hidden_layers)):
+        raise ValueError("no run reads %s: the config's hidden_layers is empty, so the "
+                         "network has no hidden layer" % parameter)
     return [_apply_sweep_value(base_config, parameter, value) for value in grid]
 
 

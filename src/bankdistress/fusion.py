@@ -3,14 +3,13 @@
 import csv
 import hashlib
 import json
-import os
 import re
 from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
-from .corpus import (VectorRows, all_finite, count_rows, read_jsonl, read_twin, require_str,
+from .corpus import (VectorRows, count_rows, read_jsonl, read_twin, require_str,
                      write_jsonl, write_twin)
 
 NUMERIC_DIM = 12
@@ -402,8 +401,7 @@ def read_sample_table(path, keep_semantic=True):
                                              ("months", "labels", "numeric_raw", "semantic"))
         # else the JSON is read, and names the row a check rejects
         if (len(labels) and ((months >= (0, 1)) & (months <= (9999, 12))).all()
-                and np.isin(labels, (0, 1)).all() and all_finite(numeric)
-                and (semantic is None or semantic.shape[1] and all_finite(semantic))):
+                and np.isin(labels, (0, 1)).all() and (semantic is None or semantic.shape[1])):
             return SampleTable(sentence_ids=twin["sentence_ids"], bank_ids=twin["bank_ids"],
                                months=[tuple(m) for m in months.tolist()], semantic=semantic,
                                numeric_raw=numeric, labels=labels)
@@ -423,7 +421,8 @@ def read_sample_table(path, keep_semantic=True):
 def write_fused(sentences, vectors_path, vector_twin, indicators, events, path):
     """Align and label the sentences; write the fused dataset to ``path`` and its twin.
 
-    ``vector_twin`` is ``pvdm.read_vector_twin(vectors_path)``. Each row's
+    ``vector_twin`` is ``pvdm.read_vector_twin(vectors_path)``, and ``path``
+    is another file, as the ``fuse`` command checks. Each row's
     ``semantic`` is its vector's text, copied from the vectors file that
     ``pvdm.export_vectors`` wrote with the twin, so no vector is printed
     again and the file holds the bytes ``write_sample_table`` writes of
@@ -443,9 +442,6 @@ def write_fused(sentences, vectors_path, vector_twin, indicators, events, path):
             raise ValueError("%s: no semantic vector for sentence %r"
                              % (vectors_path, sent.sentence_id))
         rows[i] = row
-    if os.path.exists(path) and os.path.samefile(path, vectors_path):
-        raise ValueError("%s: the fused dataset would overwrite the vectors it copies"
-                         % path)
     digest = hashlib.sha256()
     with open(vectors_path, "rb") as text, open(path, "wb") as fh:
         for sent, rec, lab, (offset, length) in zip(sents, recs, labels,

@@ -23,16 +23,14 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("input_dim", "epochs", "batch_size", "seed"):
-            require_int(name, getattr(self, name))
+        for name, minimum in (("input_dim", 1), ("epochs", 0), ("batch_size", 1), ("seed", 0)):
+            require_int(name, getattr(self, name), minimum)
         if not isinstance(self.hidden_layers, (list, tuple)):
             raise ValueError("hidden_layers must be a list of layer widths, got %r"
                              % (self.hidden_layers,))
         self.hidden_layers = tuple(self.hidden_layers)
         for width in self.hidden_layers:
-            require_int("hidden_layers entry", width)
-        if self.input_dim < 1 or any(h < 1 for h in self.hidden_layers):
-            raise ValueError("layer widths must be positive")
+            require_int("hidden_layers entry", width, 1)
         lr, l1, momentum, dropout_p = (require_float(name, getattr(self, name))
                                        for name in ("lr", "l1", "momentum", "dropout_p"))
         if not (np.isfinite(lr) and lr > 0):
@@ -43,10 +41,6 @@ class MlpConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if not 0.0 <= dropout_p < 1.0:
             raise ValueError("dropout_p must lie in [0, 1)")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("epochs/batch_size out of range")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0, got %d" % self.seed)
 
 
 def _layer_dims(config):
@@ -126,7 +120,7 @@ class _Workspace:
     ``grad`` share the model's flat layout, with per-layer views and a view
     of each one's weight region; ``scratch`` takes l1 * sign(w). ``rows``
     indexes minibatch rows. ``masks`` holds the current minibatch's dropout
-    masks, one per hidden layer, or None to draw them from the step's rng.
+    masks, one per hidden layer, or None for a step without dropout.
     """
 
     def __init__(self, config, batch_rows, dtype=np.float64):
@@ -210,9 +204,9 @@ def loss(model, x, y):
     return nll + penalty
 
 
-def gradients(model, x, y, rng=None, weights=None, biases=None):
-    """Backprop gradients of the regularized loss at ``weights``/``biases``
-    (default: the model's); a model with dropout draws its masks from ``rng``.
+def gradients(model, x, y, weights=None, biases=None):
+    """Backprop gradients of ``loss``, the regularized loss without dropout,
+    at ``weights``/``biases`` (default: the model's), for any config.
 
     The L1 subgradient uses sign(w) with sign(0) = 0 and never touches
     biases. Returns (loss value, weight grads, bias grads). The gradient
@@ -229,20 +223,16 @@ def gradients(model, x, y, rng=None, weights=None, biases=None):
                         (model.weights if weights is None else weights)
                         + (model.biases if biases is None else biases)):
         dst[...] = src
-    return _gradients(cfg, x, y, rng, workspace), workspace.grad_w, workspace.grad_b
+    return _gradients(cfg, x, y, workspace), workspace.grad_w, workspace.grad_b
 
 
-def _gradients(cfg, x, y, rng, workspace):
-    """``gradients`` at the workspace's lookahead point, into its gradient
-    buffer, for a checked non-empty 2-D batch; returns the loss value."""
+def _gradients(cfg, x, y, workspace):
+    """``gradients`` at the workspace's lookahead point, with its dropout masks
+    if it holds any, into its gradient buffer, for a checked non-empty 2-D
+    batch; returns the loss value."""
     n = x.shape[0]
     weights, biases = workspace.ahead_w, workspace.ahead_b
-    # the workspace's dropout masks, or an (n, width) block per hidden layer from rng
     masks = workspace.masks
-    if masks is None and cfg.dropout_p > 0.0 and cfg.hidden_layers:
-        if rng is None:
-            raise ValueError("a step with dropout needs an rng to draw its masks")
-        masks = [_keep_scaled(rng.random((n, w)), cfg.dropout_p) for w in cfg.hidden_layers]
     probs, activations = _forward_cached(weights, biases, x, masks)
 
     rows = workspace.rows[:n]
@@ -279,7 +269,7 @@ def _gradients(cfg, x, y, rng, workspace):
     return value
 
 
-def nesterov_step(model, x, y, lr, rng=None, ahead=None):
+def nesterov_step(model, x, y, lr, ahead=None):
     """One Nesterov update: gradient at the lookahead point, then velocity step.
 
     ``ahead`` is the workspace ``train`` builds once and passes to every
@@ -287,18 +277,17 @@ def nesterov_step(model, x, y, lr, rng=None, ahead=None):
     the lookahead v + w into the workspace, then g *= lr, v -= g and
     w += v, the same IEEE operations as momentum * v - lr * g and w + v;
     the gradient comes from ``gradients``' core, which skips its input
-    checks. Without it the lookahead goes into a fresh buffer, ``gradients``
-    gets its per-layer views as ``weights=`` and ``biases=``, and the update
-    uses the arrays it returns. Velocities and parameters are updated in
-    place.
+    checks, with the workspace's dropout masks. Without it the lookahead goes
+    into a fresh buffer, ``gradients`` gets its per-layer views as
+    ``weights=`` and ``biases=``, and the update uses the arrays it returns;
+    that step has no dropout. Velocities and parameters are updated in place.
     """
     gamma = model.config.momentum
     if ahead is None:
         point = np.multiply(model.velocity, gamma)
         point += model.params
         ahead_w, ahead_b = _layer_views(point, model.config)
-        value, grads_w, grads_b = gradients(model, x, y, rng=rng, weights=ahead_w,
-                                            biases=ahead_b)
+        value, grads_w, grads_b = gradients(model, x, y, weights=ahead_w, biases=ahead_b)
         model.velocity *= gamma
         for v, g in zip(model.vel_w + model.vel_b, grads_w + grads_b):
             g *= lr
@@ -306,7 +295,7 @@ def nesterov_step(model, x, y, lr, rng=None, ahead=None):
     else:
         model.velocity *= gamma
         np.add(model.velocity, model.params, out=ahead.ahead)
-        value = _gradients(model.config, x, y, rng, ahead)
+        value = _gradients(model.config, x, y, ahead)
         ahead.grad *= lr
         model.velocity -= ahead.grad
     model.params += model.velocity
@@ -457,7 +446,7 @@ def _epochs(model, blocks, y_train, eval_hook):
                 matrix.take(at, axis=0, out=rows64, mode="clip")
                 np.copyto(columns, rows64)
             y_train.take(batch, out=y, mode="clip")
-            losses.append(nesterov_step(work, x, y, cfg.lr, rng=rng, ahead=workspace))
+            losses.append(nesterov_step(work, x, y, cfg.lr, ahead=workspace))
         score = float("nan")
         if eval_hook is not None:
             score = eval_hook(work)

@@ -6,9 +6,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import (Vocabulary, VectorRows, all_finite, count_rows, json_entry, read_jsonl,
-                     read_twin, require_float, require_int, require_str, write_jsonl, write_npz,
-                     write_twin)
+from .corpus import (Vocabulary, VectorRows, count_rows, json_entry, read_jsonl, read_twin,
+                     require_float, require_int, require_str, write_jsonl, write_npz, write_twin)
 
 MODEL_FORMAT = "pvdm-v2"
 BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
@@ -31,19 +30,9 @@ class PvdmConfig:
     min_count: int = 5  # rarer tokens pool into <unk> (build_vocabulary)
 
     def __post_init__(self):
-        for name in ("vector_dim", "window_n", "negative_samples", "epochs", "seed",
-                     "min_count"):
-            require_int(name, getattr(self, name))
-        if self.vector_dim < 1:
-            raise ValueError("vector_dim must be >= 1")
-        if self.window_n < 1:
-            raise ValueError("window_n must be >= 1")
-        if self.negative_samples < 1:
-            raise ValueError("negative_samples must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0, got %d" % self.seed)
+        for name, minimum in (("vector_dim", 1), ("window_n", 1), ("negative_samples", 1),
+                              ("epochs", 0), ("seed", 0), ("min_count", 1)):
+            require_int(name, getattr(self, name), minimum)
         lr_initial, lr_final = (require_float(name, getattr(self, name))
                                 for name in ("lr_initial", "lr_final"))
         if not (np.isfinite(lr_initial) and np.isfinite(lr_final)):
@@ -501,11 +490,11 @@ def read_vector_twin(path):
     (``corpus.read_twin``): sentence_id -> row; where each row's ``values``
     text lies in the file, an (offset, length) row of ``spans`` in bytes; and
     the vectors, in file order. None if there is no valid twin, or if its
-    ids repeat or a vector is not finite: ``read_vectors`` names the row.
+    ids repeat: ``read_vectors`` names the row.
     """
     twin = read_twin(path, {"ids": str, "values": (np.float64, (None, None)),
                             "spans": (np.int64, (None, 2))})
     ids = twin and twin["ids"]
-    if twin is None or len(set(ids)) != len(ids) or not all_finite(twin["values"]):
+    if twin is None or len(set(ids)) != len(ids):
         return None
     return {sid: row for row, sid in enumerate(ids)}, twin["spans"], twin["values"]

@@ -7,7 +7,7 @@ from datetime import date, datetime, timezone
 
 import numpy as np
 
-from .corpus import Article, BankEntity, write_json, write_jsonl
+from .corpus import Article, BankEntity, Registry, require_int, write_json, write_jsonl
 from .fusion import (
     DistressEvent,
     EVENT_KINDS,
@@ -74,18 +74,16 @@ class SynthConfig:
             raise ValueError("signal strengths must lie in [0, 1]")
         if not 0.0 < self.distress_prior < 1.0:
             raise ValueError("distress_prior must lie in (0, 1)")
-        if self.n_banks < 1:
-            raise ValueError("n_banks must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0, got %d" % self.seed)
+        require_int("n_banks", self.n_banks, 1)
+        require_int("seed", self.seed, 0)
         lo, hi = self.sentences_per_bank_quarter
-        if lo < 1 or hi < lo:
-            raise ValueError("bad sentences_per_bank_quarter range")
+        require_int("sentences_per_bank_quarter minimum", lo, 1)
+        require_int("sentences_per_bank_quarter maximum", hi, lo)
 
 
 @dataclass
 class SyntheticDataset:
-    registry: list
+    registry: Registry
     articles: list
     events: list
     indicators: list
@@ -181,16 +179,9 @@ def generate(config):
     quarters = _quarter_range(config.start_quarter, config.end_quarter)
     names = _bank_names(config.n_banks)
 
-    registry = []
-    for i, name in enumerate(names):
-        registry.append(
-            BankEntity(
-                bank_id="bank%03d" % i,
-                canonical_name=name,
-                country=_COUNTRIES[i % len(_COUNTRIES)],
-                name_patterns=(name,),
-            )
-        )
+    registry = Registry(BankEntity(bank_id="bank%03d" % i, canonical_name=name,
+                                   country=_COUNTRIES[i % len(_COUNTRIES)], name_patterns=(name,))
+                        for i, name in enumerate(names))
 
     bank_windows = _place_windows(config, months, rng)
     events = []

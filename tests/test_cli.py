@@ -5,6 +5,7 @@ import glob
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -528,10 +529,11 @@ def test_a_fused_sample_missing_from_the_sentences_ends_the_command(pipeline, mo
 
 @pytest.mark.parametrize("command", ["train", "experiment", "sweep"])
 def test_numeric_only_reads_no_sentence_input(pipeline, monkeypatch, capsys, tmp_path, command):
-    # the numeric_only arm reads no sentence vector: under train_folds, or in
-    # a full-scope embedding sweep, it runs without --sentences, embeds
-    # nothing and gives the full-scope results; --sentences or pvdm given to
-    # it end the command with one line naming the arm
+    # the numeric_only arm reads no sentence vector: under train_folds it runs
+    # without --sentences, embeds nothing and, but for a sweep, gives the
+    # full-scope results; a sweep of an embedding parameter, which no run of
+    # it reads, and --sentences or pvdm given to it each end the command with
+    # one line naming the arm
     embedded = []
     embed_sentences = experiment.embed_sentences
     monkeypatch.setattr(experiment, "embed_sentences",
@@ -549,16 +551,19 @@ def test_numeric_only_reads_no_sentence_input(pipeline, monkeypatch, capsys, tmp
         return rc, out
 
     if command == "sweep":
-        flags, full = ["--parameter", "window_n", "--grid", "2,3", "--runs", "1"], None
+        rc, out = run("embedding-sweep", ["--parameter", "window_n", "--grid", "2,3"])
+        assert_one_error_line(capsys, rc, "error: no run reads window_n: arm numeric_only "
+                                          "reads no sentence vector")
+        assert not out.exists()
+        flags = ["--embedding-scope", "train_folds", "--parameter", "lr", "--grid", "0.1,0.2",
+                 "--runs", "1"]
+        rc, out = run("scoped", flags)
+        assert rc == 0 and not embedded
     else:
         runs = ["--runs", "2"] if command == "experiment" else []
         flags, full = ["--embedding-scope", "train_folds"] + runs, runs
-    rc, out = run("scoped", flags)
-    assert rc == 0 and not embedded
-    if command == "sweep":
-        _, first, second = (out / "sweep_window_n.csv").read_text(encoding="utf-8").splitlines()
-        assert first.split(",")[2:] == second.split(",")[2:]
-    else:
+        rc, out = run("scoped", flags)
+        assert rc == 0 and not embedded
         rc, full_out = run("full", full)
         assert rc == 0
         if command == "experiment":  # train writes one report file
@@ -856,6 +861,72 @@ def test_a_twin_path_that_is_another_file_of_the_command_ends_it_first(
     assert {p: os.path.getmtime(p) for p in glob.glob("**", recursive=True)} == before
 
 
+INGEST_ARGV = ["ingest", "--articles", "data/articles.jsonl", "--registry", "data/registry.json"]
+FUSE_ARGV = ["fuse", "--sentences", "sentences.jsonl", "--vectors", "vectors.jsonl",
+             "--indicators", "data/indicators.csv", "--events", "data/events.csv"]
+TRAIN_ARGV = ["train", "--fused", "fused.jsonl", "--events", "data/events.csv",
+              "--config", "config.json"]
+
+
+# (argv, hard links to make first: new name -> the file it links, fragment)
+OVERWRITES = {
+    "ingest-out-articles": (INGEST_ARGV + ["--out", "data/articles.jsonl"], {},
+                            "--articles and --out are the same file"),
+    "ingest-out-registry": (INGEST_ARGV + ["--out", "data/registry.json"], {},
+                            "--registry and --out are the same file"),
+    "ingest-out-linked-articles": (INGEST_ARGV + ["--out", "linked.jsonl"],
+                                   {"linked.jsonl": "data/articles.jsonl"},
+                                   "--articles and --out are the same file"),
+    "train-out-fused": (TRAIN_ARGV + ["--out", "fused.jsonl"], {},
+                        "--fused and --out are the same file"),
+    "train-out-linked-fused-twin": (TRAIN_ARGV + ["--out", "linked.npz"],
+                                    {"linked.npz": "fused.jsonl.twin.npz"},
+                                    "the twin of --fused and --out are the same file"),
+    "embed-vectors-linked-sentences": (
+        ["embed", "--sentences", "sentences.jsonl", "--out", "model.npz", "--vectors",
+         "linked.jsonl", "--dim", "4", "--epochs", "1"], {"linked.jsonl": "sentences.jsonl"},
+        "--sentences and --vectors are the same file"),
+    "fuse-out-linked-sentences": (FUSE_ARGV + ["--out", "linked.jsonl"],
+                                  {"linked.jsonl": "sentences.jsonl"},
+                                  "--sentences and --out are the same file"),
+    "fuse-out-linked-vectors": (FUSE_ARGV + ["--out", "linked.jsonl"],
+                                {"linked.jsonl": "vectors.jsonl"},
+                                "--vectors and --out are the same file"),
+    "experiment-out-holds-fused": (
+        ["experiment", "--fused", "results/runs.csv", "--events", "data/events.csv", "--config",
+         "config.json", "--runs", "1", "--out", "results"], {"results/runs.csv": "fused.jsonl"},
+        "--fused and --out's runs.csv are the same file"),
+    "sweep-out-holds-config": (
+        ["sweep", "--fused", "fused.jsonl", "--events", "data/events.csv", "--config",
+         "sweep/sweep_lr.csv", "--parameter", "lr", "--grid", "0.1", "--out", "sweep"],
+        {"sweep/sweep_lr.csv": "config.json"},
+        "--config and --out's sweep file are the same file"),
+}
+
+
+@pytest.mark.parametrize("case", OVERWRITES)
+def test_no_command_writes_over_one_of_its_inputs(pipeline, capsys, tmp_path, monkeypatch,
+                                                  case):
+    # an output path that names an input file, by its own name or by a hard
+    # link, ends the command before it writes anything
+    argv, links, fragment = OVERWRITES[case]
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(pipeline["data"], "data")
+    for name in ("sentences", "vectors", "fused", "config"):
+        shutil.copy(pipeline[name], os.path.basename(pipeline[name]))
+    for name in ("vectors", "fused"):
+        shutil.copy(corpus.twin_path(pipeline[name]), os.path.basename(corpus.twin_path(
+            pipeline[name])))
+    for name, target in links.items():
+        os.makedirs(os.path.dirname(name) or ".", exist_ok=True)
+        os.link(target, name)
+    before = {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
+              if os.path.isfile(p)}
+    assert_one_error_line(capsys, cli.main(argv), "error: " + fragment)
+    assert {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
+            if os.path.isfile(p)} == before
+
+
 def test_fuse_rejects_a_repeated_indicators_row(pipeline, capsys, tmp_path):
     with open(os.path.join(pipeline["data"], "indicators.csv"), encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -1128,6 +1199,30 @@ def test_sweep_rejects_a_fractional_integer_parameter(pipeline, capsys, monkeypa
     assert not trained and not os.path.exists(out)
 
 
+@pytest.mark.parametrize("parameter,grid,arm,hidden,why", [
+    ("hidden_layer_count", "1,2", None, [], "the config's hidden_layers is empty"),
+    ("hidden_width", "2,3", None, [], "the config's hidden_layers is empty"),
+    ("dropout_p", "0.1,0.2", None, [], "the config's hidden_layers is empty"),
+    ("window_n", "2,3", "numeric_only", [2], "arm numeric_only reads no sentence vector"),
+    ("vector_dim", "4,8", "numeric_only", [2], "arm numeric_only reads no sentence vector"),
+])
+def test_a_sweep_of_a_parameter_no_run_reads_ends_before_any_input(pipeline, capsys, tmp_path,
+                                                                   parameter, grid, arm, hidden,
+                                                                   why):
+    # each grid value would give the same runs, or, for a layer count with no
+    # layer to repeat, no run at all
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mlp": {"epochs": 1, "hidden_layers": hidden}}),
+                      encoding="utf-8")
+    missing = str(tmp_path / "missing")
+    argv = ["sweep", "--fused", missing + ".jsonl", "--events", missing + ".csv",
+            "--config", str(config), "--parameter", parameter, "--grid", grid,
+            "--out", str(tmp_path / "out")]
+    rc = cli.main(argv + (["--arm", arm] if arm else []))
+    assert_one_error_line(capsys, rc, "error: no run reads %s: %s" % (parameter, why))
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def test_sweep_reads_an_upper_case_exponent(pipeline, capsys):
     out = os.path.join(pipeline["dir"], "sweep_lr")
     rc = cli.main(["sweep", "--fused", pipeline["fused"],
@@ -1393,34 +1488,39 @@ def embed_flag_value(flag):
     return st.sampled_from(EMBED_PATHS)
 
 
-# per flag: kept (drawn twice as often as each other branch), dropped, given
-# another value, or given twice (the last wins)
-EMBED_ARGS = st.tuples(*[
-    st.just([(flag, value)]) | st.just([(flag, value)]) | st.just([])
-    | embed_flag_value(flag).map(lambda other, flag=flag: [(flag, other)])
-    | embed_flag_value(flag).map(lambda other, flag=flag, value=value: [(flag, value),
-                                                                        (flag, other)])
-    for flag, value in EMBED_FLAGS.items()])
+@st.composite
+def argument_lists(draw, flags, values, at_most=None):
+    """An argument list of ``flags`` (flag -> the value of a small valid run),
+    one list of (flag, value) pairs per flag: each flag kept, or, for at most
+    ``at_most`` of them (default: any number), dropped, given another value,
+    drawn from ``values(flag)``, or given twice (the last wins)."""
+    changed = draw(st.sets(st.sampled_from(list(flags)), max_size=at_most))
+    args = []
+    for flag, value in flags.items():
+        how = draw(st.sampled_from(["drop", "other", "twice"])) if flag in changed else "keep"
+        other = draw(values(flag)) if how in ("other", "twice") else None
+        args.append({"keep": [(flag, value)], "drop": [], "other": [(flag, other)],
+                     "twice": [(flag, value), (flag, other)]}[how])
+    return args
 
 
-@settings(max_examples=100, deadline=None)
-@given(args=EMBED_ARGS, order=st.randoms(use_true_random=False))
-def test_embed_argument_lists_exit_cleanly(pipeline, args, order):
-    """embed, given its flags dropped, repeated, or set to a bad number or
-    to one of its own files, exits 0, or with exactly one ``error:`` line
-    (1) or ``i/o error:`` line (2), and never with a traceback."""
+def assert_argument_list_exits_cleanly(command, args, order, d, paths, inputs):
+    """``command`` with the flags of ``args`` in the order ``order`` shuffles
+    them to, the value of each flag in ``paths`` a file of the directory
+    ``d``, exits 0, or with exactly one ``error:`` line (1) or ``i/o error:``
+    line (2), and never with a traceback. The files the flags in ``inputs``
+    name, and the twins they have, keep their bytes."""
     flags = [pair for pairs in args for pair in pairs]
     order.shuffle(flags)
-    with tempfile.TemporaryDirectory() as d:
-        with open(pipeline["sentences"], encoding="utf-8") as src:
-            head = src.readlines()[:20]
-        with open(os.path.join(d, "sentences.jsonl"), "w", encoding="utf-8") as dst:
-            dst.writelines(head)
-        argv = ["embed"] + [v for flag, value in flags for v in (
-            flag, os.path.join(d, value) if flag not in EMBED_INT_MAX and value else value)]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = cli.main(argv)
+    flags = [(flag, os.path.join(d, value) if flag in paths and value else value)
+             for flag, value in flags]
+    # argparse takes the last value of a repeated flag
+    read = [path for flag, path in dict(flags).items() if flag in inputs]
+    read += [corpus.twin_path(path) for path in read]
+    before = {path: open(path, "rb").read() for path in read if os.path.isfile(path)}
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main([command] + [v for pair in flags for v in pair])
     text = err.getvalue()
     assert "Traceback" not in text, text
     if rc == 0:
@@ -1428,3 +1528,133 @@ def test_embed_argument_lists_exit_cleanly(pipeline, args, order):
     else:
         assert (rc, len(text.splitlines())) in ((1, 1), (2, 1)), (rc, text)
         assert text.startswith("error: " if rc == 1 else "i/o error: "), text
+    assert {path: open(path, "rb").read() for path in before} == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(args=argument_lists(EMBED_FLAGS, embed_flag_value), order=st.randoms(use_true_random=False))
+def test_embed_argument_lists_exit_cleanly(pipeline, args, order):
+    """embed, given its flags dropped, repeated, or set to a bad number or
+    to one of its own files, exits 0, or with exactly one ``error:`` line
+    (1) or ``i/o error:`` line (2), and never with a traceback."""
+    with tempfile.TemporaryDirectory() as d:
+        with open(pipeline["sentences"], encoding="utf-8") as src:
+            head = src.readlines()[:20]
+        with open(os.path.join(d, "sentences.jsonl"), "w", encoding="utf-8") as dst:
+            dst.writelines(head)
+        assert_argument_list_exits_cleanly("embed", args, order, d,
+                                           set(EMBED_FLAGS) - set(EMBED_INT_MAX), {"--sentences"})
+
+
+INGEST_FLAGS = {"--articles": "articles.jsonl", "--registry": "registry.json",
+                "--out": "sentences.jsonl"}
+# each file of the command, a hard link to its articles, a twin path, another
+# spelling of one, the directory itself and the empty path
+INGEST_PATHS = ["articles.jsonl", "registry.json", "sentences.jsonl", "linked.jsonl",
+                "articles.jsonl.twin.npz", "./registry.json", ".", ""]
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=argument_lists(INGEST_FLAGS, lambda flag: st.sampled_from(INGEST_PATHS)),
+       order=st.randoms(use_true_random=False))
+@example(args=[[("--articles", "articles.jsonl")], [("--registry", "registry.json")],
+               [("--out", "linked.jsonl")]], order=random.Random(0))
+def test_ingest_argument_lists_exit_cleanly(pipeline, args, order):
+    """ingest, given its flags dropped, repeated, or set to one of its own
+    files or a hard link to one, exits cleanly and changes no input."""
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(pipeline["data"], "articles.jsonl"), encoding="utf-8") as src:
+            head = src.readlines()[:40]
+        with open(os.path.join(d, "articles.jsonl"), "w", encoding="utf-8") as dst:
+            dst.writelines(head)
+        shutil.copy(os.path.join(pipeline["data"], "registry.json"), d)
+        os.link(os.path.join(d, "articles.jsonl"), os.path.join(d, "linked.jsonl"))
+        assert_argument_list_exits_cleanly("ingest", args, order, d, INGEST_FLAGS,
+                                           {"--articles", "--registry"})
+
+
+@pytest.fixture(scope="module")
+def small_experiment_inputs(pipeline, tmp_path_factory):
+    """A directory of train and sweep inputs: every 16th sentence, fused with
+    its twin, the events, and two configs, a one-epoch network with a small
+    PV-DM and one without a hidden layer."""
+    d = str(tmp_path_factory.mktemp("small_inputs"))
+    sentences = os.path.join(d, "sentences.jsonl")
+    corpus.write_sentences(corpus.read_sentences(pipeline["sentences"])[::16], sentences)
+    shutil.copy(os.path.join(pipeline["data"], "events.csv"), d)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["fuse", "--sentences", sentences, "--vectors", pipeline["vectors"],
+                         "--indicators", os.path.join(pipeline["data"], "indicators.csv"),
+                         "--events", os.path.join(d, "events.csv"),
+                         "--out", os.path.join(d, "fused.jsonl")]) == 0
+    for name, config in (("small.json", {"mlp": {"epochs": 1, "hidden_layers": [2]},
+                                         "pvdm": {"vector_dim": 4, "epochs": 1,
+                                                  "min_count": 1}}),
+                         ("flat.json", {"mlp": {"epochs": 1, "hidden_layers": []}})):
+        with open(os.path.join(d, name), "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+    return d
+
+
+# the values of train's and sweep's flags other than paths
+EXPERIMENT_VALUES = {
+    "--embedding-scope": ["full", "train_folds", "folds"],
+    "--arm": list(fusion.ARMS) + ["all", "x"],
+    "--seed": ["-1", "0", "3", "1.5", "x", ""],
+    "--mu": ["0.5", "0", "1", "nan", "x"],
+    "--parameter": list(experiment.SWEEPABLE) + ["x"],
+    "--grid": ["2,3", "1", "0", "-1", "2.5", "0.1,0.2", "4,4", "x", ""],
+    "--runs": ["1", "2", "0", "-1", "x"],
+}
+# each input and output of the commands, a hard link to the fused file, its
+# twin, another spelling of it, the directory itself and the empty path
+EXPERIMENT_PATHS = ["fused.jsonl", "events.csv", "small.json", "flat.json", "sentences.jsonl",
+                    "out", "linked.jsonl", "fused.jsonl.twin.npz", "./fused.jsonl", ".", ""]
+EXPERIMENT_INPUTS = {"--fused", "--events", "--config", "--sentences"}
+EXPERIMENT_PATH_FLAGS = EXPERIMENT_INPUTS | {"--out"}
+TRAIN_FLAGS = {"--fused": "fused.jsonl", "--events": "events.csv", "--config": "small.json",
+               "--sentences": "sentences.jsonl", "--embedding-scope": "train_folds",
+               "--arm": "combined", "--seed": "0", "--mu": "0.9", "--out": "out"}
+SWEEP_FLAGS = {"--fused": "fused.jsonl", "--events": "events.csv", "--config": "small.json",
+               "--sentences": "sentences.jsonl", "--embedding-scope": "full", "--arm": "combined",
+               "--seed": "0", "--parameter": "window_n", "--grid": "2,3", "--runs": "1",
+               "--out": "out"}
+# a sweep of the layer count of a network with no layer to repeat
+FLAT_COUNT_SWEEP = dict(SWEEP_FLAGS, **{"--config": "flat.json",
+                                        "--parameter": "hidden_layer_count"})
+
+
+def experiment_flag_value(flag):
+    return st.sampled_from(EXPERIMENT_VALUES.get(flag, EXPERIMENT_PATHS))
+
+
+def assert_experiment_argument_list_exits_cleanly(inputs, command, args, order):
+    """``assert_argument_list_exits_cleanly`` in a copy of the directory
+    ``inputs`` that also holds ``linked.jsonl``, a hard link to its fused file."""
+    with tempfile.TemporaryDirectory() as d:
+        d = os.path.join(d, "inputs")
+        shutil.copytree(inputs, d)
+        os.link(os.path.join(d, "fused.jsonl"), os.path.join(d, "linked.jsonl"))
+        assert_argument_list_exits_cleanly(command, args, order, d, EXPERIMENT_PATH_FLAGS,
+                                           EXPERIMENT_INPUTS)
+
+
+@settings(max_examples=50, deadline=None)
+@given(args=argument_lists(TRAIN_FLAGS, experiment_flag_value, at_most=3),
+       order=st.randoms(use_true_random=False))
+def test_train_argument_lists_exit_cleanly(small_experiment_inputs, args, order):
+    """train, given its flags dropped, repeated, or set to a bad value, to
+    one of its own files or to a hard link to one, exits cleanly and
+    changes no input."""
+    assert_experiment_argument_list_exits_cleanly(small_experiment_inputs, "train", args, order)
+
+
+@settings(max_examples=50, deadline=None)
+@given(args=argument_lists(SWEEP_FLAGS, experiment_flag_value, at_most=3),
+       order=st.randoms(use_true_random=False))
+@example(args=[[pair] for pair in FLAT_COUNT_SWEEP.items()], order=random.Random(0))
+def test_sweep_argument_lists_exit_cleanly(small_experiment_inputs, args, order):
+    """sweep, given its flags dropped, repeated, or set to a bad value, to
+    one of its own files or to a hard link to one, exits cleanly and
+    changes no input; a config without hidden layers included."""
+    assert_experiment_argument_list_exits_cleanly(small_experiment_inputs, "sweep", args, order)

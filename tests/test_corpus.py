@@ -1,5 +1,6 @@
 """Registry, sentence splitting, tokenization and vocabulary tests."""
 
+import functools
 import json
 import re
 from datetime import datetime, timezone
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bankdistress import corpus
+from bankdistress import corpus, experiment, neural, pvdm, synth
 from bankdistress.corpus import (
     Article,
     BankEntity,
@@ -153,10 +154,10 @@ def test_matcher_always_includes_canonical_name():
 
 
 def test_extract_sentences_per_matched_bank():
-    registry = [
+    registry = corpus.Registry([
         BankEntity("a", "Nordia Bank", "DE", ("Nordia Bank",)),
         BankEntity("b", "Helvek Bank", "FR", ("Helvek Bank",)),
-    ]
+    ])
     article = Article(
         article_id="art1",
         published_at=TS,
@@ -226,30 +227,22 @@ def registries(draw):
 @example(registry=[BankEntity("b0", "Ibis", "DE", ("Kask",))], sentences=["\u212aas\u017f rose."])
 def test_extract_sentences_matches_the_per_bank_loop(registry, sentences):
     article = Article("art", TS, " ".join(sentences))
-    assert extract_sentences(article, registry) == reference_extract_sentences(article, registry)
+    assert extract_sentences(article, corpus.Registry(registry)) == reference_extract_sentences(
+        article, registry)
 
 
 @settings(max_examples=200, deadline=None)
 @given(registry_lists=st.lists(registries(), min_size=2, max_size=3),
-       sentences=st.lists(SENTENCES, min_size=1, max_size=2), other=registries(),
-       at=st.integers(min_value=0, max_value=1))
-def test_each_registry_is_screened_as_it_stands_at_the_call(registry_lists, sentences, other,
-                                                            at):
-    # several registries in one process, each as a Registry, which keeps its
-    # screen across calls, and as a plain list, which is screened anew
+       sentences=st.lists(SENTENCES, min_size=1, max_size=2))
+def test_each_registry_is_screened_as_it_stands_at_the_call(registry_lists, sentences):
+    # several registries in one process, each a Registry, which keeps its
+    # screen across calls: no call is screened with another's
     article = Article("art", TS, " ".join(sentences))
     kept = [corpus.Registry(entities) for entities in registry_lists]
     for _ in range(2):
         for registry, entities in zip(kept, registry_lists):
-            want = reference_extract_sentences(article, entities)
-            assert extract_sentences(article, registry) == want
-            assert extract_sentences(article, entities) == want
-    # a list changed between calls is screened as it is at the second call
-    entities = registry_lists[0]
-    extract_sentences(article, entities)
-    entities[at % len(entities)] = other[0]
-    entities.extend(other[1:])
-    assert extract_sentences(article, entities) == reference_extract_sentences(article, entities)
+            assert extract_sentences(article, registry) == reference_extract_sentences(
+                article, entities)
 
 
 def test_a_compiled_registry_is_screened_once_across_articles(monkeypatch):
@@ -265,9 +258,6 @@ def test_a_compiled_registry_is_screened_once_across_articles(monkeypatch):
         article = Article("art%d" % i, TS, "Shares of Aareal Bank fell. Markets were calm.")
         assert [s.bank_id for s in extract_sentences(article, registry)] == ["aareal_bank"]
     assert screened == [entity.bank_id for entity in registry]
-    # a plain list of the same entities is screened on each call
-    extract_sentences(article, list(registry))
-    assert len(screened) == 2 * len(registry)
 
 
 @pytest.mark.parametrize("patterns,canonical,needles", [
@@ -311,7 +301,7 @@ def test_an_ascii_sentence_naming_one_bank_runs_one_search(monkeypatch):
 def test_extract_sentences_requires_registry():
     article = Article("a", TS, "Some text.")
     with pytest.raises(ValueError):
-        extract_sentences(article, [])
+        extract_sentences(article, corpus.Registry([]))
 
 
 def test_article_rejects_empty_body():
@@ -359,10 +349,10 @@ def test_vocabulary_rejects_empty_stream():
 
 
 def test_matchers_compile_once_per_entity(monkeypatch):
-    registry = [
+    registry = corpus.Registry([
         BankEntity("a", "Nordia Bank", "DE", ("Nordia",)),
         BankEntity("b", "Helvek Bank", "FR", ("HVK",)),
-    ]
+    ])
     first = [e.matcher() for e in registry]
     compiled = []
     real_compile = re.compile
@@ -538,3 +528,48 @@ def test_read_sentences_rejects_tokens_that_are_not_a_list_of_strings(tmp_path, 
     expected = "^%s:2: tokens must be a list of strings" % re.escape(str(path))
     with pytest.raises(ValueError, match=expected):
         corpus.read_sentences(str(path))
+
+
+
+# every integer lower bound of a config, and build_vocabulary's min_count,
+# at one below the bound: (call, keyword arguments, message)
+LOWER_BOUNDS = [
+    (pvdm.PvdmConfig, {"vector_dim": 0}, "vector_dim must be >= 1, got 0"),
+    (pvdm.PvdmConfig, {"window_n": 0}, "window_n must be >= 1, got 0"),
+    (pvdm.PvdmConfig, {"negative_samples": 0}, "negative_samples must be >= 1, got 0"),
+    (pvdm.PvdmConfig, {"epochs": -1}, "epochs must be >= 0, got -1"),
+    (pvdm.PvdmConfig, {"seed": -1}, "seed must be >= 0, got -1"),
+    (pvdm.PvdmConfig, {"min_count": 0}, "min_count must be >= 1, got 0"),
+    (neural.MlpConfig, {"input_dim": 0}, "input_dim must be >= 1, got 0"),
+    (neural.MlpConfig, {"input_dim": 4, "hidden_layers": (3, 0)},
+     "hidden_layers entry must be >= 1, got 0"),
+    (neural.MlpConfig, {"input_dim": 4, "epochs": -1}, "epochs must be >= 0, got -1"),
+    (neural.MlpConfig, {"input_dim": 4, "batch_size": 0}, "batch_size must be >= 1, got 0"),
+    (neural.MlpConfig, {"input_dim": 4, "seed": -1}, "seed must be >= 0, got -1"),
+    (experiment.ExperimentConfig, {"runs": 0}, "runs must be >= 1, got 0"),
+    (experiment.ExperimentConfig, {"master_seed": -1}, "master_seed must be >= 0, got -1"),
+    (synth.SynthConfig, {"n_banks": 0}, "n_banks must be >= 1, got 0"),
+    (synth.SynthConfig, {"seed": -1}, "seed must be >= 0, got -1"),
+    (synth.SynthConfig, {"sentences_per_bank_quarter": (0, 4)},
+     "sentences_per_bank_quarter minimum must be >= 1, got 0"),
+    (synth.SynthConfig, {"sentences_per_bank_quarter": (5, 4)},
+     "sentences_per_bank_quarter maximum must be >= 5, got 4"),
+    (functools.partial(build_vocabulary, [make_sentence("s", ["x"])]), {"min_count": 0},
+     "min_count must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("make,kwargs,message", LOWER_BOUNDS, ids=[
+    "%s-%s" % (getattr(make, "__name__", "build_vocabulary"), "-".join(kwargs))
+    for make, kwargs, _ in LOWER_BOUNDS])
+def test_each_integer_lower_bound_names_the_field_its_bound_and_the_value(make, kwargs, message):
+    with pytest.raises(ValueError) as info:
+        make(**kwargs)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field,value", [("n_banks", 2.5), ("seed", True),
+                                         ("sentences_per_bank_quarter", (1.0, 4))])
+def test_synth_config_rejects_non_integer_fields(field, value):
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        synth.SynthConfig(**{field: value})

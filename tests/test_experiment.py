@@ -264,10 +264,10 @@ def test_run_once_role_inputs_match_the_fused_table_oracle(monkeypatch, arm, run
         fed["train"].append((x, y))
         return train(model, x, y, eval_hook=eval_hook)
 
-    def record_step(model, x, y, lr, rng=None, ahead=None):
+    def record_step(model, x, y, lr, ahead=None):
         # the minibatch buffers are reused, so each step's rows are copied
         fed["steps"].append((x.copy(), y.copy()))
-        return step(model, x, y, lr, rng=rng, ahead=ahead)
+        return step(model, x, y, lr, ahead=ahead)
 
     def record_predict(model, x):
         fed["predict"].append(x)

@@ -554,16 +554,3 @@ def test_fuse_of_a_respelled_vectors_file_writes_the_bytes_of_the_export(data, n
         assert cli_fuse(sentences, respelled, recs, events,
                         os.path.join(d, "twinless.jsonl")) == from_twin
         assert not os.path.exists(corpus.twin_path(os.path.join(d, "twinless.jsonl")))
-
-
-def test_write_fused_does_not_overwrite_its_vectors_file(tmp_path):
-    sents, vectors, recs, events = small_dataset()
-    model = pvdm.PvdmModel(word_in=None, word_out=None, paragraph=np.vstack(list(vectors.values())),
-                           sentence_index={sid: i for i, sid in enumerate(vectors)},
-                           vocab=None, config=None)
-    path = str(tmp_path / "vectors.jsonl")
-    pvdm.export_vectors(model, path)
-    before = (tmp_path / "vectors.jsonl").read_bytes()
-    with pytest.raises(ValueError, match="would overwrite the vectors it copies"):
-        write_fused(sents, path, pvdm.read_vector_twin(path), recs, events, path)
-    assert (tmp_path / "vectors.jsonl").read_bytes() == before

@@ -140,27 +140,30 @@ def test_dropout_scales_expectation():
 
 
 def test_gradients_match_finite_differences():
-    model = toy_model(dropout=0.0, l1=1e-3, hidden=(4,))
-    x, y = toy_batch()
-    value, grads_w, grads_b = gradients(model, x, y)
-    assert value == pytest.approx(loss(model, x, y), abs=1e-12)
+    # loss has no dropout, and neither has gradients, for any config: a step
+    # applies dropout only with the masks train's loop puts in its workspace
+    for dropout, hidden in ((0.0, (4,)), (0.5, (4,)), (0.5, (20, 10))):
+        model = toy_model(dropout=dropout, l1=1e-3, hidden=hidden)
+        x, y = toy_batch()
+        value, grads_w, grads_b = gradients(model, x, y)
+        assert value == pytest.approx(loss(model, x, y), abs=1e-12)
 
-    eps = 1e-5
-    for layer in range(len(model.weights)):
-        for mat, grad in ((model.weights[layer], grads_w[layer]),
-                          (model.biases[layer], grads_b[layer])):
-            num = np.zeros_like(mat)
-            flat = mat.reshape(-1)
-            nflat = num.reshape(-1)
-            for i in range(flat.size):
-                flat[i] += eps
-                hi = loss(model, x, y)
-                flat[i] -= 2 * eps
-                lo = loss(model, x, y)
-                flat[i] += eps
-                nflat[i] = (hi - lo) / (2 * eps)
-            rel = np.abs(grad - num).max() / max(np.abs(num).max(), 1e-12)
-            assert rel < 1e-5, "layer %d" % layer
+        eps = 1e-5
+        for layer in range(len(model.weights)):
+            for mat, grad in ((model.weights[layer], grads_w[layer]),
+                              (model.biases[layer], grads_b[layer])):
+                num = np.zeros_like(mat)
+                flat = mat.reshape(-1)
+                nflat = num.reshape(-1)
+                for i in range(flat.size):
+                    flat[i] += eps
+                    hi = loss(model, x, y)
+                    flat[i] -= 2 * eps
+                    lo = loss(model, x, y)
+                    flat[i] += eps
+                    nflat[i] = (hi - lo) / (2 * eps)
+                rel = np.abs(grad - num).max() / max(np.abs(num).max(), 1e-12)
+                assert rel < 1e-5, "dropout %s, hidden %s, layer %d" % (dropout, hidden, layer)
 
 
 def test_gradients_exclude_bias_from_l1():
@@ -175,42 +178,6 @@ def test_gradients_exclude_bias_from_l1():
         np.testing.assert_allclose(g, p, atol=1e-12)
     for g, p, w in zip(grads_w, plain_w, model.weights):
         np.testing.assert_allclose(g - p, 10.0 * np.sign(w), atol=1e-12)
-
-
-def test_a_dropout_step_without_an_rng_names_it():
-    # the default MlpConfig has dropout, so its masks need an rng to come from
-    model = toy_model(dropout=0.5)
-    x, y = toy_batch()
-    before = model.params.copy()
-    with pytest.raises(ValueError, match="rng"):
-        gradients(model, x, y)
-    with pytest.raises(ValueError, match="rng"):
-        nesterov_step(model, x, y, 0.1)
-    assert model.params.tobytes() == before.tobytes()
-
-
-@pytest.mark.parametrize("hidden", [(4,), (20, 10)])
-def test_gradients_draw_the_reference_dropout_stream(hidden):
-    # with no masks handed in, a step draws an (n, width) block per hidden
-    # layer, in layer order, as the reference forward pass draws them
-    model = toy_model(dropout=0.5, hidden=hidden)
-    x, y = toy_batch()
-    value, grads_w, grads_b = gradients(model, x, y, rng=np.random.default_rng(7))
-    want = reference_gradients(model, x, y, np.random.default_rng(7), model.weights,
-                               model.biases)
-    assert value == want[0]
-    for got, ref in zip(grads_w + grads_b, want[1] + want[2], strict=True):
-        assert got.tobytes() == ref.tobytes()
-
-
-def test_gradients_dropout_deterministic_given_rng():
-    model = toy_model(dropout=0.5)
-    x, y = toy_batch()
-    v1, g1, _ = gradients(model, x, y, rng=np.random.default_rng(7))
-    v2, g2, _ = gradients(model, x, y, rng=np.random.default_rng(7))
-    assert v1 == v2
-    for a, b in zip(g1, g2):
-        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +525,10 @@ def test_nesterov_step_with_and_without_workspace_agree(hidden, dropout, n):
     cfg = MlpConfig(input_dim=9, hidden_layers=hidden, dropout_p=dropout, l1=1e-3, seed=5)
     plain, spaced = init_model(cfg), init_model(cfg)
     workspace = neural_module._Workspace(cfg, n)
-    rng_plain, rng_spaced = np.random.default_rng(3), np.random.default_rng(3)
     x, y = toy_batch(n=n, input_dim=9, seed=4)
     for _ in range(4):
-        v1 = nesterov_step(plain, x, y, 0.05, rng=rng_plain)
-        v2 = nesterov_step(spaced, x, y, 0.05, rng=rng_spaced, ahead=workspace)
+        v1 = nesterov_step(plain, x, y, 0.05)
+        v2 = nesterov_step(spaced, x, y, 0.05, ahead=workspace)
         assert v1 == v2
     assert np.array_equal(plain.params, spaced.params)
     assert np.array_equal(plain.velocity, spaced.velocity)
@@ -640,8 +606,8 @@ def test_train_checks_its_column_blocks(blocks, fragment):
 def test_gradients_return_fresh_arrays():
     model = toy_model(dropout=0.5, hidden=(4, 3))
     x, y = toy_batch()
-    _, gw1, gb1 = gradients(model, x, y, rng=np.random.default_rng(0))
-    _, gw2, gb2 = gradients(model, x, y, rng=np.random.default_rng(0))
+    _, gw1, gb1 = gradients(model, x, y)
+    _, gw2, gb2 = gradients(model, x, y)
     arrays = gw1 + gb1 + gw2 + gb2 + model.weights + model.biases + [x]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
