@@ -225,9 +225,9 @@ def _cmd_sweep(args):
     path = os.path.join(args.out, "sweep_%s.csv" % args.parameter)
     _distinct_experiment_files(args, {"--out's sweep file": path})
     table, events, sentences = _read_inputs(args, config, [config.arm], args.parameter)
+    os.makedirs(args.out, exist_ok=True)  # before any run, as experiment makes its --out
     result = experiment.sweep(lambda _: table, events, config, args.parameter, grid,
                               runs=config.runs, sentences=sentences)
-    os.makedirs(args.out, exist_ok=True)
     experiment.write_sweep_csv(result, path)
     for value, mean in zip(result.grid, result.mean_ur):
         print("%s=%s: mean U_r %.4f" % (args.parameter, value, mean))

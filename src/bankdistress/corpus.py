@@ -1,7 +1,9 @@
 """News corpus handling: bank registries, sentence extraction and vocabulary."""
 
+import array
 import functools
 import hashlib
+import itertools
 import json
 import numbers
 import os
@@ -34,6 +36,7 @@ _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 # to this power (Mikolov et al. 2013).
 NOISE_POWER = 0.75
 NPZ_ROW_CHUNK = 64  # rows gathered at a time into an .npz entry given as (matrix, rows)
+FLOAT_CHUNK = 2400  # floats write_jsonl prints at a time: about 0.3 MB of working set
 
 
 class RegistryError(ValueError):
@@ -180,17 +183,17 @@ def compile_registry(registry_file):
     """Load and validate a bank registry JSON file.
 
     Returns a ``Registry`` of the entities in file order, each with its
-    matcher compiled. Raises
-    RegistryError on malformed JSON, and naming the file and the 1-based row
-    on a row that is not an object, lacks a key, holds a value of the wrong
-    type, repeats a bank_id, has a pattern that does not compile or that
-    can match the empty string (its shortest match is empty), or has an
-    empty canonical name.
+    matcher compiled. Raises RegistryError naming the file on text that is
+    not UTF-8 or not JSON, and naming the file and the 1-based row on a row
+    that is not an object, lacks a key, holds a value of the wrong type,
+    repeats a bank_id, has a pattern that does not compile or that can
+    match the empty string (its shortest match is empty), or has an empty
+    canonical name.
     """
-    with open(registry_file, "r", encoding="utf-8") as fh:
+    with open(registry_file, "r", encoding="utf-8", errors="surrogateescape") as fh:
         raw = fh.read()
     try:
-        rows = parse_json(raw)
+        rows = parse_json(_utf8(raw))
     except json.JSONDecodeError as exc:
         raise RegistryError(
             "malformed registry %s: line %d: %s" % (registry_file, exc.lineno, exc.msg)
@@ -331,9 +334,14 @@ def build_vocabulary(sentences, min_count=5):
     )
 
 
+def _utf8(text):
+    """``text``, read with errors="surrogateescape"; UnicodeDecodeError if it is not UTF-8."""
+    return text if text.isascii() else text.encode("utf-8", "surrogateescape").decode("utf-8")
+
+
 def _nonblank_lines(path):
-    """(line number, stripped text) of each non-blank line of a text file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """(line number, stripped text) of each non-blank line of a text file, not yet UTF-8-checked."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
             text = line.strip()
             if text:
@@ -357,7 +365,7 @@ def read_jsonl(path, parse, unique=None):
     seen = set()
     for line_no, line in _nonblank_lines(path):
         try:
-            row = parse_json(line)
+            row = parse_json(_utf8(line))
             if not isinstance(row, dict):
                 raise ValueError("expected a JSON object, got %s" % type(row).__name__)
             out.append(parse(row))
@@ -372,26 +380,170 @@ def read_jsonl(path, parse, unique=None):
     return out
 
 
+def _schubfach_tables():
+    """By key, a double's biased exponent plus 2048 if its fraction is 0 (its lower neighbour
+    is then closer): the decimal exponent k; the shift h + 2 taking the significand c to
+    cp = 4c 2^h; g = g1 2^63 + g0 = floor(10^-k 2^(125 - r)) + 1, r = floor(log2 10^-k); and
+    the 128-bit changes to g0 cp (low word complemented) and to g1 cp at the rounding
+    interval's left end, at c and at its right end."""
+    key = np.arange(4096)
+    q, irregular = (key & 2047) - 1075, (key >> 11) & (key & 2047 > 1)
+    k = np.clip((q * 661971961083 - irregular * 274743187321) >> 41, -324, 292)
+    h = np.clip(q + (-k * 913124641741 >> 38) + 2, 2, 5)  # clipped only where no key is used
+    g = [(10 ** e << 125 - r if r <= 125 else 10 ** e >> r - 125) if e >= 0 else (1 << 125 - r)
+         // 10 ** -e for e, r in ((e, e * 913124641741 >> 38) for e in range(324, -293, -1))]
+    g1, g0 = np.array([divmod(v + 1, 2 ** 63) for v in g], _U64)[k + 324].T.copy()
+    shift = np.array([h + 1 - irregular, h, h + 1], _U64)
+    changes = [(g << shift, g >> _U64(64) - shift) for g in (g0, g1)]
+    for low, high in changes:  # cp moves by -2^shift, 0 and 2^shift
+        high[0], low[0], high[1], low[1] = ~high[0] + (low[0] == 0), -low[0], 0, 0
+    return (k, (h + 2).astype(_U64), g0, g1, ~changes[0][0], changes[0][1], *changes[1])
+
+
+def _text_table(texts):
+    """Each of ``texts``, at most 8 ASCII characters, NUL-padded into a uint64."""
+    return np.frombuffer("".join(t.ljust(8, "\0") for t in texts).encode("ascii"), _U64)
+
+
+_U64 = np.uint64
+_gather = functools.partial(np.take, axis=-1, mode="clip")
+_K, _SHIFT, _G0, _G1, _G0_LOW_NOT, _G0_HIGH, _G1_LOW, _G1_HIGH = _schubfach_tables()
+# repr prints 0.D 10^d with an exponent where d <= -4 or d >= 17, after "0." and -d zeros
+# where d <= 0, else with a point inside D. Each 4-digit group, a slot for a point after
+# each digit, then without trailing zeros, for a group after which every digit is 0:
+_GROUPS = _text_table("\0".join("%04d" % (i % 10000)).rstrip("0\0" * (i >= 10000))
+                      for i in range(20000))
+# by d 0..16, the 0s and the point that a point inside D puts in each group:
+_FILL = np.stack([_text_table(["".join("0\0"[4 * j + i >= d] + ".\0"[4 * j + i + 2 != d]
+                                       for i in range(4)) for d in range(17)]) for j in range(4)])
+# by d in -4..17, whether D goes on after its lead, the lead and the sign: the text before D[1]
+_LEAD = _text_table([(sign + ("0." + "0" * -d) * (-4 < d <= 0)).ljust(6, "\0") + str(lead)
+                     + ".\0"[not (d == 1 or more and not -4 < d < 17)] for d in range(-4, 18)
+                     for more in (0, 1) for lead in range(10) for sign in ("", "-")])
+# by d -307..309, then again at a row's end: the exponent and the separator:
+_EXPONENT = _text_table([("e%+03d" % (d - 1)) * (not -4 < d < 17) + end
+                         for end in (", ", "\n") for d in range(-307, 310)])
+
+
+def _product(table, key, b):
+    """(high, low) words of each a b, a the key's entry of ``table``, from 32-bit halves."""
+    (a_low, a_high), (b_low, b_high) = ((v & _U64(2 ** 32 - 1), v >> _U64(32))
+                                        for v in (_gather(table, key), b))
+    low, mid = a_low * b_low, a_low * b_high
+    mid += a_high * b_low
+    mid += low >> _U64(32)
+    high = a_high * b_high
+    high += mid >> _U64(32)
+    return high, mid << _U64(32) | low & _U64(2 ** 32 - 1)
+
+
+def _shortest(bits):
+    """(f, k) for each positive normal double of ``bits``: f 10^k is the decimal of fewest
+    digits that reads back as it, the nearest, and of two the one with even f (Schubfach)."""
+    frac = bits & _U64(2 ** 52 - 1)
+    key = (bits >> _U64(52) & _U64(2047) | (frac == 0) * _U64(2048)).astype(np.intp)
+    cp = (frac | _U64(2 ** 52)) << _gather(_SHIFT, key)
+    (x1, x0), (y1, y0) = _product(_G0, key, cp), _product(_G1, key, cp)
+    del cp
+    # by row (left end, c, right end): u = 2 floor(g0 cp / 2^64); (v, w) = g1 cp + u; odd v if w > 1
+    u = _gather(_G0_HIGH, key)
+    u += x1
+    u += x0 > _gather(_G0_LOW_NOT, key)
+    u <<= _U64(1)
+    del x0, x1
+    w = _gather(_G1_LOW, key)
+    w += y0
+    v = _gather(_G1_HIGH, key)
+    v += y1
+    v += w < y0
+    del y0, y1
+    w += u
+    v += w < u
+    v |= w > _U64(1)
+    del u, w
+    (vbl, vb, vbr), odd = v, frac & _U64(1)  # an odd c leaves the interval's ends out
+    low, high = vbl + odd, vbr - odd
+    s = vb >> _U64(2)
+    sp10 = s // _U64(10) * _U64(10)  # one digit fewer: s' 10 or (s' + 1) 10
+    upin, wpin = low <= sp10 << _U64(2), (sp10 << _U64(2)) + _U64(40) <= high
+    s4 = vb & ~_U64(3)
+    # else s or s + 1: the one inside, or the nearer, or the even one
+    up = (s4 + _U64(4) <= high) & ((low > s4) | ((vb & _U64(3)) + (s & _U64(1)) > _U64(2)))
+    return np.where(upin | wpin, sp10 + wpin * _U64(10), s + up), _gather(_K, key)
+
+
+def _layout(f, k, negative, last):
+    """``repr``'s text of each f 10^k, negated where ``negative``, then ", " or, where ``last``,
+    a newline, in 48 NUL-padded bytes: the text before D[1], D[1:] with its point, the rest."""
+    big = f >= _U64(10 ** 16)
+    d = k + 16 + big  # the 17 digits D below are 0.D 10^d
+    lead, f = np.divmod(np.where(big, f, f * _U64(10)).view(np.int64), 10 ** 16)
+    more = f != 0
+    groups = np.stack(np.divmod(np.stack(np.divmod(f, 10 ** 8)), 10 ** 4), axis=1).reshape(4, -1)
+    del big, k, f
+    tail = True  # whether every later digit is 0: then the group's text drops trailing zeros
+    for group in groups[::-1]:
+        group += 10000 * tail
+        tail = group == 10000
+    digits = _gather(_GROUPS, groups)
+    del groups, group, tail
+    text = bytearray(48 * len(d))
+    words = np.frombuffer(text, _U64).reshape(-1, 6).T
+    words[1:5] = digits
+    del digits
+    inside = np.flatnonzero((d >= 1) & (d <= 16))
+    words[1:5, inside] |= _FILL[:, d[inside]]
+    words[0] = _gather(_LEAD, (((np.clip(d, -4, 17) + 4) * 2 + more) * 10 + lead) * 2 + negative)
+    words[5] = _gather(_EXPONENT, d + 307 + last * 617)
+    return text
+
+
+def float_text(rows):
+    """The JSON text of each float vector of the non-empty list ``rows``, as bytes, no brackets:
+    ``", ".join(map(repr, row))`` for a finite row. Normal doubles are printed together, by
+    integer arithmetic over whole arrays; a row with a zero, a subnormal, a NaN or an
+    infinity is printed by ``repr`` alone."""
+    lengths = [len(row) for row in rows]
+    ends = np.cumsum(lengths)
+    bits = np.concatenate(rows).astype(np.float64, copy=False).view(_U64)
+    apart = np.searchsorted(ends, np.flatnonzero((bits >> _U64(52)) + _U64(1) & _U64(2047) <= 1),
+                            "right")
+    last = np.zeros(len(bits), bool)
+    last[ends[ends > 0] - 1] = True
+    pieces = iter(bytes(_layout(*_shortest(bits), (bits >> _U64(63)).view(np.int64), last))
+                  .translate(None, b"\0").split(b"\n"))
+    texts = [next(pieces) if n else b"" for n in lengths]
+    for i in set(apart.tolist()):  # with JSON's NaN and Infinity
+        texts[i] = ", ".join(map(float.__repr__, np.asarray(rows[i], float).tolist())).replace(
+            "inf", "Infinity").replace("nan", "NaN").encode()
+    return texts
+
+
 def write_jsonl(rows, path, span=None, digest=None):
-    """Write each row of ``rows`` as one line of JSON with sorted keys, the
-    format ``read_jsonl`` reads; rows are encoded one at a time, so a
-    generator of rows is never held whole. With ``span``, every row's last
-    key, whose value holds no string, returns where that value's text lies
-    in the file: an (offset, length) pair in bytes per row. With ``digest``,
-    a hashlib object, every byte written also updates it."""
-    spans, offset, key = [], 0, '"%s": ' % span
+    """Write each row of ``rows`` as one line of JSON with sorted keys, the format
+    ``read_jsonl`` reads, a few rows at a time. With ``span``, each row's value of that key
+    is a float vector, printed by ``float_text`` FLOAT_CHUNK floats or so at a time, and
+    the call returns where each one's text lies: an (n, 2) int64 array of (offset, length)
+    in bytes. With ``digest``, a hashlib object, every byte written also updates it."""
+    spans, offset, rows = array.array("q"), 0, iter(rows)
     with open(path, "wb") as fh:
         for row in rows:
-            line = json.dumps(row, sort_keys=True)  # ASCII: its bytes are its characters
-            data = (line + "\n").encode("utf-8")
-            fh.write(data)
-            if digest is not None:
-                digest.update(data)
-            if span is not None:
-                start = line.rindex(key) + len(key)
-                spans.append((offset + start, len(line) - 1 - start))
-            offset += len(data)
-    return spans
+            chunk = [row, *itertools.islice(rows, 0 if span is None else
+                                            FLOAT_CHUNK // max(len(row[span]), 1) - 1)]
+            for item, text in zip(chunk, chunk if span is None
+                                  else float_text([item[span] for item in chunk])):
+                if span is None:
+                    data = (json.dumps(item, sort_keys=True) + "\n").encode("utf-8")
+                else:  # json writes ASCII, and "<span>": null unescaped only for the key
+                    head, tail = json.dumps(dict(item, **{span: None}), sort_keys=True).split(
+                        '"%s": null' % span)
+                    head = ('%s"%s": [' % (head, span)).encode()
+                    spans.extend((offset + len(head) - 1, len(text) + 2))
+                    data = b"%s%s]%s\n" % (head, text, tail.encode())
+                offset += fh.write(data)
+                if digest is not None:
+                    digest.update(data)
+    return np.frombuffer(spans, np.int64).reshape(-1, 2)
 
 
 def write_json(value, path):

@@ -360,9 +360,9 @@ def write_sample_table(table, path):
     ``fuse`` writes with it; the byte oracle of ``write_fused``."""
     write_jsonl(({"sentence_id": sid, "bank_id": table.bank_ids[i],
                   "month": "%04d-%02d" % table.months[i], "label": int(table.labels[i]),
-                  "semantic": table.semantic[i].tolist(),
+                  "semantic": table.semantic[i],
                   "numeric_raw": table.numeric_raw[i].tolist()}
-                 for i, sid in enumerate(table.sentence_ids)), path)
+                 for i, sid in enumerate(table.sentence_ids)), path, span="semantic")
 
 
 def _parse_sample(row, semantic, numeric_raw):

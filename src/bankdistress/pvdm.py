@@ -462,12 +462,10 @@ def export_vectors(model, path):
     written."""
     ids = sorted(model.sentence_index, key=model.sentence_index.get)
     digest = hashlib.sha256()
-    spans = write_jsonl(({"sentence_id": sid, "values": row.tolist()}
+    spans = write_jsonl(({"sentence_id": sid, "values": row}
                          for sid, row in zip(ids, model.paragraph)), path, span="values",
                         digest=digest)
-    write_twin(path, digest.digest(), {
-        "ids": ids, "values": model.paragraph,
-        "spans": np.array(spans, dtype=np.int64).reshape(-1, 2)})
+    write_twin(path, digest.digest(), {"ids": ids, "values": model.paragraph, "spans": spans})
 
 
 def read_vectors(path):

@@ -1658,3 +1658,72 @@ def test_sweep_argument_lists_exit_cleanly(small_experiment_inputs, args, order)
     one of its own files or to a hard link to one, exits cleanly and
     changes no input; a config without hidden layers included."""
     assert_experiment_argument_list_exits_cleanly(small_experiment_inputs, "sweep", args, order)
+
+
+@pytest.mark.parametrize("flag", ["--articles", "--registry"])
+def test_ingest_names_the_input_that_is_not_utf8(pipeline, capsys, tmp_path, flag):
+    inputs = {"--articles": os.path.join(pipeline["data"], "articles.jsonl"),
+              "--registry": os.path.join(pipeline["data"], "registry.json")}
+    with open(inputs[flag], "rb") as fh:
+        raw = fh.read()
+    inputs[flag] = str(tmp_path / "latin1")
+    with open(inputs[flag], "wb") as fh:
+        fh.write(raw.replace(b"\n", b"\n\xd6", 1))  # a Latin-1 letter opens line 2
+    rc = cli.main(["ingest", *[v for pair in inputs.items() for v in pair],
+                   "--out", str(tmp_path / "sentences.jsonl")])
+    where = ("%s:2: " if flag == "--articles" else "malformed registry %s: ") % inputs[flag]
+    assert_one_error_line(capsys, rc, where + "'utf-8' codec can't decode byte 0xd6")
+
+
+def test_sweep_makes_its_out_before_any_run(pipeline, capsys, tmp_path, monkeypatch):
+    entered = []
+    monkeypatch.setattr(experiment, "sweep", lambda *args, **kwargs: entered.append(args))
+    out = tmp_path / "out"
+    out.write_text("a file, not a directory\n", encoding="utf-8")
+    rc = cli.main(["sweep", "--fused", pipeline["fused"],
+                   "--events", os.path.join(pipeline["data"], "events.csv"),
+                   "--parameter", "l1", "--grid", "0,0.001", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and len(err.splitlines()) == 1 and err.startswith("i/o error: "), err
+    assert entered == []
+
+
+FUSE_FLAGS = {"--sentences": "sentences.jsonl", "--vectors": "vectors.jsonl",
+              "--indicators": "indicators.csv", "--events": "events.csv", "--out": "fused.jsonl"}
+# each file of the command, the vectors' twin, vectors that are not UTF-8 and
+# have no twin, another spelling of a file, the directory itself and the empty path
+FUSE_PATHS = ["sentences.jsonl", "vectors.jsonl", "indicators.csv", "events.csv", "fused.jsonl",
+              "vectors.jsonl.twin.npz", "latin1.jsonl", "./vectors.jsonl", ".", ""]
+
+
+@pytest.fixture(scope="module")
+def fuse_inputs(pipeline, tmp_path_factory):
+    """fuse's inputs, every 16th sentence and the vectors with their twin,
+    and a copy of the vectors with a Latin-1 byte in its second line."""
+    d = str(tmp_path_factory.mktemp("fuse_inputs"))
+    corpus.write_sentences(corpus.read_sentences(pipeline["sentences"])[::16],
+                           os.path.join(d, "sentences.jsonl"))
+    for path in (pipeline["vectors"], corpus.twin_path(pipeline["vectors"]),
+                 os.path.join(pipeline["data"], "indicators.csv"),
+                 os.path.join(pipeline["data"], "events.csv")):
+        shutil.copy(path, d)
+    with open(pipeline["vectors"], "rb") as src, open(os.path.join(d, "latin1.jsonl"), "wb") as dst:
+        dst.write(src.read().replace(b"\n", b"\n\xd6", 1))
+    return d
+
+
+@settings(max_examples=30, deadline=None)
+@given(args=argument_lists(FUSE_FLAGS, lambda flag: st.sampled_from(FUSE_PATHS)),
+       order=st.randoms(use_true_random=False))
+@example(args=[[("--sentences", "sentences.jsonl")], [("--vectors", "latin1.jsonl")],
+               [("--indicators", "indicators.csv")], [("--events", "events.csv")],
+               [("--out", "fused.jsonl")]], order=random.Random(0))
+def test_fuse_argument_lists_exit_cleanly(fuse_inputs, args, order):
+    """fuse, given its flags dropped, repeated, or set to one of its own
+    files, a twin or vectors that are not UTF-8, exits cleanly and changes
+    no input."""
+    with tempfile.TemporaryDirectory() as d:
+        d = os.path.join(d, "inputs")
+        shutil.copytree(fuse_inputs, d)
+        assert_argument_list_exits_cleanly("fuse", args, order, d, FUSE_FLAGS,
+                                           set(FUSE_FLAGS) - {"--out"})
