@@ -36,7 +36,7 @@ _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 # to this power (Mikolov et al. 2013).
 NOISE_POWER = 0.75
 NPZ_ROW_CHUNK = 64  # rows gathered at a time into an .npz entry given as (matrix, rows)
-FLOAT_CHUNK = 2400  # floats write_jsonl prints at a time: about 0.3 MB of working set
+FLOAT_CHUNK = 2400  # floats write_vector_jsonl prints at a time: about 0.3 MB of working set
 
 
 class RegistryError(ValueError):
@@ -384,8 +384,8 @@ def _schubfach_tables():
     """By key, a double's biased exponent plus 2048 if its fraction is 0 (its lower neighbour
     is then closer): the decimal exponent k; the shift h + 2 taking the significand c to
     cp = 4c 2^h; g = g1 2^63 + g0 = floor(10^-k 2^(125 - r)) + 1, r = floor(log2 10^-k); and
-    the 128-bit changes to g0 cp (low word complemented) and to g1 cp at the rounding
-    interval's left end, at c and at its right end."""
+    the 128-bit changes to g0 cp (low word complemented) and to g1 cp as cp moves to the
+    rounding interval's ends, cp - 2^(h + 1 - irregular) and cp + 2^(h + 1)."""
     key = np.arange(4096)
     q, irregular = (key & 2047) - 1075, (key >> 11) & (key & 2047 > 1)
     k = np.clip((q * 661971961083 - irregular * 274743187321) >> 41, -324, 292)
@@ -393,10 +393,10 @@ def _schubfach_tables():
     g = [(10 ** e << 125 - r if r <= 125 else 10 ** e >> r - 125) if e >= 0 else (1 << 125 - r)
          // 10 ** -e for e, r in ((e, e * 913124641741 >> 38) for e in range(324, -293, -1))]
     g1, g0 = np.array([divmod(v + 1, 2 ** 63) for v in g], _U64)[k + 324].T.copy()
-    shift = np.array([h + 1 - irregular, h, h + 1], _U64)
+    shift = np.array([h + 1 - irregular, h + 1], _U64)
     changes = [(g << shift, g >> _U64(64) - shift) for g in (g0, g1)]
-    for low, high in changes:  # cp moves by -2^shift, 0 and 2^shift
-        high[0], low[0], high[1], low[1] = ~high[0] + (low[0] == 0), -low[0], 0, 0
+    for low, high in changes:  # the left end's are negative
+        high[0], low[0] = ~high[0] + (low[0] == 0), -low[0]
     return (k, (h + 2).astype(_U64), g0, g1, ~changes[0][0], changes[0][1], *changes[1])
 
 
@@ -444,17 +444,15 @@ def _shortest(bits):
     key = (bits >> _U64(52) & _U64(2047) | (frac == 0) * _U64(2048)).astype(np.intp)
     cp = (frac | _U64(2 ** 52)) << _gather(_SHIFT, key)
     (x1, x0), (y1, y0) = _product(_G0, key, cp), _product(_G1, key, cp)
-    del cp
     # by row (left end, c, right end): u = 2 floor(g0 cp / 2^64); (v, w) = g1 cp + u; odd v if w > 1
-    u = _gather(_G0_HIGH, key)
-    u += x1
-    u += x0 > _gather(_G0_LOW_NOT, key)
+    u = np.stack([x1, x1, x1])
+    u[::2] += _gather(_G0_HIGH, key)
+    u[::2] += x0 > _gather(_G0_LOW_NOT, key)
     u <<= _U64(1)
-    del x0, x1
-    w = _gather(_G1_LOW, key)
-    w += y0
-    v = _gather(_G1_HIGH, key)
-    v += y1
+    del cp, x0, x1
+    w, v = np.stack([y0, y0, y0]), np.stack([y1, y1, y1])
+    w[::2] += _gather(_G1_LOW, key)
+    v[::2] += _gather(_G1_HIGH, key)
     v += w < y0
     del y0, y1
     w += u
@@ -519,27 +517,28 @@ def float_text(rows):
     return texts
 
 
-def write_jsonl(rows, path, span=None, digest=None):
+def write_jsonl(rows, path):
     """Write each row of ``rows`` as one line of JSON with sorted keys, the format
-    ``read_jsonl`` reads, a few rows at a time. With ``span``, each row's value of that key
-    is a float vector, printed by ``float_text`` FLOAT_CHUNK floats or so at a time, and
-    the call returns where each one's text lies: an (n, 2) int64 array of (offset, length)
-    in bytes. With ``digest``, a hashlib object, every byte written also updates it."""
-    spans, offset, rows = array.array("q"), 0, iter(rows)
+    ``read_jsonl`` reads, one row at a time: a generator of rows is never held whole."""
     with open(path, "wb") as fh:
         for row in rows:
-            chunk = [row, *itertools.islice(rows, 0 if span is None else
-                                            FLOAT_CHUNK // max(len(row[span]), 1) - 1)]
-            for item, text in zip(chunk, chunk if span is None
-                                  else float_text([item[span] for item in chunk])):
-                if span is None:
-                    data = (json.dumps(item, sort_keys=True) + "\n").encode("utf-8")
-                else:  # json writes ASCII, and "<span>": null unescaped only for the key
-                    head, tail = json.dumps(dict(item, **{span: None}), sort_keys=True).split(
-                        '"%s": null' % span)
-                    head = ('%s"%s": [' % (head, span)).encode()
-                    spans.extend((offset + len(head) - 1, len(text) + 2))
-                    data = b"%s%s]%s\n" % (head, text, tail.encode())
+            fh.write((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def write_vector_jsonl(rows, path, key, digest=None):
+    """Write ``rows`` as ``write_jsonl`` does, each row's ``key`` a float vector printed by
+    ``float_text``, about FLOAT_CHUNK floats (one row at least) at a time; json's ASCII holds
+    ``"<key>": null`` unescaped only for the key. Returns each vector's (offset, length) in
+    bytes, an (n, 2) int64 array. With ``digest``, a hashlib object, it hashes what it writes."""
+    spans, offset, rows, null = array.array("q"), 0, iter(rows), '"%s": null' % key
+    with open(path, "wb") as fh:
+        for row in rows:
+            chunk = [row, *itertools.islice(rows, FLOAT_CHUNK // (len(row[key]) + 1))]
+            for item, text in zip(chunk, float_text([item[key] for item in chunk])):
+                head, tail = json.dumps({**item, key: None}, sort_keys=True).split(null)
+                head = ('%s"%s": [' % (head, key)).encode()
+                spans.extend((offset + len(head) - 1, len(text) + 2))
+                data = b"%s%s]%s\n" % (head, text, tail.encode())
                 offset += fh.write(data)
                 if digest is not None:
                     digest.update(data)

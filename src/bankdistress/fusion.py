@@ -10,7 +10,7 @@ from datetime import date
 import numpy as np
 
 from .corpus import (VectorRows, count_rows, read_jsonl, read_twin, require_str,
-                     write_jsonl, write_twin)
+                     write_twin, write_vector_jsonl)
 
 NUMERIC_DIM = 12
 
@@ -357,12 +357,12 @@ def write_events(events, path):
 def write_sample_table(table, path):
     """JSON-lines fused dataset, one row per sample and one key per
     SampleTable column; ``read_sample_table`` reads it back. Twin-less
-    ``fuse`` writes with it; the byte oracle of ``write_fused``."""
-    write_jsonl(({"sentence_id": sid, "bank_id": table.bank_ids[i],
-                  "month": "%04d-%02d" % table.months[i], "label": int(table.labels[i]),
-                  "semantic": table.semantic[i],
-                  "numeric_raw": table.numeric_raw[i].tolist()}
-                 for i, sid in enumerate(table.sentence_ids)), path, span="semantic")
+    ``fuse`` writes with it, and ``write_fused`` writes the same bytes."""
+    write_vector_jsonl(({"sentence_id": sid, "bank_id": table.bank_ids[i],
+                         "month": "%04d-%02d" % table.months[i], "label": int(table.labels[i]),
+                         "semantic": table.semantic[i],
+                         "numeric_raw": table.numeric_raw[i].tolist()}
+                        for i, sid in enumerate(table.sentence_ids)), path, "semantic")
 
 
 def _parse_sample(row, semantic, numeric_raw):
@@ -446,7 +446,7 @@ def write_fused(sentences, vectors_path, vector_twin, indicators, events, path):
     with open(vectors_path, "rb") as text, open(path, "wb") as fh:
         for sent, rec, lab, (offset, length) in zip(sents, recs, labels,
                                                     vector_text[rows].tolist()):
-            # the row corpus.write_jsonl writes, encoded here so that the
+            # the row corpus.write_vector_jsonl writes, encoded here so that the
             # vector's text is copied as written, not parsed and printed
             # again, which took most of fuse's time; semantic sorts between
             # numeric_raw and sentence_id

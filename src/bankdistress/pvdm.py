@@ -7,7 +7,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from .corpus import (Vocabulary, VectorRows, count_rows, json_entry, read_jsonl, read_twin,
-                     require_float, require_int, require_str, write_jsonl, write_npz, write_twin)
+                     require_float, require_int, require_str, write_npz, write_twin,
+                     write_vector_jsonl)
 
 MODEL_FORMAT = "pvdm-v2"
 BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
@@ -462,9 +463,9 @@ def export_vectors(model, path):
     written."""
     ids = sorted(model.sentence_index, key=model.sentence_index.get)
     digest = hashlib.sha256()
-    spans = write_jsonl(({"sentence_id": sid, "values": row}
-                         for sid, row in zip(ids, model.paragraph)), path, span="values",
-                        digest=digest)
+    spans = write_vector_jsonl(({"sentence_id": sid, "values": row}
+                                for sid, row in zip(ids, model.paragraph)), path, "values",
+                               digest=digest)
     write_twin(path, digest.digest(), {"ids": ids, "values": model.paragraph, "spans": spans})
 
 

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import json
 from datetime import date
 
 import numpy as np
@@ -46,3 +47,14 @@ def toy_table(n_banks=10, n_months=24, per_month=2, sem_dim=8, seed=0):
         labels=np.array(labels, dtype=np.int64),
     )
     return table, events
+
+
+def json_sample_lines(table):
+    """The bytes ``json.dumps`` writes for the rows of ``table`` as lines of a fused file:
+    the reference of ``fusion.write_sample_table`` and ``fusion.write_fused``, whose
+    vectors ``corpus.float_text`` prints."""
+    return b"".join(json.dumps({
+        "sentence_id": sid, "bank_id": table.bank_ids[i], "month": "%04d-%02d" % table.months[i],
+        "label": int(table.labels[i]), "semantic": table.semantic[i].tolist(),
+        "numeric_raw": table.numeric_raw[i].tolist()}, sort_keys=True).encode("ascii") + b"\n"
+        for i, sid in enumerate(table.sentence_ids))

@@ -176,7 +176,9 @@ def test_unused_import_check_sees_every_kind_of_import(tmp_path):
 
 # The functions of src/ that may encode JSON, with the reason for each.
 JSON_ENCODERS = {
-    "corpus.write_jsonl": "writes every JSON-lines file",
+    "corpus.write_jsonl": "writes every JSON-lines file without a float vector",
+    "corpus.write_vector_jsonl": "writes every JSON-lines file of float vectors: the keys "
+                                 "beside the vector, whose text float_text prints",
     "corpus.write_json": "writes every JSON document",
     "fusion.write_fused": "copies each vector's text from the vectors file into its row "
                           "instead of parsing and printing it again, the bulk of fuse's time",

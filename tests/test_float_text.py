@@ -6,11 +6,12 @@ whole arrays, and the writers that print vectors with it write the bytes
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bankdistress import corpus, fusion, pvdm
-from conftest import toy_table
+from conftest import json_sample_lines, toy_table
 
 # the extremes of each range, the layout's switches (1e-05 to 0.0001 and
 # 9999999999999998.0 to 1e16), 2**53, a double whose digits need 17 places
@@ -69,8 +70,10 @@ def edge_matrix(width):
     return values[:len(values) // width * width].reshape(-1, width)
 
 
-def test_export_vectors_writes_the_lines_json_writes(tmp_path):
-    matrix = edge_matrix(5)
+# a row wider than FLOAT_CHUNK goes alone in its chunk
+@pytest.mark.parametrize("width", [5, corpus.FLOAT_CHUNK + 1])
+def test_export_vectors_writes_the_lines_json_writes(tmp_path, width):
+    matrix = edge_matrix(width)
     ids = ["s%d" % i for i in range(len(matrix))]
     path = str(tmp_path / "vectors.jsonl")
     pvdm.export_vectors(pvdm.PvdmModel(word_in=None, word_out=None, paragraph=matrix,
@@ -86,15 +89,11 @@ def test_export_vectors_writes_the_lines_json_writes(tmp_path):
         b"[%s]" % repr_text(row) for row in matrix]
 
 
-def test_write_sample_table_writes_the_lines_json_writes(tmp_path):
-    table, _ = toy_table(n_banks=20, n_months=24, sem_dim=5)
-    table.semantic = np.resize(edge_matrix(5), table.semantic.shape)  # every row, and more
+@pytest.mark.parametrize("width, n_banks", [(5, 20), (corpus.FLOAT_CHUNK + 1, 1)])
+def test_write_sample_table_writes_the_lines_json_writes(tmp_path, width, n_banks):
+    table, _ = toy_table(n_banks=n_banks, n_months=24, sem_dim=width)
+    table.semantic = np.resize(edge_matrix(width), table.semantic.shape)  # every row, and more
     path = str(tmp_path / "fused.jsonl")
     fusion.write_sample_table(table, path)
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    assert lines == [json.dumps({
-        "sentence_id": sid, "bank_id": table.bank_ids[i], "month": "%04d-%02d" % table.months[i],
-        "label": int(table.labels[i]), "semantic": table.semantic[i].tolist(),
-        "numeric_raw": table.numeric_raw[i].tolist()}, sort_keys=True).encode("ascii")
-        for i, sid in enumerate(table.sentence_ids)]
+        assert fh.read() == json_sample_lines(table)

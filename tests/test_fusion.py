@@ -37,6 +37,7 @@ from bankdistress.fusion import (
     write_indicators,
     write_sample_table,
 )
+from conftest import json_sample_lines
 
 
 def ts(year, month, day=15):
@@ -355,14 +356,14 @@ def test_read_sample_table_without_the_semantic_column(tmp_path):
 
 
 def fuse_both_ways(sentences, vectors_path, recs, events, d):
-    """The bytes write_fused writes, and the bytes of its float oracle."""
-    fused, oracle = os.path.join(d, "fused.jsonl"), os.path.join(d, "oracle.jsonl")
+    """The bytes write_fused writes, and the bytes json.dumps writes for the
+    table of the same inputs, its oracle."""
+    fused = os.path.join(d, "fused.jsonl")
     write_fused(sentences, vectors_path, pvdm.read_vector_twin(vectors_path), recs, events,
                 fused)
     table, _ = build_sample_table(sentences, pvdm.read_vectors(vectors_path), recs, events)
-    write_sample_table(table, oracle)
-    with open(fused, "rb") as fh, open(oracle, "rb") as gh:
-        return fh.read(), gh.read()
+    with open(fused, "rb") as fh:
+        return fh.read(), json_sample_lines(table)
 
 
 def fuse_argv(sentences, vectors_path, recs, events, out):
@@ -483,8 +484,7 @@ def test_fuse_writes_hand_written_numerals_as_the_oracle_does(tmp_path):
     values = [[1.0, 2.5, -3.0], [1e-3, 200.0, 0.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0],
               [0.5, 0.25, 0.125]]
     table, _ = build_sample_table(sentences, dict(zip(ids, np.array(values))), recs, events)
-    write_sample_table(table, str(tmp_path / "oracle.jsonl"))
-    assert fused == (tmp_path / "oracle.jsonl").read_bytes()
+    assert fused == json_sample_lines(table)
     lines = fused.decode("utf-8").splitlines()
     assert len(lines) == len(values)
     for line, row in zip(lines, values):
