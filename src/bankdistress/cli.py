@@ -1,6 +1,7 @@
 """Command-line entry point for the full pipeline and experiment protocol."""
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -47,6 +48,21 @@ def _distinct_files(paths):
         first = seen.setdefault(key, what)
         if first != what:
             raise CliError("%s and %s are the same file: %s" % (first, what, path))
+
+
+def _writable_files(*paths):
+    """Raise the OSError that opening each of ``paths`` to write it would
+    raise for the empty path, a path that is a directory, or a parent
+    directory that is missing or a file, before the command reads any input."""
+    for path in paths:
+        parent = os.path.dirname(path) or os.curdir
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif path and os.path.isdir(parent):
+            continue
+        else:
+            code = errno.ENOTDIR if path and os.path.exists(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
 
 
 def _distinct_experiment_files(args, outputs):
@@ -106,6 +122,7 @@ def _cmd_synth(args):
 
 
 def _cmd_ingest(args):
+    _writable_files(args.out)
     _distinct_files({"--articles": args.articles, "--registry": args.registry, "--out": args.out})
     registry = corpus.compile_registry(args.registry)
     articles = corpus.read_articles(args.articles)
@@ -120,6 +137,7 @@ def _cmd_ingest(args):
 
 
 def _cmd_embed(args):
+    _writable_files(args.out, args.vectors)
     _distinct_files({"--sentences": args.sentences, "--vectors": args.vectors, "--out": args.out,
                      "the twin of --vectors": corpus.twin_path(args.vectors)})
     sentences = corpus.read_sentences(args.sentences)
@@ -135,6 +153,7 @@ def _cmd_embed(args):
 
 
 def _cmd_fuse(args):
+    _writable_files(args.out)
     _distinct_files({"--sentences": args.sentences, "--vectors": args.vectors,
                      "the twin of --vectors": corpus.twin_path(args.vectors),
                      "--indicators": args.indicators, "--events": args.events,
@@ -160,6 +179,7 @@ def _cmd_fuse(args):
 
 
 def _cmd_train(args):
+    _writable_files(args.out)
     settings = _experiment_settings(args, runs=1)
     if settings["runs"] != 1:
         raise CliError("%s: train makes one run, got runs %r" % (args.config, settings["runs"]))
@@ -241,13 +261,16 @@ def _cmd_report(args):
         with open(path, "r", encoding="utf-8") as fh:
             summary = corpus.parse_json(fh.read())
         lines = ["mu=%s runs=%s" % (summary["config"]["mu"], summary["config"]["runs"])]
-        for arm in sorted(summary["arms"]):
-            entry = summary["arms"][arm]
+        arms = summary["arms"]
+        if not (isinstance(arms, dict) and arms
+                and all(isinstance(entry, dict) for entry in arms.values())):
+            raise ValueError("arms must be a non-empty object of objects")
+        for arm, entry in sorted(arms.items()):
             lines.append("%-14s mean U_r %+.4f  std %.4f  (%d runs)"
                          % (arm, entry["mean_test_ur"], entry["std_test_ur"], entry["runs"]))
     except KeyError as exc:
         raise CliError("%s: missing key %s" % (path, exc)) from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError("%s: %s" % (path, exc)) from None
     print("\n".join(lines))
     return 0

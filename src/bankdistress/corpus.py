@@ -36,7 +36,7 @@ _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 # to this power (Mikolov et al. 2013).
 NOISE_POWER = 0.75
 NPZ_ROW_CHUNK = 64  # rows gathered at a time into an .npz entry given as (matrix, rows)
-FLOAT_CHUNK = 2400  # floats write_vector_jsonl prints at a time: about 0.3 MB of working set
+FLOAT_CHUNK = 2400  # floats vector_texts prints at a time: about 0.3 MB of working set
 
 
 class RegistryError(ValueError):
@@ -525,24 +525,31 @@ def write_jsonl(rows, path):
             fh.write((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def write_vector_jsonl(rows, path, key, digest=None):
-    """Write ``rows`` as ``write_jsonl`` does, each row's ``key`` a float vector printed by
-    ``float_text``, about FLOAT_CHUNK floats (one row at least) at a time; json's ASCII holds
-    ``"<key>": null`` unescaped only for the key. Returns each vector's (offset, length) in
-    bytes, an (n, 2) int64 array. With ``digest``, a hashlib object, it hashes what it writes."""
-    spans, offset, rows, null = array.array("q"), 0, iter(rows), '"%s": null' % key
+def vector_texts(rows, vectors):
+    """(row, text) of each row of ``rows`` and float vector of ``vectors``, in order, the
+    text ``float_text``'s, printed about FLOAT_CHUNK floats (one vector at least) at a time."""
+    pairs = zip(rows, vectors)
+    for first in pairs:
+        chunk = [first, *itertools.islice(pairs, FLOAT_CHUNK // (len(first[1]) + 1))]
+        yield from zip([row for row, _ in chunk], float_text([vector for _, vector in chunk]))
+
+
+def write_vector_jsonl(texts, path, key):
+    """Write each (row, text) of ``texts`` as ``write_jsonl`` writes ``row`` with one more key,
+    ``key``: the float vector whose JSON text without brackets is ``text``, bytes, as
+    ``vector_texts`` prints it. json's ASCII holds ``"<key>": null`` unescaped only for the key.
+    Returns the sha256 digest of the bytes written and each vector's (offset, length) in
+    bytes, brackets included, an (n, 2) int64 array."""
+    spans, offset, digest, null = array.array("q"), 0, hashlib.sha256(), '"%s": null' % key
     with open(path, "wb") as fh:
-        for row in rows:
-            chunk = [row, *itertools.islice(rows, FLOAT_CHUNK // (len(row[key]) + 1))]
-            for item, text in zip(chunk, float_text([item[key] for item in chunk])):
-                head, tail = json.dumps({**item, key: None}, sort_keys=True).split(null)
-                head = ('%s"%s": [' % (head, key)).encode()
-                spans.extend((offset + len(head) - 1, len(text) + 2))
-                data = b"%s%s]%s\n" % (head, text, tail.encode())
-                offset += fh.write(data)
-                if digest is not None:
-                    digest.update(data)
-    return np.frombuffer(spans, np.int64).reshape(-1, 2)
+        for row, text in texts:
+            head, tail = json.dumps({**row, key: None}, sort_keys=True).split(null)
+            head = ('%s"%s": [' % (head, key)).encode()
+            spans.extend((offset + len(head) - 1, len(text) + 2))
+            data = b"%s%s]%s\n" % (head, text, tail.encode())
+            offset += fh.write(data)
+            digest.update(data)
+    return digest.digest(), np.frombuffer(spans, np.int64).reshape(-1, 2)
 
 
 def write_json(value, path):

@@ -1,8 +1,6 @@
 """Alignment of sentences with quarterly indicators, labels, folds and fusion."""
 
 import csv
-import hashlib
-import json
 import re
 from dataclasses import dataclass
 from datetime import date
@@ -10,7 +8,7 @@ from datetime import date
 import numpy as np
 
 from .corpus import (VectorRows, count_rows, read_jsonl, read_twin, require_str,
-                     write_twin, write_vector_jsonl)
+                     vector_texts, write_twin, write_vector_jsonl)
 
 NUMERIC_DIM = 12
 
@@ -244,26 +242,25 @@ def semantic_rows(sentence_ids, vectors_by_id, source):
     return matrix
 
 
-def _labelled_samples(sentences, indicators, events):
-    """The aligned sentences, their indicator records, their labels and the
-    DropReport; raises ValueError if no sentence aligns."""
+def _fused_table(sentences, indicators, events):
+    """The SampleTable of the aligned, labelled sentences, with no ``semantic``,
+    and the DropReport; raises ValueError if no sentence aligns."""
     aligned, report = align(sentences, indicators)
     if not aligned:
         raise ValueError("no aligned samples")
     sents, recs = zip(*aligned)
-    return sents, recs, [label(s, events) for s in sents], report
+    return SampleTable(sentence_ids=[s.sentence_id for s in sents],
+                       bank_ids=[s.bank_id for s in sents],
+                       months=[month_of(s.published_at) for s in sents], semantic=None,
+                       numeric_raw=np.vstack([r.values for r in recs]),
+                       labels=np.array([label(s, events) for s in sents], dtype=np.int64)), report
 
 
 def build_sample_table(sentences, vectors_by_id, indicators, events, source="vectors"):
     """Align, label and stack everything the experiment harness consumes; an
     aligned sentence without a vector raises ValueError naming ``source`` and it."""
-    sents, recs, labels, report = _labelled_samples(sentences, indicators, events)
-    sids = [s.sentence_id for s in sents]
-    table = SampleTable(sentence_ids=sids, bank_ids=[s.bank_id for s in sents],
-                        months=[month_of(s.published_at) for s in sents],
-                        semantic=semantic_rows(sids, vectors_by_id, source),
-                        numeric_raw=np.vstack([r.values for r in recs]),
-                        labels=np.array(labels, dtype=np.int64))
+    table, report = _fused_table(sentences, indicators, events)
+    table.semantic = semantic_rows(table.sentence_ids, vectors_by_id, source)
     return table, report
 
 
@@ -354,15 +351,23 @@ def write_events(events, path):
             writer.writerow([ev.bank_id, ev.start_date.isoformat(), ev.end_date.isoformat(), ev.kind])
 
 
+def _write_fused_rows(table, path, texts):
+    """Write the fused file of ``table``, one row per sample and one key per
+    SampleTable column: the one place that names those keys and the forms of
+    their values. ``texts(rows)`` pairs each row, without its ``semantic``,
+    with that vector's text, as ``corpus.write_vector_jsonl`` takes them;
+    returns what it returns."""
+    rows = ({"sentence_id": sid, "bank_id": table.bank_ids[i],
+             "month": "%04d-%02d" % table.months[i], "label": int(table.labels[i]),
+             "numeric_raw": table.numeric_raw[i].tolist()}
+            for i, sid in enumerate(table.sentence_ids))
+    return write_vector_jsonl(texts(rows), path, "semantic")
+
+
 def write_sample_table(table, path):
-    """JSON-lines fused dataset, one row per sample and one key per
-    SampleTable column; ``read_sample_table`` reads it back. Twin-less
-    ``fuse`` writes with it, and ``write_fused`` writes the same bytes."""
-    write_vector_jsonl(({"sentence_id": sid, "bank_id": table.bank_ids[i],
-                         "month": "%04d-%02d" % table.months[i], "label": int(table.labels[i]),
-                         "semantic": table.semantic[i],
-                         "numeric_raw": table.numeric_raw[i].tolist()}
-                        for i, sid in enumerate(table.sentence_ids)), path, "semantic")
+    """The fused dataset of ``table``, which ``read_sample_table`` reads back.
+    Twin-less ``fuse`` writes with it; ``write_fused`` writes the same bytes."""
+    _write_fused_rows(table, path, lambda rows: vector_texts(rows, table.semantic))
 
 
 def _parse_sample(row, semantic, numeric_raw):
@@ -422,10 +427,9 @@ def write_fused(sentences, vectors_path, vector_twin, indicators, events, path):
     """Align and label the sentences; write the fused dataset to ``path`` and its twin.
 
     ``vector_twin`` is ``pvdm.read_vector_twin(vectors_path)``, and ``path``
-    is another file, as the ``fuse`` command checks. Each row's
-    ``semantic`` is its vector's text, copied from the vectors file that
-    ``pvdm.export_vectors`` wrote with the twin, so no vector is printed
-    again and the file holds the bytes ``write_sample_table`` writes of
+    is another file, as the ``fuse`` command checks. Each row's ``semantic``
+    text is copied from the vectors file, so no vector is printed again and
+    the file holds the bytes ``write_sample_table`` writes of
     ``build_sample_table``'s table. The fused twin's ``semantic`` is
     gathered from the twin's vectors in row chunks. An aligned sentence
     without a vector raises ValueError naming ``vectors_path`` and the
@@ -434,35 +438,21 @@ def write_fused(sentences, vectors_path, vector_twin, indicators, events, path):
     DropReport.
     """
     vector_rows, vector_text, vectors = vector_twin
-    sents, recs, labels, report = _labelled_samples(sentences, indicators, events)
-    rows = np.empty(len(sents), dtype=np.intp)
-    for i, sent in enumerate(sents):
-        row = vector_rows.get(sent.sentence_id)
+    table, report = _fused_table(sentences, indicators, events)
+    at = np.empty(len(table), dtype=np.intp)
+    for i, sid in enumerate(table.sentence_ids):
+        row = vector_rows.get(sid)
         if row is None:
-            raise ValueError("%s: no semantic vector for sentence %r"
-                             % (vectors_path, sent.sentence_id))
-        rows[i] = row
-    digest = hashlib.sha256()
-    with open(vectors_path, "rb") as text, open(path, "wb") as fh:
-        for sent, rec, lab, (offset, length) in zip(sents, recs, labels,
-                                                    vector_text[rows].tolist()):
-            # the row corpus.write_vector_jsonl writes, encoded here so that the
-            # vector's text is copied as written, not parsed and printed
-            # again, which took most of fuse's time; semantic sorts between
-            # numeric_raw and sentence_id
-            head = json.dumps({"bank_id": sent.bank_id, "label": lab,
-                               "month": "%04d-%02d" % month_of(sent.published_at),
-                               "numeric_raw": rec.values.tolist()}, sort_keys=True)
-            text.seek(offset)
-            line = ('%s, "semantic": %s, "sentence_id": %s}\n'
-                    % (head[:-1], text.read(length).decode("utf-8"),
-                       json.dumps(sent.sentence_id))).encode("utf-8")
-            fh.write(line)
-            digest.update(line)
-    write_twin(path, digest.digest(), {
-        "sentence_ids": [s.sentence_id for s in sents],
-        "bank_ids": [s.bank_id for s in sents],
-        "months": np.array([month_of(s.published_at) for s in sents], dtype=np.int64),
-        "semantic": (vectors, rows), "numeric_raw": np.vstack([r.values for r in recs]),
-        "labels": np.array(labels, dtype=np.int64)})
-    return labels, report
+            raise ValueError("%s: no semantic vector for sentence %r" % (vectors_path, sid))
+        at[i] = row
+    with open(vectors_path, "rb") as text:
+        def copied():
+            for offset, length in vector_text[at].tolist():
+                text.seek(offset + 1)  # the text inside the brackets
+                yield text.read(length - 2)
+
+        digest, _ = _write_fused_rows(table, path, lambda rows: zip(rows, copied()))
+    # vars keeps SampleTable's field order, the order of the twin's entries
+    write_twin(path, digest, {**vars(table), "months": np.array(table.months, dtype=np.int64),
+                              "semantic": (vectors, at)})
+    return table.labels, report

@@ -1,14 +1,13 @@
 """Distributed-memory paragraph vectors trained with negative sampling."""
 
-import hashlib
 from dataclasses import dataclass, field, asdict
 from itertools import chain, repeat
 
 import numpy as np
 
 from .corpus import (Vocabulary, VectorRows, count_rows, json_entry, read_jsonl, read_twin,
-                     require_float, require_int, require_str, write_npz, write_twin,
-                     write_vector_jsonl)
+                     require_float, require_int, require_str, vector_texts, write_npz,
+                     write_twin, write_vector_jsonl)
 
 MODEL_FORMAT = "pvdm-v2"
 BATCH_PAIRS = 32  # (context, target) pairs per SGD update in train
@@ -462,11 +461,9 @@ def export_vectors(model, path):
     paragraph matrix as it is. The twin's digest is taken as the file is
     written."""
     ids = sorted(model.sentence_index, key=model.sentence_index.get)
-    digest = hashlib.sha256()
-    spans = write_vector_jsonl(({"sentence_id": sid, "values": row}
-                                for sid, row in zip(ids, model.paragraph)), path, "values",
-                               digest=digest)
-    write_twin(path, digest.digest(), {"ids": ids, "values": model.paragraph, "spans": spans})
+    digest, spans = write_vector_jsonl(vector_texts(({"sentence_id": sid} for sid in ids),
+                                                    model.paragraph), path, "values")
+    write_twin(path, digest, {"ids": ids, "values": model.paragraph, "spans": spans})
 
 
 def read_vectors(path):

@@ -178,10 +178,8 @@ def test_unused_import_check_sees_every_kind_of_import(tmp_path):
 JSON_ENCODERS = {
     "corpus.write_jsonl": "writes every JSON-lines file without a float vector",
     "corpus.write_vector_jsonl": "writes every JSON-lines file of float vectors: the keys "
-                                 "beside the vector, whose text float_text prints",
+                                 "beside each vector's text, printed or copied",
     "corpus.write_json": "writes every JSON document",
-    "fusion.write_fused": "copies each vector's text from the vectors file into its row "
-                          "instead of parsing and printing it again, the bulk of fuse's time",
     "corpus.json_entry": "encodes the model header and a twin's ids into an entry of an "
                          ".npz, not a file",
 }

@@ -868,6 +868,17 @@ TRAIN_ARGV = ["train", "--fused", "fused.jsonl", "--events", "data/events.csv",
               "--config", "config.json"]
 
 
+def copy_pipeline(pipeline):
+    """Copy the pipeline's files, with their twins, into the working directory,
+    under the names the argument lists above give them."""
+    shutil.copytree(pipeline["data"], "data")
+    for name in ("sentences", "vectors", "fused", "config"):
+        shutil.copy(pipeline[name], os.path.basename(pipeline[name]))
+    for name in ("vectors", "fused"):
+        shutil.copy(corpus.twin_path(pipeline[name]), os.path.basename(corpus.twin_path(
+            pipeline[name])))
+
+
 # (argv, hard links to make first: new name -> the file it links, fragment)
 OVERWRITES = {
     "ingest-out-articles": (INGEST_ARGV + ["--out", "data/articles.jsonl"], {},
@@ -911,18 +922,46 @@ def test_no_command_writes_over_one_of_its_inputs(pipeline, capsys, tmp_path, mo
     # link, ends the command before it writes anything
     argv, links, fragment = OVERWRITES[case]
     monkeypatch.chdir(tmp_path)
-    shutil.copytree(pipeline["data"], "data")
-    for name in ("sentences", "vectors", "fused", "config"):
-        shutil.copy(pipeline[name], os.path.basename(pipeline[name]))
-    for name in ("vectors", "fused"):
-        shutil.copy(corpus.twin_path(pipeline[name]), os.path.basename(corpus.twin_path(
-            pipeline[name])))
+    copy_pipeline(pipeline)
     for name, target in links.items():
         os.makedirs(os.path.dirname(name) or ".", exist_ok=True)
         os.link(target, name)
     before = {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
               if os.path.isfile(p)}
     assert_one_error_line(capsys, cli.main(argv), "error: " + fragment)
+    assert {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
+            if os.path.isfile(p)} == before
+
+
+EMBED_ARGV = ["embed", "--sentences", "sentences.jsonl", "--dim", "4", "--epochs", "1"]
+# each file a command writes, in a directory that does not exist
+MISSING_DIRECTORY_OUTPUTS = {
+    "ingest-out": INGEST_ARGV + ["--out", "missing/sentences.jsonl"],
+    "embed-out": EMBED_ARGV + ["--out", "missing/model.npz", "--vectors", "new.jsonl"],
+    "embed-vectors": EMBED_ARGV + ["--out", "new.npz", "--vectors", "missing/vectors.jsonl"],
+    "fuse-out": FUSE_ARGV + ["--out", "missing/fused.jsonl"],
+    "train-out": TRAIN_ARGV + ["--out", "missing/train.json"],
+}
+
+
+@pytest.mark.parametrize("case", MISSING_DIRECTORY_OUTPUTS)
+def test_an_output_in_a_missing_directory_ends_the_command_before_it_reads(
+        pipeline, capsys, tmp_path, monkeypatch, case):
+    argv = MISSING_DIRECTORY_OUTPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    copy_pipeline(pipeline)
+    before = {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
+              if os.path.isfile(p)}
+    read = []
+    # the first input each of these commands reads
+    for module, name in ((corpus, "compile_registry"), (corpus, "read_sentences"),
+                         (experiment, "read_config")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: read.append(name))
+    rc = cli.main(argv)
+    missing = next(value for value in argv if value.startswith("missing/"))
+    assert (rc, capsys.readouterr().err) == (
+        2, "i/o error: [Errno 2] No such file or directory: %r\n" % missing)
+    assert read == []
     assert {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
             if os.path.isfile(p)} == before
 
@@ -1093,7 +1132,11 @@ def test_ingest_rejects_malformed_registry(pipeline, capsys, tmp_path, row_no, b
      "missing key 'mean_test_ur'"),
     ('{"config": {"mu": 0.9', "Expecting"),
     ('[1, 2]', "list indices"),
-], ids=["no-config", "no-arm-mean", "malformed-json", "not-an-object"])
+    ('{"config": {"mu": 0.9, "runs": 2}, "arms": [5]}', "arms must be a non-empty object"),
+    ('{"config": {"mu": 0.9, "runs": 2}, "arms": []}', "arms must be a non-empty object"),
+    ('{"config": {"mu": 0.9, "runs": 2}, "arms": {}}', "arms must be a non-empty object"),
+], ids=["no-config", "no-arm-mean", "malformed-json", "not-an-object", "arms-a-list",
+        "arms-empty-list", "arms-empty-object"])
 def test_report_names_the_summary_file(capsys, tmp_path, text, fragment):
     (tmp_path / "summary.json").write_text(text, encoding="utf-8")
     rc = cli.main(["report", "--results", str(tmp_path)])
@@ -1658,6 +1701,107 @@ def test_sweep_argument_lists_exit_cleanly(small_experiment_inputs, args, order)
     one of its own files or to a hard link to one, exits cleanly and
     changes no input; a config without hidden layers included."""
     assert_experiment_argument_list_exits_cleanly(small_experiment_inputs, "sweep", args, order)
+
+
+EXPERIMENT_FLAGS = {"--fused": "fused.jsonl", "--events": "events.csv", "--config": "flat.json",
+                    "--embedding-scope": "full", "--arm": "all", "--seed": "0", "--mu": "0.9",
+                    "--runs": "1", "--out": "out"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(args=argument_lists(EXPERIMENT_FLAGS, experiment_flag_value, at_most=3),
+       order=st.randoms(use_true_random=False))
+def test_experiment_argument_lists_exit_cleanly(small_experiment_inputs, args, order):
+    """experiment, given its flags dropped, repeated, or set to a bad value,
+    to one of its own files or to a hard link to one, exits cleanly and
+    changes no input."""
+    assert_experiment_argument_list_exits_cleanly(small_experiment_inputs, "experiment", args,
+                                                  order)
+
+
+# synth's flags, each with the value of a small valid run
+SYNTH_FLAGS = {"--out": "data", "--seed": "0", "--banks": "2", "--prior": "0.3",
+               "--text-signal": "0.3", "--numeric-signal": "0.6", "--min-sentences": "1",
+               "--max-sentences": "1"}
+SYNTH_INT_MAX = {"--seed": 2 ** 64, "--banks": 3, "--min-sentences": 2, "--max-sentences": 2}
+# a new directory, a new one inside another, a file, one inside a file, the
+# directory itself and the empty path
+SYNTH_PATHS = ["data", "data/deeper", "file.txt", "file.txt/data", ".", ""]
+
+
+def synth_flag_value(flag):
+    if flag == "--out":
+        return st.sampled_from(SYNTH_PATHS)
+    if flag in SYNTH_INT_MAX:
+        return (st.integers(min_value=-2, max_value=SYNTH_INT_MAX[flag]).map(str)
+                | st.sampled_from(["x", "1.5", ""]))
+    return st.sampled_from(["0", "1", "0.5", "-0.1", "1.5", "nan", "inf", "1e-300", "x", ""])
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=argument_lists(SYNTH_FLAGS, synth_flag_value), order=st.randoms(use_true_random=False))
+def test_synth_argument_lists_exit_cleanly(args, order):
+    """synth, given its flags dropped, repeated, or set to a bad number or
+    to a path that cannot be its directory, exits cleanly."""
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(d, "file.txt"), "w", encoding="utf-8") as fh:
+            fh.write("a file, not a directory\n")
+        assert_argument_list_exits_cleanly("synth", args, order, d, {"--out"}, set())
+
+
+SUMMARY = {"config": {"mu": 0.9, "runs": 2},
+           "arms": {"combined": {"mean_test_ur": 0.25, "std_test_ur": 0.5, "runs": 2}}}
+# each key path of SUMMARY that report reads, and the document itself
+SUMMARY_PATHS = [(), ("config",), ("config", "mu"), ("config", "runs"), ("arms",),
+                 ("arms", "combined"), ("arms", "combined", "mean_test_ur"),
+                 ("arms", "combined", "std_test_ur"), ("arms", "combined", "runs")]
+
+
+@st.composite
+def summary_files(draw):
+    """The bytes of a summary.json: SUMMARY with the value at one key path
+    replaced by a JSON value or deleted, and maybe bytes that are not UTF-8
+    put in anywhere."""
+    summary = json.loads(json.dumps(SUMMARY))
+    at = draw(st.sampled_from(SUMMARY_PATHS))
+    value = draw(JSON_VALUES | st.just(MISSING))
+    if not at:
+        summary = {} if value is MISSING else value
+    else:
+        parent = summary
+        for key in at[:-1]:
+            parent = parent[key]
+        if value is MISSING:
+            del parent[at[-1]]
+        else:
+            parent[at[-1]] = value
+    text = json.dumps(summary).encode("utf-8")
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:i] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + text[i:]
+    return text
+
+
+REPORT_PATHS = ["results", "missing", "results/summary.json", ".", ""]
+
+
+@settings(max_examples=100, deadline=None)
+@given(args=argument_lists({"--results": "results"}, lambda flag: st.sampled_from(REPORT_PATHS)),
+       order=st.randoms(use_true_random=False), summary=summary_files())
+@example(args=[[("--results", "results")]], order=random.Random(0),
+         summary=b'{"config": {"mu": 0.9, "runs": 2}, "arms": [5]}')
+@example(args=[[("--results", "results")]], order=random.Random(0),
+         summary=json.dumps(dict(SUMMARY, arms={"combined": dict(
+             SUMMARY["arms"]["combined"], runs=float("inf"))})).encode("ascii"))
+def test_report_argument_lists_and_summaries_exit_cleanly(args, order, summary):
+    """report, given its flag dropped, repeated or set to a path that is not
+    a results directory, and a summary.json of any JSON value or of bytes
+    that are not UTF-8, exits cleanly and changes no input."""
+    with tempfile.TemporaryDirectory() as d:
+        os.mkdir(os.path.join(d, "results"))
+        with open(os.path.join(d, "results", "summary.json"), "wb") as fh:
+            fh.write(summary)
+        assert_argument_list_exits_cleanly("report", args, order, d, {"--results"}, set())
 
 
 @pytest.mark.parametrize("flag", ["--articles", "--registry"])

@@ -93,9 +93,11 @@ def test_write_npz_gathers_rows_into_the_bytes_of_np_savez(tmp_path):
 def test_write_vector_jsonl_spans_are_the_bytes_of_each_value(tmp_path):
     path = str(tmp_path / "v.jsonl")
     ids = ['q"\\[0]', "é€\U0001d11e", '"values": [', "\ud800"]
-    rows = [{"sentence_id": sid, "values": EDGE_FLOATS[i:i + 3 + i]} for i, sid in enumerate(ids)]
-    spans = corpus.write_vector_jsonl(rows, path, "values")
-    assert_spans_hold_the_values(path, spans, [row["values"] for row in rows])
+    vectors = [EDGE_FLOATS[i:i + 3 + i] for i in range(len(ids))]
+    digest, spans = corpus.write_vector_jsonl(
+        corpus.vector_texts(({"sentence_id": sid} for sid in ids), vectors), path, "values")
+    assert digest == corpus.file_sha256(path)
+    assert_spans_hold_the_values(path, spans, vectors)
 
 
 def test_a_twin_round_trips_ids_and_columns(tmp_path):
@@ -287,9 +289,9 @@ def test_a_bad_row_in_file_and_twin_raises_the_json_error(tmp_path, capsys):
         vectors)
     vectors = str(tmp_path / "w.jsonl")
     ids = ["a", "b", "a"]
-    spans = corpus.write_vector_jsonl(({"sentence_id": sid, "values": [0.5]} for sid in ids),
-                                      vectors, "values")
-    corpus.write_twin(vectors, corpus.file_sha256(vectors),
+    digest, spans = corpus.write_vector_jsonl(
+        corpus.vector_texts(({"sentence_id": sid} for sid in ids), [[0.5]] * 3), vectors, "values")
+    corpus.write_twin(vectors, digest,
                       {"ids": ids, "values": np.full((3, 1), 0.5),
                        "spans": np.array(spans, dtype=np.int64)})
     assert cli.main(fuse_argv(sentences, vectors, recs, [], out)) == 1
