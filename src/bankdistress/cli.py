@@ -4,6 +4,7 @@ import argparse
 import errno
 import functools
 import os
+import stat
 import sys
 from dataclasses import asdict, replace
 
@@ -65,6 +66,18 @@ def _writable_files(*paths):
         raise OSError(code, os.strerror(code), path)
 
 
+def _makeable_directory(path):
+    """Raise the OSError that ``os.makedirs`` would raise, only after the
+    command's work, for an output directory that is a file or lies below
+    one. Runs before the command reads any input, and makes nothing."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return
+    if not stat.S_ISDIR(mode):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+
+
 def _distinct_experiment_files(args, outputs):
     """``_distinct_files`` of the inputs of train, experiment or sweep and ``outputs``."""
     _distinct_files({"--fused": args.fused, "the twin of --fused": corpus.twin_path(args.fused),
@@ -109,6 +122,7 @@ def _read_inputs(args, config, arms, parameter=None):
 
 
 def _cmd_synth(args):
+    _makeable_directory(args.out)
     cfg = synth.SynthConfig(n_banks=args.banks, distress_prior=args.prior,
                             text_signal=args.text_signal, numeric_signal=args.numeric_signal,
                             sentences_per_bank_quarter=(args.min_sentences, args.max_sentences),
@@ -196,6 +210,7 @@ def _cmd_train(args):
 
 
 def _cmd_experiment(args):
+    _makeable_directory(args.out)
     settings = _experiment_settings(args)
     # an arm set by the file or a flag runs alone; none set, or --arm all, runs every arm
     if settings.get("arm") == "all":
@@ -237,6 +252,7 @@ def _grid_value(text):
 
 
 def _cmd_sweep(args):
+    _makeable_directory(args.out)
     config = experiment.ExperimentConfig(
         **_experiment_settings(args, runs=experiment.SWEEP_RUNS))
     grid = [_grid_value(v) for v in args.grid.split(",")]

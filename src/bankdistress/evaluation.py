@@ -117,17 +117,27 @@ def _columns(scores):
             np.array([ms.label for ms in scores], dtype=np.int64))
 
 
+def _count(score, label, thresholds):
+    """Confusion counts of the rule `signal iff score >= threshold` at each
+    of ``thresholds`` (a number or an array), from one sort and binary search
+    per class. A NaN score compares false, so it never signals."""
+    positive = label == 1
+    signals = ~np.isnan(score)
+    pos = np.sort(score[positive & signals])
+    neg = np.sort(score[~positive & signals])
+    n_pos = int(np.count_nonzero(positive))
+    tp = len(pos) - np.searchsorted(pos, thresholds, side="left")
+    fp = len(neg) - np.searchsorted(neg, thresholds, side="left")
+    return ConfusionRates(tp=tp, fp=fp, tn=len(score) - n_pos - fp, fn=n_pos - tp)
+
+
 def confusion(scores, threshold):
     """Confusion counts of the rule `signal iff score >= threshold`."""
     score, label = _columns(scores)
     if not len(score):
         raise ValueError("cannot build a confusion matrix from no observations")
-    signaled = score >= threshold
-    positive = label == 1
-    tp = int(np.count_nonzero(signaled & positive))
-    fp = int(np.count_nonzero(signaled)) - tp
-    fn = int(np.count_nonzero(positive)) - tp
-    return ConfusionRates(tp=tp, fp=fp, tn=len(score) - tp - fp - fn, fn=fn)
+    conf = _count(score, label, threshold)
+    return ConfusionRates(*(int(n) for n in (conf.tp, conf.fp, conf.tn, conf.fn)))
 
 
 def baseline_loss(prior, mu):
@@ -154,67 +164,55 @@ def relative_usefulness(l_baseline, l_model):
     return u_abs, u_abs / l_baseline
 
 
-def usefulness_report(scores, mu, threshold):
-    """Full usefulness evaluation of monthly scores at one threshold."""
-    conf = confusion(scores, threshold)
-    prior = (conf.tp + conf.fn) / conf.total
+def _assemble(conf, mu, threshold):
+    """The UsefulnessReport of the counts ``conf`` at ``threshold``, scalars
+    or arrays of one entry per threshold, elementwise through the loss
+    functions."""
+    # the positives tp + fn, so the prior, are the same at every threshold
+    prior = float(np.ravel((conf.tp + conf.fn) / conf.total)[0])
     l_b = baseline_loss(prior, mu)
     l_m = model_loss(conf, mu)
     u_a, u_r = relative_usefulness(l_b, l_m)
-    return UsefulnessReport(
-        mu=mu,
-        prior=prior,
-        threshold=threshold,
-        baseline_loss=l_b,
-        model_loss=l_m,
-        absolute_usefulness=u_a,
-        relative_usefulness=u_r,
-        confusion=conf,
-    )
+    return UsefulnessReport(mu=mu, prior=prior, threshold=threshold, baseline_loss=l_b,
+                            model_loss=l_m, absolute_usefulness=u_a, relative_usefulness=u_r,
+                            confusion=conf)
+
+
+def usefulness_report(scores, mu, threshold):
+    """Full usefulness evaluation of monthly scores at one threshold."""
+    return _assemble(confusion(scores, threshold), mu, threshold)
 
 
 def usefulness_curve(scores, mu):
-    """Relative usefulness of every candidate threshold.
-
-    Candidates are the distinct observed scores plus {0, 1}, ascending. The
-    confusion counts of all candidates come from one sort and binary search
-    per class; U_r then goes through the same loss functions as
-    ``usefulness_report``, elementwise, so each value is bit-identical to
-    that report's.
-    """
+    """The UsefulnessReport at every candidate threshold, in arrays: the
+    distinct scores other than NaN plus {0, 1}, ascending. Each entry is
+    bit-identical to ``usefulness_report``'s at its threshold."""
     score, label = _columns(scores)
     if not len(score):
         raise ValueError("usefulness undefined: no validation observations")
-    positive = np.sort(score[label == 1])
-    negative = np.sort(score[label != 1])
-    if not len(positive) or not len(negative):
+    if np.count_nonzero(label == 1) in (0, len(score)):
         raise ValueError("usefulness undefined: validation set contains a single class")
     # np.unique would import numpy.ma on first use, for ~1 MB of memory
-    candidates = np.sort(np.concatenate((score, (0.0, 1.0))))
-    distinct = np.empty(len(candidates), dtype=bool)
-    distinct[0] = True
-    np.not_equal(candidates[1:], candidates[:-1], out=distinct[1:])
-    candidates = candidates[distinct]
-    tp = len(positive) - np.searchsorted(positive, candidates, side="left")
-    fp = len(negative) - np.searchsorted(negative, candidates, side="left")
-    conf = ConfusionRates(tp=tp, fp=fp, tn=len(negative) - fp, fn=len(positive) - tp)
-    l_b = baseline_loss(len(positive) / len(score), mu)
-    _, u_r = relative_usefulness(l_b, model_loss(conf, mu))
-    return candidates, u_r
+    candidates = np.sort(np.concatenate((score[~np.isnan(score)], (0.0, 1.0))))
+    candidates = candidates[np.concatenate(([True], candidates[1:] != candidates[:-1]))]
+    return _assemble(_count(score, label, candidates), mu, candidates)
 
 
 def pick_threshold(scores, mu):
-    """Threshold maximizing relative usefulness on a validation set.
+    """The usefulness report at the threshold maximizing relative usefulness
+    on a validation set.
 
     Candidates are those of ``usefulness_curve``; ties break toward the
     smallest threshold (the more sensitive rule). A later candidate wins only
     by more than 1e-12, so thresholds that tie in exact arithmetic but differ
     by rounding still count as tied.
     """
-    candidates, u_r = usefulness_curve(scores, mu)
-    best_tau, best_ur = None, None
-    for tau, ur in zip(candidates.tolist(), u_r.tolist()):
-        if best_ur is None or ur > best_ur + 1e-12:
-            best_tau, best_ur = tau, ur
-    return best_tau
-
+    curve = usefulness_curve(scores, mu)
+    u_r = curve.relative_usefulness.tolist()
+    best = 0
+    for i, ur in enumerate(u_r):
+        if ur > u_r[best] + 1e-12:
+            best = i
+    c = curve.confusion
+    return _assemble(ConfusionRates(*(n[best].item() for n in (c.tp, c.fp, c.tn, c.fn))), mu,
+                     curve.threshold[best].item())

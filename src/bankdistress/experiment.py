@@ -231,9 +231,8 @@ def run_once(table, events, config, run_seed, run_index=0, sentences=None, share
 
     def val_report(m):
         # the validation report at the threshold picked on its own scores
-        scores = evaluation.aggregate_monthly(neural.predict(m, x_val), val_groups)
-        tau = evaluation.pick_threshold(scores, config.mu)
-        return evaluation.usefulness_report(scores, config.mu, tau)
+        return evaluation.pick_threshold(
+            evaluation.aggregate_monthly(neural.predict(m, x_val), val_groups), config.mu)
 
     best, _curve = neural.train(
         model, arm_blocks(semantic, numeric(train_rows), train_rows, config.arm),

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bankdistress import cli, corpus, experiment, fusion, pvdm
+from bankdistress import cli, corpus, experiment, fusion, pvdm, synth
 
 
 @pytest.fixture(scope="module")
@@ -1830,6 +1830,38 @@ def test_sweep_makes_its_out_before_any_run(pipeline, capsys, tmp_path, monkeypa
     err = capsys.readouterr().err
     assert rc == 2 and len(err.splitlines()) == 1 and err.startswith("i/o error: "), err
     assert entered == []
+
+
+# the work each command would do first, were its --out not checked before it
+DIRECTORY_OUTPUTS = {
+    "synth": (synth, "generate", ["synth", "--banks", "4"]),
+    "experiment": (fusion, "read_sample_table",
+                   ["experiment", "--fused", "fused.jsonl", "--events", "data/events.csv"]),
+    "sweep": (fusion, "read_sample_table",
+              ["sweep", "--fused", "fused.jsonl", "--events", "data/events.csv",
+               "--parameter", "l1", "--grid", "0,0.001"]),
+}
+
+
+@pytest.mark.parametrize("command", DIRECTORY_OUTPUTS)
+def test_an_out_directory_that_is_a_file_ends_the_command_before_its_work(
+        pipeline, capsys, tmp_path, monkeypatch, command):
+    module, name, argv = DIRECTORY_OUTPUTS[command]
+    monkeypatch.chdir(tmp_path)
+    copy_pipeline(pipeline)
+    with open("out_file", "w", encoding="utf-8") as fh:
+        fh.write("a file, not a directory\n")
+    before = {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
+              if os.path.isfile(p)}
+    worked = []
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: worked.append(args))
+    for out, error in (("out_file", "[Errno 17] File exists"),
+                       ("out_file/results", "[Errno 20] Not a directory")):
+        rc = cli.main(argv + ["--out", out])
+        assert (rc, capsys.readouterr().err) == (2, "i/o error: %s: %r\n" % (error, out))
+    assert worked == []
+    assert {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
+            if os.path.isfile(p)} == before
 
 
 FUSE_FLAGS = {"--sentences": "sentences.jsonl", "--vectors": "vectors.jsonl",

@@ -10,6 +10,9 @@ one fixed matrix on each tree, each tree in its own Python process with
   this checkout's ``perfbench/workloads.py``;
 - the CI chain at 12 banks: synth, ingest, embed, fuse, experiment --arm all,
   report, train and sweep --parameter lr;
+- the chain's synth, ingest, embed and fuse, then train and sweep --parameter
+  lr under --embedding-scope train_folds and a full-scope sweep --parameter
+  window_n, each retraining PV-DM at dimension 16;
 
 each case once as it runs and once with every ``*.twin.npz`` deleted as soon
 as the command that wrote it returns. The sha256 of every file a case writes
@@ -34,7 +37,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 WORKLOADS = ("text_pipeline", "arm_protocol", "fold_scoped")
 # (what, seed, whether twins are kept)
-MATRIX = [(what, seed, twins) for what in WORKLOADS + ("chain",) for seed in SEEDS
+MATRIX = [(what, seed, twins) for what in WORKLOADS + ("chain", "scoped") for seed in SEEDS
           for twins in (True, False)]
 BLAS_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -56,6 +59,25 @@ def chain_argvs(seed):
         ["report", "--results", "results"],
         ["train", *fused, "--arm", "combined", "--out", "train.json"],
         ["sweep", *fused, "--parameter", "lr", "--grid", "0.005,0.01", "--runs", "2",
+         "--out", "sweep"],
+    ]
+
+
+# the PV-DM settings of the scoped case's runs, in its --config file
+SCOPED_CONFIG = {"pvdm": {"vector_dim": 16, "epochs": 2}}
+
+
+def scoped_argvs(seed):
+    """The chain's first four commands, then the commands that embed per run
+    or per grid value, seeded by ``seed``."""
+    full = ["--fused", "fused.jsonl", "--events", "data/events.csv", "--seed", str(seed),
+            "--sentences", "sentences.jsonl", "--config", "scoped.json"]
+    scoped = full + ["--embedding-scope", "train_folds"]
+    return chain_argvs(seed)[:4] + [
+        ["train", *scoped, "--arm", "combined", "--out", "train.json"],
+        ["sweep", *scoped, "--parameter", "lr", "--grid", "0.005,0.01", "--runs", "2",
+         "--out", "sweep"],
+        ["sweep", *full, "--parameter", "window_n", "--grid", "3,5", "--runs", "2",
          "--out", "sweep"],
     ]
 
@@ -101,6 +123,11 @@ def run_case(bd, workloads, what, seed, twins):
     commands = Commands(bd.cli, twins)
     if what == "chain":
         for argv in chain_argvs(seed):
+            commands.main(argv)
+    elif what == "scoped":
+        with open("scoped.json", "w", encoding="utf-8") as fh:
+            json.dump(SCOPED_CONFIG, fh)
+        for argv in scoped_argvs(seed):
             commands.main(argv)
     else:
         package = types.SimpleNamespace(**{**vars(bd), "cli": commands})
