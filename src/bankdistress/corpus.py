@@ -525,24 +525,25 @@ def write_jsonl(rows, path):
             fh.write((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def vector_texts(rows, vectors):
-    """(row, text) of each row of ``rows`` and float vector of ``vectors``, in order, the
-    text ``float_text``'s, printed about FLOAT_CHUNK floats (one vector at least) at a time."""
-    pairs = zip(rows, vectors)
-    for first in pairs:
-        chunk = [first, *itertools.islice(pairs, FLOAT_CHUNK // (len(first[1]) + 1))]
-        yield from zip([row for row, _ in chunk], float_text([vector for _, vector in chunk]))
+def vector_texts(vectors):
+    """``float_text``'s text of each float vector of ``vectors``, in order, printed
+    about FLOAT_CHUNK floats (one vector at least) at a time."""
+    vectors = iter(vectors)
+    for first in vectors:
+        chunk = [first, *itertools.islice(vectors, FLOAT_CHUNK // (len(first) + 1))]
+        yield from float_text(chunk)
 
 
-def write_vector_jsonl(texts, path, key):
-    """Write each (row, text) of ``texts`` as ``write_jsonl`` writes ``row`` with one more key,
-    ``key``: the float vector whose JSON text without brackets is ``text``, bytes, as
-    ``vector_texts`` prints it. json's ASCII holds ``"<key>": null`` unescaped only for the key.
-    Returns the sha256 digest of the bytes written and each vector's (offset, length) in
-    bytes, brackets included, an (n, 2) int64 array."""
+def write_vector_jsonl(rows, texts, path, key):
+    """Write each row of ``rows`` as ``write_jsonl`` writes it with one more key, ``key``:
+    the float vector whose JSON text without brackets is the bytes of ``texts`` at its
+    place, as ``vector_texts`` prints them. Rows and texts are paired strictly: a text too
+    few or too many raises ValueError. json's ASCII holds ``"<key>": null`` unescaped only
+    for the key. Returns the sha256 digest of the bytes written and each vector's (offset,
+    length) in bytes, brackets included, an (n, 2) int64 array."""
     spans, offset, digest, null = array.array("q"), 0, hashlib.sha256(), '"%s": null' % key
     with open(path, "wb") as fh:
-        for row, text in texts:
+        for row, text in zip(rows, texts, strict=True):
             head, tail = json.dumps({**row, key: None}, sort_keys=True).split(null)
             head = ('%s"%s": [' % (head, key)).encode()
             spans.extend((offset + len(head) - 1, len(text) + 2))

@@ -228,18 +228,20 @@ class SampleTable:
         return len(self.sentence_ids)
 
 
+def _by_sentence(sentence_ids, by_id, source):
+    """``by_id``'s entry of each of ``sentence_ids``, in order; an id without one
+    raises ValueError naming ``source`` and the id."""
+    try:
+        return [by_id[sid] for sid in sentence_ids]
+    except KeyError as missing:
+        raise ValueError("%s: no semantic vector for sentence %r"
+                         % (source, missing.args[0])) from None
+
+
 def semantic_rows(sentence_ids, vectors_by_id, source):
     """The vectors of ``sentence_ids``, in order, as the rows of one new matrix;
     an id without a vector raises ValueError naming ``source`` and the id."""
-    matrix = None
-    for row, sid in enumerate(sentence_ids):
-        vec = vectors_by_id.get(sid)
-        if vec is None:
-            raise ValueError("%s: no semantic vector for sentence %r" % (source, sid))
-        if matrix is None:
-            matrix = np.empty((len(sentence_ids), len(vec)))
-        matrix[row] = vec
-    return matrix
+    return np.array(_by_sentence(sentence_ids, vectors_by_id, source), dtype=float)
 
 
 def _fused_table(sentences, indicators, events):
@@ -354,20 +356,19 @@ def write_events(events, path):
 def _write_fused_rows(table, path, texts):
     """Write the fused file of ``table``, one row per sample and one key per
     SampleTable column: the one place that names those keys and the forms of
-    their values. ``texts(rows)`` pairs each row, without its ``semantic``,
-    with that vector's text, as ``corpus.write_vector_jsonl`` takes them;
-    returns what it returns."""
+    their values. ``texts`` holds each row's ``semantic`` text, in row order,
+    as ``corpus.write_vector_jsonl`` takes it; returns what it returns."""
     rows = ({"sentence_id": sid, "bank_id": table.bank_ids[i],
              "month": "%04d-%02d" % table.months[i], "label": int(table.labels[i]),
              "numeric_raw": table.numeric_raw[i].tolist()}
             for i, sid in enumerate(table.sentence_ids))
-    return write_vector_jsonl(texts(rows), path, "semantic")
+    return write_vector_jsonl(rows, texts, path, "semantic")
 
 
 def write_sample_table(table, path):
     """The fused dataset of ``table``, which ``read_sample_table`` reads back.
     Twin-less ``fuse`` writes with it; ``write_fused`` writes the same bytes."""
-    _write_fused_rows(table, path, lambda rows: vector_texts(rows, table.semantic))
+    _write_fused_rows(table, path, vector_texts(table.semantic))
 
 
 def _parse_sample(row, semantic, numeric_raw):
@@ -439,19 +440,14 @@ def write_fused(sentences, vectors_path, vector_twin, indicators, events, path):
     """
     vector_rows, vector_text, vectors = vector_twin
     table, report = _fused_table(sentences, indicators, events)
-    at = np.empty(len(table), dtype=np.intp)
-    for i, sid in enumerate(table.sentence_ids):
-        row = vector_rows.get(sid)
-        if row is None:
-            raise ValueError("%s: no semantic vector for sentence %r" % (vectors_path, sid))
-        at[i] = row
+    at = np.array(_by_sentence(table.sentence_ids, vector_rows, vectors_path), dtype=np.intp)
     with open(vectors_path, "rb") as text:
         def copied():
             for offset, length in vector_text[at].tolist():
                 text.seek(offset + 1)  # the text inside the brackets
                 yield text.read(length - 2)
 
-        digest, _ = _write_fused_rows(table, path, lambda rows: zip(rows, copied()))
+        digest, _ = _write_fused_rows(table, path, copied())
     # vars keeps SampleTable's field order, the order of the twin's entries
     write_twin(path, digest, {**vars(table), "months": np.array(table.months, dtype=np.int64),
                               "semantic": (vectors, at)})

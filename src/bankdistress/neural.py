@@ -303,19 +303,11 @@ def nesterov_step(model, x, y, lr, ahead=None):
 
 
 def _row_blocks(x_train, input_dim):
-    """``train``'s inputs as checked (matrix, row indices) column blocks.
-
-    A 2-D array is one block read at rows 0..n-1. A list holds (matrix,
-    rows) pairs: row i of the inputs is row ``rows[i]`` of each block's
+    """``train``'s inputs, a non-empty list of (matrix, rows) pairs, as checked
+    column blocks: row i of the inputs is row ``rows[i]`` of each block's
     matrix, the blocks' columns side by side, left to right.
     """
-    if not isinstance(x_train, list):
-        x = np.asarray(x_train, dtype=float)
-        if x.ndim != 2 or x.shape[1] != input_dim:
-            raise ValueError("x_train must be 2-D with %d columns, got shape %s"
-                             % (input_dim, x.shape))
-        return [(x, np.arange(len(x)))]
-    if not x_train:
+    if not isinstance(x_train, list) or not x_train:
         raise ValueError("x_train holds no column blocks")
     blocks = []
     for i, (matrix, rows) in enumerate(x_train):
@@ -345,15 +337,16 @@ def _row_blocks(x_train, input_dim):
 def train(model, x_train, y_train, eval_hook=None):
     """Mini-batch Nesterov training with best-validation snapshotting.
 
-    ``x_train`` is a 2-D array, or a list of (matrix, row indices) column
-    blocks (``_row_blocks``), from which each minibatch is gathered as it is
-    trained on, so no matrix of all the training inputs is built. The steps
-    run in float32 (``_epochs``); the returned model is float64 and holds
-    the float32 values exactly. ``eval_hook(model) -> score`` is called
-    after every epoch with the float32 working model; the parameter
+    ``x_train`` is a non-empty list of (matrix, row indices) column blocks
+    (``_row_blocks``), never a 2-D array: one matrix ``x`` is passed as
+    ``[(x, np.arange(len(x)))]``. Each minibatch is gathered from the blocks
+    as it is trained on, so no matrix of all the training inputs is built.
+    The steps run in float32 (``_epochs``); the returned model is float64
+    and holds the float32 values exactly. ``eval_hook(model) -> score`` is
+    called after every epoch with the float32 working model; the parameter
     snapshot with the highest score is returned. Without a hook the final
-    model is returned. The training curve rows are
-    (epoch, mean step loss, validation score or nan).
+    model is returned. The training curve rows are (epoch, mean step loss,
+    validation score or nan).
     """
     cfg = model.config
     blocks = _row_blocks(x_train, cfg.input_dim)

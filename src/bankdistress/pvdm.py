@@ -461,8 +461,8 @@ def export_vectors(model, path):
     paragraph matrix as it is. The twin's digest is taken as the file is
     written."""
     ids = sorted(model.sentence_index, key=model.sentence_index.get)
-    digest, spans = write_vector_jsonl(vector_texts(({"sentence_id": sid} for sid in ids),
-                                                    model.paragraph), path, "values")
+    digest, spans = write_vector_jsonl(({"sentence_id": sid} for sid in ids),
+                                       vector_texts(model.paragraph), path, "values")
     write_twin(path, digest, {"ids": ids, "values": model.paragraph, "spans": spans})
 
 

@@ -1090,11 +1090,24 @@ def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, t
     assert_one_error_line(capsys, cli.main(argv), "error: %s:2: " % bad, fragment)
 
 
-def test_fuse_names_the_vectors_file_for_a_missing_vector(pipeline, capsys, tmp_path):
-    with open(pipeline["vectors"], encoding="utf-8") as fh:
-        first, *rest = fh.read().splitlines()
+@pytest.mark.parametrize("twin", [True, False], ids=["twin-kept", "twin-absent"])
+def test_fuse_names_the_vectors_file_for_a_missing_vector(pipeline, capsys, tmp_path, twin):
+    # with a twin, fuse looks the sentences up in it (write_fused); without
+    # one, in the vectors it parsed (build_sample_table)
     vectors = tmp_path / "vectors.jsonl"
-    vectors.write_text("\n".join(rest) + "\n", encoding="utf-8")
+    if twin:
+        with open(pipeline["sentences"], encoding="utf-8") as fh:
+            first, *rest = fh.read().splitlines()
+        fewer = tmp_path / "sentences.jsonl"
+        fewer.write_text("\n".join(rest) + "\n", encoding="utf-8")
+        assert cli.main(["embed", "--sentences", str(fewer), "--out", str(tmp_path / "model.npz"),
+                         "--vectors", str(vectors), "--dim", "4", "--window", "2",
+                         "--epochs", "1"]) == 0
+        assert pvdm.read_vector_twin(str(vectors)) is not None
+    else:
+        with open(pipeline["vectors"], encoding="utf-8") as fh:
+            first, *rest = fh.read().splitlines()
+        vectors.write_text("\n".join(rest) + "\n", encoding="utf-8")
     rc = cli.main(["fuse", "--sentences", pipeline["sentences"], "--vectors", str(vectors),
                    "--indicators", os.path.join(pipeline["data"], "indicators.csv"),
                    "--events", os.path.join(pipeline["data"], "events.csv"),

@@ -234,6 +234,11 @@ def test_nesterov_quadratic_trace(monkeypatch):
 # Training loop
 
 
+def one_block(x):
+    """``x`` as ``train`` takes it: the one column block of all its rows."""
+    return [(x, np.arange(len(x)))]
+
+
 def separable_data(n=200, seed=1):
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, size=n)
@@ -245,7 +250,7 @@ def test_train_learns_separable_data():
     x, y = separable_data()
     cfg = MlpConfig(input_dim=6, hidden_layers=(8,), lr=0.05, l1=0.0,
                     dropout_p=0.0, epochs=30, batch_size=32, seed=2)
-    model, curve = train(init_model(cfg), x, y)
+    model, curve = train(init_model(cfg), one_block(x), y)
     assert len(curve) == 30
     assert curve[-1][1] < curve[0][1]
     preds = forward(model, x).argmax(axis=1)
@@ -255,8 +260,8 @@ def test_train_learns_separable_data():
 def test_train_deterministic():
     x, y = separable_data(n=80)
     cfg = MlpConfig(input_dim=6, hidden_layers=(5,), epochs=4, seed=9)
-    m1, c1 = train(init_model(cfg), x, y)
-    m2, c2 = train(init_model(cfg), x, y)
+    m1, c1 = train(init_model(cfg), one_block(x), y)
+    m2, c2 = train(init_model(cfg), one_block(x), y)
     assert [(e, l) for e, l, _ in c1] == [(e, l) for e, l, _ in c2]
     for a, b in zip(m1.weights, m2.weights):
         np.testing.assert_array_equal(a, b)
@@ -272,7 +277,7 @@ def test_train_snapshots_best_hook_score():
         snapshots.append([w.copy() for w in m.weights])
         return next(scores)
 
-    best, curve = train(init_model(cfg), x, y, eval_hook=hook)
+    best, curve = train(init_model(cfg), one_block(x), y, eval_hook=hook)
     assert [c[2] for c in curve] == [0.1, 0.8, 0.3, 0.2, 0.1]
     for got, want in zip(best.weights, snapshots[1]):  # epoch with score 0.8
         np.testing.assert_array_equal(got, want)
@@ -397,10 +402,10 @@ def test_train_matches_reference_train(hidden, dropout, l1, n, batch_size, hooke
     # scores that rise and fall, so the best epoch is neither the first nor the last
     scores = [0.1, 0.5, 0.7, 0.2, 0.6, 0.3]
     results = []
-    for fit in (train, reference_train):
+    for fit, inputs in ((train, one_block(x)), (reference_train, x)):
         model = init_model(cfg)
         hook = (lambda m, it=iter(scores): next(it)) if hooked else None
-        best, curve = fit(model, x, y, eval_hook=hook)
+        best, curve = fit(model, inputs, y, eval_hook=hook)
         results.append((model, best, curve))
     (model, best, curve), (ref_model, ref_best, ref_curve) = results
     for got, want in ((model, ref_model), (best, ref_best)):
@@ -433,7 +438,7 @@ def test_float32_training_stays_near_the_float64_reference(hidden, dropout, l1, 
     y = rng.integers(0, 2, size=n)
     cfg = MlpConfig(input_dim=input_dim, hidden_layers=hidden, dropout_p=dropout, l1=l1,
                     lr=0.02, epochs=6, batch_size=batch_size, seed=4)
-    model, curve = train(init_model(cfg), x, y)
+    model, curve = train(init_model(cfg), one_block(x), y)
     wide, wide_curve = reference_train(init_model(cfg), x, y, dtype=np.float64)
     np.testing.assert_allclose(model.params, np.concatenate(
         [a.ravel() for a in wide.weights + wide.biases]), rtol=0, atol=1e-5)
@@ -449,7 +454,7 @@ def test_a_float32_step_whose_true_class_underflows_has_a_finite_loss():
     model.biases[0][:] = (-200.0, 200.0)
     x, _ = toy_batch(n=4)
     y = np.zeros(4, dtype=np.int64)
-    _, curve = train(model, x, y)
+    _, curve = train(model, one_block(x), y)
     tiny = np.finfo(np.float32).tiny
     assert curve[0][1] == pytest.approx(-math.log(tiny), rel=1e-6)
     assert np.all(np.isfinite(model.params))
@@ -507,7 +512,7 @@ def test_model_lists_are_views_of_flat_buffers():
     model = init_model(cfg)
     assert_views_of_buffers(model)
     scores = iter([0.2, 0.9, 0.1, 0.3])
-    best, _ = train(model, x, y, eval_hook=lambda m: next(scores))
+    best, _ = train(model, one_block(x), y, eval_hook=lambda m: next(scores))
     assert best is not model
     for m in (model, best, copy.deepcopy(model), copy.deepcopy(best)):
         assert_views_of_buffers(m)
@@ -536,21 +541,19 @@ def test_nesterov_step_with_and_without_workspace_agree(hidden, dropout, n):
     assert plain.velocity.tobytes() == spaced.velocity.tobytes()
 
 
-@pytest.mark.parametrize("x_shape,y,fragment", [
-    ((20, 6), np.zeros(5, dtype=int), "one label per row"),
-    ((20, 6), np.zeros((20, 1), dtype=int), "one label per row"),
-    ((20, 6), np.full(20, -1), "labels must be integers in [0, 2)"),
-    ((20, 6), np.full(20, 2), "labels must be integers in [0, 2)"),
-    ((20, 6), np.zeros(20), "labels must be integers in [0, 2)"),
-    ((20, 6), np.zeros(20, dtype=bool), "labels must be integers in [0, 2)"),
-    ((20, 5), np.zeros(20, dtype=int), "x_train must be 2-D with 6 columns"),
-    ((120,), np.zeros(120, dtype=int), "x_train must be 2-D with 6 columns"),
+@pytest.mark.parametrize("y,fragment", [
+    (np.zeros(5, dtype=int), "one label per row"),
+    (np.zeros((20, 1), dtype=int), "one label per row"),
+    (np.full(20, -1), "labels must be integers in [0, 2)"),
+    (np.full(20, 2), "labels must be integers in [0, 2)"),
+    (np.zeros(20), "labels must be integers in [0, 2)"),
+    (np.zeros(20, dtype=bool), "labels must be integers in [0, 2)"),
 ], ids=["short-labels", "2d-labels", "label-negative", "label-too-large", "float-labels",
-        "bool-labels", "wrong-width", "1d-inputs"])
-def test_train_checks_its_arrays(x_shape, y, fragment):
+        "bool-labels"])
+def test_train_checks_its_arrays(y, fragment):
     cfg = MlpConfig(input_dim=6, epochs=1)
     with pytest.raises(ValueError) as info:
-        train(init_model(cfg), np.zeros(x_shape), y)
+        train(init_model(cfg), one_block(np.zeros((20, 6))), y)
     assert fragment in str(info.value)
 
 
@@ -572,7 +575,7 @@ def test_train_on_column_blocks_equals_train_on_their_matrix(dropout, batch_size
         return float(predict(m, x).sum())
 
     got, got_curve = train(init_model(cfg), blocks, y, eval_hook=hook)
-    want, want_curve = train(init_model(cfg), x, y, eval_hook=hook)
+    want, want_curve = train(init_model(cfg), one_block(x), y, eval_hook=hook)
     assert got_curve == want_curve
     assert got.params.tobytes() == want.params.tobytes()
     assert got.velocity.tobytes() == want.velocity.tobytes()
@@ -580,6 +583,7 @@ def test_train_on_column_blocks_equals_train_on_their_matrix(dropout, batch_size
 
 @pytest.mark.parametrize("blocks,fragment", [
     ([], "x_train holds no column blocks"),
+    (np.zeros((4, 6)), "x_train holds no column blocks"),
     ([(np.zeros(24), np.arange(4)), (np.zeros((4, 2)), np.arange(4))],
      "x_train block 0 must be 2-D, got shape (24,)"),
     ([(np.zeros((4, 4)), np.arange(4)), (np.zeros((4, 2)), np.arange(3))],
@@ -594,8 +598,8 @@ def test_train_on_column_blocks_equals_train_on_their_matrix(dropout, batch_size
                                            "of integer row indices, got float64"),
     ([(np.zeros((4, 6)), np.arange(4).reshape(2, 2))],
      "x_train block 0 must be read at a 1-D array of integer row indices"),
-], ids=["no-blocks", "1d-block", "row-counts", "widths", "row-past-the-end", "negative-row",
-        "float-rows", "2d-rows"])
+], ids=["no-blocks", "one-matrix", "1d-block", "row-counts", "widths", "row-past-the-end",
+        "negative-row", "float-rows", "2d-rows"])
 def test_train_checks_its_column_blocks(blocks, fragment):
     cfg = MlpConfig(input_dim=6, epochs=1)
     with pytest.raises(ValueError) as info:
@@ -619,7 +623,7 @@ def test_gradients_return_fresh_arrays():
 def test_train_rejects_empty():
     cfg = MlpConfig(input_dim=6, epochs=1)
     with pytest.raises(ValueError):
-        train(init_model(cfg), np.zeros((0, 6)), np.zeros(0, dtype=int))
+        train(init_model(cfg), one_block(np.zeros((0, 6))), np.zeros(0, dtype=int))
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,19 @@ def test_write_vector_jsonl_spans_are_the_bytes_of_each_value(tmp_path):
     path = str(tmp_path / "v.jsonl")
     ids = ['q"\\[0]', "é€\U0001d11e", '"values": [', "\ud800"]
     vectors = [EDGE_FLOATS[i:i + 3 + i] for i in range(len(ids))]
-    digest, spans = corpus.write_vector_jsonl(
-        corpus.vector_texts(({"sentence_id": sid} for sid in ids), vectors), path, "values")
+    digest, spans = corpus.write_vector_jsonl(({"sentence_id": sid} for sid in ids),
+                                              corpus.vector_texts(vectors), path, "values")
     assert digest == corpus.file_sha256(path)
     assert_spans_hold_the_values(path, spans, vectors)
+
+
+@pytest.mark.parametrize("n_texts", [2, 4], ids=["a-text-short", "a-text-over"])
+def test_write_vector_jsonl_pairs_each_row_with_one_text(tmp_path, n_texts):
+    # a text too few or too many is an error, not a row or a text dropped
+    rows = [{"sentence_id": sid} for sid in "abc"]
+    with pytest.raises(ValueError, match="zip"):
+        corpus.write_vector_jsonl(rows, corpus.vector_texts([[0.5]] * n_texts),
+                                  str(tmp_path / "v.jsonl"), "values")
 
 
 def test_a_twin_round_trips_ids_and_columns(tmp_path):
@@ -289,8 +298,8 @@ def test_a_bad_row_in_file_and_twin_raises_the_json_error(tmp_path, capsys):
         vectors)
     vectors = str(tmp_path / "w.jsonl")
     ids = ["a", "b", "a"]
-    digest, spans = corpus.write_vector_jsonl(
-        corpus.vector_texts(({"sentence_id": sid} for sid in ids), [[0.5]] * 3), vectors, "values")
+    digest, spans = corpus.write_vector_jsonl(({"sentence_id": sid} for sid in ids),
+                                              corpus.vector_texts([[0.5]] * 3), vectors, "values")
     corpus.write_twin(vectors, digest,
                       {"ids": ids, "values": np.full((3, 1), 0.5),
                        "spans": np.array(spans, dtype=np.int64)})

@@ -10,18 +10,21 @@ one fixed matrix on each tree, each tree in its own Python process with
   this checkout's ``perfbench/workloads.py``;
 - the CI chain at 12 banks: synth, ingest, embed, fuse, experiment --arm all,
   report, train and sweep --parameter lr;
-- the chain's synth, ingest, embed and fuse, then train and sweep --parameter
-  lr under --embedding-scope train_folds and a full-scope sweep --parameter
-  window_n, each retraining PV-DM at dimension 16;
+- the chain's synth, ingest, embed and fuse, then train, experiment --arm all,
+  sweep --parameter lr and sweep --parameter window_n under --embedding-scope
+  train_folds and a full-scope sweep --parameter window_n, each retraining
+  PV-DM at dimension 16;
 
 each case once as it runs and once with every ``*.twin.npz`` deleted as soon
-as the command that wrote it returns. The sha256 of every file a case writes
-and of each command's stdout are compared between the trees. Each one that
-differs is named, and the exit status is then 1.
+as the command that wrote it returns. The sha256 of every file a case writes,
+of each header column of every ``.csv`` it writes and of each command's
+stdout are compared between the trees. Each file or stdout that differs is
+named, a CSV with the columns that differ, and the exit status is then 1.
 """
 
 import argparse
 import contextlib
+import csv
 import glob
 import hashlib
 import io
@@ -39,6 +42,8 @@ WORKLOADS = ("text_pipeline", "arm_protocol", "fold_scoped")
 # (what, seed, whether twins are kept)
 MATRIX = [(what, seed, twins) for what in WORKLOADS + ("chain", "scoped") for seed in SEEDS
           for twins in (True, False)]
+# the digest of a CSV column is named "<file> column <header name>"
+COLUMN = " column "
 BLAS_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -75,8 +80,11 @@ def scoped_argvs(seed):
     scoped = full + ["--embedding-scope", "train_folds"]
     return chain_argvs(seed)[:4] + [
         ["train", *scoped, "--arm", "combined", "--out", "train.json"],
+        ["experiment", *scoped, "--arm", "all", "--runs", "2", "--out", "results"],
         ["sweep", *scoped, "--parameter", "lr", "--grid", "0.005,0.01", "--runs", "2",
          "--out", "sweep"],
+        ["sweep", *scoped, "--parameter", "window_n", "--grid", "3,5", "--runs", "2",
+         "--out", "scoped_sweep"],
         ["sweep", *full, "--parameter", "window_n", "--grid", "3,5", "--runs", "2",
          "--out", "sweep"],
     ]
@@ -140,9 +148,19 @@ def run_case(bd, workloads, what, seed, twins):
     return commands.stdouts
 
 
+def column_digests(path):
+    """header name -> sha256 of that column's values, row by row, of the CSV
+    file ``path``; a short row's missing value counts apart from an empty one."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh)) or [[]]
+    return {name: hashlib.sha256(json.dumps([row[i:i + 1] for row in rows]).encode()).hexdigest()
+            for i, name in enumerate(header)}
+
+
 def tree_digests(work, cases):
-    """name -> sha256 of each file the ``cases`` write under ``work`` and of
-    each command's stdout, in this process's ``bankdistress``."""
+    """name -> sha256 of each file the ``cases`` write under ``work``, of each
+    header column of a CSV among them and of each command's stdout, in this
+    process's ``bankdistress``."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
     import bankdistress
@@ -166,9 +184,12 @@ def tree_digests(work, cases):
         for root, _, files in os.walk(d):
             for name in files:
                 path = os.path.join(root, name)
+                key = "%s/%s" % (case, os.path.relpath(path, d))
                 with open(path, "rb") as fh:
-                    digests["%s/%s" % (case, os.path.relpath(path, d))] = hashlib.sha256(
-                        fh.read()).hexdigest()
+                    digests[key] = hashlib.sha256(fh.read()).hexdigest()
+                if name.endswith(".csv"):
+                    for column, digest in column_digests(path).items():
+                        digests[key + COLUMN + column] = digest
         shutil.rmtree(d)
     return digests
 
@@ -201,6 +222,17 @@ def compare_trees(trees, work, cases):
     return results, sorted(name for name in set(a) | set(b) if a.get(name) != b.get(name))
 
 
+def differ_lines(differ):
+    """One line per file or stdout among the digest names ``differ``, a CSV's
+    naming its columns among them."""
+    columns = {}
+    for name in differ:
+        path, _, column = name.partition(COLUMN)
+        columns.setdefault(path, []).extend([column] if column else [])
+    return ["differs: %s%s" % (path, " (columns %s)" % ", ".join(names) if names else "")
+            for path, names in columns.items()]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", metavar="REV", help="the commit to compare with")
@@ -225,8 +257,8 @@ def main(argv=None):
                            check=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    for name in differ:
-        print("differs: %s" % name)
+    for line in differ_lines(differ):
+        print(line)
     print("%d digests of %d cases compared against %s: %d differ"
           % (len(ours), len(MATRIX), args.against, len(differ)))
     return 1 if differ else 0
