@@ -173,18 +173,11 @@ def _cmd_fuse(args):
                      "--indicators": args.indicators, "--events": args.events,
                      "--out": args.out, "the twin of --out": corpus.twin_path(args.out)})
     sentences = corpus.read_sentences(args.sentences)
-    vector_twin = pvdm.read_vector_twin(args.vectors)
-    vectors = pvdm.read_vectors(args.vectors) if vector_twin is None else None
+    vectors = pvdm.read_vectors(args.vectors)
     indicators = fusion.read_indicators(args.indicators)
     events = fusion.read_events(args.events)
-    if vector_twin is None:  # the floats are parsed and printed again; no twin is written
-        table, report = fusion.build_sample_table(sentences, vectors, indicators, events,
-                                                  source=args.vectors)
-        fusion.write_sample_table(table, args.out)
-        labels = table.labels
-    else:
-        labels, report = fusion.write_fused(sentences, args.vectors, vector_twin, indicators,
-                                            events, args.out)
+    labels, report = fusion.write_fused(sentences, args.vectors, vectors, indicators, events,
+                                        args.out)
     print("wrote %s: %d samples (%d sentences dropped, %d banks fully dropped), "
           "class prior %.3f"
           % (args.out, len(labels), report.n_dropped, len(report.banks_fully_dropped),

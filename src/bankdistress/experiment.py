@@ -79,12 +79,17 @@ def vector_source(arm, embedding_scope, parameter=None):
 
 def read_config(path):
     """The settings of a JSON experiment config file, checked as ExperimentConfig
-    checks them; every error names the file."""
+    checks them; a dropout_p beside an empty hidden_layers, which ExperimentConfig
+    takes since a hidden_layer_count sweep's 0 builds it, is refused too.
+    Every error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             settings = parse_json(fh.read())
         _check_keys("config", settings, [f.name for f in fields(ExperimentConfig)])
-        ExperimentConfig(**settings)
+        mlp = ExperimentConfig(**settings).mlp
+        if "dropout_p" in mlp and not mlp.get("hidden_layers", neural.MlpConfig.hidden_layers):
+            raise ValueError("mlp: dropout_p has no effect: hidden_layers is empty, so the "
+                             "network has no hidden layer")
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None
     return settings

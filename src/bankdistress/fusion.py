@@ -367,7 +367,7 @@ def _write_fused_rows(table, path, texts):
 
 def write_sample_table(table, path):
     """The fused dataset of ``table``, which ``read_sample_table`` reads back.
-    Twin-less ``fuse`` writes with it; ``write_fused`` writes the same bytes."""
+    ``write_fused`` writes with it without a vectors twin, the same bytes with one."""
     _write_fused_rows(table, path, vector_texts(table.semantic))
 
 
@@ -424,31 +424,37 @@ def read_sample_table(path, keep_semantic=True):
                        labels=np.array(labels, dtype=np.int64))
 
 
-def write_fused(sentences, vectors_path, vector_twin, indicators, events, path):
-    """Align and label the sentences; write the fused dataset to ``path`` and its twin.
+def write_fused(sentences, vectors_path, vectors, indicators, events, path):
+    """Align and label the sentences; write the fused dataset to ``path``.
 
-    ``vector_twin`` is ``pvdm.read_vector_twin(vectors_path)``, and ``path``
-    is another file, as the ``fuse`` command checks. Each row's ``semantic``
-    text is copied from the vectors file, so no vector is printed again and
-    the file holds the bytes ``write_sample_table`` writes of
-    ``build_sample_table``'s table. The fused twin's ``semantic`` is
-    gathered from the twin's vectors in row chunks. An aligned sentence
-    without a vector raises ValueError naming ``vectors_path`` and the
-    sentence, before ``path`` is opened. The fused twin's digest is taken
-    as the file is written. Returns the labels, in row order, and the
+    ``vectors`` is ``pvdm.read_vectors(vectors_path)``, and ``path`` is
+    another file, as the ``fuse`` command checks. Without a twin's spans the
+    oracle runs: ``build_sample_table``, then ``write_sample_table``, and no
+    fused twin. With them each row's ``semantic`` text is copied from the
+    vectors file, so no vector is printed again and the bytes are the same,
+    and the fused twin is written, its ``semantic`` gathered from ``values``
+    in row chunks and its digest taken as the file is written. An aligned
+    sentence without a vector raises ValueError naming it and
+    ``vectors_path``, before ``path`` is opened. Returns the labels and the
     DropReport.
     """
-    vector_rows, vector_text, vectors = vector_twin
+    vector_rows, values, spans = vectors
+    if spans is None:
+        by_id = {sid: values[row] for sid, row in vector_rows.items()}
+        table, report = build_sample_table(sentences, by_id, indicators, events,
+                                           source=vectors_path)
+        write_sample_table(table, path)
+        return table.labels, report
     table, report = _fused_table(sentences, indicators, events)
     at = np.array(_by_sentence(table.sentence_ids, vector_rows, vectors_path), dtype=np.intp)
     with open(vectors_path, "rb") as text:
         def copied():
-            for offset, length in vector_text[at].tolist():
+            for offset, length in spans[at].tolist():
                 text.seek(offset + 1)  # the text inside the brackets
                 yield text.read(length - 2)
 
         digest, _ = _write_fused_rows(table, path, copied())
     # vars keeps SampleTable's field order, the order of the twin's entries
     write_twin(path, digest, {**vars(table), "months": np.array(table.months, dtype=np.int64),
-                              "semantic": (vectors, at)})
+                              "semantic": (values, at)})
     return table.labels, report

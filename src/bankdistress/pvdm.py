@@ -277,7 +277,8 @@ def train(model, sentences):
     context and paragraph row moves once, by the sum of all of its terms in
     the batch. With one pair per batch this is plain per-pair SGD. The
     learning rate decays linearly from lr_initial to lr_final over the
-    run's batches. Returns (model, per-epoch mean losses).
+    run's batches. Returns (model, per-epoch mean losses); with epochs but
+    no sentence long enough for a training position, raises ValueError.
     """
     cfg = model.config
     n, k = cfg.window_n, cfg.negative_samples
@@ -287,8 +288,12 @@ def train(model, sentences):
                          % sentences[sentence_rows.index(None)].sentence_id)
     ctx, targets, counts = _window_rows(model, [sent.tokens for sent in sentences])
     n_pairs = len(targets)
-    if cfg.epochs == 0 or n_pairs == 0:
+    if cfg.epochs == 0:
         return model, []
+    if n_pairs == 0:
+        longest = max((len(sent.tokens) for sent in sentences), default=0)
+        raise ValueError("no sentence has a training position at window_n %d: one needs %d "
+                         "tokens, and the longest has %d" % (n, n + 2, longest))
     par_rows = np.repeat(np.array(sentence_rows, dtype=np.intp), counts)
 
     word_in, word_out, paragraph = model.word_in, model.word_out, model.paragraph
@@ -467,30 +472,19 @@ def export_vectors(model, path):
 
 
 def read_vectors(path):
-    """Load an export back into a sentence_id -> vector map; a malformed row
-    or a repeated sentence_id raises ValueError naming path:line.
-
-    The vectors are the rows of one matrix, read in file order: each map
-    value is a view of its row. ``fuse`` reads the vectors with it when
-    ``read_vector_twin`` finds no twin to take.
-    """
-    values = VectorRows("values", count_rows(path))
-    return dict(read_jsonl(
-        path, lambda row: (require_str("sentence_id", row["sentence_id"]),
-                           values.add(row["values"])),
-        unique="sentence_id"))
-
-
-def read_vector_twin(path):
-    """(rows, spans, values) of the vectors file ``path``, from its valid twin
-    (``corpus.read_twin``): sentence_id -> row; where each row's ``values``
-    text lies in the file, an (offset, length) row of ``spans`` in bytes; and
-    the vectors, in file order. None if there is no valid twin, or if its
-    ids repeat: ``read_vectors`` names the row.
+    """(rows, values, spans) of the vectors file ``path``: sentence_id -> row;
+    the vectors, in file order, as the rows of one matrix; and where each
+    row's ``values`` text lies in the file, an (offset, length) row of
+    ``spans`` in bytes. All three come from the file's valid twin
+    (``corpus.read_twin``) whose ids do not repeat. Without one the JSON is
+    read into one preallocated matrix and ``spans`` is None; a malformed
+    row or a repeated sentence_id then raises ValueError naming path:line.
     """
     twin = read_twin(path, {"ids": str, "values": (np.float64, (None, None)),
                             "spans": (np.int64, (None, 2))})
-    ids = twin and twin["ids"]
-    if twin is None or len(set(ids)) != len(ids):
-        return None
-    return {sid: row for row, sid in enumerate(ids)}, twin["spans"], twin["values"]
+    if twin is not None and len(set(twin["ids"])) == len(twin["ids"]):
+        return {sid: row for row, sid in enumerate(twin["ids"])}, twin["values"], twin["spans"]
+    values = VectorRows("values", count_rows(path))
+    ids = read_jsonl(path, lambda row: (require_str("sentence_id", row["sentence_id"]),
+                                        values.add(row["values"]))[0], unique="sentence_id")
+    return {sid: row for row, sid in enumerate(ids)}, values.matrix, None

@@ -76,9 +76,9 @@ def test_embed_output(pipeline):
         assert data.files == ["header", "word_in", "word_out", "noise_probs"]
         assert data["word_in"].shape == (len(header["vocab"]["tokens"]), 16)
     assert header["format"] == "pvdm-v2" and header["config"]["vector_dim"] == 16
-    vectors = pvdm.read_vectors(pipeline["vectors"])
-    assert list(vectors) == [s.sentence_id for s in corpus.read_sentences(pipeline["sentences"])]
-    assert all(v.shape == (16,) for v in vectors.values())
+    rows, values, _ = pvdm.read_vectors(pipeline["vectors"])
+    assert list(rows) == [s.sentence_id for s in corpus.read_sentences(pipeline["sentences"])]
+    assert values.shape == (len(rows), 16)
 
 
 def test_the_vectors_twin_holds_the_paragraph_matrix_embed_trained(pipeline):
@@ -384,6 +384,11 @@ def test_arm_all_overrides_the_config_file_arm(pipeline, tmp_path):
     assert "arm" not in summary["config"]
 
 
+FLAT_DROPOUT = {"mlp": {"hidden_layers": [], "dropout_p": 0.3}}
+FLAT_DROPOUT_ERROR = ("mlp: dropout_p has no effect: hidden_layers is empty, so the network "
+                      "has no hidden layer")
+
+
 @pytest.mark.parametrize("command,config,flags,fragment", [
     ("experiment", {"pvdm": {"vector_dim": 8}}, [], "pvdm is read only"),
     ("train", {"pvdm": {"vector_dim": 8}}, [], "pvdm is read only"),
@@ -398,13 +403,19 @@ def test_arm_all_overrides_the_config_file_arm(pipeline, tmp_path):
      ["--parameter", "window_n", "--embedding-scope", "train_folds",
       "--sentences", "none.jsonl", "--indicators", "none.csv"],
      "unrecognized arguments: --indicators"),
+    # dropout acts only on hidden layers
+    ("experiment", FLAT_DROPOUT, [], FLAT_DROPOUT_ERROR),
+    ("train", FLAT_DROPOUT, [], FLAT_DROPOUT_ERROR),
+    ("sweep", FLAT_DROPOUT, [], FLAT_DROPOUT_ERROR),
 ], ids=["experiment-pvdm", "train-pvdm", "sweep-pvdm", "experiment-sentences",
-        "train-sentences", "sweep-sentences", "sweep-indicators", "scoped-sweep-indicators"])
+        "train-sentences", "sweep-sentences", "sweep-indicators", "scoped-sweep-indicators",
+        "experiment-flat-dropout", "train-flat-dropout", "sweep-flat-dropout"])
 def test_settings_a_command_would_not_read_are_rejected(monkeypatch, capsys, tmp_path, command,
                                                         config, flags, fragment):
     # full-scope runs other than an embedding sweep read neither pvdm nor
-    # --sentences; none of the inputs exists, so the one error line shows
-    # the command stopped before it read any
+    # --sentences, and a network without a hidden layer reads no dropout_p;
+    # none of the inputs exists, so the one error line shows the command
+    # stopped before it read any
     calls = []
     monkeypatch.setattr(experiment, "run_once", lambda *a, **k: calls.append(a))
     cfg_path = tmp_path / "cfg.json"
@@ -417,7 +428,7 @@ def test_settings_a_command_would_not_read_are_rejected(monkeypatch, capsys, tmp
         argv += ["--parameter", "l1", "--grid", "0.0"]
     elif command == "sweep":
         argv += ["--grid", "2"]
-    prefix = "error: %s: " % cfg_path if "pvdm" in fragment else "error: "
+    prefix = "error: %s: " % cfg_path if fragment.startswith(("pvdm", "mlp")) else "error: "
     assert_one_error_line(capsys, cli.main(argv), prefix + fragment)
     assert not out.exists() and not calls
 
@@ -741,13 +752,13 @@ def test_train_rejects_a_config_runs_other_than_one(pipeline, capsys, tmp_path, 
 
 
 def test_experiment_prints_zero_vector_fallbacks(pipeline, capsys, tmp_path):
-    # a window longer than every sentence: nothing trains and no held-out
+    # a window that only the longest sentences train at: no shorter held-out
     # sentence can be inferred, so each takes a zero vector
     longest = max(len(s.tokens) for s in corpus.read_sentences(pipeline["sentences"]))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "mlp": {"epochs": 1, "hidden_layers": [4]},
-        "pvdm": {"vector_dim": 4, "window_n": longest, "epochs": 1, "min_count": 1}}),
+        "pvdm": {"vector_dim": 4, "window_n": longest - 2, "epochs": 1, "min_count": 1}}),
         encoding="utf-8")
     out = tmp_path / "out"
     rc = cli.main(["experiment", "--fused", pipeline["fused"],
@@ -767,6 +778,19 @@ def test_embed_rejects_negative_epochs(pipeline, capsys, tmp_path):
     rc = cli.main(["embed", "--sentences", pipeline["sentences"], "--out", str(out),
                    "--vectors", str(vectors), "--dim", "4", "--epochs", "-2"])
     assert_one_error_line(capsys, rc, "epochs must be >= 0")
+    assert os.listdir(tmp_path) == []
+
+
+def test_embed_refuses_a_window_that_trains_nothing(pipeline, capsys, tmp_path):
+    # a window one token too long for the longest sentence leaves no
+    # training position, although epochs are asked for
+    longest = max(len(s.tokens) for s in corpus.read_sentences(pipeline["sentences"]))
+    out, vectors = tmp_path / "model.npz", tmp_path / "vectors.jsonl"
+    rc = cli.main(["embed", "--sentences", pipeline["sentences"], "--out", str(out),
+                   "--vectors", str(vectors), "--dim", "4", "--window", str(longest - 1)])
+    assert_one_error_line(capsys, rc, "error: no sentence has a training position at window_n "
+                          "%d: one needs %d tokens, and the longest has %d"
+                          % (longest - 1, longest + 1, longest))
     assert os.listdir(tmp_path) == []
 
 
@@ -1103,7 +1127,7 @@ def test_fuse_names_the_vectors_file_for_a_missing_vector(pipeline, capsys, tmp_
         assert cli.main(["embed", "--sentences", str(fewer), "--out", str(tmp_path / "model.npz"),
                          "--vectors", str(vectors), "--dim", "4", "--window", "2",
                          "--epochs", "1"]) == 0
-        assert pvdm.read_vector_twin(str(vectors)) is not None
+        assert pvdm.read_vectors(str(vectors))[2] is not None
     else:
         with open(pipeline["vectors"], encoding="utf-8") as fh:
             first, *rest = fh.read().splitlines()

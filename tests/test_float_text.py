@@ -83,7 +83,7 @@ def test_export_vectors_writes_the_lines_json_writes(tmp_path, width):
         text = fh.read()
     assert text == b"".join(json.dumps({"sentence_id": sid, "values": row}, sort_keys=True)
                             .encode("ascii") + b"\n" for sid, row in zip(ids, matrix.tolist()))
-    spans = pvdm.read_vector_twin(path)[1]
+    spans = pvdm.read_vectors(path)[2]
     assert spans.dtype == np.int64 and spans.shape == (len(matrix), 2)
     assert [text[a:a + n] for a, n in spans.tolist()] == [
         b"[%s]" % repr_text(row) for row in matrix]

@@ -359,9 +359,10 @@ def fuse_both_ways(sentences, vectors_path, recs, events, d):
     """The bytes write_fused writes, and the bytes json.dumps writes for the
     table of the same inputs, its oracle."""
     fused = os.path.join(d, "fused.jsonl")
-    write_fused(sentences, vectors_path, pvdm.read_vector_twin(vectors_path), recs, events,
-                fused)
-    table, _ = build_sample_table(sentences, pvdm.read_vectors(vectors_path), recs, events)
+    rows, values, spans = pvdm.read_vectors(vectors_path)
+    write_fused(sentences, vectors_path, (rows, values, spans), recs, events, fused)
+    table, _ = build_sample_table(sentences, {sid: values[row] for sid, row in rows.items()},
+                                  recs, events)
     with open(fused, "rb") as fh:
         return fh.read(), json_sample_lines(table)
 
@@ -411,7 +412,7 @@ def assert_fused_matches_the_oracle(ids, months, matrix, order):
         pvdm.export_vectors(model, vectors_path)
         if not align(sentences, recs)[0]:
             with pytest.raises(ValueError, match="no aligned samples"):
-                write_fused(sentences, vectors_path, pvdm.read_vector_twin(vectors_path),
+                write_fused(sentences, vectors_path, pvdm.read_vectors(vectors_path),
                             recs, events, os.path.join(d, "fused.jsonl"))
             return
         fused, oracle = fuse_both_ways(sentences, vectors_path, recs, events, d)
@@ -433,6 +434,32 @@ def test_write_fused_writes_the_oracle_bytes_of_an_export(data, n, dim):
     values = data.draw(st.lists(FLOATS, min_size=n * dim, max_size=n * dim))
     order = data.draw(st.permutations(range(n)))
     assert_fused_matches_the_oracle(ids, months, np.array(values).reshape(n, dim), order)
+
+
+def test_write_fused_of_vectors_read_from_the_json_writes_the_oracle_bytes_and_no_twin(
+        tmp_path):
+    # without a vectors twin, read_vectors parses the JSON and gives no spans;
+    # write_fused then builds the table and prints its floats again
+    ids = ['q"\\[0]', "\u00e9\u20ac\U0001d11e", "[]", "\\"]
+    matrix = np.array(EDGE_FLOATS).reshape(4, 3)
+    sentences = [make_sentence(sid, "ab"[i % 2], ts(2010, 1 + 2 * i)) for i, sid in enumerate(ids)]
+    recs = [make_indicators(b, 2010, q, base=q) for b in "ab" for q in (1, 2, 3)]
+    events = [DistressEvent("a", date(2010, 2, 1), date(2010, 4, 30), "state_aid")]
+    model = pvdm.PvdmModel(word_in=None, word_out=None, paragraph=matrix,
+                           sentence_index={sid: i for i, sid in enumerate(ids)}, vocab=None,
+                           config=None)
+    vectors_path, fused = str(tmp_path / "vectors.jsonl"), str(tmp_path / "fused.jsonl")
+    pvdm.export_vectors(model, vectors_path)
+    os.remove(corpus.twin_path(vectors_path))
+    vectors = pvdm.read_vectors(vectors_path)
+    assert vectors[2] is None
+    labels, report = write_fused(sentences, vectors_path, vectors, recs, events, fused)
+    table, want_report = build_sample_table(sentences, dict(zip(ids, matrix)), recs, events)
+    with open(fused, "rb") as fh:
+        assert fh.read() == json_sample_lines(table)
+    assert not os.path.exists(corpus.twin_path(fused))
+    np.testing.assert_array_equal(labels, table.labels)
+    assert report == want_report
 
 
 def test_write_fused_ends_its_lines_as_the_twinless_path_does_where_the_platform_writes_crlf(

@@ -56,11 +56,11 @@ def test_read_vectors_fills_one_matrix(tmp_path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for i, row in enumerate(rows):
             fh.write(json.dumps({"sentence_id": "s%d" % i, "values": row.tolist()}) + "\n")
-    vectors, peak, snapshot = traced(lambda: pvdm.read_vectors(path))
+    (_, values, _), peak, snapshot = traced(lambda: pvdm.read_vectors(path))
     assert peak <= 1.25 * rows.nbytes + SLACK, peak
-    # one block holds every vector; the map's values are views of its rows
+    # one block holds every vector
     assert max(trace.size for trace in snapshot.traces) >= rows.nbytes
-    np.testing.assert_array_equal(np.vstack(list(vectors.values())), rows)
+    np.testing.assert_array_equal(values, rows)
 
 
 def test_read_sample_table_fills_one_matrix_per_column(tmp_path):

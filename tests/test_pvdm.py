@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -445,6 +446,23 @@ def test_train_skips_short_sentences():
     np.testing.assert_array_equal(model.paragraph[model.sentence_index["short"]], before)
 
 
+def test_train_refuses_epochs_where_no_sentence_has_a_training_position():
+    # a 10-token sentence trains at window_n 8 (one position) but not at 9
+    sents, vocab = toy_corpus(n_sentences=5, length=10, seed=1)
+    model, losses = train(init_model(vocab, sents, PvdmConfig(vector_dim=6, window_n=8)), sents)
+    assert len(losses) == model.config.epochs
+    cfg = PvdmConfig(vector_dim=6, window_n=9, epochs=2)
+    with pytest.raises(ValueError, match=r"^no sentence has a training position at window_n 9: "
+                                         r"one needs 11 tokens, and the longest has 10$"):
+        train(init_model(vocab, sents, cfg), sents)
+    # with no epochs asked for, the model comes back as it was
+    model = init_model(vocab, sents, replace(cfg, epochs=0))
+    before = model.paragraph.copy()
+    got, losses = train(model, sents)
+    assert got is model and losses == []
+    np.testing.assert_array_equal(model.paragraph, before)
+
+
 def test_train_rejects_unknown_sentence():
     sents, vocab = toy_corpus(n_sentences=5)
     cfg = PvdmConfig(vector_dim=6, window_n=2, epochs=1)
@@ -643,10 +661,15 @@ def test_vector_export_round_trip(tmp_path):
     model = init_model(vocab, sents, PvdmConfig(vector_dim=6, window_n=2, seed=2))
     path = str(tmp_path / "vectors.jsonl")
     pvdm.export_vectors(model, path)
-    loaded = pvdm.read_vectors(path)
-    assert set(loaded) == set(model.sentence_index)
-    for sid, row in model.sentence_index.items():
-        np.testing.assert_allclose(loaded[sid], model.paragraph[row])
+    rows, values, spans = pvdm.read_vectors(path)
+    assert list(rows.items()) == list(model.sentence_index.items())
+    assert values.tobytes() == model.paragraph.tobytes()
+    assert spans.shape == (len(rows), 2)
+    # without the twin the JSON gives the same rows and bits, and no spans
+    os.remove(corpus.twin_path(path))
+    json_rows, json_values, json_spans = pvdm.read_vectors(path)
+    assert list(json_rows.items()) == list(rows.items()) and json_spans is None
+    assert json_values.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("values,fragment", [

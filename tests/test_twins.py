@@ -191,12 +191,13 @@ def test_twin_and_json_give_bit_equal_vectors_spans_and_tables(tmp_path_factory,
     matrix = np.array(data.draw(st.lists(FLOATS, min_size=n * dim, max_size=n * dim)))
     order = data.draw(st.permutations(range(n)))
     vectors = export(d / "vectors.jsonl", matrix.reshape(n, dim), ids, order)
-    rows, spans, values = pvdm.read_vector_twin(vectors)
+    rows, values, spans = pvdm.read_vectors(vectors)
     assert values.tobytes() == matrix.tobytes()
     # the twin's ids, in file order, and vectors are those read_vectors parses
-    from_json = pvdm.read_vectors(vectors)
-    assert list(rows) == list(from_json)
-    assert values.tobytes() == np.array(list(from_json.values())).tobytes()
+    # from the JSON of a copy without a twin, which gives no spans
+    json_rows, json_values, json_spans = pvdm.read_vectors(shutil.copy(vectors, str(d / "bare")))
+    assert list(rows) == list(json_rows) and json_spans is None
+    assert values.tobytes() == json_values.tobytes()
     assert spans.dtype == np.int64
     assert_spans_hold_the_values(vectors, spans.tolist(), values.tolist())
     # the sentences in another order than the vectors; bank b has no
@@ -210,7 +211,7 @@ def test_twin_and_json_give_bit_equal_vectors_spans_and_tables(tmp_path_factory,
     fused = str(d / "fused.jsonl")
     if not fusion.align(sentences, recs)[0]:
         return
-    fusion.write_fused(sentences, vectors, (rows, spans, values), recs, events, fused)
+    fusion.write_fused(sentences, vectors, (rows, values, spans), recs, events, fused)
     twinned = [fusion.read_sample_table(fused, keep) for keep in (True, False)]
     os.remove(corpus.twin_path(fused))
     for keep, table in zip((True, False), twinned):
@@ -271,7 +272,7 @@ def test_a_twin_whose_rows_fail_the_checks_leaves_the_reading_to_the_json(tmp_pa
                         (["a", "b", "a"], matrix)):
         corpus.write_twin(vectors, corpus.file_sha256(vectors),
                           {"ids": ids, "values": values, "spans": spans})
-        assert pvdm.read_vector_twin(vectors) is None
+        assert pvdm.read_vectors(vectors)[2] is None
         out = str(tmp_path / "fused-from-vectors.jsonl")
         assert cli_fuse(sentences, vectors, recs, [], out) == want
         assert not os.path.exists(corpus.twin_path(out))
