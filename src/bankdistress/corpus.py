@@ -1,6 +1,7 @@
 """News corpus handling: bank registries, sentence extraction and vocabulary."""
 
 import array
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -517,10 +518,28 @@ def float_text(rows):
     return texts
 
 
+@contextlib.contextmanager
+def replacing(path, mode, **kwargs):
+    """Open a new file beside ``path`` to write, as ``open(path, mode, **kwargs)`` would
+    open ``path`` itself; when the block ends, the new file takes the name ``path``
+    (``os.replace``), and on any exception, KeyboardInterrupt included, it is removed.
+    So ``path`` holds the whole output or what it held before, never a part of one.
+    The umask sets the new file's mode, as it does for ``open``."""
+    temporary = "%s.%s.tmp" % (path, os.urandom(4).hex())
+    try:
+        with open(temporary, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise
+
+
 def write_jsonl(rows, path):
     """Write each row of ``rows`` as one line of JSON with sorted keys, the format
     ``read_jsonl`` reads, one row at a time: a generator of rows is never held whole."""
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         for row in rows:
             fh.write((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
 
@@ -542,7 +561,7 @@ def write_vector_jsonl(rows, texts, path, key):
     for the key. Returns the sha256 digest of the bytes written and each vector's (offset,
     length) in bytes, brackets included, an (n, 2) int64 array."""
     spans, offset, digest, null = array.array("q"), 0, hashlib.sha256(), '"%s": null' % key
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         for row, text in zip(rows, texts, strict=True):
             head, tail = json.dumps({**row, key: None}, sort_keys=True).split(null)
             head = ('%s"%s": [' % (head, key)).encode()
@@ -555,7 +574,7 @@ def write_vector_jsonl(rows, texts, path, key):
 
 def write_json(value, path):
     """Write ``value`` as one JSON document with sorted keys, indented by 2."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         json.dump(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -572,7 +591,7 @@ def write_npz(path, arrays):
     while a memoryview of the array goes into the entry as it is. An entry
     given as (matrix, rows) is ``matrix[rows]``, gathered NPZ_ROW_CHUNK rows at
     a time."""
-    with zipfile.ZipFile(path, "w", allowZip64=True) as zf:
+    with replacing(path, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as zf:
         for name, arr in arrays.items():
             matrix, rows = arr if isinstance(arr, tuple) else (np.ascontiguousarray(arr), None)
             shape = matrix.shape if rows is None else (len(rows),) + matrix.shape[1:]

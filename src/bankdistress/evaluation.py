@@ -205,14 +205,17 @@ def pick_threshold(scores, mu):
     Candidates are those of ``usefulness_curve``; ties break toward the
     smallest threshold (the more sensitive rule). A later candidate wins only
     by more than 1e-12, so thresholds that tie in exact arithmetic but differ
-    by rounding still count as tied.
+    by rounding still count as tied. Since the best only rises, and
+    ``a + 1e-12 >= a`` in floats, only a record, a value above every earlier
+    one (NaN aside), can win: the loop visits the records alone.
     """
     curve = usefulness_curve(scores, mu)
-    u_r = curve.relative_usefulness.tolist()
-    best = 0
-    for i, ur in enumerate(u_r):
-        if ur > u_r[best] + 1e-12:
-            best = i
+    u_r = curve.relative_usefulness
+    records = np.flatnonzero(u_r[1:] > np.fmax.accumulate(u_r)[:-1]) + 1
+    best, top = 0, u_r[0].item()
+    for i, ur in zip(records.tolist(), u_r[records].tolist()):
+        if ur > top + 1e-12:
+            best, top = i, ur
     c = curve.confusion
     return _assemble(ConfusionRates(*(n[best].item() for n in (c.tp, c.fp, c.tn, c.fn))), mu,
                      curve.threshold[best].item())

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields, asdict, replace
 import numpy as np
 
 from . import evaluation, neural, pvdm
-from .corpus import build_vocabulary, parse_json, require_int, write_json
+from .corpus import build_vocabulary, parse_json, replacing, require_int, write_json
 from .fusion import (ARMS, TEXT_ARMS, apply_normalization, arm_blocks, assign_folds,
                      fit_normalization, project_arm, semantic_rows)
 
@@ -365,7 +365,7 @@ def sweep(table_builder, events, base_config, parameter, grid, runs=SWEEP_RUNS, 
 
 def write_runs_csv(results_by_arm, path):
     """One row per run; ``results_by_arm`` maps arm name -> list of RunResult."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         fh.write("arm,run,seed,threshold,val_ur,test_ur,test_prior,"
                  "tp,fp,tn,fn\n")
         for arm in sorted(results_by_arm):
@@ -390,7 +390,7 @@ def write_summary_json(results_by_arm, config, path):
 
 
 def write_sweep_csv(result, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path, "w", encoding="utf-8") as fh:
         fh.write("parameter,value,mean_ur,std_ur,runs\n")
         for value, mean, std in zip(result.grid, result.mean_ur, result.std_ur):
             fh.write("%s,%s,%r,%r,%d\n"

@@ -7,7 +7,7 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import (VectorRows, count_rows, read_jsonl, read_twin, require_str,
+from .corpus import (VectorRows, count_rows, read_jsonl, read_twin, replacing, require_str,
                      vector_texts, write_twin, write_vector_jsonl)
 
 NUMERIC_DIM = 12
@@ -321,7 +321,7 @@ def read_indicators(path):
 
 
 def write_indicators(indicators, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("bank_id", "quarter") + INDICATOR_NAMES)
         for rec in indicators:
@@ -346,7 +346,7 @@ def read_events(path):
 
 
 def write_events(events, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_COLUMNS)
         for ev in events:

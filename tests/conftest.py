@@ -1,9 +1,15 @@
 """Shared helpers for the test suite."""
 
 import json
+import os
 from datetime import date
 
-import numpy as np
+# BLAS on one thread, set before numpy loads it: on two cores a threaded
+# OpenBLAS spent more CPU on the suite's small matrices and gained no time
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 
 from bankdistress import fusion
 from bankdistress.fusion import DistressEvent, SampleTable

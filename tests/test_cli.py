@@ -1,12 +1,16 @@
 """End-to-end command-line pipeline tests."""
 
 import contextlib
+import csv
+import errno
 import glob
+import hashlib
 import io
 import json
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -18,6 +22,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bankdistress import cli, corpus, experiment, fusion, pvdm, synth
+
+
+def chain(d):
+    """The argument lists of README's chain at the test size, synth -> ingest -> embed ->
+    fuse -> experiment, each file in the directory ``d``; the experiment reads the
+    network of ``d/config.json``."""
+    data = os.path.join(d, "data")
+    paths = {name: os.path.join(d, name) for name in ("sentences.jsonl", "model.npz",
+                                                      "vectors.jsonl", "fused.jsonl")}
+    return [["synth", "--out", data, "--banks", "12", "--min-sentences", "2",
+             "--max-sentences", "6", "--seed", "4"],
+            ["ingest", "--articles", os.path.join(data, "articles.jsonl"),
+             "--registry", os.path.join(data, "registry.json"),
+             "--out", paths["sentences.jsonl"]],
+            ["embed", "--sentences", paths["sentences.jsonl"], "--out", paths["model.npz"],
+             "--vectors", paths["vectors.jsonl"], "--dim", "16", "--window", "2",
+             "--epochs", "2", "--seed", "1"],
+            ["fuse", "--sentences", paths["sentences.jsonl"], "--vectors", paths["vectors.jsonl"],
+             "--indicators", os.path.join(data, "indicators.csv"),
+             "--events", os.path.join(data, "events.csv"), "--out", paths["fused.jsonl"]],
+            ["experiment", "--fused", paths["fused.jsonl"],
+             "--events", os.path.join(data, "events.csv"), "--config",
+             os.path.join(d, "config.json"), "--runs", "2", "--arm", "all", "--seed", "0",
+             "--out", os.path.join(d, "experiment")]]
+
+
+def write_chain_config(d):
+    with open(os.path.join(d, "config.json"), "w", encoding="utf-8") as fh:
+        json.dump({"mlp": {"epochs": 3, "hidden_layers": [6]}}, fh)
 
 
 @pytest.fixture(scope="module")
@@ -33,24 +66,9 @@ def pipeline(tmp_path_factory):
         "config": os.path.join(d, "config.json"),
         "dir": d,
     }
-    assert cli.main(["synth", "--out", paths["data"], "--banks", "12",
-                     "--min-sentences", "2", "--max-sentences", "6",
-                     "--seed", "4"]) == 0
-    assert cli.main(["ingest",
-                     "--articles", os.path.join(paths["data"], "articles.jsonl"),
-                     "--registry", os.path.join(paths["data"], "registry.json"),
-                     "--out", paths["sentences"]]) == 0
-    assert cli.main(["embed", "--sentences", paths["sentences"],
-                     "--out", paths["model"], "--vectors", paths["vectors"],
-                     "--dim", "16", "--window", "2", "--epochs", "2",
-                     "--seed", "1"]) == 0
-    assert cli.main(["fuse", "--sentences", paths["sentences"],
-                     "--vectors", paths["vectors"],
-                     "--indicators", os.path.join(paths["data"], "indicators.csv"),
-                     "--events", os.path.join(paths["data"], "events.csv"),
-                     "--out", paths["fused"]]) == 0
-    with open(paths["config"], "w", encoding="utf-8") as fh:
-        json.dump({"mlp": {"epochs": 3, "hidden_layers": [6]}}, fh)
+    for argv in chain(d)[:4]:
+        assert cli.main(argv) == 0, argv
+    write_chain_config(d)
     return paths
 
 
@@ -68,6 +86,12 @@ def test_ingest_output(pipeline):
     sentences = corpus.read_sentences(pipeline["sentences"])
     assert sentences
     assert all(s.bank_id.startswith("bank") for s in sentences)
+    # every synth sentence names exactly one bank, so ingest writes one line
+    # per sentence of the dataset the manifest's config generates
+    with open(os.path.join(pipeline["data"], "manifest.json"), encoding="utf-8") as fh:
+        config = synth.SynthConfig(**json.load(fh)["config"])
+    with open(pipeline["sentences"], encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == synth.describe(synth.generate(config))["n_sentences"]
 
 
 def test_embed_output(pipeline):
@@ -95,18 +119,69 @@ def test_the_vectors_twin_holds_the_paragraph_matrix_embed_trained(pipeline):
 
 
 def test_each_twin_holds_the_sha256_of_the_file_beside_it(pipeline):
-    # embed and fuse take each digest as they write the file
-    for name in ("vectors", "fused"):
+    # embed and fuse take each digest as they write the file; plain numpy
+    # reads the twin's ids, as JSON text, and the file's numbers, row by row
+    twins = {"vectors": ("ids", {"values": "values"}),
+             "fused": ("sentence_ids", {"semantic": "semantic", "numeric_raw": "numeric_raw",
+                                        "labels": "label"})}
+    for name, (ids, columns) in twins.items():
+        with open(pipeline[name], "rb") as fh:
+            text = fh.read()
+        rows = [json.loads(line) for line in text.splitlines()]
         with np.load(corpus.twin_path(pipeline[name])) as twin:
-            assert twin["sha256"].tobytes() == corpus.file_sha256(pipeline[name])
+            assert twin["sha256"].tobytes() == hashlib.sha256(text).digest()
+            assert json.loads(twin[ids].tobytes().decode("utf-8")) == [
+                row["sentence_id"] for row in rows]
+            for entry, key in columns.items():
+                assert twin[entry].tolist() == [row[key] for row in rows], (name, entry)
 
 
-def fresh_process(argv, cwd):
+def python_process(args, cwd, hash_seed=None):
+    """The finished ``python <args>`` run in a new process with the package on its path,
+    with a RuntimeWarning an error, as in the suite, and ``hash_seed``, if given, as
+    PYTHONHASHSEED."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    return subprocess.run([sys.executable] + args, cwd=cwd, env=env, capture_output=True,
+                          text=True)
+
+
+def fresh_process(argv, cwd, hash_seed=None):
     """(exit status, stdout, stderr) of ``bankdistress <argv>`` run in a new process."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "bankdistress.cli"] + argv, cwd=cwd, env=env,
-                          capture_output=True, text=True)
+    proc = python_process(["-m", "bankdistress.cli"] + argv, cwd, hash_seed)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def sweep_argv(d, out):
+    """README's full-scope window_n sweep on the chain's files in ``d``, with a small
+    network and PV-DM, written to ``out``; its config lies beside ``out``. Two
+    runs of the text-only arm gave other bytes at each of 12 PV-DM seeds tried,
+    so the bytes show the embedding; one run, or the combined arm, gave the
+    same bytes at several."""
+    config = os.path.join(os.path.dirname(out), "sweep.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump({"arm": "text_only", "mlp": {"epochs": 3, "hidden_layers": [6]},
+                   "pvdm": {"vector_dim": 4, "epochs": 1, "min_count": 1}}, fh)
+    return ["sweep", "--fused", os.path.join(d, "fused.jsonl"),
+            "--events", os.path.join(d, "data", "events.csv"),
+            "--sentences", os.path.join(d, "sentences.jsonl"), "--parameter", "window_n",
+            "--grid", "2,3", "--config", config, "--runs", "2", "--out", out]
+
+
+@pytest.fixture(scope="module")
+def fresh_chain(tmp_path_factory):
+    """A directory that holds ``chain/``, the files of the README chain, and ``sweep/``,
+    those of a sweep on them, each command run in a new process under hash seed 1."""
+    root = tmp_path_factory.mktemp("fresh")
+    d = root / "chain"
+    d.mkdir()
+    write_chain_config(str(d))
+    for argv in chain(str(d)) + [sweep_argv(str(d), str(root / "sweep"))]:
+        rc, _, err = fresh_process(argv, str(root), hash_seed=1)
+        assert (rc, err) == (0, ""), argv
+    return root
 
 
 def test_commands_in_one_process_write_what_each_writes_in_a_fresh_one(pipeline, tmp_path,
@@ -141,15 +216,76 @@ def test_commands_in_one_process_write_what_each_writes_in_a_fresh_one(pipeline,
     assert results[1] == results[4] == results[5] != results[0]
 
 
+def test_the_chain_in_one_process_writes_what_a_process_per_command_writes(pipeline,
+                                                                          fresh_chain):
+    # the pipeline fixture ran synth, ingest, embed and fuse through cli.main,
+    # and other tests may have run commands since; main reuses its parser and
+    # ingest the registry's screen, so no command may depend on what an
+    # earlier one left behind
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(chain(pipeline["dir"])[-1]) == 0
+    d = fresh_chain / "chain"
+    names = sorted(os.path.relpath(path, d) for path in glob.glob(str(d / "**"), recursive=True)
+                   if os.path.isfile(path))
+    # data/ (5 files), sentences, model, vectors and fused with their twins,
+    # runs.csv and summary.json, and the config both chains read
+    assert len(names) == 14
+    for name in names:
+        with open(os.path.join(pipeline["dir"], name), "rb") as fh:
+            assert fh.read() == (d / name).read_bytes(), name
+
+
+def test_embed_fuse_and_a_sweep_write_the_same_bytes_under_another_hash_seed(fresh_chain,
+                                                                             tmp_path):
+    # the fresh chain ran under hash seed 1; embed, fuse and the sweep run
+    # again on its inputs under hash seed 2
+    d = fresh_chain / "chain"
+    shutil.copytree(d / "data", tmp_path / "data")
+    shutil.copy(d / "sentences.jsonl", tmp_path)
+    for argv in chain(str(tmp_path))[2:4] + [sweep_argv(str(tmp_path), str(tmp_path / "sweep"))]:
+        rc, _, err = fresh_process(argv, str(tmp_path), hash_seed=2)
+        assert (rc, err) == (0, ""), argv
+    for name in ("model.npz", "vectors.jsonl", "vectors.jsonl.twin.npz", "fused.jsonl",
+                 "fused.jsonl.twin.npz"):
+        assert (tmp_path / name).read_bytes() == (d / name).read_bytes(), name
+    assert ((tmp_path / "sweep" / "sweep_window_n.csv").read_bytes()
+            == (fresh_chain / "sweep" / "sweep_window_n.csv").read_bytes())
+
+
+def test_every_json_file_of_the_chain_is_in_the_written_format(fresh_chain):
+    # JSON-lines files hold one object a line, with sorted keys and json's
+    # default spacing; JSON documents are indented by 2, with sorted keys;
+    # each file ends in a newline
+    d = fresh_chain / "chain"
+    for name in ("data/articles.jsonl", "sentences.jsonl", "vectors.jsonl", "fused.jsonl"):
+        with open(d / name, encoding="utf-8", newline="") as fh:
+            for n, line in enumerate(fh, 1):
+                assert line == json.dumps(json.loads(line), sort_keys=True) + "\n", (name, n)
+    for name in ("data/registry.json", "data/manifest.json", "experiment/summary.json"):
+        text = (d / name).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
+
 def test_fuse_output(pipeline):
     table = fusion.read_sample_table(pipeline["fused"])
     assert table.semantic_dim == 16
     assert table.numeric_raw.shape[1] == fusion.NUMERIC_DIM
     assert set(np.unique(table.labels)) <= {0, 1}
+    # fuse copies each sentence's values text into its fused row: plain json
+    # reads the same numbers from both files, and the row holds the text verbatim
+    vectors = {}
+    with open(pipeline["vectors"], encoding="utf-8") as fh:
+        for line in fh:
+            row = json.loads(line)
+            assert json.dumps(row["values"]) in line
+            vectors[row["sentence_id"]] = row["values"]
     with open(pipeline["fused"], encoding="utf-8") as fh:
         for line in fh:
-            assert set(json.loads(line)) == {"sentence_id", "bank_id", "month", "label",
-                                             "semantic", "numeric_raw"}
+            row = json.loads(line)
+            assert set(row) == {"sentence_id", "bank_id", "month", "label", "semantic",
+                                "numeric_raw"}
+            assert row["semantic"] == vectors[row["sentence_id"]]
+            assert '"semantic": %s, ' % json.dumps(row["semantic"]) in line
 
 
 def test_fuse_has_no_stats_option(pipeline, capsys, tmp_path):
@@ -221,6 +357,20 @@ def test_experiment_command_and_report(pipeline, capsys):
     printed = capsys.readouterr().out
     assert printed.splitlines()[0] == "mu=0.9 runs=2"
     assert "combined" in printed and "mean U_r" in printed
+
+    # train makes run 0 of one arm: the combined,0 row of runs.csv
+    report = os.path.join(pipeline["dir"], "combined0.json")
+    assert cli.main(["train", "--fused", pipeline["fused"],
+                     "--events", os.path.join(pipeline["data"], "events.csv"),
+                     "--config", pipeline["config"], "--seed", "2", "--arm", "combined",
+                     "--out", report]) == 0
+    report = json.load(open(report, encoding="utf-8"))
+    with open(os.path.join(out, "runs.csv"), encoding="utf-8") as fh:
+        [row] = [r for r in csv.DictReader(fh) if (r["arm"], r["run"]) == ("combined", "0")]
+    assert ((report["seed"], report["threshold"], report["validation"]["relative_usefulness"],
+             report["test"]["relative_usefulness"])
+            == (int(row["seed"]), float(row["threshold"]), float(row["val_ur"]),
+                float(row["test_ur"])))
 
 
 def test_single_arm_experiment(pipeline):
@@ -903,6 +1053,11 @@ def copy_pipeline(pipeline):
             pipeline[name])))
 
 
+def file_bytes():
+    """Each file below the working directory, and its bytes."""
+    return {p: open(p, "rb").read() for p in glob.glob("**", recursive=True) if os.path.isfile(p)}
+
+
 # (argv, hard links to make first: new name -> the file it links, fragment)
 OVERWRITES = {
     "ingest-out-articles": (INGEST_ARGV + ["--out", "data/articles.jsonl"], {},
@@ -950,11 +1105,9 @@ def test_no_command_writes_over_one_of_its_inputs(pipeline, capsys, tmp_path, mo
     for name, target in links.items():
         os.makedirs(os.path.dirname(name) or ".", exist_ok=True)
         os.link(target, name)
-    before = {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
-              if os.path.isfile(p)}
+    before = file_bytes()
     assert_one_error_line(capsys, cli.main(argv), "error: " + fragment)
-    assert {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
-            if os.path.isfile(p)} == before
+    assert file_bytes() == before
 
 
 EMBED_ARGV = ["embed", "--sentences", "sentences.jsonl", "--dim", "4", "--epochs", "1"]
@@ -974,8 +1127,7 @@ def test_an_output_in_a_missing_directory_ends_the_command_before_it_reads(
     argv = MISSING_DIRECTORY_OUTPUTS[case]
     monkeypatch.chdir(tmp_path)
     copy_pipeline(pipeline)
-    before = {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
-              if os.path.isfile(p)}
+    before = file_bytes()
     read = []
     # the first input each of these commands reads
     for module, name in ((corpus, "compile_registry"), (corpus, "read_sentences"),
@@ -986,8 +1138,104 @@ def test_an_output_in_a_missing_directory_ends_the_command_before_it_reads(
     assert (rc, capsys.readouterr().err) == (
         2, "i/o error: [Errno 2] No such file or directory: %r\n" % missing)
     assert read == []
-    assert {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
-            if os.path.isfile(p)} == before
+    assert file_bytes() == before
+
+
+# each command, with its outputs beside the files copy_pipeline copies in
+FULL_DISK = {
+    "synth": ["synth", "--out", "data", "--banks", "2", "--min-sentences", "1",
+              "--max-sentences", "1"],
+    "ingest": INGEST_ARGV + ["--out", "sentences.jsonl"],
+    "embed": EMBED_ARGV + ["--out", "model.npz", "--vectors", "vectors.jsonl"],
+    "fuse": FUSE_ARGV + ["--out", "fused.jsonl"],
+    "experiment": ["experiment", "--fused", "fused.jsonl", "--events", "data/events.csv",
+                   "--config", "config.json", "--runs", "1", "--out", "results"],
+    "train": TRAIN_ARGV + ["--out", "train.json"],
+    "sweep": ["sweep", "--fused", "fused.jsonl", "--events", "data/events.csv", "--config",
+              "config.json", "--parameter", "l1", "--grid", "0", "--runs", "1", "--out", "sweep"],
+}
+BUILTIN_OPEN = open
+
+
+class FullDisk:
+    """A file open to write that takes its first write, then fails every
+    later one, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+def full_disk_open(file, mode="r", *args, **kwargs):
+    fh = BUILTIN_OPEN(file, mode, *args, **kwargs)
+    return FullDisk(fh) if set(mode) & set("wxa+") else fh
+
+
+@pytest.mark.parametrize("command", FULL_DISK)
+def test_an_output_is_written_whole_or_not_at_all(pipeline, capsys, tmp_path, monkeypatch,
+                                                  command):
+    # the disk fills after the first write to the first output: the command
+    # ends in one i/o error line and leaves each output path as it was, with
+    # no file of its own, or the file of an earlier run, and no stray file
+    monkeypatch.chdir(tmp_path)
+    copy_pipeline(pipeline)
+    for earlier in (False, True):
+        if earlier:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(FULL_DISK[command]) == 0
+        before = file_bytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("builtins.open", full_disk_open)
+            rc = cli.main(FULL_DISK[command])
+        assert (rc, capsys.readouterr().err) == (
+            2, "i/o error: [Errno %d] %s\n" % (errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        assert file_bytes() == before, earlier
+
+
+# fuse, its vectors' text generator ended by SIGKILL at row int(sys.argv[1])
+KILLED_FUSE = """
+import os, signal, sys
+from bankdistress import cli, fusion
+write_vector_jsonl = fusion.write_vector_jsonl
+
+def killed_at_row(rows, texts, path, key):
+    def texts_then_kill():
+        for n, text in enumerate(texts):
+            if n == int(sys.argv[1]):
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield text
+    return write_vector_jsonl(rows, texts_then_kill(), path, key)
+
+fusion.write_vector_jsonl = killed_at_row
+cli.main(sys.argv[2:])
+"""
+
+
+@pytest.mark.parametrize("rows", [1, 200])
+def test_a_fuse_killed_mid_file_leaves_no_fused_file(pipeline, tmp_path, rows):
+    with open(pipeline["fused"], encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) > rows
+    out = tmp_path / "fused.jsonl"
+    argv = ["fuse", "--sentences", pipeline["sentences"], "--vectors", pipeline["vectors"],
+            "--indicators", os.path.join(pipeline["data"], "indicators.csv"),
+            "--events", os.path.join(pipeline["data"], "events.csv"), "--out", str(out)]
+    proc = python_process(["-c", KILLED_FUSE, str(rows)] + argv, str(tmp_path))
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    assert not out.exists()
 
 
 def test_fuse_rejects_a_repeated_indicators_row(pipeline, capsys, tmp_path):
@@ -1207,15 +1455,20 @@ def test_an_oversized_csv_field_names_file_and_line(pipeline, capsys, tmp_path, 
 DEEP = "[" * 100_000 + "]" * 100_000  # past any decoder's recursion limit
 
 
-@pytest.mark.parametrize("reader", ["articles", "sentences", "vectors", "fused", "registry",
-                                    "config", "summary"])
+@pytest.mark.parametrize("reader", ["articles", "articles-array", "sentences", "vectors", "fused",
+                                    "registry", "config", "summary"])
 def test_deeply_nested_json_names_the_file(pipeline, capsys, tmp_path, reader):
     data = pipeline["data"]
     inputs = {"articles": os.path.join(data, "articles.jsonl"),
               "registry": os.path.join(data, "registry.json"),
               "sentences": pipeline["sentences"], "vectors": pipeline["vectors"],
               "fused": pipeline["fused"], "config": pipeline["config"]}
-    if reader in ("registry", "config", "summary"):
+    if reader == "articles-array":  # a line that is the nested value itself
+        reader = "articles"
+        bad = tmp_path / "articles.jsonl"
+        replace_line(inputs[reader], bad, 2, DEEP)
+        want = "error: %s:2: JSON value nested too deeply" % bad
+    elif reader in ("registry", "config", "summary"):
         bad = tmp_path / ("summary.json" if reader == "summary" else reader + ".json")
         bad.write_text(DEEP, encoding="utf-8")
         want = "error: %s: JSON value nested too deeply" % bad
@@ -1888,8 +2141,7 @@ def test_an_out_directory_that_is_a_file_ends_the_command_before_its_work(
     copy_pipeline(pipeline)
     with open("out_file", "w", encoding="utf-8") as fh:
         fh.write("a file, not a directory\n")
-    before = {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
-              if os.path.isfile(p)}
+    before = file_bytes()
     worked = []
     monkeypatch.setattr(module, name, lambda *args, **kwargs: worked.append(args))
     for out, error in (("out_file", "[Errno 17] File exists"),
@@ -1897,8 +2149,7 @@ def test_an_out_directory_that_is_a_file_ends_the_command_before_its_work(
         rc = cli.main(argv + ["--out", out])
         assert (rc, capsys.readouterr().err) == (2, "i/o error: %s: %r\n" % (error, out))
     assert worked == []
-    assert {p: open(p, "rb").read() for p in glob.glob("**", recursive=True)
-            if os.path.isfile(p)} == before
+    assert file_bytes() == before
 
 
 FUSE_FLAGS = {"--sentences": "sentences.jsonl", "--vectors": "vectors.jsonl",

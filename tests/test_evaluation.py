@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bankdistress import evaluation
 from bankdistress.evaluation import (
     ConfusionRates,
     MonthScore,
@@ -211,6 +212,42 @@ def test_pick_threshold_tie_breaks_low():
     # the smaller (more sensitive) one wins
     scores = [ms("a", (2010, 1), 0.5, 1), ms("b", (2010, 1), 0.5, 0)]
     assert pick_threshold(scores, mu=0.9).threshold == 0.0
+
+
+# steps of a relative-usefulness curve about the 1e-12 a later candidate must
+# win by, and NaN, which no comparison passes
+CURVE_STEPS = [0.0, 0.4e-12, 0.6e-12, 1e-12, -1e-12, 1.1e-12, 2e-12, 1e-3, -1e-3, "nan"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(-1, 1), steps=st.lists(st.sampled_from(CURVE_STEPS), max_size=40),
+       flip=st.booleans())
+@example(start=0.5, steps=["nan", 1e-3, 0.6e-12, 0.6e-12], flip=False)
+@example(start=0.5, steps=[0.6e-12, 0.6e-12, 0.6e-12], flip=False)
+def test_pick_threshold_picks_what_the_loop_over_every_candidate_picks(start, steps, flip):
+    # the curve is summed step by step, as rounding leaves a real one; a NaN
+    # step makes that one candidate NaN
+    values, ur = [start], start
+    for step in steps:
+        if step != "nan":
+            ur += step
+        values.append(float("nan") if step == "nan" else ur)
+    values = [-v for v in values] if flip else values
+    n = len(values)
+    index = np.arange(n)
+    conf = ConfusionRates(tp=index, fp=n - index, tn=index, fn=n - index)
+    curve = evaluation.UsefulnessReport(
+        mu=0.9, prior=0.5, threshold=index.astype(float), baseline_loss=0.0, model_loss=0.0,
+        absolute_usefulness=0.0, relative_usefulness=np.array(values), confusion=conf)
+    best = 0
+    for i, ur in enumerate(values):
+        if ur > values[best] + 1e-12:
+            best = i
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "usefulness_curve", lambda scores, mu: curve)
+        report = pick_threshold(None, 0.9)
+    assert report == evaluation._assemble(
+        ConfusionRates(best, n - best, best, n - best), 0.9, float(best))
 
 
 def test_pick_threshold_errors():

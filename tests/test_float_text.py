@@ -83,7 +83,8 @@ def test_export_vectors_writes_the_lines_json_writes(tmp_path, width):
         text = fh.read()
     assert text == b"".join(json.dumps({"sentence_id": sid, "values": row}, sort_keys=True)
                             .encode("ascii") + b"\n" for sid, row in zip(ids, matrix.tolist()))
-    spans = pvdm.read_vectors(path)[2]
+    _, values, spans = pvdm.read_vectors(path)
+    assert spans is not None and values.tobytes() == matrix.tobytes()  # the twin's numbers
     assert spans.dtype == np.int64 and spans.shape == (len(matrix), 2)
     assert [text[a:a + n] for a, n in spans.tolist()] == [
         b"[%s]" % repr_text(row) for row in matrix]

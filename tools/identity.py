@@ -8,7 +8,7 @@ one fixed matrix on each tree, each tree in its own Python process with
 
 - each benchmark workload's ``Section.setup`` and ``measured``, imported from
   this checkout's ``perfbench/workloads.py``;
-- the CI chain at 12 banks: synth, ingest, embed, fuse, experiment --arm all,
+- the README chain at 12 banks: synth, ingest, embed, fuse, experiment --arm all,
   report, train and sweep --parameter lr;
 - the chain's synth, ingest, embed and fuse, then train, experiment --arm all,
   sweep --parameter lr and sweep --parameter window_n under --embedding-scope
@@ -48,7 +48,7 @@ BLAS_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "M
 
 
 def chain_argvs(seed):
-    """The CI chain's commands at 12 banks, seeded by ``seed``."""
+    """The README chain's commands at 12 banks, seeded by ``seed``."""
     fused = ["--fused", "fused.jsonl", "--events", "data/events.csv", "--seed", str(seed)]
     return [
         ["synth", "--out", "data", "--seed", str(seed), "--banks", "12", "--min-sentences", "2",
