@@ -258,11 +258,11 @@ def _fused_table(sentences, indicators, events):
                        labels=np.array([label(s, events) for s in sents], dtype=np.int64)), report
 
 
-def build_sample_table(sentences, vectors_by_id, indicators, events, source="vectors"):
-    """Align, label and stack everything the experiment harness consumes; an
-    aligned sentence without a vector raises ValueError naming ``source`` and it."""
+def build_sample_table(sentences, vectors_by_id, indicators, events):
+    """Align, label and stack everything the experiment harness consumes (the oracle
+    of ``write_fused``); an aligned sentence without a vector raises ValueError."""
     table, report = _fused_table(sentences, indicators, events)
-    table.semantic = semantic_rows(table.sentence_ids, vectors_by_id, source)
+    table.semantic = semantic_rows(table.sentence_ids, vectors_by_id, "vectors")
     return table, report
 
 
@@ -366,8 +366,8 @@ def _write_fused_rows(table, path, texts):
 
 
 def write_sample_table(table, path):
-    """The fused dataset of ``table``, which ``read_sample_table`` reads back.
-    ``write_fused`` writes with it without a vectors twin, the same bytes with one."""
+    """The fused dataset of ``table``, which ``read_sample_table`` reads back:
+    the oracle of the bytes ``write_fused`` writes, with or without a vectors twin."""
     _write_fused_rows(table, path, vector_texts(table.semantic))
 
 
@@ -425,35 +425,30 @@ def read_sample_table(path, keep_semantic=True):
 
 
 def write_fused(sentences, vectors_path, vectors, indicators, events, path):
-    """Align and label the sentences; write the fused dataset to ``path``.
+    """Align and label the sentences; write the fused dataset to ``path``, then its twin.
 
     ``vectors`` is ``pvdm.read_vectors(vectors_path)``, and ``path`` is
-    another file, as the ``fuse`` command checks. Without a twin's spans the
-    oracle runs: ``build_sample_table``, then ``write_sample_table``, and no
-    fused twin. With them each row's ``semantic`` text is copied from the
-    vectors file, so no vector is printed again and the bytes are the same,
-    and the fused twin is written, its ``semantic`` gathered from ``values``
+    another file, as the ``fuse`` command checks. Each row's ``semantic``
+    text is copied from the vectors file at the twin's spans or, without
+    them, printed from ``values``: the same bytes, and no matrix is built in
+    sample order. The fused twin's ``semantic`` is gathered from ``values``
     in row chunks and its digest taken as the file is written. An aligned
     sentence without a vector raises ValueError naming it and
     ``vectors_path``, before ``path`` is opened. Returns the labels and the
     DropReport.
     """
     vector_rows, values, spans = vectors
-    if spans is None:
-        by_id = {sid: values[row] for sid, row in vector_rows.items()}
-        table, report = build_sample_table(sentences, by_id, indicators, events,
-                                           source=vectors_path)
-        write_sample_table(table, path)
-        return table.labels, report
     table, report = _fused_table(sentences, indicators, events)
     at = np.array(_by_sentence(table.sentence_ids, vector_rows, vectors_path), dtype=np.intp)
-    with open(vectors_path, "rb") as text:
-        def copied():
+
+    def copied():
+        with open(vectors_path, "rb") as text:
             for offset, length in spans[at].tolist():
                 text.seek(offset + 1)  # the text inside the brackets
                 yield text.read(length - 2)
 
-        digest, _ = _write_fused_rows(table, path, copied())
+    texts = vector_texts(values[i] for i in at) if spans is None else copied()
+    digest, _ = _write_fused_rows(table, path, texts)
     # vars keeps SampleTable's field order, the order of the twin's entries
     write_twin(path, digest, {**vars(table), "months": np.array(table.months, dtype=np.int64),
                               "semantic": (values, at)})

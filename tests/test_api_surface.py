@@ -24,6 +24,10 @@ ALLOWED = {
     "pvdm.step_gradients": "step-math oracle of pvdm.train and pvdm.infer_vectors "
                            "(criterion 3, reference_train, reference_infer_vector)",
     "pvdm.infer_vector": "wrapped by perfbench/tracing.py as pvdm.infer",
+    "fusion.build_sample_table": "the acceptance fixture embed_dataset builds its table with "
+                                 "it; wrapped by perfbench/tracing.py as fusion.build",
+    "fusion.write_sample_table": "oracle of the bytes fusion.write_fused writes; wrapped by "
+                                 "perfbench/tracing.py as fusion.io",
     "fusion.FoldAssignment.banks_in": "acceptance criterion 6 reads the banks of each fold",
     "fusion.SampleTable.semantic_dim": "acceptance criterion 7b checks the fused "
                                        "semantic width",

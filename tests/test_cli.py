@@ -1364,8 +1364,8 @@ def test_malformed_rows_name_file_and_line(pipeline, capsys, tmp_path, reader, t
 
 @pytest.mark.parametrize("twin", [True, False], ids=["twin-kept", "twin-absent"])
 def test_fuse_names_the_vectors_file_for_a_missing_vector(pipeline, capsys, tmp_path, twin):
-    # with a twin, fuse looks the sentences up in it (write_fused); without
-    # one, in the vectors it parsed (build_sample_table)
+    # fuse looks the sentences up in the ids of the twin, or of the vectors it
+    # parsed without one (write_fused)
     vectors = tmp_path / "vectors.jsonl"
     if twin:
         with open(pipeline["sentences"], encoding="utf-8") as fh:

@@ -5,8 +5,10 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import tempfile
 from datetime import date, datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -389,6 +391,32 @@ def cli_fuse(sentences, vectors_path, recs, events, out):
         return fh.read()
 
 
+def assert_tables_bit_equal(got, want):
+    assert got.sentence_ids == want.sentence_ids and got.bank_ids == want.bank_ids
+    assert got.months == want.months
+    assert all(type(v) is int for month in got.months for v in month)
+    for name in ("semantic", "numeric_raw", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def assert_the_twin_of_the_twin_path(fused, twinned):
+    """The twin beside the fused file ``fused``, written from vectors read
+    from the JSON, holds the bytes of the twin beside ``twinned``, the fused
+    file of the same vectors taken from a twin; and ``read_sample_table``
+    takes it, without reading the JSON, for the table the JSON gives."""
+    with open(corpus.twin_path(fused), "rb") as got, open(corpus.twin_path(twinned),
+                                                          "rb") as want:
+        assert got.read() == want.read()
+    with mock.patch.object(fusion, "read_jsonl", side_effect=AssertionError("JSON read")):
+        from_twin = read_sample_table(fused)
+    bare = shutil.copy(fused, fused + ".bare")  # the same bytes, with no twin beside them
+    assert_tables_bit_equal(from_twin, read_sample_table(bare))
+
+
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e22, 1e-5,
                3.0, -7.0, 2.0 ** 53, 1.7976931348623157e308]
 FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
@@ -436,10 +464,10 @@ def test_write_fused_writes_the_oracle_bytes_of_an_export(data, n, dim):
     assert_fused_matches_the_oracle(ids, months, np.array(values).reshape(n, dim), order)
 
 
-def test_write_fused_of_vectors_read_from_the_json_writes_the_oracle_bytes_and_no_twin(
+def test_write_fused_of_vectors_read_from_the_json_writes_the_oracle_bytes_and_the_same_twin(
         tmp_path):
     # without a vectors twin, read_vectors parses the JSON and gives no spans;
-    # write_fused then builds the table and prints its floats again
+    # write_fused then prints each row's floats from the matrix it parsed
     ids = ['q"\\[0]', "\u00e9\u20ac\U0001d11e", "[]", "\\"]
     matrix = np.array(EDGE_FLOATS).reshape(4, 3)
     sentences = [make_sentence(sid, "ab"[i % 2], ts(2010, 1 + 2 * i)) for i, sid in enumerate(ids)]
@@ -450,6 +478,8 @@ def test_write_fused_of_vectors_read_from_the_json_writes_the_oracle_bytes_and_n
                            config=None)
     vectors_path, fused = str(tmp_path / "vectors.jsonl"), str(tmp_path / "fused.jsonl")
     pvdm.export_vectors(model, vectors_path)
+    twinned = str(tmp_path / "twinned.jsonl")
+    write_fused(sentences, vectors_path, pvdm.read_vectors(vectors_path), recs, events, twinned)
     os.remove(corpus.twin_path(vectors_path))
     vectors = pvdm.read_vectors(vectors_path)
     assert vectors[2] is None
@@ -457,7 +487,7 @@ def test_write_fused_of_vectors_read_from_the_json_writes_the_oracle_bytes_and_n
     table, want_report = build_sample_table(sentences, dict(zip(ids, matrix)), recs, events)
     with open(fused, "rb") as fh:
         assert fh.read() == json_sample_lines(table)
-    assert not os.path.exists(corpus.twin_path(fused))
+    assert_the_twin_of_the_twin_path(fused, twinned)
     np.testing.assert_array_equal(labels, table.labels)
     assert report == want_report
 
@@ -499,7 +529,8 @@ HAND_WRITTEN = [
 
 
 def test_fuse_writes_hand_written_numerals_as_the_oracle_does(tmp_path):
-    # without a twin, fuse parses the vectors and prints the floats again
+    # without a twin, fuse parses the vectors and prints the floats again:
+    # the fused file and twin of an export of the same vectors
     vectors_path = tmp_path / "vectors.jsonl"
     vectors_path.write_bytes("\r\n".join(HAND_WRITTEN + [""]).encode("utf-8"))
     ids = ["s0", "s1", "s2", "b\u00e4nk\u20ac\U0001d11e", "\u00fc\u00fc"]
@@ -507,9 +538,15 @@ def test_fuse_writes_hand_written_numerals_as_the_oracle_does(tmp_path):
     recs = [make_indicators(b, 2010, q, base=q) for b in "ab" for q in (1, 2)]
     events = [DistressEvent("a", date(2010, 2, 1), date(2010, 4, 30), "state_aid")]
     fused = cli_fuse(sentences, str(vectors_path), recs, events, str(tmp_path / "fused.jsonl"))
-    assert not os.path.exists(corpus.twin_path(str(tmp_path / "fused.jsonl")))
     values = [[1.0, 2.5, -3.0], [1e-3, 200.0, 0.0], [4.0, 5.0, 6.0], [7.0, 8.0, 10.0],
               [0.5, 0.25, 0.125]]
+    export = str(tmp_path / "export.jsonl")
+    pvdm.export_vectors(pvdm.PvdmModel(word_in=None, word_out=None, paragraph=np.array(values),
+                                       sentence_index={sid: i for i, sid in enumerate(ids)},
+                                       vocab=None, config=None), export)
+    twinned = str(tmp_path / "twinned.jsonl")
+    assert cli_fuse(sentences, export, recs, events, twinned) == fused
+    assert_the_twin_of_the_twin_path(str(tmp_path / "fused.jsonl"), twinned)
     table, _ = build_sample_table(sentences, dict(zip(ids, np.array(values))), recs, events)
     assert fused == json_sample_lines(table)
     lines = fused.decode("utf-8").splitlines()
@@ -580,4 +617,5 @@ def test_fuse_of_a_respelled_vectors_file_writes_the_bytes_of_the_export(data, n
         from_twin = cli_fuse(sentences, export, recs, events, os.path.join(d, "twinned.jsonl"))
         assert cli_fuse(sentences, respelled, recs, events,
                         os.path.join(d, "twinless.jsonl")) == from_twin
-        assert not os.path.exists(corpus.twin_path(os.path.join(d, "twinless.jsonl")))
+        assert_the_twin_of_the_twin_path(os.path.join(d, "twinless.jsonl"),
+                                         os.path.join(d, "twinned.jsonl"))

@@ -95,6 +95,8 @@ def text_pipeline(tmp_path_factory):
         for sid, row in zip(ids, paths["rows"]):
             fh.write(json.dumps({"sentence_id": sid, "values": row.tolist()}) + "\n")
     assert len(ids) == 1178 and cli.main(fuse_argv(paths, paths["fused"])) == 0
+    # the commands' tests below read the JSON, the larger of the fused file's two readings
+    os.remove(corpus.twin_path(paths["fused"]))
     return paths
 
 
@@ -103,36 +105,22 @@ def fuse_argv(paths, out):
             "--indicators", paths["indicators"], "--events", paths["events"], "--out", out]
 
 
-def test_fuse_without_a_vectors_twin_holds_two_vector_matrices(text_pipeline, monkeypatch):
-    # without a twin, fuse parses the vectors into one matrix in file order,
-    # stacks the table's in sample order and prints the floats again
-    calls = []
-    for module, name in ((pvdm, "read_vectors"), (fusion, "build_sample_table"),
-                         (fusion, "write_sample_table")):
-        def recording(*args, _call=getattr(module, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _call(*args, **kwargs)
-        monkeypatch.setattr(module, name, recording)
-    fused = str(text_pipeline["dir"] / "fused-traced.jsonl")
-    rc, peak, _ = traced(lambda: cli.main(fuse_argv(text_pipeline, fused)))
-    rows = text_pipeline["rows"]
-    assert rc == 0 and calls == ["read_vectors", "build_sample_table", "write_sample_table"]
-    assert not os.path.exists(corpus.twin_path(fused))
-    assert peak <= 2.5 * rows.nbytes, peak  # two matrices (11.3 MB), short of a third
-    np.testing.assert_array_equal(fusion.read_sample_table(fused).semantic, rows)
-
-
-def test_fuse_from_a_vectors_twin_holds_one_vector_matrix(text_pipeline):
-    # the twin's vectors, in file order, are the one matrix fuse holds; the
-    # fused twin's semantic column is gathered from it in row chunks
+@pytest.mark.parametrize("twin", [True, False], ids=["twin-kept", "twin-absent"])
+def test_fuse_holds_one_vector_matrix(text_pipeline, twin):
+    # the vectors, in file order, taken from the twin or parsed from the JSON,
+    # are the one matrix fuse holds: each row's text is copied from the file
+    # or printed from it, and the fused twin's semantic column is gathered
+    # from it in row chunks
     d = text_pipeline["dir"]
     rows = text_pipeline["rows"]
     ids = [s.sentence_id for s in corpus.read_sentences(text_pipeline["sentences"])]
-    vectors = str(d / "twinned-vectors.jsonl")
+    vectors = str(d / ("vectors-twin-%s.jsonl" % twin))
     pvdm.export_vectors(pvdm.PvdmModel(word_in=None, word_out=None, paragraph=rows,
                                        sentence_index={sid: i for i, sid in enumerate(ids)},
                                        vocab=None, config=None), vectors)
-    fused = str(d / "fused-twinned.jsonl")
+    if not twin:
+        os.remove(corpus.twin_path(vectors))
+    fused = str(d / ("fused-twin-%s.jsonl" % twin))
     rc, peak, _ = traced(lambda: cli.main(fuse_argv(dict(text_pipeline, vectors=vectors), fused)))
     assert rc == 0 and os.path.exists(corpus.twin_path(fused))
     assert peak <= 1.5 * rows.nbytes, peak  # one matrix (5.65 MB), well short of a second

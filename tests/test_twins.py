@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from bankdistress import cli, corpus, fusion, pvdm
 from bankdistress.fusion import DistressEvent
 from conftest import toy_table
-from test_fusion import (EDGE_FLOATS, FLOATS, SENTENCE_IDS, cli_fuse, fuse_argv, make_indicators,
+from test_fusion import (EDGE_FLOATS, FLOATS, SENTENCE_IDS, assert_tables_bit_equal,
+                         assert_the_twin_of_the_twin_path, cli_fuse, fuse_argv, make_indicators,
                          make_sentence, ts)
 
 VECTOR_COLUMNS = {"ids": str, "values": (np.float64, (None, None)),
@@ -62,18 +63,6 @@ def assert_spans_hold_the_values(path, spans, rows):
                                           spans):
         assert text[offset:offset + length] == json.dumps(row).encode("ascii")
         assert offset + length == end - len(b"}\n")
-
-
-def assert_tables_bit_equal(got, want):
-    assert got.sentence_ids == want.sentence_ids and got.bank_ids == want.bank_ids
-    assert got.months == want.months
-    assert all(type(v) is int for month in got.months for v in month)
-    for name in ("semantic", "numeric_raw", "labels"):
-        a, b = getattr(got, name), getattr(want, name)
-        if b is None:
-            assert a is None
-            continue
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +251,12 @@ def test_a_twin_whose_rows_fail_the_checks_leaves_the_reading_to_the_json(tmp_pa
         write_table_twin(bad, path)
         assert_tables_bit_equal(fusion.read_sample_table(path), table)
     # fuse takes no vectors twin that repeats an id or holds a NaN, and
-    # writes the fused file from the JSON, and no fused twin
+    # writes the fused file and its twin from the JSON, as from a valid twin
     matrix = np.arange(6.0).reshape(3, 2)
     vectors = export(tmp_path / "v.jsonl", matrix, ["a", "b", "c"])
     sentences, recs = small_fuse_inputs(["a", "b", "c"])
-    want = cli_fuse(sentences, vectors, recs, [], str(tmp_path / "want.jsonl"))
+    twinned = str(tmp_path / "want.jsonl")
+    want = cli_fuse(sentences, vectors, recs, [], twinned)
     spans = corpus.read_twin(vectors, VECTOR_COLUMNS)["spans"]
     for ids, values in ((["a", "b", "c"], np.where(matrix > 4, np.nan, matrix)),
                         (["a", "b", "a"], matrix)):
@@ -275,7 +265,7 @@ def test_a_twin_whose_rows_fail_the_checks_leaves_the_reading_to_the_json(tmp_pa
         assert pvdm.read_vectors(vectors)[2] is None
         out = str(tmp_path / "fused-from-vectors.jsonl")
         assert cli_fuse(sentences, vectors, recs, [], out) == want
-        assert not os.path.exists(corpus.twin_path(out))
+        assert_the_twin_of_the_twin_path(out, twinned)
 
 
 def test_a_bad_row_in_file_and_twin_raises_the_json_error(tmp_path, capsys):
@@ -309,13 +299,15 @@ def test_a_bad_row_in_file_and_twin_raises_the_json_error(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def test_fused_twin_is_written_only_beside_vectors_taken_from_a_twin(tmp_path):
+def test_fuse_writes_the_same_fused_file_and_twin_with_or_without_a_vectors_twin(tmp_path):
     ids = ["s%d" % i for i in range(4)]
-    vectors = export(tmp_path / "v.jsonl", np.ones((4, 3)), ids)
+    vectors = export(tmp_path / "v.jsonl", np.random.default_rng(0).standard_normal((4, 3)),
+                     ids, order=[2, 0, 3, 1])
     sentences, recs = small_fuse_inputs(ids)
-    fused = cli_fuse(sentences, vectors, recs, [], str(tmp_path / "fused.jsonl"))
-    assert os.path.exists(corpus.twin_path(str(tmp_path / "fused.jsonl")))
-    copy = str(tmp_path / "copy.jsonl")
-    shutil.copy(vectors, copy)
-    assert cli_fuse(sentences, copy, recs, [], str(tmp_path / "fused2.jsonl")) == fused
-    assert not os.path.exists(corpus.twin_path(str(tmp_path / "fused2.jsonl")))
+    twinned = str(tmp_path / "fused.jsonl")
+    fused = cli_fuse(sentences, vectors, recs, [], twinned)
+    copy = shutil.copy(vectors, str(tmp_path / "copy.jsonl"))
+    assert pvdm.read_vectors(copy)[2] is None
+    twinless = str(tmp_path / "fused2.jsonl")
+    assert cli_fuse(sentences, copy, recs, [], twinless) == fused
+    assert_the_twin_of_the_twin_path(twinless, twinned)
