@@ -8,6 +8,9 @@ import numpy as np
 from .corpus import require_float, require_int
 
 N_CLASSES = 2  # tranquil (0) and distressed (1); predict reads column 1
+# floats of the minibatches ``train`` prepares at once: a row costs its input
+# width plus its hidden widths
+_CHUNK_FLOATS = 1 << 16
 
 
 @dataclass
@@ -118,12 +121,14 @@ class _Workspace:
 
     ``ahead`` (the lookahead point, one pass from the scaled velocity) and
     ``grad`` share the model's flat layout, with per-layer views and a view
-    of each one's weight region; ``scratch`` takes l1 * sign(w). ``rows``
-    indexes minibatch rows. ``masks`` holds the current minibatch's dropout
-    masks, one per hidden layer, or None for a step without dropout.
+    of each one's weight region; ``scratch`` takes l1 * sign(w), ``picked``
+    the true-class probabilities; ``tiny`` is the dtype's smallest normal.
+    A minibatch's labels are ``onehot`` and ``true_at`` (``_one_hot``),
+    filled from ``y`` or pointed by ``train`` at each minibatch's, beside
+    ``masks``, its dropout masks or None.
     """
 
-    def __init__(self, config, batch_rows, dtype=np.float64):
+    def __init__(self, config, batch_rows, dtype=np.float64, y=None):
         n_weights, size = _buffer_sizes(config)
         self.ahead, self.grad = np.empty(size, dtype), np.empty(size, dtype)
         self.ahead_w, self.ahead_b = _layer_views(self.ahead, config)
@@ -131,8 +136,19 @@ class _Workspace:
         self.ahead_region = self.ahead[:n_weights]
         self.grad_region = self.grad[:n_weights]
         self.scratch = np.empty(n_weights, dtype)
-        self.rows = np.arange(batch_rows)
+        self.picked = np.empty(batch_rows, dtype)
+        self.tiny = np.finfo(dtype).tiny
+        self.onehot = np.empty((batch_rows, N_CLASSES), dtype)
+        self.true_at = np.empty(batch_rows, np.intp)
+        if y is not None:
+            _one_hot(y, N_CLASSES * np.arange(batch_rows), self.onehot, self.true_at)
         self.masks = None
+
+
+def _one_hot(y, starts, onehot, true_at):
+    """Labels ``y`` as one-hot rows and as flat indices ``starts + y``."""
+    np.eye(N_CLASSES, dtype=onehot.dtype).take(y, axis=0, out=onehot, mode="clip")
+    np.add(starts, y, out=true_at)
 
 
 def _softmax(logits):
@@ -145,11 +161,11 @@ def _softmax(logits):
     return logits
 
 
-def _keep_scaled(u, p):
-    """Inverted-dropout mask (u >= p) / (1 - p), written into the uniforms ``u``."""
-    np.greater_equal(u, p, out=u)
-    u /= 1.0 - p
-    return u
+def _keep_scaled(u, p, keep=None, out=None):
+    """Float32 inverted-dropout masks (u >= p) / (1 - p) of the uniforms ``u``:
+    the compare goes into the bool buffer ``keep``, the scaling into ``out``."""
+    keep = np.greater_equal(u, p, out=keep)
+    return np.multiply(keep, np.float32(1.0 / (1.0 - p)), out=out)
 
 
 def _forward_cached(weights, biases, x, masks=None):
@@ -210,7 +226,8 @@ def gradients(model, x, y, weights=None, biases=None):
 
     The L1 subgradient uses sign(w) with sign(0) = 0 and never touches
     biases. Returns (loss value, weight grads, bias grads). The gradient
-    arrays are fresh, so a caller may update them in place.
+    arrays are fresh, so a caller may update them in place. The core is the
+    training step's, on a float64 workspace without dropout masks.
     """
     cfg = model.config
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -218,28 +235,29 @@ def gradients(model, x, y, weights=None, biases=None):
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    workspace = _Workspace(cfg, n)
+    if y.shape != (n,) or y.min() < 0 or y.max() >= N_CLASSES:
+        raise ValueError("y must hold one label in [0, %d) per row" % N_CLASSES)
+    workspace = _Workspace(cfg, n, y=y)
     for dst, src in zip(workspace.ahead_w + workspace.ahead_b,
                         (model.weights if weights is None else weights)
                         + (model.biases if biases is None else biases)):
         dst[...] = src
-    return _gradients(cfg, x, y, workspace), workspace.grad_w, workspace.grad_b
+    return _gradients(cfg, x, workspace), workspace.grad_w, workspace.grad_b
 
 
-def _gradients(cfg, x, y, workspace):
-    """``gradients`` at the workspace's lookahead point, with its dropout masks
-    if it holds any, into its gradient buffer, for a checked non-empty 2-D
-    batch; returns the loss value."""
+def _gradients(cfg, x, workspace):
+    """``gradients`` at the workspace's lookahead point, for its labels, with
+    its dropout masks if it holds any, into its gradient buffer, for a
+    checked non-empty 2-D batch; returns the loss value."""
     n = x.shape[0]
     weights, biases = workspace.ahead_w, workspace.ahead_b
     masks = workspace.masks
     probs, activations = _forward_cached(weights, biases, x, masks)
 
-    rows = workspace.rows[:n]
-    picked = probs[rows, y]
+    picked = probs.reshape(-1).take(workspace.true_at, out=workspace.picked[:n], mode="clip")
     # the smallest normal of the step's dtype: a clamp below it (1e-300 is 0
     # in float32) would leave an underflowed probability at log(0)
-    np.maximum(picked, np.finfo(picked.dtype).tiny, out=picked)
+    np.maximum(picked, workspace.tiny, out=picked)
     np.log(picked, out=picked)
     nll = -(np.add.reduce(picked) / n)
     # |w| summed per layer, in the gradient buffer before backprop fills it
@@ -247,7 +265,7 @@ def _gradients(cfg, x, y, workspace):
     value = nll + cfg.l1 * sum(np.add.reduce(a, axis=None) for a in workspace.grad_w)
 
     delta = probs
-    delta[rows, y] -= 1.0
+    delta -= workspace.onehot
     delta /= n
 
     for layer in range(len(weights) - 1, -1, -1):
@@ -272,32 +290,30 @@ def _gradients(cfg, x, y, workspace):
 def nesterov_step(model, x, y, lr, ahead=None):
     """One Nesterov update: gradient at the lookahead point, then velocity step.
 
-    ``ahead`` is the workspace ``train`` builds once and passes to every
-    step. With it the step makes five whole-buffer passes: v *= momentum,
-    the lookahead v + w into the workspace, then g *= lr, v -= g and
-    w += v, the same IEEE operations as momentum * v - lr * g and w + v;
-    the gradient comes from ``gradients``' core, which skips its input
-    checks, with the workspace's dropout masks. Without it the lookahead goes
-    into a fresh buffer, ``gradients`` gets its per-layer views as
-    ``weights=`` and ``biases=``, and the update uses the arrays it returns;
-    that step has no dropout. Velocities and parameters are updated in place.
+    ``ahead`` is the workspace ``train`` builds once and points at each
+    minibatch's labels and dropout masks; ``y`` must be the labels it
+    holds. The step makes five whole-buffer passes: v *= momentum, the
+    lookahead v + w into the workspace, then g *= lr, v -= g and w += v, the
+    same IEEE operations as momentum * v - lr * g and w + v; the gradient
+    comes from ``gradients``' core, which skips its input checks. Without
+    ``ahead`` the step builds a float64 workspace and copies into its
+    gradient buffer what ``gradients``, called by name so that a stand-in
+    (criterion 4's quadratic) drives the step, returns at its lookahead
+    views, without dropout. Velocities and parameters are updated in place.
     """
     gamma = model.config.momentum
+    workspace = _Workspace(model.config, len(y)) if ahead is None else ahead
+    model.velocity *= gamma
+    np.add(model.velocity, model.params, out=workspace.ahead)
     if ahead is None:
-        point = np.multiply(model.velocity, gamma)
-        point += model.params
-        ahead_w, ahead_b = _layer_views(point, model.config)
-        value, grads_w, grads_b = gradients(model, x, y, weights=ahead_w, biases=ahead_b)
-        model.velocity *= gamma
-        for v, g in zip(model.vel_w + model.vel_b, grads_w + grads_b):
-            g *= lr
-            v -= g
+        value, grads_w, grads_b = gradients(model, x, y, weights=workspace.ahead_w,
+                                            biases=workspace.ahead_b)
+        for dst, src in zip(workspace.grad_w + workspace.grad_b, grads_w + grads_b):
+            dst[...] = src
     else:
-        model.velocity *= gamma
-        np.add(model.velocity, model.params, out=ahead.ahead)
-        value = _gradients(model.config, x, y, ahead)
-        ahead.grad *= lr
-        model.velocity -= ahead.grad
+        value = _gradients(model.config, x, workspace)
+    workspace.grad *= lr
+    model.velocity -= workspace.grad
     model.params += model.velocity
     return value
 
@@ -373,6 +389,16 @@ def train(model, x_train, y_train, eval_hook=None):
 def _epochs(model, blocks, y_train, eval_hook):
     """``train``'s epoch loop on checked column blocks, in float32.
 
+    Every epoch shuffles ``order`` and reads each block's row indices
+    through it, then prepares its minibatches a chunk at a time: as many
+    whole minibatches (at least one) as fit ``_CHUNK_FLOATS``. Per chunk,
+    each block's rows are gathered as float64 and cast into its columns of
+    the float32 inputs; the labels, one-hot rows and flat indices are taken;
+    and one draw gives the dropout uniforms of all its minibatches, the
+    stream of one draw per minibatch, which ``_keep_scaled`` turns into
+    float32 masks. Each step reads views into the chunk, so no
+    (n, input_dim) matrix is built; a 612-wide chunk is one minibatch.
+
     The steps run on a float32 copy of the model, whose values the model's
     own buffers take, upcast, at the end; the eval hook gets that copy.
     Returns the curve and the float32 parameters of the best-scoring epoch
@@ -383,43 +409,46 @@ def _epochs(model, blocks, y_train, eval_hook):
     rng = np.random.default_rng([cfg.seed, 2])
     work = MlpModel(cfg, model.params.astype(np.float32), model.velocity.astype(np.float32))
     order = np.arange(n)
-    # Every epoch shuffles ``order`` in place and reads each block's row
-    # indices through it into ``epoch_rows``. Each minibatch gathers its
-    # view of those indices from each block's matrix into the front of the
-    # block's ``gathers`` buffer, whose rows are cast into the block's
-    # columns of batch_x, so no (n, input_dim) matrix is built.
     size = min(cfg.batch_size, n)
+    hidden = sum(cfg.hidden_layers)
+    chunk = min(n, size * max(1, _CHUNK_FLOATS // (size * (cfg.input_dim + hidden))))
     epoch_rows = [np.empty(n, dtype=np.intp) for _ in blocks]
-    gathers = [np.empty((size, matrix.shape[1])) for matrix, _ in blocks]
-    batch_x = np.empty((size, cfg.input_dim), dtype=np.float32)
-    batch_y = np.empty(size, dtype=np.int64)
+    gathers = [np.empty((chunk, matrix.shape[1])) for matrix, _ in blocks]
+    chunk_x = np.empty((chunk, cfg.input_dim), dtype=np.float32)
+    chunk_y, true_at = np.empty(chunk, dtype=np.int64), np.empty(chunk, dtype=np.intp)
+    onehot = np.empty((chunk, N_CLASSES), dtype=np.float32)
+    starts = N_CLASSES * (np.arange(chunk) % size)  # each minibatch's rows from 0
+    drawn = chunk * hidden if cfg.dropout_p > 0.0 else 0  # dropout uniforms per chunk
+    drops = np.empty(drawn), np.empty(drawn, dtype=bool), np.empty(drawn, dtype=np.float32)
     workspace = _Workspace(cfg, size, np.float32)
-    # Each minibatch draws its dropout uniforms just before its step, into
-    # the front of ``drops``: a (rows, width) block per hidden layer, the
-    # stream that one draw per layer and step would take. Its float64 masks
-    # are cast into the front of ``masks32``.
-    drops = masks32 = None
-    if cfg.dropout_p > 0.0 and cfg.hidden_layers:
-        drops = np.empty(size * sum(cfg.hidden_layers))
-        masks32 = np.empty(len(drops), dtype=np.float32)
-    batches = []
-    for start in range(0, n, cfg.batch_size):
-        rows = min(cfg.batch_size, n - start)
-        masks = draw = None
-        if drops is not None:
-            masks, offset = [], 0
-            for width in cfg.hidden_layers:
-                masks.append(masks32[offset : offset + rows * width].reshape(rows, width))
-                offset += rows * width
-            draw = drops[:offset], masks32[:offset]
+
+    def views(rows):
+        # the label, dropout and minibatch views of a chunk; full chunks share one set
+        batches = []
+        for start in range(0, rows, size):
+            stop = min(start + size, rows)
+            # a minibatch's masks, one (rows, width) block per hidden layer,
+            # follow those of the minibatches before it
+            masks = [m.reshape(stop - start, -1) for m in np.split(
+                drops[2][start * hidden : stop * hidden],
+                (stop - start) * np.cumsum(cfg.hidden_layers)[:-1])] if drawn else None
+            batches.append((chunk_x[start:stop], chunk_y[start:stop],
+                            (onehot[start:stop], true_at[start:stop], masks)))
+        return ((chunk_y[:rows], starts[:rows], onehot[:rows], true_at[:rows]),
+                tuple(a[: rows * hidden] for a in drops), batches)
+
+    full = views(chunk)
+    chunks = []
+    for first in range(0, n, chunk):
+        rows = min(chunk, n - first)
         reads, col = [], 0
         for (matrix, _), at, gather in zip(blocks, epoch_rows, gathers):
             width = matrix.shape[1]
-            reads.append((matrix, at[start : start + rows], gather[:rows],
-                          batch_x[:rows, col : col + width]))
+            reads.append((matrix, at[first : first + rows], gather[:rows],
+                          chunk_x[:rows, col : col + width]))
             col += width
-        batches.append((order[start : start + rows], reads, batch_x[:rows], batch_y[:rows],
-                        masks, draw))
+        chunks.append((order[first : first + rows], reads)
+                      + (full if rows == chunk else views(rows)))
     curve = []
     best_score = None
     # overwritten in place, so one snapshot is alive at a time
@@ -429,17 +458,18 @@ def _epochs(model, blocks, y_train, eval_hook):
         for (_, rows), at in zip(blocks, epoch_rows):
             rows.take(order, out=at, mode="clip")  # order is a permutation of 0..n-1
         losses = []
-        for batch, reads, x, y, masks, draw in batches:
-            if draw is not None:
-                uniforms, cast = draw
-                np.copyto(cast, _keep_scaled(rng.random(out=uniforms), cfg.dropout_p))
-            workspace.masks = masks
+        for chunk_order, reads, labels, draw, batches in chunks:
             # _row_blocks checked every row index, so clipping moves none
             for matrix, at, rows64, columns in reads:
                 matrix.take(at, axis=0, out=rows64, mode="clip")
                 np.copyto(columns, rows64)
-            y_train.take(batch, out=y, mode="clip")
-            losses.append(nesterov_step(work, x, y, cfg.lr, ahead=workspace))
+            y_train.take(chunk_order, out=labels[0], mode="clip")
+            _one_hot(*labels)
+            if drawn:
+                uniforms, keep, masks = draw
+                _keep_scaled(rng.random(out=uniforms), cfg.dropout_p, keep, masks)
+            for x, y, (workspace.onehot, workspace.true_at, workspace.masks) in batches:
+                losses.append(nesterov_step(work, x, y, cfg.lr, ahead=workspace))
         score = float("nan")
         if eval_hook is not None:
             score = eval_hook(work)

@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from bankdistress import cli, corpus, experiment, fusion, pvdm, synth
+from bankdistress import cli, corpus, experiment, fusion, neural, pvdm, synth
 from conftest import toy_table
 
 MB = 1e6
@@ -286,3 +286,20 @@ def test_run_once_builds_no_training_matrix():
     training_matrix = n_train * (table.semantic_dim + fusion.NUMERIC_DIM) * 8
     assert n_train == 600 and training_matrix == 2937600
     assert peak < training_matrix, peak
+
+
+def test_train_prepares_one_chunk_of_minibatches_at_a_time():
+    # 20,000 rows of 12 inputs and 50 hidden units with dropout: a chunk is 16
+    # minibatches of 64 rows (2**16 // (64 * 62)), and its buffers take about
+    # 13 bytes per float of the budget: 8 + 4 per input (the float64 gather
+    # and the float32 inputs), 8 + 1 + 4 per hidden unit (the uniforms, the
+    # compare and the masks). Beyond them an epoch holds its row order and
+    # one row index per block, 8 bytes a row each, and no buffer of all rows.
+    x = np.random.default_rng(0).standard_normal((20_000, 12))
+    y = (x[:, 0] > 0).astype(np.int64)
+    blocks = [(x, np.arange(len(x)))]
+    cfg = neural.MlpConfig(input_dim=12, hidden_layers=(50,), dropout_p=0.5, epochs=2)
+    model = neural.init_model(cfg)
+    _, peak, _ = traced(lambda: neural.train(model, blocks, y))
+    indices = 2 * len(x) * np.dtype(np.intp).itemsize
+    assert peak <= indices + 16 * neural._CHUNK_FLOATS + SLACK, peak

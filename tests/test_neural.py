@@ -180,6 +180,18 @@ def test_gradients_exclude_bias_from_l1():
         np.testing.assert_allclose(g - p, 10.0 * np.sign(w), atol=1e-12)
 
 
+@pytest.mark.parametrize("y", [np.array([0, 1, 2, 0, 1]), np.array([0, -1, 1, 0, 1]),
+                               np.zeros(4, dtype=int), np.zeros((5, 1), dtype=int)],
+                         ids=["label-too-large", "label-negative", "short", "2d"])
+def test_gradients_checks_its_labels(y):
+    # the one-hot rows and flat indices clip, so a label outside [0, 2) or a
+    # label count that is not the row count is refused before them
+    model = toy_model()
+    x, _ = toy_batch()
+    with pytest.raises(ValueError, match=r"one label in \[0, 2\) per row"):
+        gradients(model, x, y)
+
+
 # ---------------------------------------------------------------------------
 # Nesterov updates
 
@@ -391,8 +403,15 @@ def reference_train(model, x_train, y_train, eval_hook=None, dtype=np.float32):
     ((8,), 0.5, 0.0, 30, 100, False, 9),
     # the arm_protocol benchmark's shape: 12 + 50 inputs, 707 = 11 * 64 + 3 rows
     ((50,), 0.5, 1e-5, 707, 64, True, 62),
+    # a chunk is 22 minibatches of 32 rows of 12 + 50 + 30 floats (2**16 //
+    # (32 * 92)), so 2,245 = 3 * 704 + 4 * 32 + 5 rows end in a partial chunk
+    # whose last minibatch is short, and the masks cross three chunk edges
+    ((50, 30), 0.5, 1e-5, 2245, 32, True, 12),
+    # the text_pipeline benchmark's width: one minibatch per chunk
+    ((50,), 0.5, 1e-5, 200, 64, True, 612),
 ], ids=["50-dropout-short-batch", "50-l1", "20x10-dropout", "20x10-plain",
-        "linear-big-batch", "linear-plain", "8-dropout-big-batch", "arm-protocol-shape"])
+        "linear-big-batch", "linear-plain", "8-dropout-big-batch", "arm-protocol-shape",
+        "narrow-chunk-edges", "612-wide"])
 def test_train_matches_reference_train(hidden, dropout, l1, n, batch_size, hooked, input_dim):
     rng = np.random.default_rng(11)
     x = rng.normal(size=(n, input_dim))
@@ -529,8 +548,8 @@ def test_model_lists_are_views_of_flat_buffers():
 def test_nesterov_step_with_and_without_workspace_agree(hidden, dropout, n):
     cfg = MlpConfig(input_dim=9, hidden_layers=hidden, dropout_p=dropout, l1=1e-3, seed=5)
     plain, spaced = init_model(cfg), init_model(cfg)
-    workspace = neural_module._Workspace(cfg, n)
     x, y = toy_batch(n=n, input_dim=9, seed=4)
+    workspace = neural_module._Workspace(cfg, n, y=y)
     for _ in range(4):
         v1 = nesterov_step(plain, x, y, 0.05)
         v2 = nesterov_step(spaced, x, y, 0.05, ahead=workspace)
